@@ -7,8 +7,12 @@ normalized so the gcd of all entries and the denominator is 1; per-basis
 Fraction views are available through ``coeffs``.  Reduction uses
 zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 
-Inversion is the extended Euclidean algorithm against the p-th cyclotomic
-polynomial over Q, uniformly for every nonzero element.
+Inversion uses the Galois norm: a^-1 = (prod of the conjugates sigma_k(a),
+k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute and
+fold the coefficient vector, so the whole inverse is integer convolutions.
+The conjugate product is built along the cyclic group generated by one
+primitive root, in O(log p) multiplications (an Itoh-Tsujii style chain; see
+Cohen, GTM 138, section 4.3).
 """
 
 from __future__ import annotations
@@ -16,8 +20,35 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .exact import UniPoly
-from .ntheory import OddPrime, legendre
+from .ntheory import OddPrime, legendre, primitive_root
+
+
+def _mul_vec(p: int, a, b) -> list[int]:
+    """Product of two integer power-basis vectors of Q(zeta_p)."""
+    # convolve with exponents folded mod p, sparser operand outside
+    if sum(1 for c in a if c) > sum(1 for c in b if c):
+        a, b = b, a
+    acc = [0] * p
+    for e, c in enumerate(a):
+        if not c:
+            continue
+        for f, d in enumerate(b):
+            if not d:
+                continue
+            g = e + f
+            acc[g - p if g >= p else g] += c * d
+    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
+    top = acc[p - 1]
+    return [acc[i] - top for i in range(p - 1)]
+
+
+def _sigma_vec(p: int, a, k: int) -> list[int]:
+    """The conjugate sigma_k(a), zeta -> zeta^k, of an integer power-basis vector."""
+    acc = [0] * p
+    for e, c in enumerate(a):
+        acc[e * k % p] = c
+    top = acc[p - 1]
+    return [acc[i] - top for i in range(p - 1)]
 
 
 class CycloElem:
@@ -138,26 +169,9 @@ class CycloElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.p
-        a, b = self.num, o.num
-        if not any(a) or not any(b):
-            return CycloElem.zero(p)
-        # convolve with exponents folded mod p, sparser operand outside
-        if sum(1 for c in a if c) > sum(1 for c in b if c):
-            a, b = b, a
-        acc = [0] * p
-        for e, c in enumerate(a):
-            if not c:
-                continue
-            for f, d in enumerate(b):
-                if not d:
-                    continue
-                g = e + f
-                acc[g - p if g >= p else g] += c * d
-        # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-        top = acc[p - 1]
-        num = [acc[i] - top for i in range(p - 1)]
-        return CycloElem(p, num, self.den * o.den)
+        if self.is_zero() or o.is_zero():
+            return CycloElem.zero(self.p)
+        return CycloElem(self.p, _mul_vec(self.p, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -174,23 +188,30 @@ class CycloElem:
         return acc
 
     def inv(self) -> "CycloElem":
-        """Multiplicative inverse by extended Euclid against 1 + x + ... + x^(p-1)."""
+        """Multiplicative inverse as (product of the other conjugates) / norm.
+
+        With a = A/den and sigma = sigma_g for a primitive root g mod p,
+        b_m = prod_{i<m} sigma^i(A) doubles by b_2m = b_m * sigma^m(b_m) and
+        steps by b_(m+1) = b_m * sigma^m(A), where sigma^m = sigma_(g^m).
+        Then c = sigma(b_(p-2)) is the product of every conjugate except A,
+        and A * c = N(A) must be a nonzero rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_p)")
-        p = self.p
-        r0 = UniPoly([1] * p)
-        r1 = UniPoly(self.coeffs)
-        t0, t1 = UniPoly(), UniPoly.constant(1)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, t0 - q * t1
-        # r0 is a nonzero constant: the cyclotomic polynomial is irreducible
-        if r0.degree != 0:
-            raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
-        inv_poly = t0.scale(1 / r0.coeff(0))
-        vec = [inv_poly.coeff(k) for k in range(p - 1)]
-        return CycloElem.from_coeffs(p, vec)
+        p, a = self.p, self.num
+        g = primitive_root(p)
+        b, m = a, 1
+        for bit in bin(p - 2)[3:]:
+            b = _mul_vec(p, b, _sigma_vec(p, b, pow(g, m, p)))
+            m *= 2
+            if bit == "1":
+                b = _mul_vec(p, b, _sigma_vec(p, a, pow(g, m, p)))
+                m += 1
+        c = _sigma_vec(p, b, g)
+        norm = _mul_vec(p, a, c)
+        if any(norm[1:]) or not norm[0]:
+            raise RuntimeError(f"conjugate product of {self!r} gave a norm that is not a nonzero rational")
+        return CycloElem(p, [x * self.den for x in c], norm[0])
 
     def __truediv__(self, other) -> "CycloElem":
         o = self._coerce(other)

@@ -68,7 +68,8 @@ class VerificationReport:
 @dataclass(frozen=True)
 class SuiteOptions:
     """Suite knobs; the caps exist because the cyclotomic checks cost
-    O((n+1)^3) multiplications of O(p^2) coefficient operations each."""
+    O((n+1)^3) multiplications of O(p^2) coefficient operations each, and
+    every field division adds an inverse of O(log p) such multiplications."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29
@@ -89,7 +90,7 @@ def _result(name: str, p, lhs, rhs, detail: str = "") -> CheckResult:
 
 
 def _pair_result(name: str, p, lhs: tuple, rhs: tuple, detail: str = "") -> CheckResult:
-    passed = all(a == b for a, b in zip(lhs, rhs))
+    passed = len(lhs) == len(rhs) and all(a == b for a, b in zip(lhs, rhs))
     return CheckResult(name, int(p), passed, format_value(lhs), format_value(rhs), detail)
 
 

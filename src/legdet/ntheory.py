@@ -7,6 +7,7 @@ Legendre symbol is Euler's criterion with fast modular exponentiation.
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 
 
@@ -34,6 +35,8 @@ class OddPrime(int):
     """
 
     def __new__(cls, value: int) -> "OddPrime":
+        if isinstance(value, cls):
+            return value
         value = int(value)
         if value < 3 or not is_prime(value):
             raise ValueError(f"{value} is not an odd prime")
@@ -64,6 +67,24 @@ def legendre(a: int, p: int) -> int:
     if r == p - 1:
         return -1
     raise RuntimeError(f"Euler criterion produced {r} for ({a}/{p})")
+
+
+@cache
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group (Z/p)^*."""
+    p = OddPrime(p)
+    order = p - 1
+    factors = []
+    m, f = order, 2
+    while f * f <= m:
+        if m % f == 0:
+            factors.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        factors.append(m)
+    return next(g for g in range(2, p) if all(pow(g, order // q, p) != 1 for q in factors))
 
 
 def factorial_mod(k: int, p: int) -> int:

@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
-Jacobi symbols, and a brute-force Pell search.
+Jacobi symbols, a brute-force Pell search, and cyclotomic inversion by the
+extended Euclidean algorithm.
 """
 
 from math import isqrt
+
+from legdet.cyclotomic import CycloElem
+from legdet.exact import UniPoly
 
 
 def naive_det(rows):
@@ -57,3 +61,20 @@ def brute_pell_4(p):
 
 def rand_int_rows(rng, k, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)]
+
+
+def euclid_inverse(a):
+    """Inverse of a nonzero CycloElem by extended Euclid against 1 + x + ... + x^(p-1)."""
+    p = a.p
+    r0 = UniPoly([1] * p)
+    r1 = UniPoly(a.coeffs)
+    t0, t1 = UniPoly(), UniPoly.constant(1)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    # r0 is a nonzero constant: the cyclotomic polynomial is irreducible
+    if r0.degree != 0:
+        raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
+    inv_poly = t0.scale(1 / r0.coeff(0))
+    return CycloElem.from_coeffs(p, [inv_poly.coeff(k) for k in range(p - 1)])

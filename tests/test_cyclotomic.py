@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import legdet.cyclotomic
+from helpers import euclid_inverse
 from legdet.cyclotomic import CycloElem, gauss_sum, zeta_pow
 from legdet.ntheory import legendre, odd_primes_upto
 
@@ -76,6 +78,45 @@ def test_inverse_roundtrip():
     assert zeta_pow(5, 2).inv() == zeta_pow(5, 3)
     with pytest.raises(ZeroDivisionError):
         CycloElem.zero(5).inv()
+
+
+def test_inverse_matches_euclid_oracle():
+    rng = random.Random(17)
+    for p in (3, 5, 7, 11, 13, 29):
+        elems = [CycloElem.from_rational(p, Fraction(-7, 3)), CycloElem.one(p)]
+        elems += [zeta_pow(p, k) * Fraction(rng.randint(1, 9), rng.randint(1, 9)) for k in range(p)]
+        elems += [rand_elem(rng, p) for _ in range(8)]
+        # a large common denominator
+        elems += [CycloElem(p, [rng.randint(-9, 9) for _ in range(p - 1)], 3**40 * 7**25) for _ in range(2)]
+        # large coefficients; Euclid over Fractions is too slow for them beyond p = 13
+        if p <= 13:
+            elems += [
+                CycloElem.from_coeffs(
+                    p, [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**15)) for _ in range(p - 1)]
+                )
+                for _ in range(2)
+            ]
+        # the units 1 + zeta^k, of norm 1
+        elems += [1 + zeta_pow(p, rng.randrange(1, p)) for _ in range(3)]
+        for a in elems:
+            if a.is_zero():
+                continue
+            assert a.inv() == euclid_inverse(a)
+
+
+def test_gauss_sum_inverse():
+    for p in [q for q in odd_primes_upto(61) if q % 4 == 1]:
+        g = gauss_sum(p)
+        # multiplied, not divided, so the right side does not go through inv
+        assert g.inv() == g * Fraction(1, p)
+
+
+def test_inverse_rejects_a_product_that_is_not_the_norm(monkeypatch):
+    # zeta -> zeta^(p-1) generates only {1, p-1}, so the chain multiplies the
+    # wrong conjugates and A * c is not rational
+    monkeypatch.setattr(legdet.cyclotomic, "primitive_root", lambda p: p - 1)
+    with pytest.raises(RuntimeError):
+        (1 + 2 * zeta_pow(7, 1)).inv()
 
 
 def test_pow_and_division():

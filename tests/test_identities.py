@@ -7,6 +7,7 @@ from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     SuiteOptions,
+    _pair_result,
     build_evil_matrix,
     build_vsemirnov_matrices,
     c_polynomial,
@@ -190,6 +191,23 @@ def test_f1f2():
         r = verify_f1f2(p)
         assert r.passed, r
         assert r.name == "f1f2_u00"
+
+
+def test_pair_result_length_mismatch_fails():
+    assert _pair_result("pair", 5, (1, 2), (1, 2)).passed
+    assert not _pair_result("pair", 5, (1, 2), (1,)).passed
+    assert not _pair_result("pair", 5, (1,), (1, 2)).passed
+    assert not _pair_result("pair", 5, (1, 2), (1, 3)).passed
+
+
+def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
+    """Negative control: an inverse off by a factor zeta must show as a
+    failed check, not as a pass and not as an exception."""
+    true_inv = CycloElem.inv
+    monkeypatch.setattr(CycloElem, "inv", lambda a: true_inv(a) * zeta_pow(a.p, 1))
+    for check in (verify_f1f2(13), verify_decomposition(13)):
+        assert check.passed is False
+        assert check.lhs != check.rhs
 
 
 def test_carlitz_values():

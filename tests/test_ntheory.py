@@ -4,7 +4,14 @@ import random
 import pytest
 
 from helpers import jacobi
-from legdet.ntheory import OddPrime, factorial_mod, is_prime, legendre, odd_primes_upto
+from legdet.ntheory import (
+    OddPrime,
+    factorial_mod,
+    is_prime,
+    legendre,
+    odd_primes_upto,
+    primitive_root,
+)
 
 PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                     47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
@@ -27,6 +34,12 @@ def test_odd_prime_type():
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             OddPrime(bad)
+
+
+def test_odd_prime_of_odd_prime_is_the_same_object():
+    p = OddPrime(13)
+    assert OddPrime(p) is p
+    assert OddPrime(p).n == 6
 
 
 def test_odd_primes_upto():
@@ -71,3 +84,22 @@ def test_factorial_mod():
         assert factorial_mod(p - 1, p) == p - 1
     with pytest.raises(ValueError):
         factorial_mod(-1, 5)
+
+
+def test_primitive_root_against_brute_force_order():
+    for p in odd_primes_upto(200):
+        g = primitive_root(p)
+        orders = []
+        for h in range(2, g + 1):
+            k, x = 1, h
+            while x != 1:
+                x = x * h % p
+                k += 1
+            orders.append(k)
+        # g is a generator, and no smaller h >= 2 is
+        assert orders[-1] == p - 1
+        assert all(k < p - 1 for k in orders[:-1])
+    assert primitive_root(3) == 2
+    assert primitive_root(7) == 3
+    with pytest.raises(ValueError):
+        primitive_root(9)
