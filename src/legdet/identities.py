@@ -26,10 +26,10 @@ from .linalg import (
     ZZ,
     ExactMatrix,
     adjugate,
-    adjugate_fast,
     cyclo_ring,
     det_bareiss,
     det_field,
+    det_mod_p,
     poly_ring,
     quadratic_form_adjugate,
 )
@@ -96,22 +96,30 @@ def _pair_result(name: str, p, lhs: tuple, rhs: tuple, detail: str = "") -> Chec
 
 # -- matrix builders ---------------------------------------------------------
 
+def _legendre_table(p: OddPrime) -> list[int]:
+    """chi[r] = (r/p) for 0 <= r < p, so a builder indexes chi[x % p]."""
+    return [legendre(r, p) for r in range(p)]
+
+
 def build_evil_matrix(p) -> ExactMatrix:
     """[( (j-i)/p )] for 0 <= i, j <= n; the 'evil determinant' matrix."""
     p = OddPrime(p)
     n = p.n
-    return ExactMatrix(ZZ, [[legendre(j - i, p) for j in range(n + 1)] for i in range(n + 1)])
+    chi = _legendre_table(p)
+    return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(n + 1)] for i in range(n + 1)])
 
 
 def build_carlitz_matrix(p) -> ExactMatrix:
     p = OddPrime(p)
-    return ExactMatrix(ZZ, [[legendre(j - i, p) for j in range(1, p)] for i in range(1, p)])
+    chi = _legendre_table(p)
+    return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(1, p)] for i in range(1, p)])
 
 
 def build_sun_matrix(p, d: int) -> ExactMatrix:
     p = OddPrime(p)
     n = p.n
-    return ExactMatrix(ZZ, [[legendre(i + d * j, p) for j in range(n + 1)] for i in range(n + 1)])
+    chi = _legendre_table(p)
+    return ExactMatrix(ZZ, [[chi[(i + d * j) % p] for j in range(n + 1)] for i in range(n + 1)])
 
 
 def _require_1mod4(p) -> OddPrime:
@@ -171,7 +179,7 @@ def verify_adj_sum(p) -> CheckResult:
     """u^T adj(C) u for u all-ones: 0 (p = 3 mod 4) or legendre(2,p)*p*b_p.
 
     Computed as det(C + J) - det(C); for p <= 13 the entry sum of the
-    explicit cofactor adjugate must match, tying the two routes together.
+    Gauss-Jordan adjugate must match, tying the two routes together.
     """
     p = OddPrime(p)
     c = build_evil_matrix(p)
@@ -181,7 +189,7 @@ def verify_adj_sum(p) -> CheckResult:
         adj = adjugate(c)
         total = sum(sum(row) for row in adj.entries)
         if total != s:
-            raise RuntimeError(f"determinant-lemma and cofactor adjugate sums disagree for p={p}")
+            raise RuntimeError(f"determinant-lemma and adjugate sums disagree for p={p}")
     rhs = Fraction(0) if p.mod4 == 3 else legendre(2, p) * p * ab_coeffs(p).b
     return _result("adj_sum", p, Fraction(s), rhs)
 
@@ -193,7 +201,7 @@ def verify_minor_antisymmetry(p) -> CheckResult:
     if p.mod4 != 3:
         raise ValueError(f"p = {p} is 1 (mod 4); minor antisymmetry is a p = 3 (mod 4) statement")
     n = p.n
-    adj = adjugate_fast(build_evil_matrix(p))
+    adj = adjugate(build_evil_matrix(p))
     for k in range((p - 3) // 4 + 1):
         for l in range(n + 1):
             # cofactor C_kl is the (l, k) entry of the adjugate
@@ -408,8 +416,7 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
     p = _require_1mod4(p)
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
-    det = det_bareiss(build_sun_matrix(p, d))
-    lhs = det % p
+    lhs = det_mod_p(build_sun_matrix(p, d), p)
     rhs = pow(legendre(d, p) * d % p, (p - 1) // 4, p) * factorial_mod(p.n, p) % p
     return _result(f"sun[d={d:02d}]", p, lhs, rhs)
 

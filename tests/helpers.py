@@ -2,14 +2,16 @@
 
 Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
-Jacobi symbols, a brute-force Pell search, and cyclotomic inversion by the
-extended Euclidean algorithm.
+Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
+extended Euclidean algorithm, and adjugates from explicit cofactors.
 """
 
+from fractions import Fraction
 from math import isqrt
 
 from legdet.cyclotomic import CycloElem
 from legdet.exact import UniPoly
+from legdet.linalg import QQ, ZZ, ExactMatrix, det_field
 
 
 def naive_det(rows):
@@ -23,6 +25,27 @@ def naive_det(rows):
         term = rows[0][j] * naive_det(minor)
         total = total - term if j % 2 else total + term
     return total
+
+
+def cofactor_adjugate(m):
+    """Transpose of the cofactor matrix of an integer or rational matrix.
+
+    Each minor is a rational determinant by Gaussian elimination, a route
+    that shares nothing with fraction-free elimination; O(k^5), fine for the
+    small matrices of the tests.  The 1x1 case is adj([h]) = [1].
+    """
+    k = m.rows
+    q = ExactMatrix(QQ, [[Fraction(x) for x in row] for row in m.entries])
+    out = [[Fraction(1)] * k for _ in range(k)]
+    if k > 1:
+        for i in range(k):
+            for j in range(k):
+                minor = det_field(q.submatrix(i, j))
+                out[j][i] = minor if (i + j) % 2 == 0 else -minor
+    if m.ring is ZZ:
+        assert all(x.denominator == 1 for row in out for x in row)
+        out = [[x.numerator for x in row] for row in out]
+    return ExactMatrix(m.ring, out)
 
 
 def jacobi(a, n):

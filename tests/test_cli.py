@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -73,6 +74,14 @@ def test_verify_json_roundtrip():
             value = parse_value(c[side], p=c["p"])
             assert format_value(value) == c[side]
         assert (c["status"] == "pass") == (c["lhs"] == c["rhs"])
+
+
+def test_verify_json_golden_report(capsys):
+    """The pmax-60 report bytes are the behaviour contract: a refactor that
+    changes any value, verdict or formatting changes this digest."""
+    assert cli.main(["verify", "--pmax", "60", "--seed", "42", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "c9f83ed2dd5593e2c7d1842556af304950af2607c8de9aef7d99c8bd9f31807e"
 
 
 def test_verify_json_deterministic():

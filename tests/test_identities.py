@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from legdet import identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
@@ -27,7 +28,7 @@ from legdet.identities import (
     verify_sun_congruence,
     verify_theorem,
 )
-from legdet.linalg import ZZ, ExactMatrix
+from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_mod_p
 from legdet.ntheory import odd_primes_upto
 
 
@@ -208,6 +209,35 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     for check in (verify_f1f2(13), verify_decomposition(13)):
         assert check.passed is False
         assert check.lhs != check.rhs
+
+
+def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
+    """Negative control: one cofactor off by one must fail the check and name
+    the (k, l) pair it breaks.  At p = 7 (n = 3) adj[2, 0] is cofactor C_02,
+    first paired at (k, l) = (0, 2)."""
+    def bumped(m):
+        rows = [list(row) for row in adjugate(m).entries]
+        rows[2][0] += 1
+        return ExactMatrix(m.ring, rows)
+
+    monkeypatch.setattr(identities, "adjugate", bumped)
+    r = verify_minor_antisymmetry(7)
+    assert r.passed is False
+    assert (r.lhs, r.rhs, r.detail) == ("1", "0", "(k, l) = (0, 2)")
+
+
+def test_wrong_residue_fails_sun_congruence(monkeypatch):
+    monkeypatch.setattr(identities, "det_mod_p", lambda m, p: (det_mod_p(m, p) + 1) % p)
+    for d in range(13):
+        r = verify_sun_congruence(13, d)
+        assert r.passed is False and r.lhs != r.rhs
+
+
+def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + 1)
+    for p in (7, 13):
+        for r in (verify_carlitz(p), verify_evil(p)):
+            assert r.passed is False and r.lhs != r.rhs
 
 
 def test_carlitz_values():

@@ -4,9 +4,10 @@ from math import gcd
 
 import pytest
 
-from helpers import naive_det, rand_int_rows
+from helpers import cofactor_adjugate, naive_det, rand_int_rows
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
+from legdet.identities import build_evil_matrix, build_sun_matrix
 from legdet.linalg import (
     QQ,
     ZZ,
@@ -16,10 +17,12 @@ from legdet.linalg import (
     cyclo_ring,
     det_bareiss,
     det_field,
+    det_mod_p,
     outer,
     poly_ring,
     quadratic_form_adjugate,
 )
+from legdet.ntheory import odd_primes_upto
 
 
 def test_matrix_construction_and_access():
@@ -113,6 +116,45 @@ def test_det_usage_errors():
         det_field(ExactMatrix(QQ, [[Fraction(1), Fraction(2)]]))
     with pytest.raises(ValueError):
         det_field(ExactMatrix(ZZ, [[1]]))  # ZZ is not a field
+    with pytest.raises(ValueError):
+        det_mod_p(rect, 5)
+    with pytest.raises(ValueError):
+        det_mod_p(ExactMatrix(QQ, [[Fraction(1)]]), 5)
+
+
+def test_zz_elimination_refuses_inexact_division():
+    """A ZZ matrix holding a non-integer makes a quotient inexact; the inline
+    divmod raises instead of silently flooring."""
+    m = ExactMatrix(ZZ, [[Fraction(1, 2), 1], [1, 1]])
+    with pytest.raises(ArithmeticError):
+        det_bareiss(m)
+    with pytest.raises(ArithmeticError):
+        adjugate(m)
+
+
+def test_det_mod_p_matches_bareiss_residue():
+    rng = random.Random(11)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        p = rng.choice((2, 3, 5, 7, 13, 101))
+        m = ExactMatrix(ZZ, rand_int_rows(rng, k, -9, 9))
+        assert det_mod_p(m, p) == det_bareiss(m) % p
+    # singular mod p with a nonzero determinant; the zero pivots mod p force swaps
+    singular_mod_p = 0
+    while singular_mod_p < 20:
+        k = rng.randint(2, 5)
+        p = rng.choice((3, 5, 7))
+        m = ExactMatrix(ZZ, rand_int_rows(rng, k, -9, 9))
+        det = det_bareiss(m)
+        if det != 0 and det % p == 0:
+            assert det_mod_p(m, p) == 0
+            singular_mod_p += 1
+    m = ExactMatrix(ZZ, [[7, 2, 1], [1, 3, 4], [2, 1, 5]])
+    assert det_mod_p(m, 7) == det_bareiss(m) % 7 != 0
+    for p in (5, 13, 17, 29):
+        for d in range(p):
+            m = build_sun_matrix(p, d)
+            assert det_mod_p(m, p) == det_bareiss(m) % p
 
 
 def test_adjugate_formulas():
@@ -142,17 +184,66 @@ def test_adjugate_multiplicativity():
 
 
 def test_adjugate_fast_agrees_with_cofactors():
+    assert adjugate_fast is adjugate
     rng = random.Random(8)
     for _ in range(40):
         k = rng.randint(1, 5)
         m = ExactMatrix(ZZ, rand_int_rows(rng, k, -3, 3))
-        assert adjugate_fast(m) == adjugate(m)
-    # singular input exercises the cofactor fallback
+        assert adjugate(m) == cofactor_adjugate(m)
     s = ExactMatrix(ZZ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert det_bareiss(s) == 0
-    assert adjugate_fast(s) == adjugate(s)
+    assert adjugate(s) == cofactor_adjugate(s)
     q = ExactMatrix(QQ, [[Fraction(1, 2), Fraction(1)], [Fraction(1, 3), Fraction(2)]])
-    assert adjugate_fast(q) == adjugate(q)
+    assert adjugate(q) == cofactor_adjugate(q)
+
+
+def _random_of_rank(rng, ring, k, rank):
+    """A k x k matrix B @ C with B k x rank and C rank x k; rank at most `rank`."""
+    if rank == 0:
+        return ExactMatrix(ring, [[ring.zero] * k for _ in range(k)])
+    def draw():
+        x = rng.randint(-4, 4)
+        return x if ring is ZZ else Fraction(x, rng.randint(1, 3))
+
+    b = ExactMatrix(ring, [[draw() for _ in range(rank)] for _ in range(k)])
+    c = ExactMatrix(ring, [[draw() for _ in range(k)] for _ in range(rank)])
+    return b @ c
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+def test_adjugate_matches_cofactor_oracle_at_every_rank(ring):
+    """Full rank takes the Gauss-Jordan route; rank k-1 (adjugate of rank
+    one) and rank <= k-2 (adjugate zero) take the M + x*I route."""
+    rng = random.Random(10)
+    for k in range(1, 7):
+        for rank in sorted({k, k - 1, max(k - 2, 0), 0}):
+            for _ in range(3):
+                while True:
+                    m = _random_of_rank(rng, ring, k, rank)
+                    oracle = cofactor_adjugate(m)
+                    adj_is_zero = all(x == 0 for row in oracle.entries for x in row)
+                    # redraw until full rank and rank k-1 are exact
+                    if not (rank == k and det_bareiss(m) == 0 or rank == k - 1 and adj_is_zero):
+                        break
+                assert adjugate(m) == oracle
+                assert adj_is_zero == (rank < k - 1)
+
+
+def test_adjugate_row_swaps():
+    """A zero leading pivot forces a swap; in the second matrix a zero
+    pivot at the next step forces another, so the sign returns to +1."""
+    for rows, det in (([[0, 1], [1, 0]], -1), ([[0, 0, 1], [1, 2, 3], [2, 5, 5]], 1)):
+        m = ExactMatrix(ZZ, rows)
+        assert det_bareiss(m) == det
+        adj = adjugate(m)
+        assert adj == cofactor_adjugate(m)
+        assert m @ adj == ExactMatrix.identity(ZZ, m.rows).scale(det)
+
+
+def test_adjugate_of_evil_matrices():
+    for p in odd_primes_upto(23):
+        m = build_evil_matrix(p)
+        assert adjugate(m) == cofactor_adjugate(m)
 
 
 def test_matrix_determinant_lemma():
