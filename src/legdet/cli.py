@@ -20,6 +20,7 @@ import sys
 import time
 
 from .identities import (
+    PrimeContext,
     SuiteOptions,
     VerificationReport,
     c_polynomial,
@@ -117,22 +118,7 @@ def emit_report(report: VerificationReport, fmt: str, out) -> None:
                   f"({report.elapsed_seconds:.2f}s)\n")
 
 
-def _single_report(checks, config, elapsed: float) -> VerificationReport:
-    return VerificationReport(tuple(checks), config, elapsed)
-
-
 def _dispatch(args, out) -> int:
-    if args.command == "verify":
-        options = SuiteOptions(
-            decomp_p_max=args.decomp_pmax,
-            uv_trials=args.trials,
-            uv_m_max=args.m,
-            seed=args.seed,
-        )
-        report = run_suite(args.pmax, options)
-        emit_report(report, args.format, out)
-        return 0 if report.all_passed else 1
-
     if args.command == "cx":
         out.write(format_poly(c_polynomial(args.p)) + "\n")
         return 0
@@ -151,29 +137,34 @@ def _dispatch(args, out) -> int:
         out.write(f"b = {format_value(ud.b)}\n")
         return 0
 
-    start = time.perf_counter()
-    if args.command == "decomp":
-        checks = [verify_decomposition(args.p)]
-        config = {"command": "decomp", "p": args.p}
-    elif args.command == "carlitz":
-        checks = [verify_carlitz(args.p)]
-        config = {"command": "carlitz", "p": args.p}
-    elif args.command == "sun":
-        p = OddPrime(args.p)
-        if args.d == "all":
-            ds = range(p)
-        else:
-            try:
-                ds = [int(args.d)]
-            except ValueError:
-                raise ValueError(f"--d must be an integer or 'all', got {args.d!r}") from None
-        checks = [verify_sun_congruence(p, d) for d in ds]
-        config = {"command": "sun", "p": args.p, "d": args.d}
-    else:  # lemma-uv
-        checks = uv_trial_checks(args.trials, args.m, args.seed)
-        config = {"command": "lemma-uv", "trials": args.trials, "m": args.m, "seed": args.seed}
-
-    report = _single_report(checks, config, time.perf_counter() - start)
+    if args.command == "verify":
+        options = SuiteOptions(
+            decomp_p_max=args.decomp_pmax,
+            uv_trials=args.trials,
+            uv_m_max=args.m,
+            seed=args.seed,
+        )
+        report = run_suite(args.pmax, options)
+    else:
+        start = time.perf_counter()
+        if args.command == "decomp":
+            checks = [verify_decomposition(args.p)]
+        elif args.command == "carlitz":
+            checks = [verify_carlitz(args.p)]
+        elif args.command == "sun":
+            ctx = PrimeContext(args.p)
+            if args.d == "all":
+                ds = range(ctx.p)
+            else:
+                try:
+                    ds = [int(args.d)]
+                except ValueError:
+                    raise ValueError(f"--d must be an integer or 'all', got {args.d!r}") from None
+            checks = [verify_sun_congruence(ctx, d) for d in ds]
+        else:  # lemma-uv
+            checks = uv_trial_checks(args.trials, args.m, args.seed)
+        config = {k: v for k, v in vars(args).items() if k != "format"}
+        report = VerificationReport(tuple(checks), config, time.perf_counter() - start)
     emit_report(report, args.format, out)
     return 0 if report.all_passed else 1
 

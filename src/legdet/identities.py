@@ -1,11 +1,17 @@
 """Exact verification of the Legendre-symbol determinant identities.
 
-Each verify_* function builds the objects on both sides of one identity from
-scratch and compares them with exact equality; there is no tolerance
-anywhere.  The two sides always come from independent routes: determinants
-from fraction-free or field elimination, closed forms from the
-continued-fraction unit and form-class oracles in quadfield, and cyclotomic
-products expanded term by term in Q(zeta_p).
+Each verify_* function builds the objects on both sides of one identity and
+compares them with exact equality; there is no tolerance anywhere.  The two
+sides always come from independent routes: determinants from fraction-free
+or field elimination, closed forms from the continued-fraction unit and
+form-class oracles in quadfield, and cyclotomic products expanded term by
+term in Q(zeta_p).
+
+Values that several checks at one prime share (the Legendre table, the evil
+matrix and its determinants, the unit coefficients, Vsemirnov's matrices and
+the cyclotomic inverses) live on a PrimeContext and are computed on first
+use.  run_suite hands one context per prime to every check; a check called
+with a plain integer builds its own, so nothing outlives the call.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
 exact values, so a report line can be re-parsed and re-checked.  run_suite
@@ -16,8 +22,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
 from .exact import UniPoly, interp_linear
@@ -31,10 +38,9 @@ from .linalg import (
     det_field,
     det_mod_p,
     poly_ring,
-    quadratic_form_adjugate,
 )
 from .ntheory import OddPrime, factorial_mod, legendre, odd_primes_upto
-from .quadfield import ab_coeffs
+from .quadfield import UnitData, ab_coeffs
 from .render import format_value
 
 
@@ -94,39 +100,78 @@ def _pair_result(name: str, p, lhs: tuple, rhs: tuple, detail: str = "") -> Chec
     return CheckResult(name, int(p), passed, format_value(lhs), format_value(rhs), detail)
 
 
-# -- matrix builders ---------------------------------------------------------
+# -- the per-prime context and the matrix builders ---------------------------
 
-def _legendre_table(p: OddPrime) -> list[int]:
-    """chi[r] = (r/p) for 0 <= r < p, so a builder indexes chi[x % p]."""
-    return [legendre(r, p) for r in range(p)]
+class PrimeContext:
+    """The values that several checks at one odd prime p share, each one
+    computed on first use and then kept for the life of the context."""
+
+    def __init__(self, p):
+        self.p = OddPrime(p)
+        self._inverses: dict[CycloElem, CycloElem] = {}
+
+    @cached_property
+    def chi(self) -> list[int]:
+        """chi[r] = (r/p) for 0 <= r < p, so a caller indexes chi[x % p]."""
+        return [legendre(r, self.p) for r in range(self.p)]
+
+    @cached_property
+    def evil(self) -> ExactMatrix:
+        return build_evil_matrix(self)
+
+    @cached_property
+    def evil_dets(self) -> tuple[int, int]:
+        """(det C, det(C + J)) = (C(0), C(1)) for the evil matrix C, J all ones."""
+        c = self.evil
+        return det_bareiss(c), det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries]))
+
+    @cached_property
+    def evil_adjugate(self) -> ExactMatrix:
+        return adjugate(self.evil)
+
+    @cached_property
+    def unit(self) -> UnitData:
+        return ab_coeffs(self.p)
+
+    @cached_property
+    def vsemirnov(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+        return build_vsemirnov_matrices(self)
+
+    def inverse(self, e: CycloElem) -> CycloElem:
+        """1/e in Q(zeta_p); each distinct e is inverted once per context."""
+        if e.is_zero():
+            raise RuntimeError(f"zero denominator in Q(zeta_{self.p})")
+        r = self._inverses.get(e)
+        if r is None:
+            r = self._inverses[e] = e.inv()
+        return r
+
+
+def _context(p, need_1mod4: bool = False) -> PrimeContext:
+    """p itself if it is a context, else a fresh context for the odd prime p."""
+    ctx = p if isinstance(p, PrimeContext) else PrimeContext(p)
+    if need_1mod4 and ctx.p.mod4 != 1:
+        raise ValueError(f"p = {ctx.p} is 3 (mod 4); this identity needs p = 1 (mod 4)")
+    return ctx
 
 
 def build_evil_matrix(p) -> ExactMatrix:
     """[( (j-i)/p )] for 0 <= i, j <= n; the 'evil determinant' matrix."""
-    p = OddPrime(p)
-    n = p.n
-    chi = _legendre_table(p)
-    return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(n + 1)] for i in range(n + 1)])
+    ctx = _context(p)
+    p, chi = ctx.p, ctx.chi
+    return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(p.n + 1)] for i in range(p.n + 1)])
 
 
 def build_carlitz_matrix(p) -> ExactMatrix:
-    p = OddPrime(p)
-    chi = _legendre_table(p)
+    ctx = _context(p)
+    p, chi = ctx.p, ctx.chi
     return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(1, p)] for i in range(1, p)])
 
 
 def build_sun_matrix(p, d: int) -> ExactMatrix:
-    p = OddPrime(p)
-    n = p.n
-    chi = _legendre_table(p)
-    return ExactMatrix(ZZ, [[chi[(i + d * j) % p] for j in range(n + 1)] for i in range(n + 1)])
-
-
-def _require_1mod4(p) -> OddPrime:
-    p = OddPrime(p)
-    if p.mod4 != 1:
-        raise ValueError(f"p = {p} is 3 (mod 4); this identity needs p = 1 (mod 4)")
-    return p
+    ctx = _context(p)
+    p, chi = ctx.p, ctx.chi
+    return ExactMatrix(ZZ, [[chi[(i + d * j) % p] for j in range(p.n + 1)] for i in range(p.n + 1)])
 
 
 # -- C(x) and the main theorem -----------------------------------------------
@@ -139,69 +184,58 @@ def c_polynomial(p) -> UniPoly:
     the full symbolic determinant over polynomial entries is recomputed and
     must agree.
     """
-    p = OddPrime(p)
-    m0 = build_evil_matrix(p)
-    c0 = det_bareiss(m0)
-    m1 = ExactMatrix(ZZ, [[e + 1 for e in row] for row in m0.entries])
-    c1 = det_bareiss(m1)
-    poly = interp_linear(c0, c1)
-    if p <= 13:
-        sym = ExactMatrix(
-            poly_ring(),
-            [[UniPoly((e, 1)) for e in row] for row in m0.entries],
-        )
+    ctx = _context(p)
+    poly = interp_linear(*ctx.evil_dets)
+    if ctx.p <= 13:
+        sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in ctx.evil.entries])
         if det_bareiss(sym) != poly:
-            raise RuntimeError(f"symbolic and interpolated C(x) disagree for p={p}")
+            raise RuntimeError(f"symbolic and interpolated C(x) disagree for p={ctx.p}")
     return poly
 
 
 def verify_theorem(p) -> CheckResult:
     """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a."""
-    p = OddPrime(p)
-    cp = c_polynomial(p)
-    if p.mod4 == 3:
+    ctx = _context(p)
+    cp = c_polynomial(ctx)
+    if ctx.p.mod4 == 3:
         rhs = UniPoly.constant(1)
     else:
-        ud = ab_coeffs(p)
-        rhs = UniPoly((-ud.a, legendre(2, p) * p * ud.b))
-    return _result("theorem_cx", p, cp, rhs)
+        rhs = UniPoly((-ctx.unit.a, ctx.chi[2] * ctx.p * ctx.unit.b))
+    return _result("theorem_cx", ctx.p, cp, rhs)
 
 
 def verify_evil(p) -> CheckResult:
     """det[( (j-i)/p )] = 1 (p = 3 mod 4) or -a_p (p = 1 mod 4)."""
-    p = OddPrime(p)
-    det = det_bareiss(build_evil_matrix(p))
-    rhs = Fraction(1) if p.mod4 == 3 else -ab_coeffs(p).a
-    return _result("evil_det", p, Fraction(det), rhs)
+    ctx = _context(p)
+    rhs = Fraction(1) if ctx.p.mod4 == 3 else -ctx.unit.a
+    return _result("evil_det", ctx.p, Fraction(ctx.evil_dets[0]), rhs)
 
 
 def verify_adj_sum(p) -> CheckResult:
     """u^T adj(C) u for u all-ones: 0 (p = 3 mod 4) or legendre(2,p)*p*b_p.
 
-    Computed as det(C + J) - det(C); for p <= 13 the entry sum of the
-    Gauss-Jordan adjugate must match, tying the two routes together.
+    Computed as det(C + J) - det(C) by the matrix determinant lemma; for
+    p <= 13 the entry sum of the Gauss-Jordan adjugate must match, tying the
+    two routes together.
     """
-    p = OddPrime(p)
-    c = build_evil_matrix(p)
-    ones = [1] * (p.n + 1)
-    s = quadratic_form_adjugate(c, ones, ones)
-    if p <= 13:
-        adj = adjugate(c)
-        total = sum(sum(row) for row in adj.entries)
-        if total != s:
-            raise RuntimeError(f"determinant-lemma and adjugate sums disagree for p={p}")
-    rhs = Fraction(0) if p.mod4 == 3 else legendre(2, p) * p * ab_coeffs(p).b
-    return _result("adj_sum", p, Fraction(s), rhs)
+    ctx = _context(p)
+    c0, c1 = ctx.evil_dets
+    s = c1 - c0
+    if ctx.p <= 13 and s != sum(sum(row) for row in ctx.evil_adjugate.entries):
+        raise RuntimeError(f"determinant-lemma and adjugate sums disagree for p={ctx.p}")
+    rhs = Fraction(0) if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b
+    return _result("adj_sum", ctx.p, Fraction(s), rhs)
 
 
 def verify_minor_antisymmetry(p) -> CheckResult:
     """Cofactors of the evil matrix satisfy C_kl + C_{n-k,n-l} = 0 for
     p = 3 (mod 4), 0 <= k <= (p-3)/4, 0 <= l <= n."""
-    p = OddPrime(p)
+    ctx = _context(p)
+    p = ctx.p
     if p.mod4 != 3:
         raise ValueError(f"p = {p} is 1 (mod 4); minor antisymmetry is a p = 3 (mod 4) statement")
     n = p.n
-    adj = adjugate(build_evil_matrix(p))
+    adj = ctx.evil_adjugate
     for k in range((p - 3) // 4 + 1):
         for l in range(n + 1):
             # cofactor C_kl is the (l, k) entry of the adjugate
@@ -223,30 +257,19 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     v_ij = z^(2ij), d_ii = prod_{k != i} 1/(z^(2i) - z^(2k)).  u_00 comes out
     0 from the formula itself: the numerator vanishes and the denominator is
     1.  Denominators are never zero for valid p (z^k = -1 has no solution at
-    odd p), but each one is guarded anyway.
+    odd p), but the context's inverse guards each one anyway.
     """
-    p = _require_1mod4(p)
+    ctx = _context(p, need_1mod4=True)
+    p, lg = ctx.p, ctx.chi
     n = p.n
     ring = cyclo_ring(p)
-    lg = [legendre(k, p) for k in range(n + 1)]
-    inv_cache: dict[CycloElem, CycloElem] = {}
-
-    def inv_of(e: CycloElem) -> CycloElem:
-        r = inv_cache.get(e)
-        if r is None:
-            r = e.inv()
-            inv_cache[e] = r
-        return r
-
     urows = []
     for i in range(n + 1):
         row = []
         for j in range(n + 1):
             num = lg[i] * zeta_pow(p, -j - 2 * i) + lg[j] * zeta_pow(p, -2 * j - i)
             den = zeta_pow(p, -i - j) + lg[i] * lg[j]
-            if den.is_zero():
-                raise RuntimeError(f"zero denominator at u_({i},{j}) for p={p}")
-            row.append(num if num.is_zero() else num * inv_of(den))
+            row.append(num * ctx.inverse(den))
         urows.append(row)
     u = ExactMatrix(ring, urows)
 
@@ -259,7 +282,7 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
         for k in range(n + 1):
             if k != i:
                 prod = prod * (powers[i] - powers[k])
-        drows[i][i] = prod.inv()
+        drows[i][i] = ctx.inverse(prod)
     d = ExactMatrix(ring, drows)
     return u, v, d
 
@@ -267,15 +290,11 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
 def verify_decomposition(p) -> CheckResult:
     """C = legendre(2,p) * g * z^((p-1)/4) * V D U D V entrywise in Q(zeta_p),
     with sqrt(p) realized as the Gauss sum g."""
-    p = _require_1mod4(p)
-    n = p.n
-    u, v, d = build_vsemirnov_matrices(p)
-    ring = cyclo_ring(p)
-    c = ExactMatrix(
-        ring,
-        [[CycloElem.from_rational(p, legendre(j - i, p)) for j in range(n + 1)] for i in range(n + 1)],
-    )
-    scalar = legendre(2, p) * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
+    ctx = _context(p, need_1mod4=True)
+    p = ctx.p
+    u, v, d = ctx.vsemirnov
+    c = ExactMatrix(cyclo_ring(p), [[CycloElem.from_rational(p, e) for e in row] for row in ctx.evil.entries])
+    scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
     rhs = ((((v @ d) @ u) @ d) @ v).scale(scalar)
     diverge = c.first_diff(rhs)
     if diverge is None:
@@ -319,41 +338,44 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
 
 def verify_lemma_sum(p) -> CheckResult:
     """(prod(1+(j/p)z^j)^2 + prod(1-(j/p)z^j)^2) / 2 = (-1)^(n/2) z^(n(n+1)/2) b_p p."""
-    p = _require_1mod4(p)
+    ctx = _context(p, need_1mod4=True)
+    p = ctx.p
     n = p.n
     plus = CycloElem.one(p)
     minus = CycloElem.one(p)
     for j in range(1, n + 1):
-        t = legendre(j, p) * zeta_pow(p, j)
+        t = ctx.chi[j] * zeta_pow(p, j)
         plus = plus * (1 + t)
         minus = minus * (1 - t)
     lhs = (plus * plus + minus * minus) * Fraction(1, 2)
     sign = -1 if (n // 2) % 2 else 1
-    rhs = zeta_pow(p, n * (n + 1) // 2) * (sign * p * ab_coeffs(p).b)
+    rhs = zeta_pow(p, n * (n + 1) // 2) * (sign * p * ctx.unit.b)
     return _result("lemma_sum", p, lhs, rhs)
 
 
 def verify_prod_2j(p) -> CheckResult:
     """prod_{j=1..n} (1 + z^(2j)) = z^(n(n+1)/2) * legendre(2,p), any odd p."""
-    p = OddPrime(p)
+    ctx = _context(p)
+    p = ctx.p
     n = p.n
     prod = CycloElem.one(p)
     for j in range(1, n + 1):
         prod = prod * (1 + zeta_pow(p, 2 * j))
-    rhs = zeta_pow(p, n * (n + 1) // 2) * legendre(2, p)
+    rhs = zeta_pow(p, n * (n + 1) // 2) * ctx.chi[2]
     return _result("prod_2j", p, prod, rhs)
 
 
 def verify_d00_detG(p) -> CheckResult:
     """Two product evaluations behind the decomposition, jointly:
     1/d_00^2 = p z^(n(n+1)) and (prod (j/p) z^j)^2 = z^((p^2-1)/4)."""
-    p = _require_1mod4(p)
+    ctx = _context(p, need_1mod4=True)
+    p = ctx.p
     n = p.n
     inv_d00 = CycloElem.one(p)
     det_g = CycloElem.one(p)
     for k in range(1, n + 1):
         inv_d00 = inv_d00 * (1 - zeta_pow(p, 2 * k))
-        det_g = det_g * (legendre(k, p) * zeta_pow(p, k))
+        det_g = det_g * (ctx.chi[k] * zeta_pow(p, k))
     lhs = (inv_d00 * inv_d00, det_g * det_g)
     rhs = (zeta_pow(p, n * (n + 1)) * p, zeta_pow(p, (p * p - 1) // 4))
     return _pair_result("d00_detg", p, lhs, rhs)
@@ -366,37 +388,23 @@ def verify_f1f2(p) -> CheckResult:
     det[(u_i+u_j)/(1+u_i u_j)]_{1<=i,j<=n} = p b_p legendre(2,p) f1^2 f2^(-2),
     and U_00 = that value times z^(-(p-1)/4).
     """
-    p = _require_1mod4(p)
+    ctx = _context(p, need_1mod4=True)
+    p = ctx.p
     n = p.n
-    ring = cyclo_ring(p)
-    uj = {j: legendre(j, p) * zeta_pow(p, j) for j in range(1, n + 1)}
+    uj = {j: ctx.chi[j] * zeta_pow(p, j) for j in range(1, n + 1)}
     f1 = CycloElem.one(p)
     f2 = CycloElem.one(p)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             f1 = f1 * (uj[j] - uj[i])
             f2 = f2 * (1 + uj[j] * uj[i])
-    base = (legendre(2, p) * p * ab_coeffs(p).b) * f1 * f1 * (f2 * f2).inv()
-
-    inv_cache: dict[CycloElem, CycloElem] = {}
-
-    def over(num: CycloElem, den: CycloElem) -> CycloElem:
-        if den.is_zero():
-            raise RuntimeError(f"zero denominator in the Cauchy-type matrix for p={p}")
-        r = inv_cache.get(den)
-        if r is None:
-            r = den.inv()
-            inv_cache[den] = r
-        return num * r
-
+    base = (ctx.chi[2] * p * ctx.unit.b) * f1 * f1 * ctx.inverse(f2 * f2)
     cauchy = ExactMatrix(
-        ring,
-        [[over(uj[i] + uj[j], 1 + uj[i] * uj[j]) for j in range(1, n + 1)] for i in range(1, n + 1)],
+        cyclo_ring(p),
+        [[(uj[i] + uj[j]) * ctx.inverse(1 + uj[i] * uj[j]) for j in range(1, n + 1)] for i in range(1, n + 1)],
     )
     lhs_det = det_field(cauchy)
-
-    u, _, _ = build_vsemirnov_matrices(p)
-    u00 = det_field(u.submatrix(0, 0))
+    u00 = det_field(ctx.vsemirnov[0].submatrix(0, 0))
     lhs = (lhs_det, u00)
     rhs = (base, base * zeta_pow(p, -(p - 1) // 4))
     return _pair_result("f1f2_u00", p, lhs, rhs)
@@ -406,19 +414,24 @@ def verify_f1f2(p) -> CheckResult:
 
 def verify_carlitz(p) -> CheckResult:
     """det[( (j-i)/p )]_{1<=i,j<=p-1} = p^((p-3)/2)."""
-    p = OddPrime(p)
-    det = det_bareiss(build_carlitz_matrix(p))
-    return _result("carlitz", p, det, p ** ((p - 3) // 2))
+    ctx = _context(p)
+    p = ctx.p
+    return _result("carlitz", p, det_bareiss(build_carlitz_matrix(ctx)), p ** ((p - 3) // 2))
 
 
 def verify_sun_congruence(p, d: int) -> CheckResult:
-    """det[( (i+dj)/p )]_{0<=i,j<=n} = ((d/p) d)^((p-1)/4) * n! (mod p)."""
-    p = _require_1mod4(p)
+    """det[( (i+dj)/p )]_{0<=i,j<=n} = ((d/p) d)^((p-1)/4) * n! (mod p).
+
+    d is zero-padded to the width of p - 1 (at least 2) so names sort by d.
+    """
+    ctx = _context(p, need_1mod4=True)
+    p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
-    lhs = det_mod_p(build_sun_matrix(p, d), p)
-    rhs = pow(legendre(d, p) * d % p, (p - 1) // 4, p) * factorial_mod(p.n, p) % p
-    return _result(f"sun[d={d:02d}]", p, lhs, rhs)
+    lhs = det_mod_p(build_sun_matrix(ctx, d), p)
+    rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * factorial_mod(p.n, p) % p
+    width = max(2, len(str(p - 1)))
+    return _result(f"sun[d={d:0{width}d}]", p, lhs, rhs)
 
 
 # -- suite ---------------------------------------------------------------------
@@ -438,16 +451,18 @@ def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fracti
 
 
 def uv_trial_checks(trials: int, m_max: int, seed: int) -> list[CheckResult]:
-    """Seeded batch of lemma_uv checks with stable, sortable names."""
+    """Seeded batch of lemma_uv checks with stable names that sort by index:
+    zero-padded to the width of trials - 1, at least 3."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if m_max < 1:
         raise ValueError("m must be at least 1")
     rng = random.Random(seed)
+    width = max(3, len(str(trials - 1)))
     checks = []
     for i in range(trials):
         m, u, v = random_uv_instance(rng, m_max)
-        checks.append(replace(verify_lemma_uv(m, u, v), name=f"lemma_uv[{i:03d}]"))
+        checks.append(replace(verify_lemma_uv(m, u, v), name=f"lemma_uv[{i:0{width}d}]"))
     return checks
 
 
@@ -456,38 +471,33 @@ def run_suite(p_max: int, options: SuiteOptions = SuiteOptions()) -> Verificatio
 
     The decomposition and the other cyclotomic checks are capped separately
     (options.decomp_p_max, options.cyclo_p_max) since their cost dominates.
-    Deterministic for a fixed seed; results sorted by (p, name) with the
-    generic lemma_uv trials first.
+    Each prime gets one PrimeContext, so the values its checks share are
+    computed once.  Deterministic for a fixed seed; results sorted by
+    (p, name) with the generic lemma_uv trials first.
     """
     if p_max < 3:
         raise ValueError(f"p_max = {p_max} leaves no odd primes to check; need p_max >= 3")
     start = time.perf_counter()
     checks = uv_trial_checks(options.uv_trials, options.uv_m_max, options.seed)
     for p in odd_primes_upto(p_max):
-        checks.append(verify_theorem(p))
-        checks.append(verify_evil(p))
-        checks.append(verify_adj_sum(p))
-        checks.append(verify_carlitz(p))
+        ctx = PrimeContext(p)
+        checks.append(verify_theorem(ctx))
+        checks.append(verify_evil(ctx))
+        checks.append(verify_adj_sum(ctx))
+        checks.append(verify_carlitz(ctx))
         if p.mod4 == 3:
-            checks.append(verify_minor_antisymmetry(p))
+            checks.append(verify_minor_antisymmetry(ctx))
         if p <= options.cyclo_p_max:
-            checks.append(verify_prod_2j(p))
+            checks.append(verify_prod_2j(ctx))
         if p.mod4 == 1:
             for d in range(p):
-                checks.append(verify_sun_congruence(p, d))
+                checks.append(verify_sun_congruence(ctx, d))
             if p <= options.cyclo_p_max:
-                checks.append(verify_lemma_sum(p))
-                checks.append(verify_d00_detG(p))
-                checks.append(verify_f1f2(p))
+                checks.append(verify_lemma_sum(ctx))
+                checks.append(verify_d00_detG(ctx))
+                checks.append(verify_f1f2(ctx))
             if p <= options.decomp_p_max:
-                checks.append(verify_decomposition(p))
+                checks.append(verify_decomposition(ctx))
     checks.sort(key=lambda c: (c.p if c.p is not None else 0, c.name))
-    config = {
-        "p_max": p_max,
-        "decomp_p_max": options.decomp_p_max,
-        "cyclo_p_max": options.cyclo_p_max,
-        "uv_trials": options.uv_trials,
-        "uv_m_max": options.uv_m_max,
-        "seed": options.seed,
-    }
+    config = {"p_max": p_max, **asdict(options)}
     return VerificationReport(tuple(checks), config, time.perf_counter() - start)

@@ -80,10 +80,6 @@ class ExactMatrix:
     def identity(cls, ring: Ring, k: int) -> "ExactMatrix":
         return cls(ring, [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)])
 
-    @classmethod
-    def from_fn(cls, ring: Ring, rows: int, cols: int, fn) -> "ExactMatrix":
-        return cls(ring, [[fn(i, j) for j in range(cols)] for i in range(rows)])
-
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.entries[i][j]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,8 +29,8 @@ from legdet.identities import (
     verify_sun_congruence,
     verify_theorem,
 )
-from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_mod_p
-from legdet.ntheory import odd_primes_upto
+from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_p
+from legdet.ntheory import legendre, odd_primes_upto
 
 
 def test_build_evil_matrix():
@@ -238,6 +239,102 @@ def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
     for p in (7, 13):
         for r in (verify_carlitz(p), verify_evil(p)):
             assert r.passed is False and r.lhs != r.rhs
+
+
+def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
+    true_ab = identities.ab_coeffs
+    monkeypatch.setattr(identities, "ab_coeffs", lambda p: replace(true_ab(p), b=true_ab(p).b + 1))
+    for r in (verify_theorem(13), verify_adj_sum(13), verify_lemma_sum(13), verify_f1f2(5)):
+        assert r.passed is False and r.lhs != r.rhs
+
+
+def test_wrong_determinant_fails_theorem(monkeypatch):
+    """det_bareiss + 1 on every matrix also shifts the symbolic C(x) at
+    p <= 13 by one, so the interpolation cross-check agrees and the
+    closed-form comparison is what fails."""
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + 1)
+    for p in (7, 13, 17, 19):
+        r = verify_theorem(p)
+        assert r.passed is False and r.lhs != r.rhs
+
+
+def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
+    """det_bareiss + 1 on every matrix cancels in det(C + J) - det C, so this
+    control shifts det(C + J) alone: the only matrix here with no negative
+    entry.  Above p = 13 the check fails; at p <= 13 the adjugate
+    cross-check refuses the disagreeing sum outright."""
+    def bumped(m):
+        return det_bareiss(m) + (min(min(row) for row in m.entries) >= 0)
+
+    monkeypatch.setattr(identities, "det_bareiss", bumped)
+    for p in (17, 19):
+        r = verify_adj_sum(p)
+        assert r.passed is False and r.lhs != r.rhs
+    with pytest.raises(RuntimeError, match="adjugate"):
+        verify_adj_sum(13)
+
+
+def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
+    """prod_2j reads (2/p) on its right side only, d00_detG reads (k/p) in
+    det G on its left side only; the sign of (k/p) is squared away there,
+    so (1/p) is doubled instead of negated."""
+    def wrong(a, p):
+        r = legendre(a, p)
+        return -r if a % p == 2 else 2 * r if a % p == 1 else r
+
+    monkeypatch.setattr(identities, "legendre", wrong)
+    for r in (verify_prod_2j(7), verify_prod_2j(13), verify_d00_detG(13)):
+        assert r.passed is False and r.lhs != r.rhs
+
+
+def test_wrong_determinant_fails_lemma_uv(monkeypatch):
+    monkeypatch.setattr(identities, "det_field", lambda m: det_field(m) + 1)
+    r = verify_lemma_uv(2, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)])
+    assert r.passed is False and r.lhs == "1188/1225" and r.rhs == "-37/1225"
+
+
+def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
+    """One context per prime: det C, det(C + J), a_p/b_p and Vsemirnov's
+    U, V, D are each computed once, however many checks read them.  A
+    direct call builds its own context, so nothing is kept between calls."""
+    calls = {"det_bareiss": [], "ab_coeffs": [], "build_vsemirnov_matrices": []}
+
+    def count(name, key):
+        fn = getattr(identities, name)
+
+        def counted(arg):
+            calls[name].append(key(arg))
+            return fn(arg)
+
+        monkeypatch.setattr(identities, name, counted)
+
+    count("det_bareiss", lambda m: m.rows)
+    count("ab_coeffs", int)
+    count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
+    assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
+    assert calls["ab_coeffs"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
+    # per prime det C, det(C + J) and Carlitz, plus the symbolic C(x) at p <= 13
+    assert len(calls["det_bareiss"]) == 3 * len(odd_primes_upto(29)) + 5
+
+    calls["det_bareiss"].clear()
+    c_polynomial(5)
+    c_polynomial(5)
+    assert calls["det_bareiss"] == [3, 3, 3] * 2
+
+
+def test_check_names_sort_in_numeric_order():
+    """Index padding grows with the largest index, so sorting by name keeps
+    numeric order; at the default sizes the names are unchanged."""
+    report = run_suite(3, SuiteOptions(uv_trials=1001, uv_m_max=1))
+    names = [c.name for c in report.checks if c.name.startswith("lemma_uv")]
+    assert names == [f"lemma_uv[{i:04d}]" for i in range(1001)]
+    assert uv_trial_checks(1000, 1, 0)[-1].name == "lemma_uv[999]"
+    sun = [verify_sun_congruence(101, d) for d in (9, 10, 99, 100)]
+    assert [r.name for r in sun] == ["sun[d=009]", "sun[d=010]", "sun[d=099]", "sun[d=100]"]
+    assert all(r.passed for r in sun)
+    assert [r.name for r in sorted(sun, key=lambda r: r.name)] == [r.name for r in sun]
+    assert verify_sun_congruence(97, 96).name == "sun[d=96]"
+    assert verify_sun_congruence(13, 3).name == "sun[d=03]"
 
 
 def test_carlitz_values():
