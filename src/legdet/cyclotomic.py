@@ -249,9 +249,6 @@ def gauss_sum(p: int) -> CycloElem:
     p = OddPrime(p)
     if p.mod4 != 1:
         raise ValueError(f"p = {p} is 3 (mod 4); the sum squares to -p there")
-    num = [0] * (p - 1)
-    for k in range(1, p - 1):
-        num[k] = legendre(k, p)
+    # (0/p) = 0 starts the k = 0 slot; zeta^(p-1) folds the k = p-1 term into every slot
     top = legendre(p - 1, p)
-    num = [c - top for c in num]
-    return CycloElem(p, num)
+    return CycloElem(p, [legendre(k, p) - top for k in range(p - 1)])

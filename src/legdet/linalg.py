@@ -1,20 +1,23 @@
 """Dense exact matrices over pluggable coefficient structures.
 
 A coefficient structure is a ``Ring``: the zero and one elements plus an
-exact-division callable, chosen at matrix construction time.  Elements carry
-their own +, -, *, == through operator overloading (ints, Fractions,
-UniPoly, CycloElem all do), so the matrix code never dispatches on type.
+exact-division callable (for a field, its elements' own /), chosen at matrix
+construction time.  Elements carry their own +, -, *, == through operator
+overloading (ints, Fractions, UniPoly, CycloElem), so the matrix code never
+dispatches on type.
 
 Determinants come in two flavors: fraction-free Bareiss elimination for
 integral domains (integers, polynomials) and ordinary Gaussian elimination
 with exact division over fields (rationals, cyclotomics); det_mod_p
-eliminates over F_p when only the residue is wanted.  The one adjugate is
-fraction-free Gauss-Jordan on [A | I], sharing the Bareiss step with the
-determinant, and handles singular integer or rational input through A + x*I.
+eliminates over F_p when only the residue is wanted.  All three find their
+pivots with one row-swap search.  The one adjugate is fraction-free
+Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant, and
+handles singular integer or rational input through A + x*I.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -42,7 +45,7 @@ class Ring:
 
 
 ZZ = Ring("ZZ", 0, 1, _int_exact_div)
-QQ = Ring("QQ", Fraction(0), Fraction(1), lambda a, b: a / b, is_field=True)
+QQ = Ring("QQ", Fraction(0), Fraction(1), operator.truediv, is_field=True)
 
 
 def poly_ring() -> Ring:
@@ -50,13 +53,7 @@ def poly_ring() -> Ring:
 
 
 def cyclo_ring(p: int) -> Ring:
-    return Ring(
-        f"QQ(zeta_{p})",
-        CycloElem.zero(p),
-        CycloElem.one(p),
-        lambda a, b: a * b.inv(),
-        is_field=True,
-    )
+    return Ring(f"QQ(zeta_{p})", CycloElem.zero(p), CycloElem.one(p), operator.truediv, is_field=True)
 
 
 class ExactMatrix:
@@ -159,10 +156,23 @@ def _require_square(m: ExactMatrix) -> None:
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
 
 
+def _pivot(a: list, c: int, k: int, zero) -> int:
+    """Make a[c][c] nonzero by swapping up the first row below with a nonzero
+    entry in column c: 1 if no swap was needed, -1 after a swap, 0 if rows
+    c..k-1 have none.  Tests != zero, since CycloElem has no truth value."""
+    for r in range(c, k):
+        if a[r][c] != zero:
+            if r == c:
+                return 1
+            a[c], a[r] = a[r], a[c]
+            return -1
+    return 0
+
+
 def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
     """Fraction-free elimination in place on the first k columns of rows a.
 
-    Step c pivots on a[c][c] (swapping a lower row up if it is zero) and sets
+    Step c pivots on a[c][c] (see _pivot) and sets
     a[i][j] = (a[i][j] * piv - a[i][c] * a[c][j]) / prev for j > c, prev
     being the previous pivot; each quotient is a minor of the input, hence
     exact (Bareiss 1968).  Without jordan, steps 0..k-2 update the rows
@@ -179,14 +189,10 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
     sign = 1
     prev = ring.one
     for c in range(k if jordan else k - 1):
-        if a[c][c] == zero:
-            for r in range(c + 1, k):
-                if a[r][c] != zero:
-                    a[c], a[r] = a[r], a[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        s = _pivot(a, c, k, zero)
+        if not s:
+            return 0
+        sign *= s
         pr = a[c]
         piv = pr[c]
         for i in range(0 if jordan else c + 1, k):
@@ -236,17 +242,12 @@ def det_mod_p(m: ExactMatrix, p: int) -> int:
     k = m.rows
     det = 1
     for c in range(k):
-        if not a[c][c]:
-            for r in range(c + 1, k):
-                if a[r][c]:
-                    a[c], a[r] = a[r], a[c]
-                    det = -det
-                    break
-            else:
-                return 0
+        s = _pivot(a, c, k, 0)
+        if not s:
+            return 0
         pr = a[c]
         piv = pr[c]
-        det = det * piv % p
+        det = det * s * piv % p
         pivinv = pow(piv, -1, p)
         for i in range(c + 1, k):
             ai = a[i]
@@ -268,16 +269,11 @@ def det_field(m: ExactMatrix):
     k = m.rows
     det = ring.one
     for col in range(k):
-        if a[col][col] == zero:
-            for r in range(col + 1, k):
-                if a[r][col] != zero:
-                    a[col], a[r] = a[r], a[col]
-                    det = -det
-                    break
-            else:
-                return zero
+        s = _pivot(a, col, k, zero)
+        if not s:
+            return zero
         piv = a[col][col]
-        det = det * piv
+        det = det * piv if s == 1 else -(det * piv)
         pivinv = ring.exact_div(ring.one, piv)
         for i in range(col + 1, k):
             f = a[i][col] * pivinv

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     SuiteOptions,
-    _pair_result,
+    _result,
     build_evil_matrix,
     build_vsemirnov_matrices,
     c_polynomial,
@@ -196,10 +197,10 @@ def test_f1f2():
 
 
 def test_pair_result_length_mismatch_fails():
-    assert _pair_result("pair", 5, (1, 2), (1, 2)).passed
-    assert not _pair_result("pair", 5, (1, 2), (1,)).passed
-    assert not _pair_result("pair", 5, (1,), (1, 2)).passed
-    assert not _pair_result("pair", 5, (1, 2), (1, 3)).passed
+    assert _result("pair", 5, (1, 2), (1, 2)).passed
+    assert not _result("pair", 5, (1, 2), (1,)).passed
+    assert not _result("pair", 5, (1,), (1, 2)).passed
+    assert not _result("pair", 5, (1, 2), (1, 3)).passed
 
 
 def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
@@ -207,9 +208,23 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     failed check, not as a pass and not as an exception."""
     true_inv = CycloElem.inv
     monkeypatch.setattr(CycloElem, "inv", lambda a: true_inv(a) * zeta_pow(a.p, 1))
-    for check in (verify_f1f2(13), verify_decomposition(13)):
+    f1f2, decomp = verify_f1f2(13), verify_decomposition(13)
+    for check in (f1f2, decomp):
         assert check.passed is False
         assert check.lhs != check.rhs
+    # the failing reports themselves, pinned: the first divergent entry of C,
+    # and for f1f2 the right side in full and the 5366-character left by hash
+    assert (decomp.name, decomp.lhs, decomp.rhs, decomp.detail) == (
+        "decomposition", "1", "z^3", "first divergent entry (i, j) = (0, 1)"
+    )
+    assert (f1f2.name, f1f2.detail) == ("f1f2_u00", "")
+    assert hashlib.sha256(f1f2.lhs.encode()).hexdigest() == (
+        "9c7dc0d42421ea59fce5827e57bb56b7eed4c4a2fbf6f968261762bc5a5f31b8"
+    )
+    assert f1f2.rhs == (
+        "70 + 195*z + 70*z^2 + 15*z^4 - 120*z^5 - 195*z^6 - 160*z^7 - 160*z^8 - 195*z^9 - 120*z^10 + 15*z^11"
+        " ; -70 - 55*z - 190*z^2 - 265*z^3 - 230*z^4 - 230*z^5 - 265*z^6 - 190*z^7 - 55*z^8 - 70*z^9 + 125*z^11"
+    )
 
 
 def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
@@ -224,7 +239,7 @@ def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     monkeypatch.setattr(identities, "adjugate", bumped)
     r = verify_minor_antisymmetry(7)
     assert r.passed is False
-    assert (r.lhs, r.rhs, r.detail) == ("1", "0", "(k, l) = (0, 2)")
+    assert (r.name, r.lhs, r.rhs, r.detail) == ("minor_antisym", "1", "0", "(k, l) = (0, 2)")
 
 
 def test_wrong_residue_fails_sun_congruence(monkeypatch):

@@ -92,6 +92,13 @@ def test_det_over_cyclotomics():
     ])
     assert det_field(d) == zeta_pow(p, 6)
     assert det_field(ExactMatrix.identity(r, 3)) == r.one
+    # zero pivots force row swaps: at the (0, 0) entry, and in the second
+    # matrix at (1, 1) once column 0 is eliminated; a zero CycloElem is
+    # truthy, so only a test against ring.zero finds them
+    z = zeta_pow(p, 1)
+    assert det_field(ExactMatrix(r, [[r.zero, r.one], [r.one, z]])) == -r.one
+    rows = [[r.one, z, r.zero], [z, z * z, r.one], [r.zero, r.one, z]]
+    assert det_field(ExactMatrix(r, rows)) == naive_det(rows) == -r.one
 
 
 def test_det_field_vs_bareiss_after_clearing_denominators():
