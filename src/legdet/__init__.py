@@ -9,7 +9,7 @@ rational arithmetic; there is no floating point and no tolerance.
 """
 
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
-from .exact import Rational, UniPoly, as_rational, interp_linear
+from .exact import UniPoly, as_rational, interp_linear
 from .identities import (
     CheckResult,
     SuiteOptions,
@@ -60,7 +60,6 @@ __all__ = [
     "OddPrime",
     "QQ",
     "QuadElem",
-    "Rational",
     "Ring",
     "SuiteOptions",
     "UniPoly",

@@ -108,19 +108,8 @@ class CycloElem:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self.num[k], self.den)
-
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.num[0], self.den)
 
     # -- ring operations --------------------------------------------------
 
@@ -174,18 +163,6 @@ class CycloElem:
         return CycloElem(self.p, _mul_vec(self.p, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CycloElem":
-        if k < 0:
-            return self.inv() ** (-k)
-        acc = CycloElem.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
 
     def inv(self) -> "CycloElem":
         """Multiplicative inverse as (product of the other conjugates) / norm.

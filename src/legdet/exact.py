@@ -2,10 +2,9 @@
 
 Rationals are stdlib ``fractions.Fraction`` values, which already maintain
 the invariants every caller relies on: positive denominator, fully reduced,
-canonical zero.  ``Rational`` is re-exported under that name so the rest of
-the package never imports ``fractions`` directly.
+canonical zero.
 
-Polynomials are dense coefficient tuples over Rational; the degrees in this
+Polynomials are dense coefficient tuples over Fraction; the degrees in this
 package never exceed one for the symbolic determinant and p-2 for cyclotomic
 reduction, so dense storage is the simplest exact representation.
 """
@@ -14,22 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def as_rational(v) -> Fraction:
-    """Coerce an int, Fraction, or (num, den) pair to a Rational."""
+    """Coerce an int or Fraction to a Fraction."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, tuple) and len(v) == 2:
-        return Fraction(v[0], v[1])
     raise TypeError(f"cannot interpret {v!r} as an exact rational")
 
 
 class UniPoly:
-    """Dense univariate polynomial with Rational coefficients.
+    """Dense univariate polynomial with Fraction coefficients.
 
     ``coeffs[k]`` is the coefficient of x**k; the empty tuple is the zero
     polynomial and the last stored coefficient is always nonzero.
@@ -46,10 +41,6 @@ class UniPoly:
     @classmethod
     def constant(cls, c) -> "UniPoly":
         return cls((as_rational(c),))
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((0, 1))
 
     @property
     def degree(self) -> int:
@@ -124,14 +115,6 @@ class UniPoly:
         r = as_rational(r)
         return UniPoly(tuple(c * r for c in self.coeffs))
 
-    def __call__(self, r) -> Fraction:
-        """Evaluate at a Rational point (Horner)."""
-        r = as_rational(r)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-        return acc
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Polynomial long division, quotient and remainder."""
         if not isinstance(other, UniPoly) or other.is_zero():
@@ -150,7 +133,7 @@ class UniPoly:
                     rem[k + j] -= q * b
         return UniPoly(quo), UniPoly(rem)
 
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
+    def __truediv__(self, other: "UniPoly") -> "UniPoly":
         """Division that must leave no remainder (used by fraction-free elimination)."""
         quo, rem = self.divmod(other)
         if not rem.is_zero():

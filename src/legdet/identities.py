@@ -14,8 +14,8 @@ use.  run_suite hands one context per prime to every check; a check called
 with a plain integer builds its own, so nothing outlives the call.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
-exact values, so a report line can be re-parsed and re-checked.  run_suite
-composes every applicable check over a prime range into one report.
+exact values (see render).  run_suite composes every applicable check over a
+prime range into one report.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Dense exact matrices over pluggable coefficient structures.
 
-A coefficient structure is a ``Ring``: the zero and one elements plus an
-exact-division callable (for a field, its elements' own /), chosen at matrix
-construction time.  Elements carry their own +, -, *, == through operator
-overloading (ints, Fractions, UniPoly, CycloElem), so the matrix code never
-dispatches on type.
+A coefficient structure is a ``Ring``: the zero and one elements and whether
+it is a field, chosen at matrix construction time.  Elements carry their own
++, -, *, == and an exact / through operator overloading (Fractions, UniPoly,
+CycloElem; ints divide inline), so the matrix code never dispatches on type.
 
 Determinants come in two flavors: fraction-free Bareiss elimination for
 integral domains (integers, polynomials) and ordinary Gaussian elimination
@@ -17,20 +16,12 @@ handles singular integer or rational input through A + x*I.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .cyclotomic import CycloElem
 from .exact import UniPoly
-
-
-def _int_exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"inexact integer division {a} / {b}")
-    return q
 
 
 @dataclass(frozen=True)
@@ -40,20 +31,19 @@ class Ring:
     name: str
     zero: Any
     one: Any
-    exact_div: Callable[[Any, Any], Any] = field(repr=False)
     is_field: bool = False
 
 
-ZZ = Ring("ZZ", 0, 1, _int_exact_div)
-QQ = Ring("QQ", Fraction(0), Fraction(1), operator.truediv, is_field=True)
+ZZ = Ring("ZZ", 0, 1)
+QQ = Ring("QQ", Fraction(0), Fraction(1), is_field=True)
 
 
 def poly_ring() -> Ring:
-    return Ring("QQ[x]", UniPoly(), UniPoly.constant(1), UniPoly.exact_div)
+    return Ring("QQ[x]", UniPoly(), UniPoly.constant(1))
 
 
 def cyclo_ring(p: int) -> Ring:
-    return Ring(f"QQ(zeta_{p})", CycloElem.zero(p), CycloElem.one(p), operator.truediv, is_field=True)
+    return Ring(f"QQ(zeta_{p})", CycloElem.zero(p), CycloElem.one(p), is_field=True)
 
 
 class ExactMatrix:
@@ -90,9 +80,6 @@ class ExactMatrix:
             return NotImplemented
         return self.entries == other.entries
 
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
     def first_diff(self, other: "ExactMatrix") -> tuple[int, int] | None:
         """Row-major index of the first differing entry, None if equal."""
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -102,9 +89,6 @@ class ExactMatrix:
                 if self.entries[i][j] != other.entries[i][j]:
                     return (i, j)
         return None
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.ring, zip(*self.entries))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -180,11 +164,11 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
     update every other row (Nakos, Turner and Williams 1997), so all rows
     end at the scale of the last pivot.  Columns up to c are left stale.
     Over ZZ an inline divmod raises ArithmeticError on a remainder; other
-    rings use ring.exact_div.  Returns the sign of the row permutation, or 0
-    when a column has no nonzero pivot.
+    rings divide with their elements' exact /.  Returns the sign of the row
+    permutation, or 0 when a column has no nonzero pivot.
     """
     zero = ring.zero
-    div = None if ring is ZZ else ring.exact_div
+    integer = ring is ZZ
     width = len(a[0])
     sign = 1
     prev = ring.one
@@ -200,7 +184,7 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
                 continue
             ai = a[i]
             f = ai[c]
-            if div is None:
+            if integer:
                 for j in range(c + 1, width):
                     q, r = divmod(ai[j] * piv - f * pr[j], prev)
                     if r:
@@ -208,7 +192,7 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
                     ai[j] = q
             else:
                 for j in range(c + 1, width):
-                    ai[j] = div(ai[j] * piv - f * pr[j], prev)
+                    ai[j] = (ai[j] * piv - f * pr[j]) / prev
         prev = piv
     return sign
 
@@ -274,7 +258,7 @@ def det_field(m: ExactMatrix):
             return zero
         piv = a[col][col]
         det = det * piv if s == 1 else -(det * piv)
-        pivinv = ring.exact_div(ring.one, piv)
+        pivinv = ring.one / piv
         for i in range(col + 1, k):
             f = a[i][col] * pivinv
             if f == zero:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import isqrt
+from operator import index
 
 
 def is_prime(m: int) -> bool:
@@ -31,13 +32,14 @@ class OddPrime(int):
     """An int that is checked to be an odd prime at construction.
 
     Carries the two derived quantities used everywhere: ``n = (p-1)/2`` and
-    the residue class mod 4.
+    the residue class mod 4.  Only true integers are accepted: a float or a
+    str raises TypeError rather than being truncated to a different prime.
     """
 
     def __new__(cls, value: int) -> "OddPrime":
         if isinstance(value, cls):
             return value
-        value = int(value)
+        value = index(value)
         if value < 3 or not is_prime(value):
             raise ValueError(f"{value} is not an odd prime")
         return super().__new__(cls, value)

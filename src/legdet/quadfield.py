@@ -47,20 +47,6 @@ class QuadElem:
     def norm(self) -> Fraction:
         return self.x * self.x - self.p * self.y * self.y
 
-    def conjugate(self) -> "QuadElem":
-        return QuadElem(self.x, -self.y, self.p)
-
-    def is_greater_than_one(self) -> bool:
-        # sign of (x - 1) + y*sqrt(p) without evaluating sqrt(p)
-        a, b = self.x - 1, self.y
-        if a >= 0 and b >= 0:
-            return a > 0 or b > 0
-        if a < 0 and b < 0:
-            return False
-        if b > 0:  # a < 0
-            return self.p * b * b > a * a
-        return a * a > self.p * b * b  # a > 0, b < 0
-
     def __str__(self) -> str:
         from .render import format_quad
 

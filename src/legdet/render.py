@@ -1,13 +1,13 @@
-"""Canonical text forms for exact values, with inverse parsers.
+"""Canonical text forms for the exact values in a report.
 
-Every formatter here has a parser that recovers the exact value, so report
-output can be checked for lossless round-trips.  Grammar, by type:
+Each value has one canonical form; the test suite parses every form back to
+check that it loses nothing.  Grammar, by type:
 
   rational   -18, 3/2, 0
   polynomial -65*x - 18     (descending powers, unit coefficients omitted)
   cyclotomic z - z^2 + 3/2*z^4   (ascending powers of z, zero is "0")
   quadratic  (3 + sqrt(13))/2, 4 + sqrt(17), 18 + 5*sqrt(13)
-  compound   v1 ; v2    (joint value of a two-part identity, parsed to a tuple)
+  compound   v1 ; v2    (joint value of a two-part identity, from a tuple)
 
 Signs are folded into the joining " + " / " - " separators; no other
 whitespace is significant.
@@ -15,7 +15,6 @@ whitespace is significant.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .cyclotomic import CycloElem
@@ -26,10 +25,6 @@ from .quadfield import QuadElem
 def format_rational(r) -> str:
     r = Fraction(r)
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
@@ -52,42 +47,6 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
     return " ".join(parts)
 
 
-def _split_terms(s: str) -> list[tuple[int, str]]:
-    """Inverse of the sign folding: (sign, bare term) pairs."""
-    s = s.strip()
-    if not s:
-        raise ValueError("empty value")
-    out: list[tuple[int, str]] = []
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    for piece in re.split(r"\s+([+-])\s+", s):
-        if piece == "+":
-            sign = 1
-        elif piece == "-":
-            sign = -1
-        else:
-            out.append((sign, piece.strip()))
-    return out
-
-
-def _parse_term(term: str, var: str) -> tuple[Fraction, int]:
-    """One additive term -> (coefficient, exponent of var)."""
-    m = re.fullmatch(
-        rf"(?:(?P<c>\d+(?:/\d+)?)\*)?(?:{var}(?:\^(?P<e>\d+))?)?",
-        term,
-    ) or re.fullmatch(rf"(?P<c>\d+(?:/\d+)?)(?P<e>)?", term)
-    if m is None or not term:
-        raise ValueError(f"cannot parse term {term!r}")
-    has_var = var in term
-    coeff = Fraction(m.group("c")) if m.group("c") else Fraction(1)
-    if not has_var:
-        return coeff, 0
-    exp = int(m.group("e")) if m.group("e") else 1
-    return coeff, exp
-
-
 def format_poly(f: UniPoly) -> str:
     terms = []
     for k in range(f.degree, -1, -1):
@@ -99,17 +58,6 @@ def format_poly(f: UniPoly) -> str:
     return _join_terms(terms)
 
 
-def parse_poly(s: str) -> UniPoly:
-    acc: dict[int, Fraction] = {}
-    for sign, term in _split_terms(s):
-        c, e = _parse_term(term, "x")
-        acc[e] = acc.get(e, Fraction(0)) + sign * c
-    if not acc:
-        return UniPoly()
-    coeffs = [acc.get(k, Fraction(0)) for k in range(max(acc) + 1)]
-    return UniPoly(coeffs)
-
-
 def format_cyclo(e: CycloElem) -> str:
     terms = []
     for k, c in enumerate(e.coeffs):
@@ -118,17 +66,6 @@ def format_cyclo(e: CycloElem) -> str:
         sym = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
         terms.append((c, sym))
     return _join_terms(terms)
-
-
-def parse_cyclo(s: str, p: int) -> CycloElem:
-    acc: dict[int, Fraction] = {}
-    for sign, term in _split_terms(s):
-        c, e = _parse_term(term, "z")
-        if e > p - 2:
-            raise ValueError(f"exponent {e} outside the power basis for p={p}")
-        acc[e] = acc.get(e, Fraction(0)) + sign * c
-    vec = [acc.get(k, Fraction(0)) for k in range(p - 1)]
-    return CycloElem.from_coeffs(p, vec)
 
 
 def format_quad(e: QuadElem) -> str:
@@ -147,30 +84,6 @@ def format_quad(e: QuadElem) -> str:
     return f"({body})/2" if halves else body
 
 
-def parse_quad(s: str) -> QuadElem:
-    s = s.strip()
-    halves = False
-    m = re.fullmatch(r"\((.*)\)/2", s)
-    if m:
-        halves = True
-        s = m.group(1)
-    p = None
-    a = Fraction(0)
-    b = Fraction(0)
-    for sign, term in _split_terms(s):
-        sm = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)", term)
-        if sm:
-            p = int(sm.group(2))
-            b += sign * (Fraction(sm.group(1)) if sm.group(1) else Fraction(1))
-        else:
-            a += sign * Fraction(term)
-    if p is None:
-        raise ValueError(f"no sqrt(...) part in {s!r}")
-    if halves:
-        a, b = a / 2, b / 2
-    return QuadElem(a, b, p)
-
-
 def format_value(v) -> str:
     if isinstance(v, tuple):
         return " ; ".join(format_value(part) for part in v)
@@ -183,18 +96,3 @@ def format_value(v) -> str:
     if isinstance(v, (int, Fraction)):
         return format_rational(v)
     raise TypeError(f"no canonical form for {type(v).__name__}")
-
-
-def parse_value(s: str, p: int | None = None):
-    """Inverse of format_value; cyclotomic values need the field index p."""
-    if " ; " in s:
-        return tuple(parse_value(part, p) for part in s.split(" ; "))
-    if "sqrt" in s:
-        return parse_quad(s)
-    if "z" in s:
-        if p is None:
-            raise ValueError("parsing a cyclotomic value needs p")
-        return parse_cyclo(s, p)
-    if "x" in s:
-        return parse_poly(s)
-    return parse_rational(s)

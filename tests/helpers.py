@@ -4,14 +4,21 @@ Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
 Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
 extended Euclidean algorithm, and adjugates from explicit cofactors.
+
+The inverse parsers of legdet.render's canonical forms also live here, as
+the round-trip oracle for report strings: parse_rational, parse_poly,
+parse_cyclo, parse_quad and the dispatching parse_value (cyclotomic values
+need the field index p).
 """
 
+import re
 from fractions import Fraction
 from math import isqrt
 
 from legdet.cyclotomic import CycloElem
 from legdet.exact import UniPoly
 from legdet.linalg import QQ, ZZ, ExactMatrix, det_field
+from legdet.quadfield import QuadElem
 
 
 def naive_det(rows):
@@ -101,3 +108,104 @@ def euclid_inverse(a):
         raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
     inv_poly = t0.scale(1 / r0.coeff(0))
     return CycloElem.from_coeffs(p, [inv_poly.coeff(k) for k in range(p - 1)])
+
+
+def parse_rational(s: str) -> Fraction:
+    return Fraction(s.strip())
+
+
+def _split_terms(s: str) -> list[tuple[int, str]]:
+    """Inverse of the sign folding: (sign, bare term) pairs."""
+    s = s.strip()
+    if not s:
+        raise ValueError("empty value")
+    out: list[tuple[int, str]] = []
+    sign = 1
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        s = s[1:]
+    for piece in re.split(r"\s+([+-])\s+", s):
+        if piece == "+":
+            sign = 1
+        elif piece == "-":
+            sign = -1
+        else:
+            out.append((sign, piece.strip()))
+    return out
+
+
+def _parse_term(term: str, var: str) -> tuple[Fraction, int]:
+    """One additive term -> (coefficient, exponent of var)."""
+    m = re.fullmatch(
+        rf"(?:(?P<c>\d+(?:/\d+)?)\*)?(?:{var}(?:\^(?P<e>\d+))?)?",
+        term,
+    ) or re.fullmatch(rf"(?P<c>\d+(?:/\d+)?)(?P<e>)?", term)
+    if m is None or not term:
+        raise ValueError(f"cannot parse term {term!r}")
+    has_var = var in term
+    coeff = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+    if not has_var:
+        return coeff, 0
+    exp = int(m.group("e")) if m.group("e") else 1
+    return coeff, exp
+
+
+def parse_poly(s: str) -> UniPoly:
+    acc: dict[int, Fraction] = {}
+    for sign, term in _split_terms(s):
+        c, e = _parse_term(term, "x")
+        acc[e] = acc.get(e, Fraction(0)) + sign * c
+    if not acc:
+        return UniPoly()
+    coeffs = [acc.get(k, Fraction(0)) for k in range(max(acc) + 1)]
+    return UniPoly(coeffs)
+
+
+def parse_cyclo(s: str, p: int) -> CycloElem:
+    acc: dict[int, Fraction] = {}
+    for sign, term in _split_terms(s):
+        c, e = _parse_term(term, "z")
+        if e > p - 2:
+            raise ValueError(f"exponent {e} outside the power basis for p={p}")
+        acc[e] = acc.get(e, Fraction(0)) + sign * c
+    vec = [acc.get(k, Fraction(0)) for k in range(p - 1)]
+    return CycloElem.from_coeffs(p, vec)
+
+
+def parse_quad(s: str) -> QuadElem:
+    s = s.strip()
+    halves = False
+    m = re.fullmatch(r"\((.*)\)/2", s)
+    if m:
+        halves = True
+        s = m.group(1)
+    p = None
+    a = Fraction(0)
+    b = Fraction(0)
+    for sign, term in _split_terms(s):
+        sm = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)", term)
+        if sm:
+            p = int(sm.group(2))
+            b += sign * (Fraction(sm.group(1)) if sm.group(1) else Fraction(1))
+        else:
+            a += sign * Fraction(term)
+    if p is None:
+        raise ValueError(f"no sqrt(...) part in {s!r}")
+    if halves:
+        a, b = a / 2, b / 2
+    return QuadElem(a, b, p)
+
+
+def parse_value(s: str, p: int | None = None):
+    """Inverse of format_value; cyclotomic values need the field index p."""
+    if " ; " in s:
+        return tuple(parse_value(part, p) for part in s.split(" ; "))
+    if "sqrt" in s:
+        return parse_quad(s)
+    if "z" in s:
+        if p is None:
+            raise ValueError("parsing a cyclotomic value needs p")
+        return parse_cyclo(s, p)
+    if "x" in s:
+        return parse_poly(s)
+    return parse_rational(s)

@@ -5,9 +5,10 @@ import json
 import subprocess
 import sys
 
+from helpers import parse_value
 from legdet import cli
 from legdet.identities import CheckResult, VerificationReport
-from legdet.render import format_value, parse_value
+from legdet.render import format_value
 
 
 def run_cli(*args):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import legdet
 from legdet import identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
@@ -415,3 +416,11 @@ def test_check_result_invariant():
     for c in report.checks:
         assert c.passed == (c.lhs == c.rhs)
         assert c.status == ("pass" if c.passed else "fail")
+
+
+def test_public_names_resolve():
+    """Every exported name exists, once: a deleted function cannot linger in
+    legdet.__all__."""
+    assert len(set(legdet.__all__)) == len(legdet.__all__)
+    for name in legdet.__all__:
+        assert getattr(legdet, name) is not None

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import jacobi
+from legdet.identities import c_polynomial, verify_theorem
 from legdet.ntheory import (
     OddPrime,
     factorial_mod,
@@ -34,6 +35,18 @@ def test_odd_prime_type():
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             OddPrime(bad)
+
+
+def test_odd_prime_rejects_non_integers():
+    """A float or str is refused, not truncated: int(13.9) would silently
+    check p = 13 and report a pass for an input that is no prime."""
+    for bad in (13.9, 13.0, "13"):
+        with pytest.raises(TypeError):
+            OddPrime(bad)
+    with pytest.raises(TypeError):
+        verify_theorem(13.9)
+    with pytest.raises(TypeError):
+        c_polynomial(13.2)
 
 
 def test_odd_prime_of_odd_prime_is_the_same_object():

@@ -2,21 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import parse_cyclo, parse_poly, parse_quad, parse_rational, parse_value
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.quadfield import QuadElem, fundamental_unit
-from legdet.render import (
-    format_cyclo,
-    format_poly,
-    format_quad,
-    format_rational,
-    format_value,
-    parse_cyclo,
-    parse_poly,
-    parse_quad,
-    parse_rational,
-    parse_value,
-)
+from legdet.render import format_cyclo, format_poly, format_quad, format_rational, format_value
 
 
 def test_rational_forms():
