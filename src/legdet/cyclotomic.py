@@ -23,6 +23,12 @@ from math import gcd
 from .ntheory import OddPrime, legendre, primitive_root
 
 
+def _fold(acc) -> list[int]:
+    """acc[0..p-1] with slot p-1 folded away by zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
+    top = acc[-1]
+    return [c - top for c in acc[:-1]]
+
+
 def _mul_vec(p: int, a, b) -> list[int]:
     """Product of two integer power-basis vectors of Q(zeta_p)."""
     # convolve with exponents folded mod p, sparser operand outside
@@ -37,9 +43,7 @@ def _mul_vec(p: int, a, b) -> list[int]:
                 continue
             g = e + f
             acc[g - p if g >= p else g] += c * d
-    # zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2))
-    top = acc[p - 1]
-    return [acc[i] - top for i in range(p - 1)]
+    return _fold(acc)
 
 
 def _sigma_vec(p: int, a, k: int) -> list[int]:
@@ -47,8 +51,7 @@ def _sigma_vec(p: int, a, k: int) -> list[int]:
     acc = [0] * p
     for e, c in enumerate(a):
         acc[e * k % p] = c
-    top = acc[p - 1]
-    return [acc[i] - top for i in range(p - 1)]
+    return _fold(acc)
 
 
 class CycloElem:
@@ -174,7 +177,7 @@ class CycloElem:
         and A * c = N(A) must be a nonzero rational.
         """
         if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in Q(zeta_p)")
+            raise ZeroDivisionError(f"inverse of zero in Q(zeta_{self.p})")
         p, a = self.p, self.num
         g = primitive_root(p)
         b, m = a, 1
@@ -208,12 +211,9 @@ class CycloElem:
 def zeta_pow(p: int, k: int) -> CycloElem:
     """zeta^k in canonical form; k may be any integer (reduced mod p)."""
     p = OddPrime(p)
-    k %= p
-    if k < p - 1:
-        num = [0] * (p - 1)
-        num[k] = 1
-        return CycloElem(p, num)
-    return CycloElem(p, [-1] * (p - 1))
+    acc = [0] * p
+    acc[k % p] = 1
+    return CycloElem(p, _fold(acc))
 
 
 def gauss_sum(p: int) -> CycloElem:
@@ -226,6 +226,5 @@ def gauss_sum(p: int) -> CycloElem:
     p = OddPrime(p)
     if p.mod4 != 1:
         raise ValueError(f"p = {p} is 3 (mod 4); the sum squares to -p there")
-    # (0/p) = 0 starts the k = 0 slot; zeta^(p-1) folds the k = p-1 term into every slot
-    top = legendre(p - 1, p)
-    return CycloElem(p, [legendre(k, p) - top for k in range(p - 1)])
+    # (0/p) = 0 fills the k = 0 slot
+    return CycloElem(p, _fold([legendre(k, p) for k in range(p)]))

@@ -117,7 +117,9 @@ class UniPoly:
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Polynomial long division, quotient and remainder."""
-        if not isinstance(other, UniPoly) or other.is_zero():
+        if not isinstance(other, UniPoly):
+            raise TypeError(f"cannot divide a polynomial by {other!r}")
+        if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
@@ -135,6 +137,8 @@ class UniPoly:
 
     def __truediv__(self, other: "UniPoly") -> "UniPoly":
         """Division that must leave no remainder (used by fraction-free elimination)."""
+        if not isinstance(other, UniPoly):
+            return NotImplemented
         quo, rem = self.divmod(other)
         if not rem.is_zero():
             raise ArithmeticError("inexact polynomial division")

@@ -8,10 +8,10 @@ form-class oracles in quadfield, and cyclotomic products expanded term by
 term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
-matrix and its determinants, the unit coefficients, Vsemirnov's matrices and
-the cyclotomic inverses) live on a PrimeContext and are computed on first
-use.  run_suite hands one context per prime to every check; a check called
-with a plain integer builds its own, so nothing outlives the call.
+matrix and its determinants, the unit coefficients, Vsemirnov's U, V and the
+diagonal of D, and the cyclotomic inverses) live on a PrimeContext and are
+computed on first use.  run_suite hands one context per prime to every check;
+a check called with a plain integer builds its own, so nothing outlives it.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
 exact values (see render).  run_suite composes every applicable check over a
@@ -139,13 +139,11 @@ class PrimeContext:
         return [self.chi[j] * zeta_pow(self.p, j) for j in range(1, self.p.n + 1)]
 
     @cached_property
-    def vsemirnov(self) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
+    def vsemirnov(self) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
         return build_vsemirnov_matrices(self)
 
     def inverse(self, e: CycloElem) -> CycloElem:
         """1/e in Q(zeta_p); each distinct e is inverted once per context."""
-        if e.is_zero():
-            raise RuntimeError(f"zero denominator in Q(zeta_{self.p})")
         r = self._inverses.get(e)
         if r is None:
             r = self._inverses[e] = e.inv()
@@ -220,15 +218,16 @@ def verify_adj_sum(p) -> CheckResult:
     """u^T adj(C) u for u all-ones: 0 (p = 3 mod 4) or legendre(2,p)*p*b_p.
 
     Computed as det(C + J) - det(C) by the matrix determinant lemma; for
-    p <= 13 the entry sum of the Gauss-Jordan adjugate must match, tying the
-    two routes together.
+    p <= 13 the entry sum of the Gauss-Jordan adjugate must match, and a
+    mismatch fails the check with both sums on its left side.
     """
     ctx = _context(p)
     c0, c1 = ctx.evil_dets
     s = c1 - c0
-    if ctx.p <= 13 and s != sum(sum(row) for row in ctx.evil_adjugate.entries):
-        raise RuntimeError(f"determinant-lemma and adjugate sums disagree for p={ctx.p}")
     rhs = Fraction(0) if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b
+    t = sum(sum(row) for row in ctx.evil_adjugate.entries) if ctx.p <= 13 else s
+    if s != t:
+        return _result("adj_sum", ctx.p, (s, t), rhs, "determinant-lemma and adjugate sums disagree")
     return _result("adj_sum", ctx.p, Fraction(s), rhs)
 
 
@@ -252,14 +251,14 @@ def verify_minor_antisymmetry(p) -> CheckResult:
 
 # -- the cyclotomic decomposition and its ingredients -------------------------
 
-def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """The order-(n+1) matrices U, V, D over Q(zeta_p), p = 1 (mod 4).
+def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
+    """Vsemirnov's U and V over Q(zeta_p), p = 1 (mod 4), and the diagonal d of D.
 
     u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) / (z^(-i-j) + (i/p)(j/p)),
-    v_ij = z^(2ij), d_ii = prod_{k != i} 1/(z^(2i) - z^(2k)).  u_00 comes out
-    0 from the formula itself: the numerator vanishes and the denominator is
-    1.  Denominators are never zero for valid p (z^k = -1 has no solution at
-    odd p), but the context's inverse guards each one anyway.
+    v_ij = z^(2ij), d_i = 1/prod_{k != i} (z^(2i) - z^(2k)), 0 <= i, j <= n.
+    u_00 comes out 0 from the formula itself: the numerator vanishes and the
+    denominator is 1.  Denominators are never zero for valid p (z^k = -1 has
+    no solution at odd p), and the inverse raises on a zero one anyway.
     """
     ctx = _context(p, need_1mod4=True)
     p, lg = ctx.p, ctx.chi
@@ -278,21 +277,21 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     v = ExactMatrix(ring, [[zeta_pow(p, 2 * i * j) for j in range(n + 1)] for i in range(n + 1)])
 
     powers = [zeta_pow(p, 2 * k) for k in range(n + 1)]
-    drows = [[ring.zero] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        drows[i][i] = ctx.inverse(prod((powers[i] - powers[k] for k in range(n + 1) if k != i), start=ring.one))
-    d = ExactMatrix(ring, drows)
+    d = tuple(ctx.inverse(prod((x - y for y in powers if y != x), start=ring.one)) for x in powers)
     return u, v, d
 
 
 def verify_decomposition(p) -> CheckResult:
     """C = legendre(2,p) * g * z^((p-1)/4) * V D U D V entrywise in Q(zeta_p),
-    with sqrt(p) realized as the Gauss sum g."""
+    with sqrt(p) realized as the Gauss sum g.  With s that scalar and D = diag(d),
+    s D U D is W_ij = (s d_i) u_ij d_j, so the right side is V W V."""
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     u, v, d = ctx.vsemirnov
     scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
-    rhs = ((((v @ d) @ u) @ d) @ v).scale(scalar)
+    sd = [scalar * di for di in d]
+    w = ExactMatrix(u.ring, [[sdi * uij * dj for uij, dj in zip(row, d)] for sdi, row in zip(sd, u.entries)])
+    rhs = v @ w @ v
     diverge = ctx.evil.first_diff(rhs)
     i, j = diverge or (0, 0)
     detail = "" if diverge is None else f"first divergent entry (i, j) = ({i}, {j})"

@@ -102,24 +102,11 @@ class ExactMatrix:
         if self.cols != other.rows:
             raise ValueError(f"inner dimensions {self.cols} and {other.rows} disagree")
         zero = self.ring.zero
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            acc = out[i]
-            for k in range(self.cols):
-                a = row[k]
-                if a == zero:
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b == zero:
-                        continue
-                    acc[j] = acc[j] + a * b
-        return ExactMatrix(self.ring, out)
-
-    def scale(self, c) -> "ExactMatrix":
-        return ExactMatrix(self.ring, [[c * a for a in row] for row in self.entries])
+        cols = list(zip(*other.entries))
+        return ExactMatrix(
+            self.ring,
+            [[sum((a * b for a, b in zip(row, col)), start=zero) for col in cols] for row in self.entries],
+        )
 
     def submatrix(self, drop_row: int, drop_col: int) -> "ExactMatrix":
         return ExactMatrix(

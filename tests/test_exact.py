@@ -58,6 +58,11 @@ def test_unipoly_exact_div():
         f / UniPoly()
     with pytest.raises(ZeroDivisionError):
         f.divmod(UniPoly())
+    # a scalar divisor is a type error, not a division by zero
+    with pytest.raises(TypeError):
+        f / 2
+    with pytest.raises(TypeError):
+        f.divmod(2)
 
 
 def test_unipoly_eq_hash():

@@ -102,12 +102,13 @@ def test_minor_antisymmetry():
 def test_vsemirnov_matrix_structure():
     u, v, d = build_vsemirnov_matrices(5)
     n1 = u.rows
-    assert n1 == 3 and v.rows == 3 and d.rows == 3
+    assert n1 == 3 and v.rows == 3 and len(d) == 3 and isinstance(d, tuple)
     assert u[0, 0].is_zero()
     assert all(v[0, j] == CycloElem.one(5) for j in range(n1))
-    assert all(d[i, j].is_zero() for i in range(n1) for j in range(n1) if i != j)
+    d13 = build_vsemirnov_matrices(13)[2]
+    assert isinstance(d13, tuple) and len(d13) == 7 and all(isinstance(x, CycloElem) for x in d13)
     # 1/d00^2 = 5 * zeta (the p=5 instance of p*zeta^(n(n+1)))
-    inv_d00 = d[0, 0].inv()
+    inv_d00 = d[0].inv()
     assert inv_d00 * inv_d00 == 5 * zeta_pow(5, 1)
     with pytest.raises(ValueError):
         build_vsemirnov_matrices(7)
@@ -228,6 +229,29 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("k", [0, -1], ids=["d_0", "d_n"])
+def test_doubled_diagonal_entry_fails_decomposition(monkeypatch, k):
+    """Negative control: D held as its diagonal d, with one end entry
+    doubled, must fail the decomposition at a named entry."""
+    true_build = identities.build_vsemirnov_matrices
+
+    def doubled(p):
+        u, v, d = true_build(p)
+        d = list(d)
+        d[k] = 2 * d[k]
+        return u, v, tuple(d)
+
+    monkeypatch.setattr(identities, "build_vsemirnov_matrices", doubled)
+    r = verify_decomposition(13)
+    assert r.passed is False and r.lhs != r.rhs
+    assert r.detail.startswith("first divergent entry (i, j) = (")
+
+
+def test_zero_inverse_names_its_field():
+    with pytest.raises(ZeroDivisionError, match="zeta_5"):
+        identities.PrimeContext(5).inverse(CycloElem.zero(5))
+
+
 def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     """Negative control: one cofactor off by one must fail the check and name
     the (k, l) pair it breaks.  At p = 7 (n = 3) adj[2, 0] is cofactor C_02,
@@ -278,7 +302,7 @@ def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
     """det_bareiss + 1 on every matrix cancels in det(C + J) - det C, so this
     control shifts det(C + J) alone: the only matrix here with no negative
     entry.  Above p = 13 the check fails; at p <= 13 the adjugate
-    cross-check refuses the disagreeing sum outright."""
+    cross-check also disagrees, and the check fails with both sums."""
     def bumped(m):
         return det_bareiss(m) + (min(min(row) for row in m.entries) >= 0)
 
@@ -286,8 +310,9 @@ def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
     for p in (17, 19):
         r = verify_adj_sum(p)
         assert r.passed is False and r.lhs != r.rhs
-    with pytest.raises(RuntimeError, match="adjugate"):
-        verify_adj_sum(13)
+    r = verify_adj_sum(13)
+    assert r.passed is False
+    assert (r.lhs, r.rhs, r.detail) == ("-64 ; -65", "-65", "determinant-lemma and adjugate sums disagree")
 
 
 def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
