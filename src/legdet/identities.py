@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import prod
+from numbers import Rational
 
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
 from .exact import UniPoly, interp_linear
@@ -298,23 +299,54 @@ def verify_decomposition(p) -> CheckResult:
     return _result("decomposition", p, ctx.evil[i, j], rhs[i, j], detail)
 
 
+def _rational(x) -> Fraction:
+    """x as a Fraction.  Only exact rationals (int, Fraction) are accepted: a
+    float, a str or a Decimal raises TypeError instead of being read as a
+    nearby rational (a float as its binary value)."""
+    if not isinstance(x, Rational):
+        raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__}")
+    return Fraction(x)
+
+
 def verify_lemma_uv(m: int, u, v) -> CheckResult:
-    """det[(u_i+v_j)/(1+u_i v_j)] against its closed form, over exact rationals."""
+    """det[(u_i+v_j)/(1+u_i v_j)] against its closed form, over exact rationals:
+
+        ((prod(1+u_i)(1+v_i) + (-1)^m prod(1-u_i)(1-v_i)) / 2)
+            * prod_{i<j}(u_i-u_j)(v_j-v_i) / prod_{i,j}(1+u_i v_j).
+
+    The left side is det_field over QQ.  The right side is one Fraction of
+    integers: with u_i = a_i/b_i, v_j = c_j/d_j in lowest terms, b, d > 0, and
+    B = prod b_i, D = prod d_j,
+      1 + u_i = (b_i+a_i)/b_i, so prod(1+u_i)(1+v_i) = P/(BD) with
+          P = prod(b_i+a_i)(d_i+c_i), and likewise M = prod(b_i-a_i)(d_i-c_i);
+      u_i-u_j = (a_i b_j - a_j b_i)/(b_i b_j), v_j-v_i = (c_j d_i - c_i d_j)/(d_i d_j),
+          and each index lies in m-1 pairs, so the product is V/(BD)^(m-1);
+      1 + u_i v_j = E_ij/(b_i d_j) with E_ij = b_i d_j + a_i c_j, and the
+          product over all m^2 pairs is prod E_ij/(BD)^m.
+    The powers of BD cancel (1 + (m-1) - m = 0), leaving
+    (P + (-1)^m M) V / (2 prod E_ij).  Each E_ij is computed once: it is the
+    guard (E_ij = 0 exactly when u_i v_j = -1, as b_i d_j > 0), the
+    denominator of entry (i, j), and a factor of the right side.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
-    u = [Fraction(x) for x in u]
-    v = [Fraction(x) for x in v]
+    u = [_rational(x) for x in u]
+    v = [_rational(x) for x in v]
     if len(u) != m or len(v) != m:
         raise ValueError(f"expected {m} entries in each of u and v")
-    if any(1 + ui * vj == 0 for ui in u for vj in v):
+    ab = [(x.numerator, x.denominator) for x in u]
+    cd = [(y.numerator, y.denominator) for y in v]
+    e = [[bi * dj + ai * cj for cj, dj in cd] for ai, bi in ab]
+    if any(0 in row for row in e):
         raise ValueError("u_i * v_j = -1 makes a matrix entry undefined")
-    mat = ExactMatrix(QQ, [[(ui + vj) / (1 + ui * vj) for vj in v] for ui in u])
+    mat = ExactMatrix(QQ, [[Fraction(ai * dj + bi * cj, eij) for (cj, dj), eij in zip(cd, row)]
+                           for (ai, bi), row in zip(ab, e)])
     lhs = det_field(mat)
-    plus = prod((1 + ui) * (1 + vi) for ui, vi in zip(u, v))
-    minus = prod((1 - ui) * (1 - vi) for ui, vi in zip(u, v))
-    vandermonde = prod((ui - uj) * (vj - vi) for (ui, vi), (uj, vj) in combinations(zip(u, v), 2))
-    denom = prod(1 + ui * vj for ui in u for vj in v)
-    rhs = (plus + (-1) ** m * minus) / 2 * vandermonde / denom
+    plus = prod((bi + ai) * (di + ci) for (ai, bi), (ci, di) in zip(ab, cd))
+    minus = prod((bi - ai) * (di - ci) for (ai, bi), (ci, di) in zip(ab, cd))
+    vandermonde = prod((ai * bj - aj * bi) * (cj * di - ci * dj)
+                       for ((ai, bi), (ci, di)), ((aj, bj), (cj, dj)) in combinations(zip(ab, cd), 2))
+    rhs = Fraction((plus + (-1) ** m * minus) * vandermonde, 2 * prod(map(prod, e)))
     return _result("lemma_uv", None, lhs, rhs)
 
 
@@ -403,13 +435,15 @@ def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fracti
     """A random exact-rational (m, u, v) with every u_i * v_j != -1.
 
     Numerators and denominators come from a small box; instances hitting the
-    excluded locus are redrawn whole so the stream stays reproducible.
+    excluded locus are redrawn whole so the stream stays reproducible.  The
+    test is verify_lemma_uv's, in integers: 1 + u_i v_j = 0 exactly when
+    b_i d_j + a_i c_j = 0.
     """
     while True:
         m = rng.randint(1, m_max)
         u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
-        if all(1 + ui * vj != 0 for ui in u for vj in v):
+        if all(x.denominator * y.denominator + x.numerator * y.numerator for x in u for y in v):
             return m, u, v
 
 

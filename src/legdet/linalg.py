@@ -63,10 +63,6 @@ class ExactMatrix:
         self.rows = len(entries)
         self.cols = ncols
 
-    @classmethod
-    def identity(cls, ring: Ring, k: int) -> "ExactMatrix":
-        return cls(ring, [[ring.one if i == j else ring.zero for j in range(k)] for i in range(k)])
-
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.entries[i][j]
@@ -246,13 +242,14 @@ def det_field(m: ExactMatrix):
         piv = a[col][col]
         det = det * piv if s == 1 else -(det * piv)
         pivinv = ring.one / piv
+        ac = a[col]
         for i in range(col + 1, k):
-            f = a[i][col] * pivinv
-            if f == zero:
-                continue
             ai = a[i]
-            ac = a[col]
-            for j in range(col, k):
+            if ai[col] == zero:
+                continue
+            f = ai[col] * pivinv
+            # column col below the pivot is never read again
+            for j in range(col + 1, k):
                 ai[j] = ai[j] - f * ac[j]
     return det
 

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
 Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
-extended Euclidean algorithm, and adjugates from explicit cofactors.
+extended Euclidean algorithm, adjugates from explicit cofactors, and the
+two-vector lemma's closed form in Fraction arithmetic.
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
@@ -13,7 +14,8 @@ need the field index p).
 
 import re
 from fractions import Fraction
-from math import isqrt
+from itertools import combinations
+from math import isqrt, prod
 
 from legdet.cyclotomic import CycloElem
 from legdet.exact import UniPoly
@@ -53,6 +55,20 @@ def cofactor_adjugate(m):
         assert all(x.denominator == 1 for row in out for x in row)
         out = [[x.numerator for x in row] for row in out]
     return ExactMatrix(m.ring, out)
+
+
+def lemma_uv_rhs_fraction(m, u, v):
+    """Closed form of det[(u_i+v_j)/(1+u_i v_j)], term by term in Fractions:
+    ((prod(1+u_i)(1+v_i) + (-1)^m prod(1-u_i)(1-v_i)) / 2)
+    * prod_{i<j}(u_i-u_j)(v_j-v_i) / prod_{i,j}(1+u_i v_j)."""
+    u = [Fraction(x) for x in u]
+    v = [Fraction(x) for x in v]
+    assert len(u) == len(v) == m
+    plus = prod((1 + ui) * (1 + vi) for ui, vi in zip(u, v))
+    minus = prod((1 - ui) * (1 - vi) for ui, vi in zip(u, v))
+    vandermonde = prod((ui - uj) * (vj - vi) for (ui, vi), (uj, vj) in combinations(zip(u, v), 2))
+    denom = prod(1 + ui * vj for ui in u for vj in v)
+    return (plus + (-1) ** m * minus) / 2 * vandermonde / denom
 
 
 def jacobi(a, n):

@@ -85,6 +85,14 @@ def test_verify_json_golden_report(capsys):
     assert digest == "c9f83ed2dd5593e2c7d1842556af304950af2607c8de9aef7d99c8bd9f31807e"
 
 
+def test_lemma_uv_json_golden_report(capsys):
+    """The lemma report at the instance sizes the benchmark runs (m <= 7),
+    which the pmax-60 report (m <= 5, 100 trials) does not reach."""
+    assert cli.main(["lemma-uv", "--trials", "2000", "--m", "7", "--seed", "3", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "69633c0e16a21d2310903b4f4186d986378ba4d8bbcad9af5ec811135e36ec5a"
+
+
 def test_verify_json_deterministic():
     args = ("verify", "--pmax", "13", "--seed", "42", "--format", "json")
     a = run_cli(*args)

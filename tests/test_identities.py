@@ -1,11 +1,13 @@
 import hashlib
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import legdet
+from helpers import lemma_uv_rhs_fraction
 from legdet import identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
@@ -33,6 +35,7 @@ from legdet.identities import (
 )
 from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_p
 from legdet.ntheory import legendre, odd_primes_upto
+from legdet.render import format_value
 
 
 def test_build_evil_matrix():
@@ -147,6 +150,61 @@ def test_lemma_uv_preconditions():
         verify_lemma_uv(2, [Fraction(1)], [Fraction(1), Fraction(2)])
     with pytest.raises(ValueError):
         verify_lemma_uv(0, [], [])
+
+
+def test_lemma_uv_rejects_inexact_entries():
+    """Only int and Fraction entries: a float would be checked as the binary
+    fraction it rounds to, not the decimal the caller wrote."""
+    for bad in (0.1, "1/2", Decimal("0.5"), 1j, None):
+        with pytest.raises(TypeError):
+            verify_lemma_uv(1, [bad], [Fraction(1, 5)])
+        with pytest.raises(TypeError):
+            verify_lemma_uv(2, [1, 2], [Fraction(1, 5), bad])
+    assert verify_lemma_uv(2, [1, Fraction(-3, 7)], [0, 4]).passed
+
+
+def _uv_entry(rng, kind):
+    """One lemma entry of the given kind (see test_lemma_uv_rhs_matches_fraction_oracle)."""
+    if kind == "int":
+        return Fraction(rng.randint(-12, 12))
+    if kind == "big":
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+    if kind == "zero" and rng.random() < 0.5:
+        return Fraction(0)
+    if kind == "unit" and rng.random() < 0.5:
+        return Fraction(rng.choice((1, -1)))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def test_lemma_uv_rhs_matches_fraction_oracle():
+    """The integer closed form equals the Fraction closed form, term by
+    term, on 2100 instances with m = 1..7: small rationals, integers, zeros,
+    u_i = +-1 (a vanishing plus or minus product), repeated u_i or v_j (a
+    vanishing Vandermonde factor) and numerators up to 10^6.  Instances with
+    some u_i v_j = -1 must be refused instead."""
+    rng = random.Random(8)
+    kinds = ("small", "int", "zero", "unit", "repeat", "big")
+    seen = {kind: 0 for kind in kinds}
+    refused = 0
+    while min(seen.values()) < 350:
+        kind = kinds[sum(seen.values()) % len(kinds)]
+        m = sum(seen.values()) % 7 + 1
+        u = [_uv_entry(rng, kind) for _ in range(m)]
+        v = [_uv_entry(rng, kind) for _ in range(m)]
+        if kind == "repeat" and m > 1:
+            w = rng.choice((u, v))
+            i, j = rng.sample(range(m), 2)
+            w[i] = w[j]
+        if any(1 + ui * vj == 0 for ui in u for vj in v):
+            with pytest.raises(ValueError):
+                verify_lemma_uv(m, u, v)
+            refused += 1
+            continue
+        r = verify_lemma_uv(m, u, v)
+        assert r.rhs == format_value(lemma_uv_rhs_fraction(m, u, v)), (m, u, v)
+        assert r.passed, (m, u, v)
+        seen[kind] += 1
+    assert refused > 0
 
 
 def test_lemma_uv_random_batch():
