@@ -41,12 +41,10 @@ from .linalg import (
     ExactMatrix,
     Ring,
     adjugate,
-    adjugate_fast,
     cyclo_ring,
     det_bareiss,
     det_field,
     poly_ring,
-    quadratic_form_adjugate,
 )
 from .ntheory import OddPrime, factorial_mod, is_prime, legendre, odd_primes_upto
 from .quadfield import QuadElem, UnitData, ab_coeffs, class_number, fundamental_unit, quad_pow
@@ -68,7 +66,6 @@ __all__ = [
     "ZZ",
     "ab_coeffs",
     "adjugate",
-    "adjugate_fast",
     "as_rational",
     "build_carlitz_matrix",
     "build_evil_matrix",
@@ -88,7 +85,6 @@ __all__ = [
     "odd_primes_upto",
     "poly_ring",
     "quad_pow",
-    "quadratic_form_adjugate",
     "random_uv_instance",
     "run_suite",
     "uv_trial_checks",

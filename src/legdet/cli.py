@@ -130,11 +130,8 @@ def _dispatch(args, out) -> int:
                 f"p = {p} is 3 (mod 4): C(x) is the constant 1 and needs no unit data"
             )
         ud = ab_coeffs(p)
-        out.write(f"eps = {format_value(ud.eps)}\n")
-        out.write(f"h = {ud.h}\n")
-        out.write(f"exponent = {ud.exponent}\n")
-        out.write(f"a = {format_value(ud.a)}\n")
-        out.write(f"b = {format_value(ud.b)}\n")
+        for field in ("eps", "h", "exponent", "a", "b"):
+            out.write(f"{field} = {format_value(getattr(ud, field))}\n")
         return 0
 
     if args.command == "verify":

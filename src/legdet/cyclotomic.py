@@ -18,8 +18,9 @@ Cohen, GTM 138, section 4.3).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from .exact import as_rational
 from .ntheory import OddPrime, legendre, primitive_root
 
 
@@ -91,7 +92,7 @@ class CycloElem:
 
     @classmethod
     def from_rational(cls, p: int, r) -> "CycloElem":
-        r = Fraction(r)
+        r = as_rational(r)
         num = [0] * (OddPrime(p) - 1)
         num[0] = r.numerator
         return cls(p, num, r.denominator)
@@ -99,10 +100,8 @@ class CycloElem:
     @classmethod
     def from_coeffs(cls, p: int, coeffs) -> "CycloElem":
         """Build from a vector of rationals in the power basis."""
-        fr = [Fraction(c) for c in coeffs]
-        den = 1
-        for c in fr:
-            den = den * c.denominator // gcd(den, c.denominator)
+        fr = [as_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fr))
         return cls(p, [c.numerator * (den // c.denominator) for c in fr], den)
 
     # -- views ------------------------------------------------------------

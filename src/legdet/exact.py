@@ -12,15 +12,19 @@ reduction, so dense storage is the simplest exact representation.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 
 def as_rational(v) -> Fraction:
-    """Coerce an int or Fraction to a Fraction."""
+    """v as a Fraction; the one gate for exact rational input.  Any
+    numbers.Rational is accepted (int and Fraction are tested first, since the
+    ABC test is slow); a float, str or Decimal raises TypeError rather than
+    being read as a nearby rational (a float as its binary value)."""
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if isinstance(v, (int, Rational)):
         return Fraction(v)
-    raise TypeError(f"cannot interpret {v!r} as an exact rational")
+    raise TypeError(f"expected an exact rational (int or Fraction), got {type(v).__name__}")
 
 
 class UniPoly:

@@ -27,10 +27,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import prod
-from numbers import Rational
 
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
-from .exact import UniPoly, interp_linear
+from .exact import UniPoly, as_rational, interp_linear
 from .linalg import (
     QQ,
     ZZ,
@@ -299,15 +298,6 @@ def verify_decomposition(p) -> CheckResult:
     return _result("decomposition", p, ctx.evil[i, j], rhs[i, j], detail)
 
 
-def _rational(x) -> Fraction:
-    """x as a Fraction.  Only exact rationals (int, Fraction) are accepted: a
-    float, a str or a Decimal raises TypeError instead of being read as a
-    nearby rational (a float as its binary value)."""
-    if not isinstance(x, Rational):
-        raise TypeError(f"expected an exact rational (int or Fraction), got {type(x).__name__}")
-    return Fraction(x)
-
-
 def verify_lemma_uv(m: int, u, v) -> CheckResult:
     """det[(u_i+v_j)/(1+u_i v_j)] against its closed form, over exact rationals:
 
@@ -330,8 +320,8 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    u = [_rational(x) for x in u]
-    v = [_rational(x) for x in v]
+    u = [as_rational(x) for x in u]
+    v = [as_rational(x) for x in v]
     if len(u) != m or len(v) != m:
         raise ValueError(f"expected {m} entries in each of u and v")
     ab = [(x.numerator, x.denominator) for x in u]

@@ -67,10 +67,6 @@ class ExactMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -85,14 +81,6 @@ class ExactMatrix:
                 if self.entries[i][j] != other.entries[i][j]:
                     return (i, j)
         return None
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -119,7 +107,7 @@ class ExactMatrix:
 
 
 def _require_square(m: ExactMatrix) -> None:
-    if not m.is_square:
+    if m.rows != m.cols:
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
 
 
@@ -254,10 +242,6 @@ def det_field(m: ExactMatrix):
     return det
 
 
-def _det_auto(m: ExactMatrix):
-    return det_field(m) if m.ring.is_field else det_bareiss(m)
-
-
 def adjugate(m: ExactMatrix) -> ExactMatrix:
     """Transpose of the cofactor matrix, so M @ adj(M) = det(M) * I.
 
@@ -300,19 +284,17 @@ def adjugate(m: ExactMatrix) -> ExactMatrix:
 adjugate_fast = adjugate
 
 
-def outer(ring: Ring, u, v) -> ExactMatrix:
-    return ExactMatrix(ring, [[a * b for b in v] for a in u])
-
-
 def quadratic_form_adjugate(h: ExactMatrix, u, v):
     """v^T adj(H) u computed as det(H + u v^T) - det(H).
 
     The matrix determinant lemma makes the two sides equal; computing the
-    difference of two determinants avoids forming the adjugate.
+    difference of two determinants, each by Bareiss (exact over every ring
+    here), avoids forming the adjugate.  Kept, uncalled, for the benchmark tracer.
     """
     _require_square(h)
     u = list(u)
     v = list(v)
     if len(u) != h.rows or len(v) != h.rows:
         raise ValueError("vector length does not match matrix dimension")
-    return _det_auto(h + outer(h.ring, u, v)) - _det_auto(h)
+    bumped = ExactMatrix(h.ring, [[x + a * b for x, b in zip(row, v)] for row, a in zip(h.entries, u)])
+    return det_bareiss(bumped) - det_bareiss(h)

@@ -47,25 +47,18 @@ def _join_terms(terms: list[tuple[Fraction, str]]) -> str:
     return " ".join(parts)
 
 
+def _series(coeffs, var: str) -> list[tuple[Fraction, str]]:
+    """The nonzero (coefficient, symbol) terms of sum coeffs[k] * var^k, ascending."""
+    return [(c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+            for k, c in enumerate(coeffs) if c != 0]
+
+
 def format_poly(f: UniPoly) -> str:
-    terms = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeff(k)
-        if c == 0:
-            continue
-        sym = "" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        terms.append((c, sym))
-    return _join_terms(terms)
+    return _join_terms(_series(f.coeffs, "x")[::-1])
 
 
 def format_cyclo(e: CycloElem) -> str:
-    terms = []
-    for k, c in enumerate(e.coeffs):
-        if c == 0:
-            continue
-        sym = "" if k == 0 else ("z" if k == 1 else f"z^{k}")
-        terms.append((c, sym))
-    return _join_terms(terms)
+    return _join_terms(_series(e.coeffs, "z"))
 
 
 def format_quad(e: QuadElem) -> str:

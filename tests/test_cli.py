@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from helpers import parse_value
 from legdet import cli
 from legdet.identities import CheckResult, VerificationReport
@@ -91,6 +93,21 @@ def test_lemma_uv_json_golden_report(capsys):
     assert cli.main(["lemma-uv", "--trials", "2000", "--m", "7", "--seed", "3", "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "69633c0e16a21d2310903b4f4186d986378ba4d8bbcad9af5ec811135e36ec5a"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("decomp --p 13 --format json", "544f7fa38b88e3e6bad849fddf6558a9ad4a46c164f9561868c9f64845d5a687"),
+    ("carlitz --p 11 --format json", "1f11919cd7cd961d9778e7cc4e92fdca4a603ebcc3f71da8479b6fb591ac37fe"),
+    ("sun --p 13 --d all --format csv", "03b669ddeada81fb5c19a87bcd84fe43920d4e0b7715812378c66d2692bee357"),
+    ("verify --pmax 13 --format csv", "79d4cafb2e316d668bc934fd5dbe7e2322a25e7c7c55c7ace48c6020738234df"),
+    ("cx --p 13", "0f1dcb27c7f93408f1d91665852734c48faae0697b6bac3404ea19de6f63d7e2"),
+    ("unit --p 229", "e0e173426f19205288341d9e534a5cc39106c1033e93169d6423f5935d58aba4"),
+], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit"])
+def test_report_golden_digests(capsys, argv, digest):
+    """The bytes of every other report command.  Text reports of decomp,
+    carlitz and sun carry the elapsed time, so their JSON or CSV is pinned."""
+    assert cli.main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_json_deterministic():

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,22 @@ def test_rational_embedding():
     half = CycloElem.from_rational(5, Fraction(1, 2))
     assert half.coeffs == (Fraction(1, 2), 0, 0, 0)
     assert (half + half) == CycloElem.one(5)
+
+
+def test_constructors_reject_inexact_input():
+    """A float, str or Decimal is not read as a nearby rational (0.1 as
+    3602879701896397/36028797018963968); ints and Fractions still build the
+    reduced element."""
+    for bad in (0.1, "1/3", Decimal("0.5")):
+        with pytest.raises(TypeError, match="exact rational"):
+            CycloElem.from_rational(5, bad)
+    with pytest.raises(TypeError, match="exact rational"):
+        CycloElem.from_coeffs(5, [0.5, 0, 0, 0])
+    third = CycloElem.from_rational(5, Fraction(-2, 6))
+    assert (third.num, third.den) == ((-1, 0, 0, 0), 3)
+    assert CycloElem.from_rational(5, 4) == CycloElem(5, [4, 0, 0, 0])
+    e = CycloElem.from_coeffs(5, [Fraction(1, 2), Fraction(1, 3), 0, -1])
+    assert (e.num, e.den) == ((3, 2, 0, -6), 6)
 
 
 def test_mixed_p_rejected():

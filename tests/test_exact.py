@@ -1,9 +1,17 @@
+import numbers
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from legdet.exact import UniPoly, as_rational, interp_linear
+
+
+@numbers.Rational.register
+class _Half:
+    numerator = 1
+    denominator = 2
 
 
 def test_as_rational_forms():
@@ -13,6 +21,12 @@ def test_as_rational_forms():
         as_rational((3, 6))
     with pytest.raises(TypeError):
         as_rational("3")
+    for inexact in (0.5, Decimal("0.5")):
+        with pytest.raises(TypeError, match="exact rational"):
+            as_rational(inexact)
+    # any numbers.Rational other than int and Fraction is read through
+    # its numerator and denominator
+    assert as_rational(_Half()) == Fraction(1, 2)
 
 
 def test_unipoly_normalization():
