@@ -1,0 +1,149 @@
+"""Timings of the two integer kernels under the cyclotomic and Sun checks.
+
+    python3 bench/kernels.py [--quick] [--src DIR] [--label NAME] [--out FILE]
+
+Cases:
+  mul_vec  legdet.cyclotomic._mul_vec at p = 13, 29, 59, a monomial or a
+           dense vector times a dense vector, entries of 3, 40 or 300 bits;
+           one sample is one pass over a fixed batch of seeded operand pairs.
+  det_mod_p  legdet.linalg.det_mod_p over the Sun matrices [((i + d j)/p)]
+           for every d, at p = 61, 101, 157; one sample is one pass over all d.
+
+Each case is sampled 9 times in this one process, the samples taken round
+the cases, and reported as seconds per call: the median of the samples, and
+their minimum and maximum.  --src picks the ``src`` directory legdet is
+imported from (default: the one next to this script), so that a second
+checkout, for example the parent commit, can be timed on the same inputs.
+The result is one JSON object printed as the last line; --out FILE merges
+it into FILE under --label, keeping the other labels there.  The committed
+BENCH_kernels.json holds a "parent" and a "change" run made with
+
+    python3 bench/kernels.py --src PARENT_CHECKOUT/src --label parent --out BENCH_kernels.json
+    python3 bench/kernels.py --label change --out BENCH_kernels.json
+
+--quick runs p = 13 and p = 61 only, with 3 samples of a small batch: a smoke
+test that every case still runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUL_PRIMES = (13, 29, 59)
+MUL_BITS = (3, 40, 300)
+MUL_BATCH = 200
+SUN_PRIMES = (61, 101, 157)
+
+
+def _vector(rng: random.Random, p: int, bits: int, monomial: bool) -> list[int]:
+    m = 1 << bits
+    if monomial:
+        v = [0] * (p - 1)
+        v[rng.randrange(p - 1)] = rng.randint(1, m) * rng.choice((1, -1))
+        return v
+    return [rng.randint(-m, m) for _ in range(p - 1)]
+
+
+def mul_vec_cases(legdet, quick: bool) -> dict:
+    mul = legdet.cyclotomic._mul_vec
+    out = {}
+    for p in MUL_PRIMES[:1] if quick else MUL_PRIMES:
+        for bits in MUL_BITS:
+            for shape in ("monomial", "dense"):
+                rng = random.Random(p * 1000 + bits)
+                pairs = [(_vector(rng, p, bits, shape == "monomial"), _vector(rng, p, bits, False))
+                         for _ in range(MUL_BATCH // 10 if quick else MUL_BATCH)]
+
+                def run(pairs=pairs, p=p):
+                    for a, b in pairs:
+                        mul(p, a, b)
+                    return len(pairs)
+
+                out[f"mul_vec p={p} {shape} x dense {bits}-bit"] = run
+    return out
+
+
+def det_mod_p_cases(legdet, quick: bool) -> dict:
+    out = {}
+    for p in SUN_PRIMES[:1] if quick else SUN_PRIMES:
+        mats = [legdet.identities.build_sun_matrix(p, d) for d in range(p)]
+
+        def run(mats=mats, p=p):
+            for m in mats:
+                legdet.linalg.det_mod_p(m, p)
+            return len(mats)
+
+        out[f"det_mod_p sun p={p} all d"] = run
+    return out
+
+
+def measure(cases: dict, repeats: int) -> dict:
+    """Seconds per call of each case.  The samples go round the cases, so a
+    slow spell of a shared machine lands on every case, not on one."""
+    times: dict[str, list[float]] = {name: [] for name in cases}
+    for _ in range(repeats):
+        for name, run in cases.items():
+            t = time.perf_counter()
+            calls = run()
+            times[name].append((time.perf_counter() - t) / calls)
+    return {name: {"median_s": statistics.median(v), "min_s": min(v), "max_s": max(v), "repeats": repeats}
+            for name, v in times.items()}
+
+
+def environment(src: Path) -> dict:
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    digest = hashlib.sha256()
+    for name in ("cyclotomic.py", "linalg.py"):
+        digest.update((src / "legdet" / name).read_bytes())
+    return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
+            "cpu": cpu, "kernels_sha256": digest.hexdigest()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--quick", action="store_true", help="smallest cases, 3 samples")
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding legdet")
+    ap.add_argument("--label", default="change", help="key of this run in --out")
+    ap.add_argument("--out", type=Path, default=None, help="JSON file to merge the result into")
+    args = ap.parse_args(argv)
+    repeats = 3 if args.quick else 9
+    src = args.src.resolve()
+    if not (src / "legdet" / "__init__.py").is_file():
+        ap.error(f"no legdet package under {src}")
+    sys.path.insert(0, str(src))
+    import legdet.cyclotomic
+    import legdet.identities
+    import legdet.linalg
+
+    cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick)}, repeats)
+    for name, c in cases.items():
+        print(f"{name:40s} median {c['median_s'] * 1e6:10.1f} us  "
+              f"(min {c['min_s'] * 1e6:.1f}, max {c['max_s'] * 1e6:.1f})")
+    result = {"environment": environment(src), "quick": args.quick, "cases": cases}
+    if args.out is not None:
+        data = json.loads(args.out.read_text()) if args.out.exists() else {}
+        data[args.label] = result
+        args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(json.dumps({args.label: result}, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,11 @@ normalized so the gcd of all entries and the denominator is 1; per-basis
 Fraction views are available through ``coeffs``.  Reduction uses
 zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 
+Products of integer vectors go through one kernel, _mul_vec: a product with
+a monomial c*zeta^e is a rotation of the other vector, and any other product
+is one bigint multiplication of the two vectors packed into byte-aligned
+slots (Kronecker substitution), folded mod zeta^p = 1 while still packed.
+
 Inversion uses the Galois norm: a^-1 = (prod of the conjugates sigma_k(a),
 k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute and
 fold the coefficient vector, so the whole inverse is integer convolutions.
@@ -17,11 +22,17 @@ Cohen, GTM 138, section 4.3).
 
 from __future__ import annotations
 
+import struct
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import as_rational
 from .ntheory import OddPrime, legendre, primitive_root
+
+
+# struct codes of the unsigned machine words, by size in bytes
+_WORDS = {struct.calcsize(c): c for c in "BHIQ"}
 
 
 def _fold(acc) -> list[int]:
@@ -31,20 +42,61 @@ def _fold(acc) -> list[int]:
 
 
 def _mul_vec(p: int, a, b) -> list[int]:
-    """Product of two integer power-basis vectors of Q(zeta_p)."""
-    # convolve with exponents folded mod p, sparser operand outside
-    if sum(1 for c in a if c) > sum(1 for c in b if c):
-        a, b = b, a
-    acc = [0] * p
-    for e, c in enumerate(a):
-        if not c:
-            continue
-        for f, d in enumerate(b):
-            if not d:
-                continue
-            g = e + f
-            acc[g - p if g >= p else g] += c * d
-    return _fold(acc)
+    """Product of two integer power-basis vectors of Q(zeta_p).
+
+    Monomial path: if either operand is 0 or one term c*z^e, the product is
+    the other vector, padded with a zero z^(p-1) slot, rotated up by e,
+    folded and scaled by c, with no product of two entries.
+
+    Kronecker path, otherwise (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 8.4): evaluate both vectors at 2^w, multiply the two
+    integers once and read the plain product's coefficients off as w-bit
+    slots.  Slot bound: slot g holds c_g = sum_{e+f=g} a_e b_f, at most p-1
+    terms, so |c_g| <= (p-1) max|a| max|b| < 2^(w-2), since w is at least
+    the sum of the three bit lengths plus 2.  A bias of 2^(w-2) added to
+    each of the 2p-3 slots puts every slot in [0, 2^(w-1)), so the biased
+    slots are the base-2^w digits of the biased product.  Slots p.. fold
+    onto slots 0..p-4 (z^p = 1) while still packed: each sum of two digits
+    is below 2^w, so no carry crosses a slot.  Only the p folded slots are
+    decoded; they carry one bias each, two below slot p-3, which go with
+    the z^(p-1) fold.  w is a whole number of bytes: the smallest machine
+    word that fits, whose slots one to_bytes and a memoryview cast read
+    out, else the next multiple of 8, whose slots from_bytes reads out.
+    """
+    n = p - 1
+    za, zb = a.count(0), b.count(0)
+    if za < zb:
+        a, b, za = b, a, zb
+    if za >= n - 1:
+        if za == n:
+            return [0] * n
+        e = next(filter(a.__getitem__, range(n)))
+        c = a[e]
+        acc = [*b, 0]
+        acc = _fold(acc[p - e:] + acc[:p - e])
+        return acc if c == 1 else [c * x for x in acc]
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 2
+    wb = next((s for s in _WORDS if 8 * s >= bits), (bits + 7) // 8)
+    w = 8 * wb
+    x = y = 0
+    for c in reversed(a):
+        x = (x << w) + c
+    for c in reversed(b):
+        y = (y << w) + c
+    # the bias: byte 0x40 at the top of each of the 2p-3 slots is 2^(w-2)
+    prod = x * y + int.from_bytes((bytes(wb - 1) + b"\x40") * (2 * p - 3), "little")
+    prod = (prod & ((1 << (w * p)) - 1)) + (prod >> (w * p))
+    if wb in _WORDS:
+        acc = memoryview(prod.to_bytes(wb * p, sys.byteorder)).cast(_WORDS[wb]).tolist()
+    else:
+        buf = prod.to_bytes(wb * p, "little")
+        acc = [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * p, wb)]
+    bias = 1 << (w - 2)
+    top = acc.pop()
+    acc = [s - top - bias for s in acc]
+    acc[-1] += bias
+    acc[-2] += bias
+    return acc
 
 
 def _sigma_vec(p: int, a, k: int) -> list[int]:
@@ -160,8 +212,6 @@ class CycloElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return CycloElem.zero(self.p)
         return CycloElem(self.p, _mul_vec(self.p, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__

@@ -7,9 +7,10 @@ CycloElem; ints divide inline), so the matrix code never dispatches on type.
 
 Determinants come in two flavors: fraction-free Bareiss elimination for
 integral domains (integers, polynomials) and ordinary Gaussian elimination
-with exact division over fields (rationals, cyclotomics); det_mod_p
-eliminates over F_p when only the residue is wanted.  All three find their
-pivots with one row-swap search.  The one adjugate is fraction-free
+with exact division over fields (rationals, cyclotomics); the two share one
+row-swap pivot search.  det_mod_p, for when only the residue mod p of an
+integer determinant is wanted, eliminates over F_p on rows packed one per
+integer, with delayed reduction.  The one adjugate is fraction-free
 Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant, and
 handles singular integer or rational input through A + x*I.
 """
@@ -187,29 +188,56 @@ def det_bareiss(m: ExactMatrix):
 def det_mod_p(m: ExactMatrix, p: int) -> int:
     """det(m) mod p, in range(p), for an integer matrix and a prime p.
 
-    Gaussian elimination over F_p: entries stay below p, so no integer grows
-    the way the minors of det_bareiss do.
+    Gaussian elimination over F_p with delayed reduction (Dumas, Giorgi and
+    Pernet, ACM TOMS 35(3), 2008) on packed rows: a row is the integer
+    sum_j a_j 2^(w*j), one w-bit slot per entry, so clearing the pivot
+    column from a row is one bigint step, row += f * packed(p - pivot_row)
+    with f = a_c / pivot mod p, which adds f * (p - r_j) = -f * r_j (mod p)
+    to each slot j.  Only the pivot row is unpacked and reduced mod p, to
+    r_j in [0, p); every other row stays unreduced and drops its
+    pivot-column slot (>> w) after the step.
+
+    Slot bound: a slot starts in [0, p), and each step adds at most
+    f * (p - r_j) <= (p - 1) * p to it.  A row takes one such step per
+    column eliminated before it becomes the pivot row, at most k - 1 in
+    all, so every slot stays below p + (k - 1)(p - 1)p < p^2 k + p
+    < 2^(w-1) with w = bitlen(p^2 k + p) + 1.  Slots only grow, since
+    nothing is subtracted, so no borrow ever crosses a slot, and none
+    reaches 2^w, so no carry does either.
     """
     _require_square(m)
     if m.ring is not ZZ:
         raise ValueError(f"det_mod_p needs an integer matrix, got one over {m.ring.name}")
-    a = [[x % p for x in row] for row in m.entries]
     k = m.rows
+    w = (p * p * k + p).bit_length() + 1
+    mask = (1 << w) - 1
+    rows = []
+    for row in m.entries:
+        r = 0
+        for x in reversed(row):
+            r = (r << w) | x % p
+        rows.append(r)
     det = 1
     for c in range(k):
-        s = _pivot(a, c, k, 0)
-        if not s:
+        # rows[c:] are the rows left, with column c in slot 0
+        for r in range(c, k):
+            piv = (rows[r] & mask) % p
+            if piv:
+                break
+        else:
             return 0
-        pr = a[c]
-        piv = pr[c]
-        det = det * s * piv % p
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
+        det = det * piv % p
         pivinv = pow(piv, -1, p)
+        pr = rows[c]
+        packed = 0
+        for j in range(k - 1 - c, 0, -1):
+            packed = (packed | p - ((pr >> (w * j)) & mask) % p) << w
         for i in range(c + 1, k):
-            ai = a[i]
-            f = ai[c] * pivinv % p
-            if f:
-                for j in range(c + 1, k):
-                    ai[j] = (ai[j] - f * pr[j]) % p
+            ri = rows[i]
+            rows[i] = (ri + (ri & mask) * pivinv % p * packed) >> w
     return det % p
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from .exact import as_rational
 from .ntheory import OddPrime, legendre
 
 
@@ -31,6 +32,10 @@ class QuadElem:
     x: Fraction
     y: Fraction
     p: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x", as_rational(self.x))
+        object.__setattr__(self, "y", as_rational(self.y))
 
     def _check(self, other: "QuadElem") -> None:
         if self.p != other.p:

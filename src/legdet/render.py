@@ -18,12 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import CycloElem
-from .exact import UniPoly
+from .exact import UniPoly, as_rational
 from .quadfield import QuadElem
 
 
 def format_rational(r) -> str:
-    r = Fraction(r)
+    r = as_rational(r)
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 

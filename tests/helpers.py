@@ -3,8 +3,10 @@
 Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
 Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
-extended Euclidean algorithm, adjugates from explicit cofactors, and the
-two-vector lemma's closed form in Fraction arithmetic.
+extended Euclidean algorithm, adjugates from explicit cofactors, the
+two-vector lemma's closed form in Fraction arithmetic, and the entry-by-entry
+kernels that packed ones replaced: the O(p^2) cyclotomic convolution and
+Gaussian elimination mod p on lists of lists.
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
@@ -55,6 +57,38 @@ def cofactor_adjugate(m):
         assert all(x.denominator == 1 for row in out for x in row)
         out = [[x.numerator for x in row] for row in out]
     return ExactMatrix(m.ring, out)
+
+
+def convolve_cyclo(p, a, b):
+    """Product of two integer power-basis vectors of Q(zeta_p), entry by
+    entry: convolve with exponents mod p, then fold zeta^(p-1) away."""
+    acc = [0] * p
+    for e, c in enumerate(a):
+        for f, d in enumerate(b):
+            acc[(e + f) % p] += c * d
+    return [c - acc[-1] for c in acc[:-1]]
+
+
+def det_mod_p_lists(rows, p):
+    """det(rows) mod p by Gaussian elimination over F_p, reducing every
+    entry after every update."""
+    a = [[x % p for x in row] for row in rows]
+    k = len(a)
+    det = 1
+    for c in range(k):
+        r = next((r for r in range(c, k) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        piv = a[c][c]
+        det = det * piv % p
+        pivinv = pow(piv, -1, p)
+        for i in range(c + 1, k):
+            f = a[i][c] * pivinv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
+    return det % p
 
 
 def lemma_uv_rhs_fraction(m, u, v):

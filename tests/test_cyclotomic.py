@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import legdet.cyclotomic
-from helpers import euclid_inverse
-from legdet.cyclotomic import CycloElem, gauss_sum, zeta_pow
+from helpers import convolve_cyclo, euclid_inverse
+from legdet.cyclotomic import CycloElem, _mul_vec, gauss_sum, zeta_pow
 from legdet.ntheory import legendre, odd_primes_upto
 
 
@@ -38,6 +38,57 @@ def test_mul_examples():
     assert zeta_pow(5, 1) * zeta_pow(5, 4) == CycloElem.one(5)
     prod = (1 + zeta_pow(5, 2)) * (1 + zeta_pow(5, 4))
     assert prod == -zeta_pow(5, 3)
+
+
+def _rand_vec(rng, p, kind, bits):
+    """A power-basis vector of one shape, with entries up to bits bits."""
+    m = (1 << bits) - 1
+    v = [0] * (p - 1)
+    if kind == "monomial":
+        v[rng.randrange(p - 1)] = rng.choice((1, -1, rng.randint(1, m) * rng.choice((1, -1))))
+    elif kind == "sparse":
+        for e in rng.sample(range(p - 1), min(3, p - 1)):
+            v[e] = rng.randint(1, m) * rng.choice((1, -1))
+    elif kind == "dense":
+        v = [rng.randint(-m, m) for _ in range(p - 1)]
+    return v
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 59])
+def test_mul_vec_matches_convolution_oracle(p):
+    """Both paths of _mul_vec, every pairing of operand shapes, entries from
+    1 to 2000 bits and both argument orders, against the O(p^2) convolution."""
+    rng = random.Random(p)
+    kinds = ("zero", "monomial", "sparse", "dense")
+    for bits in (1, 3, 40, 300, 2000):
+        for ka in kinds:
+            for kb in kinds:
+                a = _rand_vec(rng, p, ka, bits)
+                b = _rand_vec(rng, p, kb, rng.choice((1, 3, 40, bits)))
+                want = convolve_cyclo(p, a, b)
+                assert _mul_vec(p, a, b) == want
+                assert _mul_vec(p, tuple(b), tuple(a)) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 59])
+def test_mul_vec_slots_at_the_bound(p):
+    """All-(+-M) operands with M = 2^t - 1 make the middle coefficient of
+    the plain product reach the docstring bound (p-1) * M * M in size, at
+    every slot width in play, including widths that are exactly a word or a
+    byte multiple."""
+    n = p - 1
+    for t in list(range(1, 80)) + [300, 2000]:
+        m = (1 << t) - 1
+        for sa in (1, -1):
+            for sb in (1, -1):
+                a, b = [sa * m] * n, [sb * m] * n
+                want = convolve_cyclo(p, a, b)
+                assert _mul_vec(p, a, b) == want
+                # alternating signs spread the extremes over the slots
+                a = [m if (e + t) % 2 else -m for e in range(n)]
+                want = convolve_cyclo(p, a, b)
+                assert _mul_vec(p, a, b) == want == convolve_cyclo(p, b, a)
+                assert _mul_vec(p, b, a) == want
 
 
 def test_rational_embedding():

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from helpers import cofactor_adjugate, naive_det, rand_int_rows
+from helpers import cofactor_adjugate, det_mod_p_lists, naive_det, rand_int_rows
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import build_evil_matrix, build_sun_matrix
@@ -159,6 +159,41 @@ def test_det_mod_p_matches_bareiss_residue():
         for d in range(p):
             m = build_sun_matrix(p, d)
             assert det_mod_p(m, p) == det_bareiss(m) % p
+
+
+def test_det_mod_p_matches_list_elimination_with_zero_pivots():
+    """Entries drawn mostly from multiples of p, so pivots vanish mod p and
+    the packed rows are swapped and skipped; large and negative entries too."""
+    rng = random.Random(23)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7, 13, 101))
+        k = rng.randint(1, 9)
+        rows = [[rng.choice((0, p, -p, 2 * p, rng.randint(-10**30, 10**30))) if rng.random() < 0.4
+                 else p * rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        assert det_mod_p(ExactMatrix(ZZ, rows), p) == det_mod_p_lists(rows, p)
+
+
+def test_det_mod_p_matches_list_elimination_on_sun_matrices():
+    for d in range(101):
+        m = build_sun_matrix(101, d)
+        assert det_mod_p(m, 101) == det_mod_p_lists(m.entries, 101)
+
+
+@pytest.mark.parametrize("p, k", [(2, 7), (13, 9), (101, 51)])
+def test_det_mod_p_slot_reaches_its_bound(p, k):
+    """The slot bound of the det_mod_p docstring, p + (k-1)(p-1)p, is met:
+    over identity rows with a last row of p - 1, each step pivots on a 1
+    with f = p - 1 and adds (p - 1) * p to every later slot of the last row.
+    A replay of that update rule on plain integers shows the last slot
+    ending at the bound; a carry out of any slot would change the residue."""
+    rows = [[int(i == j) for j in range(k)] for i in range(k - 1)] + [[p - 1] * k]
+    last = list(rows[-1])
+    for c in range(k - 1):
+        f = last[c] % p
+        last[c + 1:] = [x + f * (p - y % p) for x, y in zip(last[c + 1:], rows[c][c + 1:])]
+    assert last[-1] == (p - 1) + (k - 1) * (p - 1) * p
+    assert last[-1] < p * p * k + p
+    assert det_mod_p(ExactMatrix(ZZ, rows), p) == det_mod_p_lists(rows, p) == p - 1
 
 
 def test_adjugate_formulas():

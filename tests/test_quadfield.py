@@ -19,6 +19,17 @@ def test_quadelem_arithmetic():
         a * QuadElem(Fraction(1), Fraction(1), 13)
 
 
+def test_quadelem_coordinates_are_exact_rationals():
+    """A float coordinate raises instead of making quad_pow compute in
+    floats; int coordinates become Fractions."""
+    for x, y in ((0.5, 0.25), (Fraction(1, 2), 0.25), (0.5, 1), ("1/2", 1)):
+        with pytest.raises(TypeError, match="exact rational"):
+            QuadElem(x, y, 5)
+    e = QuadElem(1, 2, 5)
+    assert (type(e.x), type(e.y)) == (Fraction, Fraction)
+    assert e == QuadElem(Fraction(1), Fraction(2), 5)
+
+
 def test_quad_pow():
     eps = fundamental_unit(13)
     acc = QuadElem(Fraction(1), Fraction(0), 13)

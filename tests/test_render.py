@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,10 @@ def test_rational_forms():
     assert format_rational(0) == "0"
     assert parse_rational("-65/3") == Fraction(-65, 3)
     assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
+    # a float is refused, not rendered as 3602879701896397/36028797018963968
+    for bad in (0.1, 2.0, "3/2", Decimal("0.5")):
+        with pytest.raises(TypeError, match="exact rational"):
+            format_rational(bad)
 
 
 def test_poly_canonical_forms():
