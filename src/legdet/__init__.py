@@ -9,7 +9,7 @@ rational arithmetic; there is no floating point and no tolerance.
 """
 
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
-from .exact import UniPoly, as_rational, interp_linear
+from .exact import UniPoly, as_rational
 from .identities import (
     CheckResult,
     SuiteOptions,
@@ -79,7 +79,6 @@ __all__ = [
     "factorial_mod",
     "fundamental_unit",
     "gauss_sum",
-    "interp_linear",
     "is_prime",
     "legendre",
     "odd_primes_upto",

@@ -1,12 +1,14 @@
-"""Exact rational and univariate polynomial arithmetic.
+"""Exact rationals and the polynomial value type of C(x).
 
 Rationals are stdlib ``fractions.Fraction`` values, which already maintain
 the invariants every caller relies on: positive denominator, fully reduced,
 canonical zero.
 
-Polynomials are dense coefficient tuples over Fraction; the degrees in this
-package never exceed one for the symbolic determinant and p-2 for cyclotomic
-reduction, so dense storage is the simplest exact representation.
+Polynomials are dense coefficient tuples over Fraction.  They are the value
+of C(x), degree at most one, and the entries of the one symbolic determinant
+over QQ[x] (c_polynomial's cross-check at p <= 13), so they carry just the
+ring operations between polynomials and the exact division that fraction-free
+elimination needs; there is no arithmetic with bare scalars.
 """
 
 from __future__ import annotations
@@ -57,15 +59,10 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.constant(other)
-        return NotImplemented
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -74,8 +71,6 @@ class UniPoly:
         return UniPoly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -86,21 +81,12 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "UniPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
@@ -112,12 +98,6 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, r) -> "UniPoly":
-        r = as_rational(r)
-        return UniPoly(tuple(c * r for c in self.coeffs))
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         """Polynomial long division, quotient and remainder."""
@@ -155,10 +135,3 @@ class UniPoly:
         from .render import format_poly
 
         return format_poly(self)
-
-
-def interp_linear(v0, v1) -> UniPoly:
-    """The unique polynomial of degree <= 1 with f(0) = v0 and f(1) = v1."""
-    v0 = as_rational(v0)
-    v1 = as_rational(v1)
-    return UniPoly((v0, v1 - v0))

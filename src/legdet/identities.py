@@ -8,10 +8,11 @@ form-class oracles in quadfield, and cyclotomic products expanded term by
 term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
-matrix and its determinants, the unit coefficients, Vsemirnov's U, V and the
-diagonal of D, and the cyclotomic inverses) live on a PrimeContext and are
-computed on first use.  run_suite hands one context per prime to every check;
-a check called with a plain integer builds its own, so nothing outlives it.
+matrix, its determinants and C(x), the unit coefficients, Vsemirnov's U, V
+and the diagonal of D, and the cyclotomic inverses) live on a PrimeContext
+and are computed on first use.  run_suite hands one context per prime to
+every check; a check called with a plain integer builds its own, so nothing
+outlives it.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
 exact values (see render).  run_suite composes every applicable check over a
@@ -29,7 +30,7 @@ from itertools import combinations
 from math import prod
 
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
-from .exact import UniPoly, as_rational, interp_linear
+from .exact import UniPoly, as_rational
 from .linalg import (
     QQ,
     ZZ,
@@ -125,6 +126,18 @@ class PrimeContext:
         return det_bareiss(c), det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries]))
 
     @cached_property
+    def cx(self) -> tuple[UniPoly, UniPoly]:
+        """C(x) twice: interpolated from evil_dets, since it is linear in x
+        (a rank-one update of the all-ones matrix), and for p <= 13 as the
+        symbolic determinant over QQ[x]; above 13 the interpolation again."""
+        c0, c1 = self.evil_dets
+        poly = UniPoly((c0, c1 - c0))
+        if self.p > 13:
+            return poly, poly
+        sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in self.evil.entries])
+        return poly, det_bareiss(sym)
+
+    @cached_property
     def evil_adjugate(self) -> ExactMatrix:
         return adjugate(self.evil)
 
@@ -180,31 +193,24 @@ def build_sun_matrix(p, d: int) -> ExactMatrix:
 # -- C(x) and the main theorem -----------------------------------------------
 
 def c_polynomial(p) -> UniPoly:
-    """C(x) = det[x + ((j-i)/p)], exact.
-
-    The determinant is linear in x (rank-one update of the all-ones matrix),
-    so two integer determinants at x = 0 and x = 1 pin it down; for p <= 13
-    the full symbolic determinant over polynomial entries is recomputed and
-    must agree.
-    """
+    """C(x) = det[x + ((j-i)/p)], exact (PrimeContext.cx); raises
+    RuntimeError if its two routes disagree."""
     ctx = _context(p)
-    poly = interp_linear(*ctx.evil_dets)
-    if ctx.p <= 13:
-        sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in ctx.evil.entries])
-        if det_bareiss(sym) != poly:
-            raise RuntimeError(f"symbolic and interpolated C(x) disagree for p={ctx.p}")
+    poly, sym = ctx.cx
+    if sym != poly:
+        raise RuntimeError(f"symbolic and interpolated C(x) disagree for p={ctx.p}")
     return poly
 
 
 def verify_theorem(p) -> CheckResult:
-    """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a."""
+    """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a.  If the
+    two routes to C(x) disagree, the check fails with both on its left side."""
     ctx = _context(p)
-    cp = c_polynomial(ctx)
-    if ctx.p.mod4 == 3:
-        rhs = UniPoly.constant(1)
-    else:
-        rhs = UniPoly((-ctx.unit.a, ctx.chi[2] * ctx.p * ctx.unit.b))
-    return _result("theorem_cx", ctx.p, cp, rhs)
+    poly, sym = ctx.cx
+    rhs = UniPoly.constant(1) if ctx.p.mod4 == 3 else UniPoly((-ctx.unit.a, ctx.chi[2] * ctx.p * ctx.unit.b))
+    if sym != poly:
+        return _result("theorem_cx", ctx.p, (poly, sym), rhs, "interpolated and symbolic C(x) disagree")
+    return _result("theorem_cx", ctx.p, poly, rhs)
 
 
 def verify_evil(p) -> CheckResult:

@@ -11,8 +11,8 @@ with exact division over fields (rationals, cyclotomics); the two share one
 row-swap pivot search.  det_mod_p, for when only the residue mod p of an
 integer determinant is wanted, eliminates over F_p on rows packed one per
 integer, with delayed reduction.  The one adjugate is fraction-free
-Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant, and
-handles singular integer or rational input through A + x*I.
+Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant; a
+singular matrix, over any ring, gets its signed cofactors instead.
 """
 
 from __future__ import annotations
@@ -278,11 +278,10 @@ def adjugate(m: ExactMatrix) -> ExactMatrix:
     d = sign * det(M), sign that of the row swaps, so the right half times
     sign is adj(M), reached by exact divisions only.
 
-    Singular input over ZZ or QQ: the same elimination on M + x*I over
-    QQ[x], whose leading minors are monic and so never need a pivot swap;
-    adj(M + x*I) has polynomial entries and adj(M) is their constant
-    coefficients.  A singular matrix over any other ring raises ValueError.
-    The 1x1 case follows the empty-minor convention adj([h]) = [1].
+    Singular input, over any ring: the signed cofactors, entry (i, j) being
+    (-1)^(i+j) det(M without row j and column i) by det_bareiss over m's
+    own ring.  The 1x1 case follows the empty-minor convention
+    adj([h]) = [1].
     """
     _require_square(m)
     ring = m.ring
@@ -292,20 +291,11 @@ def adjugate(m: ExactMatrix) -> ExactMatrix:
     sign = _bareiss(a, k, ring, jordan=True)
     if sign:
         return ExactMatrix(ring, [row[k:] if sign == 1 else [-x for x in row[k:]] for row in a])
-    if ring not in (ZZ, QQ):
-        raise ValueError(f"adjugate of a singular matrix over {ring.name}")
-    qx = poly_ring()
-    a = [[UniPoly((e, 1 if j == i else 0)) for j, e in enumerate(row)]
-         + [qx.one if j == i else qx.zero for j in range(k)]
-         for i, row in enumerate(m.entries)]
-    if _bareiss(a, k, qx, jordan=True) != 1:
-        raise RuntimeError("a leading minor of M + x*I vanished")
-    out = [[e.coeff(0) for e in row[k:]] for row in a]
-    if ring is ZZ:
-        if any(c.denominator != 1 for row in out for c in row):
-            raise RuntimeError("integer adjugate came out non-integral")
-        out = [[c.numerator for c in row] for row in out]
-    return ExactMatrix(ring, out)
+    if k == 1:
+        return ExactMatrix(ring, [[ring.one]])
+    out = [[det_bareiss(m.submatrix(j, i)) for j in range(k)] for i in range(k)]
+    return ExactMatrix(ring, [[c if (i + j) % 2 == 0 else -c for j, c in enumerate(row)]
+                              for i, row in enumerate(out)])
 
 
 # the former name stays importable: legbench traces the adjugate under both

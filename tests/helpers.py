@@ -3,10 +3,11 @@
 Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
 Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
-extended Euclidean algorithm, adjugates from explicit cofactors, the
-two-vector lemma's closed form in Fraction arithmetic, and the entry-by-entry
-kernels that packed ones replaced: the O(p^2) cyclotomic convolution and
-Gaussian elimination mod p on lists of lists.
+extended Euclidean algorithm, adjugates from explicit cofactors (over QQ by
+Gaussian elimination, over any ring by cofactor expansion), the two-vector
+lemma's closed form in Fraction arithmetic, and the entry-by-entry kernels
+that packed ones replaced: the O(p^2) cyclotomic convolution and Gaussian
+elimination mod p on lists of lists.
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
@@ -26,11 +27,12 @@ from legdet.quadfield import QuadElem
 
 
 def naive_det(rows):
-    """Cofactor expansion along the first row; exponential, sizes <= 6 only."""
+    """Cofactor expansion along the first row over any ring whose elements
+    carry +, - and *; exponential, sizes <= 6 only."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = rows[0][0] * 0
+    total = rows[0][0] - rows[0][0]
     for j in range(n):
         minor = [list(r[:j]) + list(r[j + 1:]) for r in rows[1:]]
         term = rows[0][j] * naive_det(minor)
@@ -56,6 +58,21 @@ def cofactor_adjugate(m):
     if m.ring is ZZ:
         assert all(x.denominator == 1 for row in out for x in row)
         out = [[x.numerator for x in row] for row in out]
+    return ExactMatrix(m.ring, out)
+
+
+def naive_adjugate(m):
+    """Transpose of the cofactor matrix over m's own ring, every minor by
+    naive_det; ring-generic and exponential, sizes <= 6 only.  The 1x1 case
+    is adj([h]) = [1]."""
+    k = m.rows
+    if k == 1:
+        return ExactMatrix(m.ring, [[m.ring.one]])
+    out = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            minor = naive_det(m.submatrix(i, j).entries)
+            out[j][i] = minor if (i + j) % 2 == 0 else -minor
     return ExactMatrix(m.ring, out)
 
 
@@ -156,7 +173,7 @@ def euclid_inverse(a):
     # r0 is a nonzero constant: the cyclotomic polynomial is irreducible
     if r0.degree != 0:
         raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
-    inv_poly = t0.scale(1 / r0.coeff(0))
+    inv_poly = t0 * UniPoly.constant(1 / r0.coeff(0))
     return CycloElem.from_coeffs(p, [inv_poly.coeff(k) for k in range(p - 1)])
 
 

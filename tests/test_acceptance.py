@@ -82,9 +82,10 @@ def test_criterion_04_uv_determinant_lemma():
     # (u + v)/(1 + uv); symbolically in u, that is the polynomial identity
     # (1+u)(1+v) - (1-u)(1-v) = 2(u + v), checked coefficientwise.
     u = UniPoly([0, 1])
+    one = UniPoly([1])
     for k in range(-6, 7):
         v = Fraction(k, 5)
-        lhs = (1 + u).scale(1 + v) - (1 - u).scale(1 - v)
+        lhs = (one + u) * UniPoly([1 + v]) - (one - u) * UniPoly([1 - v])
         ok = ok and lhs == UniPoly([2 * v, 2])
     rng = random.Random(4)
     for _ in range(20):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from legdet.exact import UniPoly, as_rational, interp_linear
+from legdet.exact import UniPoly, as_rational
 
 
 @numbers.Rational.register
@@ -46,8 +46,20 @@ def test_unipoly_ring_ops():
     assert f - f == UniPoly()
     assert f * g == UniPoly((-1, -2, 3, 6))
     assert -f == UniPoly((-1, -2))
-    assert 2 * f == UniPoly((2, 4))
-    assert f.scale(Fraction(1, 2)) == UniPoly((Fraction(1, 2), 1))
+
+
+def test_unipoly_has_no_scalar_arithmetic():
+    """Polynomials combine only with polynomials: a bare int or Fraction is
+    neither coerced nor equal to the constant polynomial."""
+    one = UniPoly((1,))
+    for scalar in (1, 2, Fraction(1, 2)):
+        for op in (lambda: one + scalar, lambda: scalar + one, lambda: one - scalar,
+                   lambda: scalar - one, lambda: one * scalar, lambda: scalar * one):
+            with pytest.raises(TypeError):
+                op()
+    assert (UniPoly.constant(2) == 2) is False
+    assert (UniPoly.constant(2) != 2) is True
+    assert (UniPoly() == 0) is False
 
 
 def test_unipoly_divmod_roundtrip():
@@ -84,9 +96,3 @@ def test_unipoly_eq_hash():
     assert hash(UniPoly((1, 2))) == hash(UniPoly((Fraction(1), Fraction(2))))
     assert UniPoly((1, 2)) != UniPoly((1, 2, 1))
 
-
-def test_interp_linear():
-    f = interp_linear(-2, -7)
-    assert f.coeff(0) == -2 and f.coeff(1) == -5
-    assert interp_linear(4, 4) == UniPoly.constant(4)
-    assert interp_linear(0, 0).is_zero()

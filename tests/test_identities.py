@@ -1,4 +1,5 @@
 import hashlib
+import io
 import random
 from dataclasses import replace
 from decimal import Decimal
@@ -8,7 +9,7 @@ import pytest
 
 import legdet
 from helpers import lemma_uv_rhs_fraction
-from legdet import identities
+from legdet import cli, identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
@@ -350,10 +351,34 @@ def test_wrong_determinant_fails_theorem(monkeypatch):
     """det_bareiss + 1 on every matrix also shifts the symbolic C(x) at
     p <= 13 by one, so the interpolation cross-check agrees and the
     closed-form comparison is what fails."""
-    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + 1)
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + m.ring.one)
     for p in (7, 13, 17, 19):
         r = verify_theorem(p)
         assert r.passed is False and r.lhs != r.rhs
+
+
+def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
+    """A shift of the QQ[x] determinant alone splits the two routes to C(x)
+    at p <= 13.  theorem_cx then fails with both on its left side, and the
+    suite runs on; c_polynomial, behind the cx command, still raises.  Above
+    p = 13 only the interpolation runs, so the check passes."""
+    def shifted(m):
+        d = det_bareiss(m)
+        return d + m.ring.one if isinstance(d, UniPoly) else d
+
+    monkeypatch.setattr(identities, "det_bareiss", shifted)
+    r = verify_theorem(13)
+    assert r.passed is False
+    assert (r.lhs, r.rhs, r.detail) == (
+        "-65*x - 18 ; -65*x - 17", "-65*x - 18", "interpolated and symbolic C(x) disagree")
+    assert verify_theorem(17).passed
+    report = run_suite(13, SuiteOptions(uv_trials=1))
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.name, c.p) for c in failed] == [("theorem_cx", p) for p in (3, 5, 7, 11, 13)]
+    args = cli._build_parser().parse_args(["verify", "--pmax", "13"])
+    assert cli._dispatch(args, io.StringIO()) == 1
+    with pytest.raises(RuntimeError, match="p=13"):
+        c_polynomial(13)
 
 
 def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from helpers import cofactor_adjugate, det_mod_p_lists, naive_det, rand_int_rows
+from helpers import cofactor_adjugate, det_mod_p_lists, naive_adjugate, naive_det, rand_int_rows
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import build_evil_matrix, build_sun_matrix
@@ -75,7 +75,7 @@ def test_det_over_polynomials():
     m = ExactMatrix(r, [[x, one], [-one, x]])
     assert det_bareiss(m) == x * x + one
     # the p=3 symbolic evil determinant: entries x + legendre(j - i, 3)
-    m3 = ExactMatrix(r, [[x, x + 1], [x - 1, x]])
+    m3 = ExactMatrix(r, [[x, x + one], [x - one, x]])
     assert det_bareiss(m3) == one
 
 
@@ -237,23 +237,26 @@ def test_adjugate_fast_agrees_with_cofactors():
     assert adjugate(q) == cofactor_adjugate(q)
 
 
-def _random_of_rank(rng, ring, k, rank):
-    """A k x k matrix B @ C with B k x rank and C rank x k; rank at most `rank`."""
+def _random_of_rank(rng, ring, k, rank, draw=None):
+    """A k x k matrix B @ C with B k x rank and C rank x k; rank at most `rank`.
+    Entries of B and C come from draw(rng), by default small integers over
+    ZZ and small fractions over QQ."""
     if rank == 0:
         return ExactMatrix(ring, [[ring.zero] * k for _ in range(k)])
-    def draw():
-        x = rng.randint(-4, 4)
-        return x if ring is ZZ else Fraction(x, rng.randint(1, 3))
+    if draw is None:
+        def draw(rng):
+            x = rng.randint(-4, 4)
+            return x if ring is ZZ else Fraction(x, rng.randint(1, 3))
 
-    b = ExactMatrix(ring, [[draw() for _ in range(rank)] for _ in range(k)])
-    c = ExactMatrix(ring, [[draw() for _ in range(k)] for _ in range(rank)])
+    b = ExactMatrix(ring, [[draw(rng) for _ in range(rank)] for _ in range(k)])
+    c = ExactMatrix(ring, [[draw(rng) for _ in range(k)] for _ in range(rank)])
     return b @ c
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
 def test_adjugate_matches_cofactor_oracle_at_every_rank(ring):
     """Full rank takes the Gauss-Jordan route; rank k-1 (adjugate of rank
-    one) and rank <= k-2 (adjugate zero) take the M + x*I route."""
+    one) and rank <= k-2 (adjugate zero) take the cofactor route."""
     rng = random.Random(10)
     for k in range(1, 7):
         for rank in sorted({k, k - 1, max(k - 2, 0), 0}):
@@ -265,6 +268,36 @@ def test_adjugate_matches_cofactor_oracle_at_every_rank(ring):
                     # redraw until full rank and rank k-1 are exact
                     if not (rank == k and det_bareiss(m) == 0 or rank == k - 1 and adj_is_zero):
                         break
+                assert adjugate(m) == oracle
+                assert adj_is_zero == (rank < k - 1)
+
+
+def _random_cyclo(rng):
+    return CycloElem.from_coeffs(5, [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(4)])
+
+
+def _random_poly(rng):
+    return UniPoly([rng.randint(-2, 2) for _ in range(rng.randint(0, 3))])
+
+
+@pytest.mark.parametrize("ring, draw", [(cyclo_ring(5), _random_cyclo), (poly_ring(), _random_poly)],
+                         ids=["QQ(zeta_5)", "QQ[x]"])
+def test_singular_adjugate_over_other_rings(ring, draw):
+    """Singular input over Q(zeta_5) and QQ[x] gets its signed cofactors,
+    each by det_bareiss over the matrix's own ring; checked against cofactor
+    expansion.  Rank k-1 leaves a nonzero adjugate, rank <= k-2 a zero one."""
+    rng = random.Random(12)
+    for k in range(1, 5):
+        for rank in sorted({k - 1, max(k - 2, 0)}):
+            for _ in range(2):
+                while True:
+                    m = _random_of_rank(rng, ring, k, rank, draw)
+                    oracle = naive_adjugate(m)
+                    adj_is_zero = all(x == ring.zero for row in oracle.entries for x in row)
+                    # redraw until rank k-1 is exact
+                    if not (rank == k - 1 and adj_is_zero):
+                        break
+                assert naive_det(m.entries) == ring.zero
                 assert adjugate(m) == oracle
                 assert adj_is_zero == (rank < k - 1)
 
