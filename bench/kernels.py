@@ -1,4 +1,4 @@
-"""Timings of the two integer kernels under the cyclotomic and Sun checks.
+"""Timings of the integer kernels under the cyclotomic, Sun, Carlitz and C(x) checks.
 
     python3 bench/kernels.py [--quick] [--src DIR] [--label NAME] [--out FILE]
 
@@ -8,6 +8,11 @@ Cases:
            one sample is one pass over a fixed batch of seeded operand pairs.
   det_mod_p  legdet.linalg.det_mod_p over the Sun matrices [((i + d j)/p)]
            for every d, at p = 61, 101, 157; one sample is one pass over all d.
+  toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
+           matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
+           C + J and C - J for the evil matrix C at p = 401; one sample is
+           one determinant, or both of C +- J.  A checkout without
+           det_toeplitz gets the det_bareiss cases only.
 
 Each case is sampled 9 times in this one process, the samples taken round
 the cases, and reported as seconds per call: the median of the samples, and
@@ -22,7 +27,7 @@ BENCH_kernels.json holds a "parent" and a "change" run made with
     python3 bench/kernels.py --label change --out BENCH_kernels.json
 
 --quick runs p = 13 and p = 61 only, with 3 samples of a small batch: a smoke
-test that every case still runs.
+test that every case still runs.  Its C +- J case is at p = 61.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ MUL_PRIMES = (13, 29, 59)
 MUL_BITS = (3, 40, 300)
 MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
+CARLITZ_PRIMES = (61, 101, 157)
+EVIL_PRIME = 401
 
 
 def _vector(rng: random.Random, p: int, bits: int, monomial: bool) -> list[int]:
@@ -85,6 +92,38 @@ def det_mod_p_cases(legdet, quick: bool) -> dict:
             return len(mats)
 
         out[f"det_mod_p sun p={p} all d"] = run
+    return out
+
+
+def toeplitz_cases(legdet, quick: bool) -> dict:
+    """Diagonals t_(1-k), ..., t_(k-1) of each matrix, built here from
+    legendre so that a checkout without the Toeplitz builders runs too."""
+    legendre = legdet.ntheory.legendre
+    inputs = [(f"carlitz T p={p}", [[legendre(d - 1, p) for d in range(2 - p, p - 1)]])
+              for p in (CARLITZ_PRIMES[:1] if quick else CARLITZ_PRIMES)]
+    p = CARLITZ_PRIMES[0] if quick else EVIL_PRIME
+    n = (p - 1) // 2
+    inputs.append((f"C +- J p={p}", [[legendre(d, p) + x for d in range(-n, n + 1)] for x in (1, -1)]))
+    fast = getattr(legdet.linalg, "det_toeplitz", None)
+    out = {}
+    for name, ts in inputs:
+        k = (len(ts[0]) + 1) // 2
+        mats = [legdet.linalg.ExactMatrix(legdet.linalg.ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
+                for t in ts]
+        if fast is not None:
+            def run(ts=ts, k=k):
+                for t in ts:
+                    fast(t, k)
+                return len(ts)
+
+            out[f"det_toeplitz {name}"] = run
+
+        def run_dense(mats=mats):
+            for m in mats:
+                legdet.linalg.det_bareiss(m)
+            return len(mats)
+
+        out[f"det_bareiss {name}"] = run_dense
     return out
 
 
@@ -131,8 +170,10 @@ def main(argv=None) -> int:
     import legdet.cyclotomic
     import legdet.identities
     import legdet.linalg
+    import legdet.ntheory
 
-    cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick)}, repeats)
+    cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick),
+                     **toeplitz_cases(legdet, args.quick)}, repeats)
     for name, c in cases.items():
         print(f"{name:40s} median {c['median_s'] * 1e6:10.1f} us  "
               f"(min {c['min_s'] * 1e6:.1f}, max {c['max_s'] * 1e6:.1f})")

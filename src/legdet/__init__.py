@@ -44,6 +44,7 @@ from .linalg import (
     cyclo_ring,
     det_bareiss,
     det_field,
+    det_toeplitz,
     poly_ring,
 )
 from .ntheory import OddPrime, factorial_mod, is_prime, legendre, odd_primes_upto
@@ -76,6 +77,7 @@ __all__ = [
     "cyclo_ring",
     "det_bareiss",
     "det_field",
+    "det_toeplitz",
     "factorial_mod",
     "fundamental_unit",
     "gauss_sum",

@@ -23,7 +23,6 @@ from .identities import (
     PrimeContext,
     SuiteOptions,
     VerificationReport,
-    c_polynomial,
     run_suite,
     uv_trial_checks,
     verify_carlitz,
@@ -120,7 +119,12 @@ def emit_report(report: VerificationReport, fmt: str, out) -> None:
 
 def _dispatch(args, out) -> int:
     if args.command == "cx":
-        out.write(format_poly(c_polynomial(args.p)) + "\n")
+        ctx = PrimeContext(args.p)
+        poly, other, note = ctx.cx
+        if other != poly:
+            print(f"{note} for p={ctx.p}: {format_poly(poly)} ; {format_poly(other)}", file=sys.stderr)
+            return 1
+        out.write(format_poly(poly) + "\n")
         return 0
 
     if args.command == "unit":

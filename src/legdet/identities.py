@@ -2,10 +2,11 @@
 
 Each verify_* function builds the objects on both sides of one identity and
 compares them with exact equality; there is no tolerance anywhere.  The two
-sides always come from independent routes: determinants from fraction-free
-or field elimination, closed forms from the continued-fraction unit and
-form-class oracles in quadfield, and cyclotomic products expanded term by
-term in Q(zeta_p).
+sides always come from independent routes: determinants from the
+fraction-free Toeplitz recurrence or from fraction-free or field
+elimination, closed forms from the continued-fraction unit and form-class
+oracles in quadfield, and cyclotomic products expanded term by term in
+Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, its determinants and C(x), the unit coefficients, Vsemirnov's U, V
@@ -40,6 +41,7 @@ from .linalg import (
     det_bareiss,
     det_field,
     det_mod_p,
+    det_toeplitz,
     poly_ring,
 )
 from .ntheory import OddPrime, factorial_mod, legendre, odd_primes_upto
@@ -120,22 +122,41 @@ class PrimeContext:
         return build_evil_matrix(self)
 
     @cached_property
-    def evil_dets(self) -> tuple[int, int]:
-        """(det C, det(C + J)) = (C(0), C(1)) for the evil matrix C, J all ones."""
+    def evil_dets(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(C(0), C(1)) = (det C, det(C + J)) for the evil matrix C, J all
+        ones, twice.  First from the Toeplitz determinants of C + J and
+        C - J, whose diagonals are 1 and -1: C(x) = det(C + xJ) is linear in
+        x (a rank-one update), so C(0) = (C(1) + C(-1)) / 2.  Then, for
+        p <= 13, by det_bareiss of C and C + J; above 13 the first pair
+        again."""
+        k = self.p.n + 1
+        c1 = det_toeplitz(evil_toeplitz(self, 1), k)
+        c0, r = divmod(c1 + det_toeplitz(evil_toeplitz(self, -1), k), 2)
+        if r:
+            raise ArithmeticError(f"C(1) + C(-1) = {2 * c0 + 1} is odd for p={self.p}")
+        if self.p > 13:
+            return (c0, c1), (c0, c1)
         c = self.evil
-        return det_bareiss(c), det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries]))
+        dense = det_bareiss(c), det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries]))
+        return (c0, c1), dense
 
     @cached_property
-    def cx(self) -> tuple[UniPoly, UniPoly]:
-        """C(x) twice: interpolated from evil_dets, since it is linear in x
-        (a rank-one update of the all-ones matrix), and for p <= 13 as the
-        symbolic determinant over QQ[x]; above 13 the interpolation again."""
-        c0, c1 = self.evil_dets
+    def cx(self) -> tuple[UniPoly, UniPoly, str]:
+        """C(x), a second route to it and, if the two disagree, a note
+        naming them.  The first is interpolated from the Toeplitz pair in
+        evil_dets.  For p <= 13 the second is the one from the dense pair if
+        that disagrees, else the symbolic determinant over QQ[x]; above 13
+        it is the first again."""
+        (c0, c1), (d0, d1) = self.evil_dets
         poly = UniPoly((c0, c1 - c0))
         if self.p > 13:
-            return poly, poly
+            return poly, poly, ""
+        dense = UniPoly((d0, d1 - d0))
+        if dense != poly:
+            return poly, dense, "Toeplitz and dense C(x) disagree"
         sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in self.evil.entries])
-        return poly, det_bareiss(sym)
+        sym = det_bareiss(sym)
+        return poly, sym, "" if sym == poly else "Toeplitz and symbolic C(x) disagree"
 
     @cached_property
     def evil_adjugate(self) -> ExactMatrix:
@@ -178,10 +199,26 @@ def build_evil_matrix(p) -> ExactMatrix:
     return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(p.n + 1)] for i in range(p.n + 1)])
 
 
+def evil_toeplitz(p, x: int) -> list[int]:
+    """The p diagonals of C + xJ, the evil matrix plus x in every entry, in
+    det_toeplitz's order: ((d/p)) + x for d = -n, ..., n."""
+    ctx = _context(p)
+    return [ctx.chi[d % ctx.p] + x for d in range(-ctx.p.n, ctx.p.n + 1)]
+
+
 def build_carlitz_matrix(p) -> ExactMatrix:
     ctx = _context(p)
     p, chi = ctx.p, ctx.chi
     return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(1, p)] for i in range(1, p)])
+
+
+def carlitz_toeplitz(p) -> list[int]:
+    """The 2p-3 diagonals of T = [((j-i-1)/p)], 0 <= i, j < p-1, in
+    det_toeplitz's order: ((d-1)/p) for d = 2-p, ..., p-2.  T has the
+    determinant of the Carlitz matrix (see verify_carlitz) and
+    t_0 = (-1/p) != 0."""
+    ctx = _context(p)
+    return [ctx.chi[(d - 1) % ctx.p] for d in range(2 - ctx.p, ctx.p - 1)]
 
 
 def build_sun_matrix(p, d: int) -> ExactMatrix:
@@ -194,30 +231,33 @@ def build_sun_matrix(p, d: int) -> ExactMatrix:
 
 def c_polynomial(p) -> UniPoly:
     """C(x) = det[x + ((j-i)/p)], exact (PrimeContext.cx); raises
-    RuntimeError if its two routes disagree."""
+    RuntimeError if its routes disagree."""
     ctx = _context(p)
-    poly, sym = ctx.cx
-    if sym != poly:
-        raise RuntimeError(f"symbolic and interpolated C(x) disagree for p={ctx.p}")
+    poly, other, note = ctx.cx
+    if other != poly:
+        raise RuntimeError(f"{note} for p={ctx.p}")
     return poly
 
 
 def verify_theorem(p) -> CheckResult:
-    """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a.  If the
-    two routes to C(x) disagree, the check fails with both on its left side."""
+    """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a.  If two
+    routes to C(x) disagree, the check fails with both on its left side."""
     ctx = _context(p)
-    poly, sym = ctx.cx
+    poly, other, note = ctx.cx
     rhs = UniPoly.constant(1) if ctx.p.mod4 == 3 else UniPoly((-ctx.unit.a, ctx.chi[2] * ctx.p * ctx.unit.b))
-    if sym != poly:
-        return _result("theorem_cx", ctx.p, (poly, sym), rhs, "interpolated and symbolic C(x) disagree")
-    return _result("theorem_cx", ctx.p, poly, rhs)
+    return _result("theorem_cx", ctx.p, poly if other == poly else (poly, other), rhs, note)
 
 
 def verify_evil(p) -> CheckResult:
-    """det[( (j-i)/p )] = 1 (p = 3 mod 4) or -a_p (p = 1 mod 4)."""
+    """det[( (j-i)/p )] = 1 (p = 3 mod 4) or -a_p (p = 1 mod 4).  If the
+    Toeplitz and dense routes to it disagree (p <= 13), the check fails
+    with both on its left side."""
     ctx = _context(p)
+    (c0, _), (d0, _) = ctx.evil_dets
     rhs = Fraction(1) if ctx.p.mod4 == 3 else -ctx.unit.a
-    return _result("evil_det", ctx.p, Fraction(ctx.evil_dets[0]), rhs)
+    if c0 != d0:
+        return _result("evil_det", ctx.p, (Fraction(c0), Fraction(d0)), rhs, "Toeplitz and dense det C disagree")
+    return _result("evil_det", ctx.p, Fraction(c0), rhs)
 
 
 def verify_adj_sum(p) -> CheckResult:
@@ -228,7 +268,7 @@ def verify_adj_sum(p) -> CheckResult:
     mismatch fails the check with both sums on its left side.
     """
     ctx = _context(p)
-    c0, c1 = ctx.evil_dets
+    (c0, c1), _ = ctx.evil_dets
     s = c1 - c0
     rhs = Fraction(0) if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b
     t = sum(sum(row) for row in ctx.evil_adjugate.entries) if ctx.p <= 13 else s
@@ -404,10 +444,20 @@ def verify_f1f2(p) -> CheckResult:
 # -- classical companions ------------------------------------------------------
 
 def verify_carlitz(p) -> CheckResult:
-    """det[( (j-i)/p )]_{1<=i,j<=p-1} = p^((p-3)/2)."""
+    """det[( (j-i)/p )]_{1<=i,j<=p-1} = p^((p-3)/2).
+
+    The left side is det_toeplitz of T = [((j-i-1)/p)], 0 <= i, j < p-1,
+    which has the same determinant and a nonzero diagonal t_0 = (-1/p).
+    Let A = [((j-i)/p)], 0 <= i, j < p, the circulant whose rows sum to 0.
+    The Carlitz matrix is A without row 0 and column 0, and T is A without
+    row 0 and column p-1.  In T, add columns 1..p-2 to column 0: it becomes
+    minus column p-1 of A, as the rows sum to 0.  Moving that column to the
+    end takes p-2 transpositions, an odd number, which cancels the minus
+    sign and leaves the Carlitz matrix.
+    """
     ctx = _context(p)
     p = ctx.p
-    return _result("carlitz", p, det_bareiss(build_carlitz_matrix(ctx)), p ** ((p - 3) // 2))
+    return _result("carlitz", p, det_toeplitz(carlitz_toeplitz(ctx), p - 1), p ** ((p - 3) // 2))
 
 
 def verify_sun_congruence(p, d: int) -> CheckResult:

@@ -5,10 +5,13 @@ it is a field, chosen at matrix construction time.  Elements carry their own
 +, -, *, == and an exact / through operator overloading (Fractions, UniPoly,
 CycloElem; ints divide inline), so the matrix code never dispatches on type.
 
-Determinants come in two flavors: fraction-free Bareiss elimination for
+Determinants come in three flavors: fraction-free Bareiss elimination for
 integral domains (integers, polynomials) and ordinary Gaussian elimination
-with exact division over fields (rationals, cyclotomics); the two share one
-row-swap pivot search.  det_mod_p, for when only the residue mod p of an
+with exact division over fields (rationals, cyclotomics), the two sharing
+one row-swap pivot search, and det_toeplitz, fraction-free Levinson-Trench
+in O(k^2) integer operations on the 2k-1 diagonals of an integer Toeplitz
+matrix, which hands the explicit matrix to Bareiss when a leading minor it
+must divide by vanishes.  det_mod_p, for when only the residue mod p of an
 integer determinant is wanted, eliminates over F_p on rows packed one per
 integer, with delayed reduction.  The one adjugate is fraction-free
 Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant; a
@@ -169,6 +172,15 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
     return sign
 
 
+def _det_rows(a: list, ring: Ring):
+    """Determinant of the square list of rows a, which _bareiss overwrites."""
+    sign = _bareiss(a, len(a), ring, jordan=False)
+    if sign == 0:
+        return ring.zero
+    det = a[-1][-1]
+    return det if sign == 1 else -det
+
+
 def det_bareiss(m: ExactMatrix):
     """Exact determinant by one-step fraction-free elimination.
 
@@ -177,12 +189,65 @@ def det_bareiss(m: ExactMatrix):
     polynomial rings with no rational intermediates.
     """
     _require_square(m)
-    a = [list(row) for row in m.entries]
-    sign = _bareiss(a, m.rows, m.ring, jordan=False)
-    if sign == 0:
-        return m.ring.zero
-    det = a[-1][-1]
-    return det if sign == 1 else -det
+    return _det_rows([list(row) for row in m.entries], m.ring)
+
+
+def det_toeplitz(t, k: int) -> int:
+    """det T for the k x k integer Toeplitz matrix T[i][j] = t[j - i + k - 1],
+    that is, t lists the 2k-1 diagonal values t_(1-k), ..., t_(k-1) in order.
+
+    Fraction-free Levinson-Trench (Trench, J. SIAM 12, 1964; Bareiss,
+    Numer. Math. 13, 1969), O(k^2) integer operations.  Let T_j be the
+    leading j x j block, D_j = det T_j with D_0 = 1, and F, B the first and
+    last columns of adj(T_j), both [1] at j = 1.  Rows 1..j and columns
+    1..j of T_(j+1) are T_j again, so with E_f = (row j of T_(j+1)) [F; 0]
+    and E_b = (row 0 of T_(j+1)) [0; B],
+
+        T_(j+1) [F; 0] = D_j e_0 + E_f e_j,  T_(j+1) [0; B] = E_b e_0 + D_j e_j.
+
+    So v = D_j [F; 0] - E_f [0; B] has T_(j+1) v = (D_j^2 - E_f E_b) e_0,
+    and multiplying by adj(T_(j+1)) gives D_(j+1) v = (D_j^2 - E_f E_b)
+    F_(j+1).  Entry 0 of F_(j+1) is its (0, 0) cofactor D_j, and entry 0 of
+    v is D_j D_(j-1) for the same reason.  So, where no D vanishes (generic
+    t), and likewise for B,
+
+        D_(j+1) = (D_j^2 - E_f E_b) / D_(j-1),
+        F_(j+1) = (D_j [F; 0] - E_f [0; B]) / D_(j-1),
+        B_(j+1) = (D_j [0; B] - E_b [F; 0]) / D_(j-1).
+
+    These are identities between polynomials in the t's, so they hold
+    whenever D_(j-1) != 0.  Each quotient is a minor of T, and an inline
+    divmod raises ArithmeticError on a remainder, as in _bareiss.  When a
+    divisor D_(j-1) is 0 the step does not exist, and the explicit matrix
+    goes to _bareiss, which pivots.
+    """
+    if k < 1:
+        raise ValueError(f"Toeplitz determinant of order {k}")
+    if len(t) != 2 * k - 1:
+        raise ValueError(f"a {k}x{k} Toeplitz matrix has {2 * k - 1} diagonals, got {len(t)}")
+    c = k - 1  # t[c + d] is t_d
+    prev, det = 1, t[c]
+    f = b = [1]
+    for j in range(1, k):
+        if not prev:
+            return _det_rows([[t[c + col - row] for col in range(k)] for row in range(k)], ZZ)
+        ef = sum(t[c + i - j] * x for i, x in enumerate(f))
+        eb = sum(t[c + i + 1] * y for i, y in enumerate(b))
+        nxt, r = divmod(det * det - ef * eb, prev)
+        if r:
+            raise ArithmeticError(f"inexact integer division by {prev}")
+        if j < k - 1:
+            nf, nb = [], []
+            for x, y in zip(f + [0], [0] + b):
+                qf, rf = divmod(det * x - ef * y, prev)
+                qb, rb = divmod(det * y - eb * x, prev)
+                if rf or rb:
+                    raise ArithmeticError(f"inexact integer division by {prev}")
+                nf.append(qf)
+                nb.append(qb)
+            f, b = nf, nb
+        prev, det = det, nxt
+    return det
 
 
 def det_mod_p(m: ExactMatrix, p: int) -> int:

@@ -160,6 +160,11 @@ def rand_int_rows(rng, k, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)]
 
 
+def toeplitz_matrix(t, k):
+    """The k x k integer matrix [t_(j-i)] from its diagonals t_(1-k), ..., t_(k-1)."""
+    return ExactMatrix(ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
+
+
 def euclid_inverse(a):
     """Inverse of a nonzero CycloElem by extended Euclid against 1 + x + ... + x^(p-1)."""
     p = a.p

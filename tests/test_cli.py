@@ -8,8 +8,10 @@ import sys
 import pytest
 
 from helpers import parse_value
-from legdet import cli
+from legdet import cli, identities
+from legdet.exact import UniPoly
 from legdet.identities import CheckResult, VerificationReport
+from legdet.linalg import det_bareiss
 from legdet.render import format_value
 
 
@@ -26,6 +28,23 @@ def test_cx_command():
     assert r.returncode == 0
     assert r.stdout == "-65*x - 18\n"
     assert run_cli("cx", "--p", "7").stdout == "1\n"
+
+
+def test_cx_command_reports_route_disagreement(monkeypatch, capsys):
+    """With the symbolic QQ[x] determinant shifted, cx prints nothing on
+    stdout, both polynomials on stderr, and exits 1 instead of raising.
+    Above p = 13 only the Toeplitz route runs, so the output stands."""
+    def shifted(m):
+        d = det_bareiss(m)
+        return d + m.ring.one if isinstance(d, UniPoly) else d
+
+    monkeypatch.setattr(identities, "det_bareiss", shifted)
+    assert cli.main(["cx", "--p", "13"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "Toeplitz and symbolic C(x) disagree for p=13: -65*x - 18 ; -65*x - 17\n"
+    assert cli.main(["cx", "--p", "17"]) == 0
+    assert capsys.readouterr().out == "17*x - 4\n"
 
 
 def test_cx_rejects_non_prime():
@@ -102,10 +121,12 @@ def test_lemma_uv_json_golden_report(capsys):
     ("verify --pmax 13 --format csv", "79d4cafb2e316d668bc934fd5dbe7e2322a25e7c7c55c7ace48c6020738234df"),
     ("cx --p 13", "0f1dcb27c7f93408f1d91665852734c48faae0697b6bac3404ea19de6f63d7e2"),
     ("unit --p 229", "e0e173426f19205288341d9e534a5cc39106c1033e93169d6423f5935d58aba4"),
-], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit"])
+    ("verify --pmax 160 --format json", "9c9aa96f80e7a3785cb94d71c2a088048045bda4a77db19058f1fcc6af50d365"),
+], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit", "verify-160"])
 def test_report_golden_digests(capsys, argv, digest):
     """The bytes of every other report command.  Text reports of decomp,
-    carlitz and sun carry the elapsed time, so their JSON or CSV is pinned."""
+    carlitz and sun carry the elapsed time, so their JSON or CSV is pinned.
+    The pmax-160 report pins the Toeplitz determinants up to k = 158."""
     assert cli.main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -34,7 +34,7 @@ from legdet.identities import (
     verify_sun_congruence,
     verify_theorem,
 )
-from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_p
+from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_p, det_toeplitz
 from legdet.ntheory import legendre, odd_primes_upto
 from legdet.render import format_value
 
@@ -334,10 +334,17 @@ def test_wrong_residue_fails_sun_congruence(monkeypatch):
 
 
 def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
-    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + 1)
-    for p in (7, 13):
+    """det_toeplitz + 1 shifts Carlitz by one and C(1), C(-1) by one each,
+    hence C(0) by one.  At p <= 13 the dense det C disagrees too, and
+    evil_det fails with both values on its left side."""
+    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + 1)
+    for p in (7, 13, 17, 19):
         for r in (verify_carlitz(p), verify_evil(p)):
             assert r.passed is False and r.lhs != r.rhs
+    assert (verify_carlitz(7).lhs, verify_carlitz(7).rhs) == ("50", "49")
+    r = verify_evil(13)
+    assert (r.lhs, r.rhs, r.detail) == ("-17 ; -18", "-18", "Toeplitz and dense det C disagree")
+    assert (verify_evil(17).lhs, verify_evil(17).rhs) == ("-3", "-4")
 
 
 def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
@@ -348,20 +355,25 @@ def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
 
 
 def test_wrong_determinant_fails_theorem(monkeypatch):
-    """det_bareiss + 1 on every matrix also shifts the symbolic C(x) at
-    p <= 13 by one, so the interpolation cross-check agrees and the
-    closed-form comparison is what fails."""
-    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + m.ring.one)
+    """det_toeplitz + 1 on both C + J and C - J shifts C(x) by the constant
+    1.  At p <= 13 the dense route then disagrees and the check fails with
+    both polynomials; above 13 the closed-form comparison is what fails."""
+    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + 1)
     for p in (7, 13, 17, 19):
         r = verify_theorem(p)
         assert r.passed is False and r.lhs != r.rhs
+    r = verify_theorem(13)
+    assert (r.lhs, r.rhs, r.detail) == (
+        "-65*x - 17 ; -65*x - 18", "-65*x - 18", "Toeplitz and dense C(x) disagree")
+    r = verify_theorem(17)
+    assert (r.lhs, r.rhs, r.detail) == ("17*x - 3", "17*x - 4", "")
 
 
 def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
-    """A shift of the QQ[x] determinant alone splits the two routes to C(x)
-    at p <= 13.  theorem_cx then fails with both on its left side, and the
-    suite runs on; c_polynomial, behind the cx command, still raises.  Above
-    p = 13 only the interpolation runs, so the check passes."""
+    """A shift of the QQ[x] determinant alone splits the Toeplitz and
+    symbolic routes to C(x) at p <= 13.  theorem_cx then fails with both on
+    its left side, and the suite runs on; c_polynomial still raises.  Above
+    p = 13 only the Toeplitz route runs, so the check passes."""
     def shifted(m):
         d = det_bareiss(m)
         return d + m.ring.one if isinstance(d, UniPoly) else d
@@ -370,7 +382,7 @@ def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
     r = verify_theorem(13)
     assert r.passed is False
     assert (r.lhs, r.rhs, r.detail) == (
-        "-65*x - 18 ; -65*x - 17", "-65*x - 18", "interpolated and symbolic C(x) disagree")
+        "-65*x - 18 ; -65*x - 17", "-65*x - 18", "Toeplitz and symbolic C(x) disagree")
     assert verify_theorem(17).passed
     report = run_suite(13, SuiteOptions(uv_trials=1))
     failed = [c for c in report.checks if not c.passed]
@@ -382,20 +394,58 @@ def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
 
 
 def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
-    """det_bareiss + 1 on every matrix cancels in det(C + J) - det C, so this
-    control shifts det(C + J) alone: the only matrix here with no negative
-    entry.  Above p = 13 the check fails; at p <= 13 the adjugate
-    cross-check also disagrees, and the check fails with both sums."""
-    def bumped(m):
-        return det_bareiss(m) + (min(min(row) for row in m.entries) >= 0)
+    """det_toeplitz + 1 on every matrix cancels in C(1) - C(0), so this
+    control shifts C(1) = det(C + J) alone, the only Toeplitz matrix here
+    with no negative diagonal.  The shift is 2, which keeps C(1) + C(-1)
+    even and moves C(1) - C(0) by one.  Above p = 13 the check fails; at
+    p <= 13 the adjugate cross-check also disagrees, and the check fails
+    with both sums."""
+    def bumped(t, k):
+        return det_toeplitz(t, k) + 2 * (min(t) >= 0)
 
-    monkeypatch.setattr(identities, "det_bareiss", bumped)
+    monkeypatch.setattr(identities, "det_toeplitz", bumped)
     for p in (17, 19):
         r = verify_adj_sum(p)
         assert r.passed is False and r.lhs != r.rhs
     r = verify_adj_sum(13)
     assert r.passed is False
     assert (r.lhs, r.rhs, r.detail) == ("-64 ; -65", "-65", "determinant-lemma and adjugate sums disagree")
+
+
+def test_odd_toeplitz_sum_raises(monkeypatch):
+    """C(1) + C(-1) = 2 C(0) is even; a shift of C(1) by one makes it odd,
+    and evil_dets raises instead of flooring."""
+    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + (min(t) >= 0))
+    for p in (7, 17):
+        with pytest.raises(ArithmeticError, match="odd"):
+            verify_evil(p)
+
+
+def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
+    """The p <= 13 cross-check by det_bareiss of C and C + J.  Shifting
+    det C there fails evil_det and theorem_cx, each with both values on its
+    left side; shifting det(C + J) alone leaves det C right, so only
+    theorem_cx fails.  Neither raises, and above 13 nothing changes."""
+    def shifted(which):
+        def det(m):
+            d = det_bareiss(m)
+            return d + 1 if m.ring is ZZ and which(m) else d
+        return det
+
+    monkeypatch.setattr(identities, "det_bareiss", shifted(lambda m: min(map(min, m.entries)) < 0))
+    r = verify_evil(13)
+    assert (r.passed, r.lhs, r.rhs, r.detail) == (False, "-18 ; -17", "-18", "Toeplitz and dense det C disagree")
+    r = verify_theorem(13)
+    assert (r.passed, r.lhs, r.rhs, r.detail) == (
+        False, "-65*x - 18 ; -66*x - 17", "-65*x - 18", "Toeplitz and dense C(x) disagree")
+    assert verify_evil(17).passed and verify_theorem(17).passed
+
+    monkeypatch.setattr(identities, "det_bareiss", shifted(lambda m: min(map(min, m.entries)) >= 0))
+    assert verify_evil(13).passed
+    r = verify_theorem(13)
+    assert (r.passed, r.lhs, r.detail) == (False, "-65*x - 18 ; -64*x - 18", "Toeplitz and dense C(x) disagree")
+    report = run_suite(13, SuiteOptions(uv_trials=1))
+    assert [(c.name, c.p) for c in report.checks if not c.passed] == [("theorem_cx", p) for p in (3, 5, 7, 11, 13)]
 
 
 def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
@@ -418,32 +468,40 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
-    """One context per prime: det C, det(C + J), a_p/b_p and Vsemirnov's
-    U, V, D are each computed once, however many checks read them.  A
-    direct call builds its own context, so nothing is kept between calls."""
-    calls = {"det_bareiss": [], "ab_coeffs": [], "build_vsemirnov_matrices": []}
+    """One context per prime: C(1), C(-1), a_p/b_p and Vsemirnov's U, V, D
+    are each computed once, however many checks read them, and so are the
+    p <= 13 cross-checks det C, det(C + J) and the symbolic C(x).  A direct
+    call builds its own context, so nothing is kept between calls."""
+    calls = {"det_toeplitz": [], "det_bareiss": [], "ab_coeffs": [], "build_vsemirnov_matrices": []}
 
     def count(name, key):
         fn = getattr(identities, name)
 
-        def counted(arg):
-            calls[name].append(key(arg))
-            return fn(arg)
+        def counted(*args):
+            calls[name].append(key(*args))
+            return fn(*args)
 
         monkeypatch.setattr(identities, name, counted)
 
-    count("det_bareiss", lambda m: m.rows)
+    count("det_toeplitz", lambda t, k: (k, t[k - 1]))  # order and diagonal t_0
+    count("det_bareiss", lambda m: (m.rows, m.ring.name))
     count("ab_coeffs", int)
     count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
     assert calls["ab_coeffs"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
-    # per prime det C, det(C + J) and Carlitz, plus the symbolic C(x) at p <= 13
-    assert len(calls["det_bareiss"]) == 3 * len(odd_primes_upto(29)) + 5
+    # per prime C + J, C - J and the Carlitz T, whose t_0 is (-1/p)
+    primes = odd_primes_upto(29)
+    assert calls["det_toeplitz"] == [
+        call for p in primes for call in (((p + 1) // 2, 1), ((p + 1) // 2, -1), (p - 1, legendre(-1, p)))]
+    assert calls["det_bareiss"] == [
+        ((p + 1) // 2, ring) for p in primes if p <= 13 for ring in ("ZZ", "ZZ", "QQ[x]")]
 
-    calls["det_bareiss"].clear()
+    for name in ("det_toeplitz", "det_bareiss"):
+        calls[name].clear()
     c_polynomial(5)
     c_polynomial(5)
-    assert calls["det_bareiss"] == [3, 3, 3] * 2
+    assert calls["det_toeplitz"] == [(3, 1), (3, -1)] * 2
+    assert calls["det_bareiss"] == [(3, "ZZ"), (3, "ZZ"), (3, "QQ[x]")] * 2
 
 
 def test_check_names_sort_in_numeric_order():

@@ -4,10 +4,17 @@ from math import gcd
 
 import pytest
 
-from helpers import cofactor_adjugate, det_mod_p_lists, naive_adjugate, naive_det, rand_int_rows
+from helpers import cofactor_adjugate, det_mod_p_lists, naive_adjugate, naive_det, rand_int_rows, toeplitz_matrix
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
-from legdet.identities import build_evil_matrix, build_sun_matrix
+from legdet import linalg
+from legdet.identities import (
+    build_carlitz_matrix,
+    build_evil_matrix,
+    build_sun_matrix,
+    carlitz_toeplitz,
+    evil_toeplitz,
+)
 from legdet.linalg import (
     QQ,
     ZZ,
@@ -18,6 +25,7 @@ from legdet.linalg import (
     det_bareiss,
     det_field,
     det_mod_p,
+    det_toeplitz,
     poly_ring,
     quadratic_form_adjugate,
 )
@@ -348,3 +356,70 @@ def test_first_diff_and_submatrix():
     assert a.first_diff(a) is None
     assert a.first_diff(b) == (1, 1)
     assert a.submatrix(0, 1) == ExactMatrix(ZZ, [[3]])
+
+
+def test_det_toeplitz_matches_bareiss_on_random_matrices(monkeypatch):
+    """Seeded integer Toeplitz matrices, k <= 9, entries in [-2, 2].  Small
+    entries make leading minors vanish often, so both the Levinson-Trench
+    steps and the Bareiss fallback are exercised, and each is counted."""
+    fallbacks = []
+    det_rows = linalg._det_rows
+
+    def counted(a, ring):
+        fallbacks.append(len(a))
+        return det_rows(a, ring)
+
+    rng = random.Random(12)
+    singular = fast = 0
+    for _ in range(600):
+        k = rng.randint(1, 9)
+        t = [rng.randint(-2, 2) for _ in range(2 * k - 1)]
+        before = len(fallbacks)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_det_rows", counted)
+            got = det_toeplitz(t, k)
+        det = det_bareiss(toeplitz_matrix(t, k))
+        assert got == det, (t, k)
+        fast += len(fallbacks) == before
+        singular += det == 0
+    assert len(fallbacks) > 50 and fast > 300 and singular > 20
+    assert set(fallbacks) >= set(range(3, 10))
+
+
+def test_det_toeplitz_small_cases_and_errors():
+    assert det_toeplitz([5], 1) == 5
+    assert det_toeplitz([0], 1) == 0
+    # [[t0, t1], [t-1, t0]]
+    assert det_toeplitz([3, 2, 7], 2) == 2 * 2 - 7 * 3
+    # t_0 = 0: D_1 vanishes and the fallback pivots
+    assert det_toeplitz([1, 0, 1], 2) == -1
+    assert det_toeplitz([2, 0, 1, 0, 3], 3) == det_bareiss(toeplitz_matrix([2, 0, 1, 0, 3], 3))
+    with pytest.raises(ValueError):
+        det_toeplitz([1, 2], 2)
+    with pytest.raises(ValueError):
+        det_toeplitz([], 0)
+    with pytest.raises(ArithmeticError):
+        det_toeplitz([1, Fraction(1, 2), 1], 2)
+
+
+def test_det_toeplitz_agrees_on_carlitz_and_evil_without_fallback(monkeypatch):
+    """For every odd p <= 100: T = [((j-i-1)/p)] against the Carlitz matrix
+    and against T itself by Bareiss, and C +- J against Bareiss.  The
+    Toeplitz runs have the fallback disabled: no leading minor vanishes."""
+    def forbidden(a, ring):
+        raise AssertionError(f"fallback on a {len(a)}x{len(a)} matrix")
+
+    for p in odd_primes_upto(100):
+        n = (p - 1) // 2
+        t = carlitz_toeplitz(p)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "_det_rows", forbidden)
+            carlitz = det_toeplitz(t, p - 1)
+            plus = det_toeplitz(evil_toeplitz(p, 1), n + 1)
+            minus = det_toeplitz(evil_toeplitz(p, -1), n + 1)
+        assert carlitz == p ** ((p - 3) // 2)
+        assert det_bareiss(build_carlitz_matrix(p)) == carlitz
+        assert det_bareiss(toeplitz_matrix(t, p - 1)) == carlitz
+        c = build_evil_matrix(p)
+        for x, det in ((1, plus), (-1, minus)):
+            assert det_bareiss(ExactMatrix(ZZ, [[e + x for e in row] for row in c.entries])) == det
