@@ -11,8 +11,7 @@ Cases:
   toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
            matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
            C + J and C - J for the evil matrix C at p = 401; one sample is
-           one determinant, or both of C +- J.  A checkout without
-           det_toeplitz gets the det_bareiss cases only.
+           one determinant, or both of C +- J.
 
 Each case is sampled 9 times in this one process, the samples taken round
 the cases, and reported as seconds per call: the median of the samples, and
@@ -96,33 +95,30 @@ def det_mod_p_cases(legdet, quick: bool) -> dict:
 
 
 def toeplitz_cases(legdet, quick: bool) -> dict:
-    """Diagonals t_(1-k), ..., t_(k-1) of each matrix, built here from
-    legendre so that a checkout without the Toeplitz builders runs too."""
-    legendre = legdet.ntheory.legendre
-    inputs = [(f"carlitz T p={p}", [[legendre(d - 1, p) for d in range(2 - p, p - 1)]])
+    """Diagonals t_(1-k), ..., t_(k-1) of each matrix, from the builders
+    that the Carlitz and C(x) checks use."""
+    ids = legdet.identities
+    inputs = [(f"carlitz T p={p}", [ids.carlitz_toeplitz(p)])
               for p in (CARLITZ_PRIMES[:1] if quick else CARLITZ_PRIMES)]
     p = CARLITZ_PRIMES[0] if quick else EVIL_PRIME
-    n = (p - 1) // 2
-    inputs.append((f"C +- J p={p}", [[legendre(d, p) + x for d in range(-n, n + 1)] for x in (1, -1)]))
-    fast = getattr(legdet.linalg, "det_toeplitz", None)
+    inputs.append((f"C +- J p={p}", [ids.evil_toeplitz(p, x) for x in (1, -1)]))
     out = {}
     for name, ts in inputs:
         k = (len(ts[0]) + 1) // 2
         mats = [legdet.linalg.ExactMatrix(legdet.linalg.ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
                 for t in ts]
-        if fast is not None:
-            def run(ts=ts, k=k):
-                for t in ts:
-                    fast(t, k)
-                return len(ts)
 
-            out[f"det_toeplitz {name}"] = run
+        def run(ts=ts, k=k):
+            for t in ts:
+                legdet.linalg.det_toeplitz(t, k)
+            return len(ts)
 
         def run_dense(mats=mats):
             for m in mats:
                 legdet.linalg.det_bareiss(m)
             return len(mats)
 
+        out[f"det_toeplitz {name}"] = run
         out[f"det_bareiss {name}"] = run_dense
     return out
 
@@ -170,7 +166,6 @@ def main(argv=None) -> int:
     import legdet.cyclotomic
     import legdet.identities
     import legdet.linalg
-    import legdet.ntheory
 
     cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick),
                      **toeplitz_cases(legdet, args.quick)}, repeats)

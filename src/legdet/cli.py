@@ -119,10 +119,9 @@ def emit_report(report: VerificationReport, fmt: str, out) -> None:
 
 def _dispatch(args, out) -> int:
     if args.command == "cx":
-        ctx = PrimeContext(args.p)
-        poly, other, note = ctx.cx
+        poly, other, note = PrimeContext(args.p).routes["theorem_cx"]
         if other != poly:
-            print(f"{note} for p={ctx.p}: {format_poly(poly)} ; {format_poly(other)}", file=sys.stderr)
+            print(f"{note} for p={args.p}: {format_value((poly, other))}", file=sys.stderr)
             return 1
         out.write(format_poly(poly) + "\n")
         return 0

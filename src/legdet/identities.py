@@ -9,11 +9,11 @@ oracles in quadfield, and cyclotomic products expanded term by term in
 Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
-matrix, its determinants and C(x), the unit coefficients, Vsemirnov's U, V
-and the diagonal of D, and the cyclotomic inverses) live on a PrimeContext
-and are computed on first use.  run_suite hands one context per prime to
-every check; a check called with a plain integer builds its own, so nothing
-outlives it.
+matrix, the routes record of det C, C(x) and u^T adj(C) u with their second
+routes, n! mod p, the unit coefficients, Vsemirnov's U, V and the diagonal of
+D, and the cyclotomic inverses) live on a PrimeContext and are computed on
+first use.  run_suite hands one context per prime to every check; a check
+called with a plain integer builds its own, so nothing outlives it.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
 exact values (see render).  run_suite composes every applicable check over a
@@ -106,7 +106,9 @@ def _result(name: str, p, lhs, rhs, detail: str = "") -> CheckResult:
 
 class PrimeContext:
     """The values that several checks at one odd prime p share, each one
-    computed on first use and then kept for the life of the context."""
+    computed on first use and then kept for the life of the context.
+    routes holds the evil_det, theorem_cx and adj_sum values, each beside
+    its second route, for _two_routes to compare."""
 
     def __init__(self, p):
         self.p = OddPrime(p)
@@ -122,45 +124,48 @@ class PrimeContext:
         return build_evil_matrix(self)
 
     @cached_property
-    def evil_dets(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        """(C(0), C(1)) = (det C, det(C + J)) for the evil matrix C, J all
-        ones, twice.  First from the Toeplitz determinants of C + J and
-        C - J, whose diagonals are 1 and -1: C(x) = det(C + xJ) is linear in
-        x (a rank-one update), so C(0) = (C(1) + C(-1)) / 2.  Then, for
-        p <= 13, by det_bareiss of C and C + J; above 13 the first pair
-        again."""
+    def routes(self) -> dict[str, tuple]:
+        """The values of the three two-route checks, each recorded as
+        (value, second route, note), the note naming the routes if they
+        disagree.  The values come from the Toeplitz determinants of C + J
+        and C - J, whose diagonals are 1 and -1: C(x) = det(C + xJ) is
+        linear in x (a rank-one update), so C(0) = (C(1) + C(-1)) / 2 and
+        the slope u^T adj(C) u is C(1) - C(0) by the determinant lemma.
+        For p <= 13 the second routes are det_bareiss of C for det C, the
+        C(x) of det_bareiss of C and C + J or, if that agrees, the
+        symbolic determinant over QQ[x], and the adjugate's entry sum for
+        the slope; above 13 each value is its own second route."""
         k = self.p.n + 1
         c1 = det_toeplitz(evil_toeplitz(self, 1), k)
         c0, r = divmod(c1 + det_toeplitz(evil_toeplitz(self, -1), k), 2)
         if r:
             raise ArithmeticError(f"C(1) + C(-1) = {2 * c0 + 1} is odd for p={self.p}")
-        if self.p > 13:
-            return (c0, c1), (c0, c1)
-        c = self.evil
-        dense = det_bareiss(c), det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries]))
-        return (c0, c1), dense
-
-    @cached_property
-    def cx(self) -> tuple[UniPoly, UniPoly, str]:
-        """C(x), a second route to it and, if the two disagree, a note
-        naming them.  The first is interpolated from the Toeplitz pair in
-        evil_dets.  For p <= 13 the second is the one from the dense pair if
-        that disagrees, else the symbolic determinant over QQ[x]; above 13
-        it is the first again."""
-        (c0, c1), (d0, d1) = self.evil_dets
         poly = UniPoly((c0, c1 - c0))
+        values = {"evil_det": c0, "theorem_cx": poly, "adj_sum": c1 - c0}
         if self.p > 13:
-            return poly, poly, ""
-        dense = UniPoly((d0, d1 - d0))
-        if dense != poly:
-            return poly, dense, "Toeplitz and dense C(x) disagree"
-        sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in self.evil.entries])
-        sym = det_bareiss(sym)
-        return poly, sym, "" if sym == poly else "Toeplitz and symbolic C(x) disagree"
+            return {name: (v, v, "") for name, v in values.items()}
+        c = self.evil
+        d0 = det_bareiss(c)
+        dense = UniPoly((d0, det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries])) - d0))
+        cx = dense, "Toeplitz and dense C(x) disagree"
+        if dense == poly:
+            sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in c.entries])
+            cx = det_bareiss(sym), "Toeplitz and symbolic C(x) disagree"
+        return {
+            "evil_det": (c0, d0, "Toeplitz and dense det C disagree"),
+            "theorem_cx": (poly, *cx),
+            "adj_sum": (c1 - c0, sum(map(sum, self.evil_adjugate.entries)),
+                        "determinant-lemma and adjugate sums disagree"),
+        }
 
     @cached_property
     def evil_adjugate(self) -> ExactMatrix:
         return adjugate(self.evil)
+
+    @cached_property
+    def n_factorial(self) -> int:
+        """n! mod p, the factor of every Sun congruence at p."""
+        return factorial_mod(self.p.n, self.p)
 
     @cached_property
     def unit(self) -> UnitData:
@@ -230,51 +235,43 @@ def build_sun_matrix(p, d: int) -> ExactMatrix:
 # -- C(x) and the main theorem -----------------------------------------------
 
 def c_polynomial(p) -> UniPoly:
-    """C(x) = det[x + ((j-i)/p)], exact (PrimeContext.cx); raises
+    """C(x) = det[x + ((j-i)/p)], exact (PrimeContext.routes); raises
     RuntimeError if its routes disagree."""
     ctx = _context(p)
-    poly, other, note = ctx.cx
+    poly, other, note = ctx.routes["theorem_cx"]
     if other != poly:
         raise RuntimeError(f"{note} for p={ctx.p}")
     return poly
 
 
+def _two_routes(ctx: PrimeContext, name: str, rhs) -> CheckResult:
+    """The check name against rhs, its left side read from ctx.routes: the
+    one value if both routes agree, else both values, with the record's
+    note as the detail, and the check fails."""
+    value, other, note = ctx.routes[name]
+    if other == value:
+        return _result(name, ctx.p, value, rhs)
+    return _result(name, ctx.p, (value, other), rhs, note)
+
+
 def verify_theorem(p) -> CheckResult:
-    """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a.  If two
-    routes to C(x) disagree, the check fails with both on its left side."""
+    """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a."""
     ctx = _context(p)
-    poly, other, note = ctx.cx
     rhs = UniPoly.constant(1) if ctx.p.mod4 == 3 else UniPoly((-ctx.unit.a, ctx.chi[2] * ctx.p * ctx.unit.b))
-    return _result("theorem_cx", ctx.p, poly if other == poly else (poly, other), rhs, note)
+    return _two_routes(ctx, "theorem_cx", rhs)
 
 
 def verify_evil(p) -> CheckResult:
-    """det[( (j-i)/p )] = 1 (p = 3 mod 4) or -a_p (p = 1 mod 4).  If the
-    Toeplitz and dense routes to it disagree (p <= 13), the check fails
-    with both on its left side."""
+    """det[( (j-i)/p )] = 1 (p = 3 mod 4) or -a_p (p = 1 mod 4)."""
     ctx = _context(p)
-    (c0, _), (d0, _) = ctx.evil_dets
-    rhs = Fraction(1) if ctx.p.mod4 == 3 else -ctx.unit.a
-    if c0 != d0:
-        return _result("evil_det", ctx.p, (Fraction(c0), Fraction(d0)), rhs, "Toeplitz and dense det C disagree")
-    return _result("evil_det", ctx.p, Fraction(c0), rhs)
+    return _two_routes(ctx, "evil_det", 1 if ctx.p.mod4 == 3 else -ctx.unit.a)
 
 
 def verify_adj_sum(p) -> CheckResult:
-    """u^T adj(C) u for u all-ones: 0 (p = 3 mod 4) or legendre(2,p)*p*b_p.
-
-    Computed as det(C + J) - det(C) by the matrix determinant lemma; for
-    p <= 13 the entry sum of the Gauss-Jordan adjugate must match, and a
-    mismatch fails the check with both sums on its left side.
-    """
+    """u^T adj(C) u for u all-ones: 0 (p = 3 mod 4) or legendre(2,p)*p*b_p,
+    by the determinant lemma as det(C + J) - det(C)."""
     ctx = _context(p)
-    (c0, c1), _ = ctx.evil_dets
-    s = c1 - c0
-    rhs = Fraction(0) if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b
-    t = sum(sum(row) for row in ctx.evil_adjugate.entries) if ctx.p <= 13 else s
-    if s != t:
-        return _result("adj_sum", ctx.p, (s, t), rhs, "determinant-lemma and adjugate sums disagree")
-    return _result("adj_sum", ctx.p, Fraction(s), rhs)
+    return _two_routes(ctx, "adj_sum", 0 if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b)
 
 
 def verify_minor_antisymmetry(p) -> CheckResult:
@@ -470,7 +467,7 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
     lhs = det_mod_p(build_sun_matrix(ctx, d), p)
-    rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * factorial_mod(p.n, p) % p
+    rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * ctx.n_factorial % p
     width = max(2, len(str(p - 1)))
     return _result(f"sun[d={d:0{width}d}]", p, lhs, rhs)
 

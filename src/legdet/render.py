@@ -6,7 +6,7 @@ check that it loses nothing.  Grammar, by type:
   rational   -18, 3/2, 0
   polynomial -65*x - 18     (descending powers, unit coefficients omitted)
   cyclotomic z - z^2 + 3/2*z^4   (ascending powers of z, zero is "0")
-  quadratic  (3 + sqrt(13))/2, 4 + sqrt(17), 18 + 5*sqrt(13)
+  quadratic  (3 + sqrt(13))/2, 4 + sqrt(17), 18 + 5*sqrt(13), 1/3 + 1/2*sqrt(5)
   compound   v1 ; v2    (joint value of a two-part identity, from a tuple)
 
 Signs are folded into the joining " + " / " - " separators; no other
@@ -62,17 +62,11 @@ def format_cyclo(e: CycloElem) -> str:
 
 
 def format_quad(e: QuadElem) -> str:
-    if e.x.denominator == 1 and e.y.denominator == 1:
-        halves = False
-        a, b = e.x.numerator, e.y.numerator
-    else:
-        halves = True
-        a, b = (2 * e.x).numerator, (2 * e.y).numerator
-    terms = []
-    if a != 0:
-        terms.append((Fraction(a), ""))
-    if b != 0:
-        terms.append((Fraction(b), f"sqrt({e.p})"))
+    """x + y*sqrt(p), written over 2 when 2x and 2y are integers and x or y
+    is not; any other coefficients are printed as rationals."""
+    halves = max(e.x.denominator, e.y.denominator) == 2
+    scale = 2 if halves else 1
+    terms = [(c, sym) for c, sym in ((scale * e.x, ""), (scale * e.y, f"sqrt({e.p})")) if c != 0]
     body = _join_terms(terms)
     return f"({body})/2" if halves else body
 

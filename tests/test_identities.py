@@ -13,6 +13,7 @@ from legdet import cli, identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
+    PrimeContext,
     SuiteOptions,
     _result,
     build_evil_matrix,
@@ -314,7 +315,10 @@ def test_zero_inverse_names_its_field():
 def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     """Negative control: one cofactor off by one must fail the check and name
     the (k, l) pair it breaks.  At p = 7 (n = 3) adj[2, 0] is cofactor C_02,
-    first paired at (k, l) = (0, 2)."""
+    first paired at (k, l) = (0, 2).  The adjugate is also adj_sum's second
+    route at p <= 13: at p = 13 its entry sum moves to -64 and adj_sum fails
+    with both sums, while evil_det and theorem_cx, which never read it,
+    pass; at p = 17 there is no second route to disagree."""
     def bumped(m):
         rows = [list(row) for row in adjugate(m).entries]
         rows[2][0] += 1
@@ -324,6 +328,12 @@ def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     r = verify_minor_antisymmetry(7)
     assert r.passed is False
     assert (r.name, r.lhs, r.rhs, r.detail) == ("minor_antisym", "1", "0", "(k, l) = (0, 2)")
+    ctx = PrimeContext(13)
+    r = verify_adj_sum(ctx)
+    assert (r.passed, r.lhs, r.rhs, r.detail) == (
+        False, "-65 ; -64", "-65", "determinant-lemma and adjugate sums disagree")
+    assert verify_evil(ctx).passed and verify_theorem(ctx).passed
+    assert all(check(17).passed for check in (verify_adj_sum, verify_evil, verify_theorem))
 
 
 def test_wrong_residue_fails_sun_congruence(monkeypatch):
@@ -468,11 +478,12 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
-    """One context per prime: C(1), C(-1), a_p/b_p and Vsemirnov's U, V, D
-    are each computed once, however many checks read them, and so are the
-    p <= 13 cross-checks det C, det(C + J) and the symbolic C(x).  A direct
-    call builds its own context, so nothing is kept between calls."""
-    calls = {"det_toeplitz": [], "det_bareiss": [], "ab_coeffs": [], "build_vsemirnov_matrices": []}
+    """One context per prime: C(1), C(-1), a_p/b_p, n! mod p and Vsemirnov's
+    U, V, D are each computed once, however many checks read them, and so
+    are the p <= 13 cross-checks det C, det(C + J) and the symbolic C(x).
+    A direct call builds its own context, so nothing is kept between calls."""
+    calls = {"det_toeplitz": [], "det_bareiss": [], "ab_coeffs": [], "build_vsemirnov_matrices": [],
+             "factorial_mod": []}
 
     def count(name, key):
         fn = getattr(identities, name)
@@ -487,8 +498,9 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     count("det_bareiss", lambda m: (m.rows, m.ring.name))
     count("ab_coeffs", int)
     count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
+    count("factorial_mod", lambda n, p: int(p))
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
-    assert calls["ab_coeffs"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
+    assert calls["ab_coeffs"] == calls["build_vsemirnov_matrices"] == calls["factorial_mod"] == [5, 13, 17, 29]
     # per prime C + J, C - J and the Carlitz T, whose t_0 is (-1/p)
     primes = odd_primes_upto(29)
     assert calls["det_toeplitz"] == [

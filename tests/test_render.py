@@ -69,6 +69,18 @@ def test_quad_forms():
         assert parse_quad(format_quad(eps)) == eps
 
 
+def test_quad_forms_beyond_halves():
+    """The halves form is only for coordinates in (1/2)Z: thirds, quarters
+    and sixths print as rational coefficients and parse back unchanged."""
+    assert format_quad(QuadElem(Fraction(1, 3), Fraction(1, 2), 5)) == "1/3 + 1/2*sqrt(5)"
+    assert format_quad(QuadElem(Fraction(-1, 6), Fraction(5, 4), 13)) == "-1/6 + 5/4*sqrt(13)"
+    assert format_quad(QuadElem(Fraction(1, 2), Fraction(1), 5)) == "(1 + 2*sqrt(5))/2"
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-7, 6)):
+        for y in (Fraction(1, 3), Fraction(-5, 4), Fraction(1, 6), Fraction(2), Fraction(-1, 2)):
+            e = QuadElem(x, y, 13)
+            assert parse_quad(format_quad(e)) == e
+
+
 def test_parse_value_dispatch():
     assert parse_value("-65*x - 18") == UniPoly((-18, -65))
     assert parse_value("3/2") == Fraction(3, 2)
