@@ -12,6 +12,10 @@ Cases:
            matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
            C + J and C - J for the evil matrix C at p = 401; one sample is
            one determinant, or both of C +- J.
+  det_field legdet.linalg.det_field over QQ on two-vector lemma matrices
+           [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, u and v from seeded
+           identities.random_uv_instance draws of that m; one sample is one
+           pass over a fixed batch of matrices.
 
 Each case is sampled 9 times in this one process, the samples taken round
 the cases, and reported as seconds per call: the median of the samples, and
@@ -26,7 +30,8 @@ BENCH_kernels.json holds a "parent" and a "change" run made with
     python3 bench/kernels.py --label change --out BENCH_kernels.json
 
 --quick runs p = 13 and p = 61 only, with 3 samples of a small batch: a smoke
-test that every case still runs.  Its C +- J case is at p = 61.
+test that every case still runs.  Its C +- J case is at p = 61, its
+det_field case at m = 3.
 """
 
 from __future__ import annotations
@@ -50,6 +55,8 @@ MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
 CARLITZ_PRIMES = (61, 101, 157)
 EVIL_PRIME = 401
+LEMMA_ORDERS = (3, 5, 7)
+LEMMA_BATCH = 50
 
 
 def _vector(rng: random.Random, p: int, bits: int, monomial: bool) -> list[int]:
@@ -123,6 +130,27 @@ def toeplitz_cases(legdet, quick: bool) -> dict:
     return out
 
 
+def det_field_cases(legdet, quick: bool) -> dict:
+    ids = legdet.identities
+    lin = legdet.linalg
+    out = {}
+    for m in LEMMA_ORDERS[:1] if quick else LEMMA_ORDERS:
+        rng = random.Random(m)
+        mats = []
+        while len(mats) < (LEMMA_BATCH // 10 if quick else LEMMA_BATCH):
+            k, u, v = ids.random_uv_instance(rng, m)
+            if k == m:
+                mats.append(lin.ExactMatrix(lin.QQ, [[(ui + vj) / (1 + ui * vj) for vj in v] for ui in u]))
+
+        def run(mats=mats):
+            for mat in mats:
+                lin.det_field(mat)
+            return len(mats)
+
+        out[f"det_field QQ lemma m={m}"] = run
+    return out
+
+
 def measure(cases: dict, repeats: int) -> dict:
     """Seconds per call of each case.  The samples go round the cases, so a
     slow spell of a shared machine lands on every case, not on one."""
@@ -168,7 +196,7 @@ def main(argv=None) -> int:
     import legdet.linalg
 
     cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick),
-                     **toeplitz_cases(legdet, args.quick)}, repeats)
+                     **toeplitz_cases(legdet, args.quick), **det_field_cases(legdet, args.quick)}, repeats)
     for name, c in cases.items():
         print(f"{name:40s} median {c['median_s'] * 1e6:10.1f} us  "
               f"(min {c['min_s'] * 1e6:.1f}, max {c['max_s'] * 1e6:.1f})")

@@ -347,9 +347,9 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
         ((prod(1+u_i)(1+v_i) + (-1)^m prod(1-u_i)(1-v_i)) / 2)
             * prod_{i<j}(u_i-u_j)(v_j-v_i) / prod_{i,j}(1+u_i v_j).
 
-    The left side is det_field over QQ.  The right side is one Fraction of
-    integers: with u_i = a_i/b_i, v_j = c_j/d_j in lowest terms, b, d > 0, and
-    B = prod b_i, D = prod d_j,
+    The left side is det_field over QQ (fraction-free, on integer-scaled
+    rows).  The right side is one Fraction of integers: with u_i = a_i/b_i,
+    v_j = c_j/d_j in lowest terms, b, d > 0, and B = prod b_i, D = prod d_j,
       1 + u_i = (b_i+a_i)/b_i, so prod(1+u_i)(1+v_i) = P/(BD) with
           P = prod(b_i+a_i)(d_i+c_i), and likewise M = prod(b_i-a_i)(d_i-c_i);
       u_i-u_j = (a_i b_j - a_j b_i)/(b_i b_j), v_j-v_i = (c_j d_i - c_i d_j)/(d_i d_j),

@@ -6,22 +6,24 @@ it is a field, chosen at matrix construction time.  Elements carry their own
 CycloElem; ints divide inline), so the matrix code never dispatches on type.
 
 Determinants come in three flavors: fraction-free Bareiss elimination for
-integral domains (integers, polynomials) and ordinary Gaussian elimination
-with exact division over fields (rationals, cyclotomics), the two sharing
-one row-swap pivot search, and det_toeplitz, fraction-free Levinson-Trench
-in O(k^2) integer operations on the 2k-1 diagonals of an integer Toeplitz
-matrix, which hands the explicit matrix to Bareiss when a leading minor it
-must divide by vanishes.  det_mod_p, for when only the residue mod p of an
-integer determinant is wanted, eliminates over F_p on rows packed one per
-integer, with delayed reduction.  The one adjugate is fraction-free
-Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant; a
-singular matrix, over any ring, gets its signed cofactors instead.
+integral domains (integers, polynomials) and for QQ, whose rows it first
+scales to integers, and ordinary Gaussian elimination with exact division
+over the cyclotomic fields, the two sharing one row-swap pivot search, and
+det_toeplitz, fraction-free Levinson-Trench in O(k^2) integer operations on
+the 2k-1 diagonals of an integer Toeplitz matrix, which hands the explicit
+matrix to Bareiss when a leading minor it must divide by vanishes.
+det_mod_p, for when only the residue mod p of an integer determinant is
+wanted, eliminates over F_p on rows packed one per integer, with delayed
+reduction.  The one adjugate is fraction-free Gauss-Jordan on [A | I],
+sharing the Bareiss step with the determinant; a singular matrix, over any
+ring, gets its signed cofactors instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Any
 
 from .cyclotomic import CycloElem
@@ -307,11 +309,17 @@ def det_mod_p(m: ExactMatrix, p: int) -> int:
 
 
 def det_field(m: ExactMatrix):
-    """Exact determinant by Gaussian elimination; the ring must be a field."""
+    """Exact determinant over a field.  Over QQ, row i times s_i, the lcm of
+    its denominators, is integral, so det = det_bareiss(scaled) / prod s_i, a
+    Fraction.  Over Q(zeta_p), Gaussian elimination with exact division."""
     _require_square(m)
     ring = m.ring
     if not ring.is_field:
         raise ValueError(f"det_field over {ring.name}, which is not marked as a field")
+    if ring is QQ:
+        scales = [lcm(*[x.denominator for x in row]) for row in m.entries]
+        rows = [[x.numerator * (s // x.denominator) for x in row] for s, row in zip(scales, m.entries)]
+        return Fraction(_det_rows(rows, ZZ), prod(scales))
     zero = ring.zero
     a = [list(row) for row in m.entries]
     k = m.rows

@@ -10,7 +10,9 @@ check that it loses nothing.  Grammar, by type:
   compound   v1 ; v2    (joint value of a two-part identity, from a tuple)
 
 Signs are folded into the joining " + " / " - " separators; no other
-whitespace is significant.
+whitespace is significant.  A quadratic value with y = 0 prints with no
+sqrt(...) part (1/3, 0, (1)/2), so parsing it back needs its field index p,
+as parsing a cyclotomic value does.
 """
 
 from __future__ import annotations

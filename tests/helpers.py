@@ -5,14 +5,15 @@ with the package is meaningful: cofactor determinants, reciprocity-based
 Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
 extended Euclidean algorithm, adjugates from explicit cofactors (over QQ by
 Gaussian elimination, over any ring by cofactor expansion), the two-vector
-lemma's closed form in Fraction arithmetic, and the entry-by-entry kernels
-that packed ones replaced: the O(p^2) cyclotomic convolution and Gaussian
-elimination mod p on lists of lists.
+lemma's closed form in Fraction arithmetic, and the kernels that faster ones
+replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
+lists of lists, and Gaussian elimination in Fractions (det_gauss), which
+fraction-free elimination on integer-scaled rows replaced over QQ.
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
-parse_cyclo, parse_quad and the dispatching parse_value (cyclotomic values
-need the field index p).
+parse_cyclo, parse_quad and the dispatching parse_value (cyclotomic values,
+and quadratic ones with no sqrt(...) part, need the field index p).
 """
 
 import re
@@ -22,7 +23,7 @@ from math import isqrt, prod
 
 from legdet.cyclotomic import CycloElem
 from legdet.exact import UniPoly
-from legdet.linalg import QQ, ZZ, ExactMatrix, det_field
+from legdet.linalg import ZZ, ExactMatrix
 from legdet.quadfield import QuadElem
 
 
@@ -40,20 +41,41 @@ def naive_det(rows):
     return total
 
 
+def det_gauss(rows):
+    """Determinant of an integer or rational matrix by Gaussian elimination
+    in Fractions, with a row swap wherever a pivot is zero: the QQ kernel
+    that fraction-free elimination replaced in the package.  Always a
+    Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    k = len(a)
+    det = Fraction(1)
+    for c in range(k):
+        r = next((r for r in range(c, k) if a[r][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            a[c], a[r] = a[r], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, k):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
 def cofactor_adjugate(m):
     """Transpose of the cofactor matrix of an integer or rational matrix.
 
-    Each minor is a rational determinant by Gaussian elimination, a route
-    that shares nothing with fraction-free elimination; O(k^5), fine for the
-    small matrices of the tests.  The 1x1 case is adj([h]) = [1].
+    Each minor is det_gauss, elimination in Fractions, a route that shares
+    nothing with the package's fraction-free elimination; O(k^5), fine for
+    the small matrices of the tests.  The 1x1 case is adj([h]) = [1].
     """
     k = m.rows
-    q = ExactMatrix(QQ, [[Fraction(x) for x in row] for row in m.entries])
     out = [[Fraction(1)] * k for _ in range(k)]
     if k > 1:
         for i in range(k):
             for j in range(k):
-                minor = det_field(q.submatrix(i, j))
+                minor = det_gauss(m.submatrix(i, j).entries)
                 out[j][i] = minor if (i + j) % 2 == 0 else -minor
     if m.ring is ZZ:
         assert all(x.denominator == 1 for row in out for x in row)
@@ -244,36 +266,45 @@ def parse_cyclo(s: str, p: int) -> CycloElem:
     return CycloElem.from_coeffs(p, vec)
 
 
-def parse_quad(s: str) -> QuadElem:
+def parse_quad(s: str, p: int | None = None) -> QuadElem:
+    """Inverse of format_quad.  A form with no sqrt(...) part is an element
+    with y = 0, whose field only the index p names: without p it raises.  A
+    sqrt(q) part with q != p raises too."""
     s = s.strip()
     halves = False
     m = re.fullmatch(r"\((.*)\)/2", s)
     if m:
         halves = True
         s = m.group(1)
-    p = None
+    root = None
     a = Fraction(0)
     b = Fraction(0)
     for sign, term in _split_terms(s):
         sm = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+)\)", term)
         if sm:
-            p = int(sm.group(2))
+            root = int(sm.group(2))
             b += sign * (Fraction(sm.group(1)) if sm.group(1) else Fraction(1))
         else:
             a += sign * Fraction(term)
     if p is None:
-        raise ValueError(f"no sqrt(...) part in {s!r}")
+        if root is None:
+            raise ValueError(f"no sqrt(...) part in {s!r} and no field index p")
+        p = root
+    elif root not in (None, p):
+        raise ValueError(f"sqrt({root}) in a value of Q(sqrt({p}))")
     if halves:
         a, b = a / 2, b / 2
     return QuadElem(a, b, p)
 
 
 def parse_value(s: str, p: int | None = None):
-    """Inverse of format_value; cyclotomic values need the field index p."""
+    """Inverse of format_value.  Cyclotomic values need the field index p;
+    a quadratic value is one with a sqrt(...) part or in the halves form
+    "(...)/2", and its field is checked against p when p is given."""
     if " ; " in s:
         return tuple(parse_value(part, p) for part in s.split(" ; "))
-    if "sqrt" in s:
-        return parse_quad(s)
+    if "sqrt" in s or s.startswith("("):
+        return parse_quad(s, p)
     if "z" in s:
         if p is None:
             raise ValueError("parsing a cyclotomic value needs p")

@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from helpers import cofactor_adjugate, det_mod_p_lists, naive_adjugate, naive_det, rand_int_rows, toeplitz_matrix
+from helpers import (
+    cofactor_adjugate,
+    det_gauss,
+    det_mod_p_lists,
+    naive_adjugate,
+    naive_det,
+    rand_int_rows,
+    toeplitz_matrix,
+)
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet import linalg
@@ -106,18 +113,39 @@ def test_det_over_cyclotomics():
     assert det_field(ExactMatrix(r, rows)) == naive_det(rows) == -r.one
 
 
-def test_det_field_vs_bareiss_after_clearing_denominators():
+def test_det_field_over_qq_vs_gauss_and_cofactors():
+    """det_field over QQ, fraction-free on integer-scaled rows, against
+    Gaussian elimination in Fractions and cofactor expansion, k <= 6.  Beside
+    seeded random matrices: rank-deficient input, 1x1 input, plain ints in a
+    QQ matrix, a zero at (0, 0) that forces a row swap, and rows whose
+    denominators are pairwise coprime, so a row's lcm exceeds its largest
+    denominator."""
     rng = random.Random(3)
-    for _ in range(20):
-        k = rng.randint(1, 4)
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
-                for _ in range(k)]
-        lcm = 1
-        for r in rows:
-            for x in r:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        cleared = [[int(x * lcm) for x in r] for r in rows]
-        assert det_field(ExactMatrix(QQ, rows)) * lcm ** k == det_bareiss(ExactMatrix(ZZ, cleared))
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    cases = []
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        cases.append([[q() for _ in range(k)] for _ in range(k)])
+    singular = [[[Fraction(0)]]]
+    for k in (2, 3, 4, 6):  # last row a rational combination of rows 0 and k-2
+        rows = [[q() for _ in range(k)] for _ in range(k - 1)]
+        a, b = q(), q()
+        singular.append(rows + [[a * x + b * y for x, y in zip(rows[0], rows[-1])]])
+    cases += singular + [[[Fraction(-7, 3)]], [[5]]]
+    cases += [[[2, 3], [5, 7]], [[1, Fraction(1, 2), 3], [Fraction(2, 3), 0, -1], [4, 5, Fraction(-1, 5)]]]
+    cases += [[[Fraction(0), Fraction(1, 2)], [Fraction(1, 3), Fraction(1, 5)]],
+              [[0, 0, Fraction(1, 2)], [0, Fraction(2, 3), 1], [Fraction(3, 4), 1, 1]]]
+    cases.append([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)],
+                  [Fraction(2, 3), Fraction(3, 7), Fraction(1, 4)],
+                  [Fraction(1, 5), Fraction(1, 7), Fraction(1, 9)]])
+    for rows in cases:
+        d = det_field(ExactMatrix(QQ, rows))
+        assert isinstance(d, Fraction)
+        assert d == det_gauss(rows) == naive_det(rows)
+        assert (d == 0) == (rows in singular)
 
 
 def test_det_usage_errors():

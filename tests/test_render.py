@@ -81,6 +81,28 @@ def test_quad_forms_beyond_halves():
             assert parse_quad(format_quad(e)) == e
 
 
+def test_quad_forms_without_sqrt_part():
+    """An element with y = 0 prints as its rational part, over 2 in the
+    halves case; given the field index p it parses back to the same element,
+    without p it raises, and a sqrt part of another field raises."""
+    assert format_quad(QuadElem(Fraction(1, 3), Fraction(0), 5)) == "1/3"
+    assert format_quad(QuadElem(Fraction(0), Fraction(0), 5)) == "0"
+    assert format_quad(QuadElem(Fraction(1, 2), Fraction(0), 5)) == "(1)/2"
+    for p in (5, 13):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(-3, 2), Fraction(7), Fraction(-5, 4)):
+            e = QuadElem(x, Fraction(0), p)
+            s = format_quad(e)
+            assert parse_quad(s, p) == e
+            with pytest.raises(ValueError):
+                parse_quad(s)
+        eps = fundamental_unit(p)
+        assert parse_quad(format_quad(eps), p) == eps
+    # only the halves form tells parse_value that the value is quadratic
+    assert parse_value("(-3)/2", p=13) == QuadElem(Fraction(-3, 2), Fraction(0), 13)
+    with pytest.raises(ValueError):
+        parse_quad("1 + sqrt(13)", 5)
+
+
 def test_parse_value_dispatch():
     assert parse_value("-65*x - 18") == UniPoly((-18, -65))
     assert parse_value("3/2") == Fraction(3, 2)
