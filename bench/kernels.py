@@ -16,6 +16,13 @@ Cases:
            [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, u and v from seeded
            identities.random_uv_instance draws of that m; one sample is one
            pass over a fixed batch of matrices.
+  det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the two
+           matrices of the f1f2_u00 check at p = 29 and 41: the Cauchy-type
+           [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j, and Vsemirnov's U
+           without row and column 0; one sample is one determinant.
+  matmul_cyclo  V @ W @ V over Q(zeta_p), the right side of the
+           decomposition check at p = 29, W = s D U D for the scalar s of
+           that check; one sample is the two products.
 
 Each case is sampled 9 times in this one process, the samples taken round
 the cases, and reported as seconds per call: the median of the samples, and
@@ -31,7 +38,8 @@ BENCH_kernels.json holds a "parent" and a "change" run made with
 
 --quick runs p = 13 and p = 61 only, with 3 samples of a small batch: a smoke
 test that every case still runs.  Its C +- J case is at p = 61, its
-det_field case at m = 3.
+det_field case at m = 3, and its det_field_cyclo and matmul_cyclo cases at
+p = 13.
 """
 
 from __future__ import annotations
@@ -57,6 +65,9 @@ CARLITZ_PRIMES = (61, 101, 157)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
+CYCLO_DET_PRIMES = (29, 41)
+CYCLO_MATMUL_PRIME = 29
+CYCLO_QUICK_PRIME = 13
 
 
 def _vector(rng: random.Random, p: int, bits: int, monomial: bool) -> list[int]:
@@ -151,6 +162,40 @@ def det_field_cases(legdet, quick: bool) -> dict:
     return out
 
 
+def cyclo_cases(legdet, quick: bool) -> dict:
+    """The matrices of verify_f1f2 and verify_decomposition, built as those
+    checks build them."""
+    ids = legdet.identities
+    lin = legdet.linalg
+    cyc = legdet.cyclotomic
+    out = {}
+    for p in (CYCLO_QUICK_PRIME,) if quick else CYCLO_DET_PRIMES:
+        ctx = ids.PrimeContext(p)
+        u = ctx.u
+        mats = {"cauchy": lin.ExactMatrix(lin.cyclo_ring(p), [[(ui + uj) * ctx.inverse(1 + ui * uj) for uj in u]
+                                                              for ui in u]),
+                "U_00": ctx.vsemirnov[0].submatrix(0, 0)}
+        for name, mat in mats.items():
+            def run(mat=mat):
+                lin.det_field(mat)
+                return 1
+
+            out[f"det_field_cyclo {name} p={p}"] = run
+    p = CYCLO_QUICK_PRIME if quick else CYCLO_MATMUL_PRIME
+    ctx = ids.PrimeContext(p)
+    uu, v, d = ctx.vsemirnov
+    scalar = ctx.chi[2] * cyc.gauss_sum(p) * cyc.zeta_pow(p, (p - 1) // 4)
+    sd = [scalar * di for di in d]
+    w = lin.ExactMatrix(uu.ring, [[sdi * uij * dj for uij, dj in zip(row, d)] for sdi, row in zip(sd, uu.entries)])
+
+    def run_matmul(v=v, w=w):
+        v @ w @ v
+        return 1
+
+    out[f"matmul_cyclo V @ W @ V p={p}"] = run_matmul
+    return out
+
+
 def measure(cases: dict, repeats: int) -> dict:
     """Seconds per call of each case.  The samples go round the cases, so a
     slow spell of a shared machine lands on every case, not on one."""
@@ -173,7 +218,7 @@ def environment(src: Path) -> dict:
     except OSError:
         pass
     digest = hashlib.sha256()
-    for name in ("cyclotomic.py", "linalg.py"):
+    for name in ("cyclotomic.py", "linalg.py", "ntheory.py"):
         digest.update((src / "legdet" / name).read_bytes())
     return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu, "kernels_sha256": digest.hexdigest()}
@@ -196,7 +241,8 @@ def main(argv=None) -> int:
     import legdet.linalg
 
     cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick),
-                     **toeplitz_cases(legdet, args.quick), **det_field_cases(legdet, args.quick)}, repeats)
+                     **toeplitz_cases(legdet, args.quick), **det_field_cases(legdet, args.quick),
+                     **cyclo_cases(legdet, args.quick)}, repeats)
     for name, c in cases.items():
         print(f"{name:40s} median {c['median_s'] * 1e6:10.1f} us  "
               f"(min {c['min_s'] * 1e6:.1f}, max {c['max_s'] * 1e6:.1f})")

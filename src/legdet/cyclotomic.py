@@ -11,6 +11,8 @@ Products of integer vectors go through one kernel, _mul_vec: a product with
 a monomial c*zeta^e is a rotation of the other vector, and any other product
 is one bigint multiplication of the two vectors packed into byte-aligned
 slots (Kronecker substitution), folded mod zeta^p = 1 while still packed.
+_dot_vecs gives the entries of a matrix product with the same packing, each
+entry one sum of packed products, decoded once.
 
 Inversion uses the Galois norm: a^-1 = (prod of the conjugates sigma_k(a),
 k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute and
@@ -26,6 +28,7 @@ import struct
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .exact import as_rational
 from .ntheory import OddPrime, legendre, primitive_root
@@ -41,6 +44,50 @@ def _fold(acc) -> list[int]:
     return [c - top for c in acc[:-1]]
 
 
+def _slot_bytes(bits: int) -> int:
+    """Bytes per Kronecker slot of at least bits bits: the smallest machine
+    word that fits, whose slots one to_bytes and a memoryview cast read
+    out, else the next whole number of bytes, which from_bytes reads out."""
+    return next((s for s in _WORDS if 8 * s >= bits), (bits + 7) // 8)
+
+
+def _pack(vec, w: int) -> int:
+    """The integer sum_e vec[e] 2^(w e); entries may be negative."""
+    x = 0
+    for c in reversed(vec):
+        x = (x << w) + c
+    return x
+
+
+def _unpack(p: int, x: int, wb: int) -> list[int]:
+    """The folded power-basis vector of a packed plain product x, that is,
+    x = sum_g c_g 2^(w g) over the 2p-3 slots g of a product of two packed
+    vectors or a sum of such products, w = 8 wb, with every |c_g| < 2^(w-2).
+
+    A bias of 2^(w-2) added to each of the 2p-3 slots puts every slot in
+    [0, 2^(w-1)), so the biased slots are the base-2^w digits of the biased
+    x.  Slots p.. fold onto slots 0..p-4 (z^p = 1) while still packed: each
+    sum of two digits is below 2^w, so no carry crosses a slot.  Only the p
+    folded slots are decoded; they carry one bias each, two below slot
+    p-3, which go with the z^(p-1) fold.
+    """
+    w = 8 * wb
+    # the bias: byte 0x40 at the top of each of the 2p-3 slots is 2^(w-2)
+    x += int.from_bytes((bytes(wb - 1) + b"\x40") * (2 * p - 3), "little")
+    x = (x & ((1 << (w * p)) - 1)) + (x >> (w * p))
+    if wb in _WORDS:
+        acc = memoryview(x.to_bytes(wb * p, sys.byteorder)).cast(_WORDS[wb]).tolist()
+    else:
+        buf = x.to_bytes(wb * p, "little")
+        acc = [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * p, wb)]
+    bias = 1 << (w - 2)
+    top = acc.pop()
+    acc = [s - top - bias for s in acc]
+    acc[-1] += bias
+    acc[-2] += bias
+    return acc
+
+
 def _mul_vec(p: int, a, b) -> list[int]:
     """Product of two integer power-basis vectors of Q(zeta_p).
 
@@ -51,17 +98,8 @@ def _mul_vec(p: int, a, b) -> list[int]:
     Kronecker path, otherwise (von zur Gathen and Gerhard, Modern Computer
     Algebra, section 8.4): evaluate both vectors at 2^w, multiply the two
     integers once and read the plain product's coefficients off as w-bit
-    slots.  Slot bound: slot g holds c_g = sum_{e+f=g} a_e b_f, at most p-1
-    terms, so |c_g| <= (p-1) max|a| max|b| < 2^(w-2), since w is at least
-    the sum of the three bit lengths plus 2.  A bias of 2^(w-2) added to
-    each of the 2p-3 slots puts every slot in [0, 2^(w-1)), so the biased
-    slots are the base-2^w digits of the biased product.  Slots p.. fold
-    onto slots 0..p-4 (z^p = 1) while still packed: each sum of two digits
-    is below 2^w, so no carry crosses a slot.  Only the p folded slots are
-    decoded; they carry one bias each, two below slot p-3, which go with
-    the z^(p-1) fold.  w is a whole number of bytes: the smallest machine
-    word that fits, whose slots one to_bytes and a memoryview cast read
-    out, else the next multiple of 8, whose slots from_bytes reads out.
+    slots (_unpack).  It is the k = 1 case of _dot_vecs and of its slot
+    bound, |c_g| <= (p-1) max|a| max|b| < 2^(w-2).
     """
     n = p - 1
     za, zb = a.count(0), b.count(0)
@@ -75,28 +113,28 @@ def _mul_vec(p: int, a, b) -> list[int]:
         acc = [*b, 0]
         acc = _fold(acc[p - e:] + acc[:p - e])
         return acc if c == 1 else [c * x for x in acc]
-    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 2
-    wb = next((s for s in _WORDS if 8 * s >= bits), (bits + 7) // 8)
+    wb = _slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 2)
+    return _unpack(p, _pack(a, 8 * wb) * _pack(b, 8 * wb), wb)
+
+
+def _dot_vecs(p: int, rows, cols) -> list[list[list[int]]]:
+    """out[i][j] = sum_l rows[i][l] * cols[j][l], for rows and cols lists of
+    k integer power-basis vectors each: the entries of a matrix product.
+
+    Each vector is packed once at 2^w (_pack); each out[i][j] is one sum of
+    k bigint products, decoded once (_unpack).  Slot bound: slot g of the
+    plain sum holds sum_l sum_{e+f=g} a_le b_lf, at most k (p-1) terms, so
+    |c_g| <= k (p-1) A B < 2^(w-2), A and B the largest |entry| of rows and
+    of cols, since w is at least bitlen(A) + bitlen(B) + bitlen(k (p-1)) + 2.
+    """
+    k = len(cols[0])
+    a = max(abs(c) for r in rows for v in r for c in v)
+    b = max(abs(c) for r in cols for v in r for c in v)
+    wb = _slot_bytes(a.bit_length() + b.bit_length() + (k * (p - 1)).bit_length() + 2)
     w = 8 * wb
-    x = y = 0
-    for c in reversed(a):
-        x = (x << w) + c
-    for c in reversed(b):
-        y = (y << w) + c
-    # the bias: byte 0x40 at the top of each of the 2p-3 slots is 2^(w-2)
-    prod = x * y + int.from_bytes((bytes(wb - 1) + b"\x40") * (2 * p - 3), "little")
-    prod = (prod & ((1 << (w * p)) - 1)) + (prod >> (w * p))
-    if wb in _WORDS:
-        acc = memoryview(prod.to_bytes(wb * p, sys.byteorder)).cast(_WORDS[wb]).tolist()
-    else:
-        buf = prod.to_bytes(wb * p, "little")
-        acc = [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * p, wb)]
-    bias = 1 << (w - 2)
-    top = acc.pop()
-    acc = [s - top - bias for s in acc]
-    acc[-1] += bias
-    acc[-2] += bias
-    return acc
+    prow = [[_pack(v, w) for v in r] for r in rows]
+    pcol = [[_pack(v, w) for v in c] for c in cols]
+    return [[_unpack(p, sum(map(mul, r, c)), wb) for c in pcol] for r in prow]
 
 
 def _sigma_vec(p: int, a, k: int) -> list[int]:

@@ -3,10 +3,10 @@
 Each verify_* function builds the objects on both sides of one identity and
 compares them with exact equality; there is no tolerance anywhere.  The two
 sides always come from independent routes: determinants from the
-fraction-free Toeplitz recurrence or from fraction-free or field
-elimination, closed forms from the continued-fraction unit and form-class
-oracles in quadfield, and cyclotomic products expanded term by term in
-Q(zeta_p).
+fraction-free Toeplitz recurrence, from fraction-free elimination, or from
+elimination modulo primes (put together by CRT over Q(zeta_p)), closed
+forms from the continued-fraction unit and form-class oracles in quadfield,
+and cyclotomic products expanded term by term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the routes record of det C, C(x) and u^T adj(C) u with their second
@@ -40,7 +40,7 @@ from .linalg import (
     cyclo_ring,
     det_bareiss,
     det_field,
-    det_mod_p,
+    det_mod_rows,
     det_toeplitz,
     poly_ring,
 )
@@ -78,9 +78,11 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class SuiteOptions:
-    """Suite knobs; the caps exist because the cyclotomic checks cost
-    O((n+1)^3) multiplications of O(p^2) coefficient operations each, and
-    every field division adds an inverse of O(log p) such multiplications."""
+    """Suite knobs; the caps exist because the cyclotomic checks grow fast
+    with p: U takes (n+1)^2 inverses of O(log p) multiplications each,
+    det_field runs p-1 eliminations of O(n^3) steps mod each of its split
+    primes, whose count grows with the Hadamard bound, and V W V sums
+    2(n+1)^3 products of packed entries."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29
@@ -460,13 +462,16 @@ def verify_carlitz(p) -> CheckResult:
 def verify_sun_congruence(p, d: int) -> CheckResult:
     """det[( (i+dj)/p )]_{0<=i,j<=n} = ((d/p) d)^((p-1)/4) * n! (mod p).
 
-    d is zero-padded to the width of p - 1 (at least 2) so names sort by d.
+    The rows go to det_mod_rows straight from the Legendre table, each
+    entry already reduced to range(p).  d is zero-padded to the width of
+    p - 1 (at least 2) so names sort by d.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
-    lhs = det_mod_p(build_sun_matrix(ctx, d), p)
+    res = [c % p for c in ctx.chi]
+    lhs = det_mod_rows([[res[(i + d * j) % p] for j in range(p.n + 1)] for i in range(p.n + 1)], p)
     rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * ctx.n_factorial % p
     width = max(2, len(str(p - 1)))
     return _result(f"sun[d={d:0{width}d}]", p, lhs, rhs)

@@ -5,29 +5,33 @@ it is a field, chosen at matrix construction time.  Elements carry their own
 +, -, *, == and an exact / through operator overloading (Fractions, UniPoly,
 CycloElem; ints divide inline), so the matrix code never dispatches on type.
 
-Determinants come in three flavors: fraction-free Bareiss elimination for
-integral domains (integers, polynomials) and for QQ, whose rows it first
-scales to integers, and ordinary Gaussian elimination with exact division
-over the cyclotomic fields, the two sharing one row-swap pivot search, and
-det_toeplitz, fraction-free Levinson-Trench in O(k^2) integer operations on
-the 2k-1 diagonals of an integer Toeplitz matrix, which hands the explicit
-matrix to Bareiss when a leading minor it must divide by vanishes.
-det_mod_p, for when only the residue mod p of an integer determinant is
-wanted, eliminates over F_p on rows packed one per integer, with delayed
-reduction.  The one adjugate is fraction-free Gauss-Jordan on [A | I],
-sharing the Bareiss step with the determinant; a singular matrix, over any
-ring, gets its signed cofactors instead.
+Determinants come in four flavors, each on integers: fraction-free Bareiss
+elimination for integral domains (integers, polynomials) and for QQ, whose
+rows it first scales to integers; over the cyclotomic fields, rows scaled
+into Z[zeta_p], whose determinant is read off its images in F_q for split
+primes q and put together by CRT; det_toeplitz, fraction-free
+Levinson-Trench in O(k^2) integer operations on the 2k-1 diagonals of an
+integer Toeplitz matrix, which hands the explicit matrix to Bareiss when a
+leading minor it must divide by vanishes; and det_mod_rows, for when only
+the residue mod a prime of an integer determinant is wanted, which
+eliminates over F_q on rows packed one per integer, with delayed reduction.
+The product of two matrices over Q(zeta_p) likewise scales rows and columns
+to integers and packs each entry once.  The one adjugate is fraction-free
+Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant; a
+singular matrix, over any ring, gets its signed cofactors instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import isqrt, lcm, prod
+from operator import mul
 from typing import Any
 
-from .cyclotomic import CycloElem
+from .cyclotomic import CycloElem, _dot_vecs, _pack
 from .exact import UniPoly
+from .ntheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ class ExactMatrix:
             raise ValueError(f"inner dimensions {self.cols} and {other.rows} disagree")
         zero = self.ring.zero
         cols = list(zip(*other.entries))
+        if isinstance(zero, CycloElem):
+            return ExactMatrix(self.ring, _cyclo_matmul(zero.p, self.entries, cols))
         return ExactMatrix(
             self.ring,
             [[sum((a * b for a, b in zip(row, col)), start=zero) for col in cols] for row in self.entries],
@@ -252,43 +258,36 @@ def det_toeplitz(t, k: int) -> int:
     return det
 
 
-def det_mod_p(m: ExactMatrix, p: int) -> int:
-    """det(m) mod p, in range(p), for an integer matrix and a prime p.
+def det_mod_rows(rows, q: int) -> int:
+    """det mod q, in range(q), of the square list of integer rows, for a
+    prime q and entries already in range(q).
 
-    Gaussian elimination over F_p with delayed reduction (Dumas, Giorgi and
+    Gaussian elimination over F_q with delayed reduction (Dumas, Giorgi and
     Pernet, ACM TOMS 35(3), 2008) on packed rows: a row is the integer
     sum_j a_j 2^(w*j), one w-bit slot per entry, so clearing the pivot
-    column from a row is one bigint step, row += f * packed(p - pivot_row)
-    with f = a_c / pivot mod p, which adds f * (p - r_j) = -f * r_j (mod p)
-    to each slot j.  Only the pivot row is unpacked and reduced mod p, to
-    r_j in [0, p); every other row stays unreduced and drops its
+    column from a row is one bigint step, row += f * packed(q - pivot_row)
+    with f = a_c / pivot mod q, which adds f * (q - r_j) = -f * r_j (mod q)
+    to each slot j.  Only the pivot row is unpacked and reduced mod q, to
+    r_j in [0, q); every other row stays unreduced and drops its
     pivot-column slot (>> w) after the step.
 
-    Slot bound: a slot starts in [0, p), and each step adds at most
-    f * (p - r_j) <= (p - 1) * p to it.  A row takes one such step per
+    Slot bound: a slot starts in [0, q), and each step adds at most
+    f * (q - r_j) <= (q - 1) * q to it.  A row takes one such step per
     column eliminated before it becomes the pivot row, at most k - 1 in
-    all, so every slot stays below p + (k - 1)(p - 1)p < p^2 k + p
-    < 2^(w-1) with w = bitlen(p^2 k + p) + 1.  Slots only grow, since
+    all, so every slot stays below q + (k - 1)(q - 1)q < q^2 k + q
+    < 2^(w-1) with w = bitlen(q^2 k + q) + 1.  Slots only grow, since
     nothing is subtracted, so no borrow ever crosses a slot, and none
     reaches 2^w, so no carry does either.
     """
-    _require_square(m)
-    if m.ring is not ZZ:
-        raise ValueError(f"det_mod_p needs an integer matrix, got one over {m.ring.name}")
-    k = m.rows
-    w = (p * p * k + p).bit_length() + 1
+    k = len(rows)
+    w = (q * q * k + q).bit_length() + 1
     mask = (1 << w) - 1
-    rows = []
-    for row in m.entries:
-        r = 0
-        for x in reversed(row):
-            r = (r << w) | x % p
-        rows.append(r)
+    rows = [_pack(row, w) for row in rows]
     det = 1
     for c in range(k):
         # rows[c:] are the rows left, with column c in slot 0
         for r in range(c, k):
-            piv = (rows[r] & mask) % p
+            piv = (rows[r] & mask) % q
             if piv:
                 break
         else:
@@ -296,22 +295,120 @@ def det_mod_p(m: ExactMatrix, p: int) -> int:
         if r != c:
             rows[c], rows[r] = rows[r], rows[c]
             det = -det
-        det = det * piv % p
-        pivinv = pow(piv, -1, p)
+        det = det * piv % q
+        pivinv = pow(piv, -1, q)
         pr = rows[c]
         packed = 0
         for j in range(k - 1 - c, 0, -1):
-            packed = (packed | p - ((pr >> (w * j)) & mask) % p) << w
+            packed = (packed | q - ((pr >> (w * j)) & mask) % q) << w
         for i in range(c + 1, k):
             ri = rows[i]
-            rows[i] = (ri + (ri & mask) * pivinv % p * packed) >> w
-    return det % p
+            rows[i] = (ri + (ri & mask) * pivinv % q * packed) >> w
+    return det % q
+
+
+def det_mod_p(m: ExactMatrix, p: int) -> int:
+    """det(m) mod p, in range(p), for an integer matrix and a prime p: the
+    entries reduced mod p, then det_mod_rows."""
+    _require_square(m)
+    if m.ring is not ZZ:
+        raise ValueError(f"det_mod_p needs an integer matrix, got one over {m.ring.name}")
+    return det_mod_rows([[x % p for x in row] for row in m.entries], p)
+
+
+def _cleared(line):
+    """(s, vectors): s the lcm of the denominators of a line of CycloElems,
+    and each element times s as its integer power-basis vector."""
+    s = lcm(*[e.den for e in line])
+    return s, [e.num if e.den == s else [c * (s // e.den) for c in e.num] for e in line]
+
+
+def _cyclo_matmul(p: int, rows, cols) -> list[list[CycloElem]]:
+    """The product of the matrix with these rows and the matrix with these
+    columns, all CycloElems of Q(zeta_p): row i times its lcm s_i and
+    column j times its lcm t_j are integral, so entry (i, j) is the integer
+    dot product of the two (cyclotomic._dot_vecs) over s_i t_j."""
+    rs, rvecs = zip(*map(_cleared, rows))
+    cs, cvecs = zip(*map(_cleared, cols))
+    out = _dot_vecs(p, rvecs, cvecs)
+    return [[CycloElem(p, v, s * t) for v, t in zip(row, cs)] for row, s in zip(out, rs)]
+
+
+def _split_primes(p: int, bound: int) -> list[tuple[int, int]]:
+    """Pairs (q, r), q running down the primes below 2^62 with q = 1 (mod p)
+    and r an element of order p in F_q, until the product of the q exceeds
+    bound.  Every q passes is_prime, which is proven exact there.  Since
+    p | q - 1, r = x^((q-1)/p) has r^p = 1 for every x in F_q^*, and the
+    first x with r != 1 gives r of order p, p being prime."""
+    out, modulus = [], 1
+    q = (((1 << 62) - 2) // (2 * p)) * 2 * p + 1  # odd, since p is
+    while modulus <= bound:
+        if is_prime(q):
+            r = next(r for r in (pow(x, (q - 1) // p, q) for x in range(2, q)) if r != 1)
+            out.append((q, r))
+            modulus *= q
+        q -= 2 * p
+    return out
+
+
+def _det_coeffs_mod(vecs, p: int, q: int, r: int) -> list[int]:
+    """c_e mod q, 0 <= e <= p-2, for det' = sum_e c_e z^e, the determinant
+    of the k x k matrix over Z[zeta_p] whose entries have the integer
+    power-basis vectors vecs (k rows of k vectors).
+
+    phi_t: zeta -> r^t, 1 <= t <= p-1, is a ring map Z[zeta_p] -> F_q, as
+    Z[zeta_p] = Z[x]/(Phi_p) and Phi_p(r^t) = 0 in F_q: (r^t)^p - 1 =
+    (r^t - 1) Phi_p(r^t) vanishes and r^t != 1.  So d_t = phi_t(det') is
+    det_mod_rows of the entrywise image.  The images are packed: with P_e
+    the integer holding the coefficient e mod q of every entry in its own
+    slot, the image under phi_t is sum_e (r^(te) mod q) P_e, whose slots
+    stay below (p - 1) q^2 < 2^w and never carry.
+
+    The trace Tr = sum_t sigma_t, sigma_t: zeta -> zeta^t, gives the
+    coefficients: Tr(z^j) is p-1 if p | j and -1 otherwise, so for
+    0 <= e <= p-2, Tr(det' z^-e) = p c_e - sum_f c_f and Tr(det' z) =
+    -sum_f c_f, whence c_e = (Tr(det' z^-e) - Tr(det' z)) / p.  As
+    phi_1 sigma_t = phi_t, phi_1(Tr(beta)) = sum_t phi_t(beta), so mod q,
+    c_e = p^-1 sum_t d_t (r^(-te) - r^t).
+    """
+    k = len(vecs)
+    flat = [v for row in vecs for v in row]
+    wb = ((p * q * q).bit_length() + 7) // 8
+    packed = [int.from_bytes(b"".join((v[e] % q).to_bytes(wb, "little") for v in flat), "little")
+              for e in range(p - 1)]
+    pows = [pow(r, j, q) for j in range(p)]
+    dets = []
+    for t in range(1, p):
+        image = sum(map(mul, [pows[t * e % p] for e in range(p - 1)], packed))
+        buf = image.to_bytes(wb * k * k, "little")
+        vals = [int.from_bytes(buf[i:i + wb], "little") % q for i in range(0, wb * k * k, wb)]
+        dets.append(det_mod_rows([vals[i:i + k] for i in range(0, k * k, k)], q))
+    pinv = pow(p, -1, q)
+    tr_z = sum(d * pows[t] for t, d in enumerate(dets, 1))
+    return [(sum(d * pows[-t * e % p] for t, d in enumerate(dets, 1)) - tr_z) * pinv % q
+            for e in range(p - 1)]
 
 
 def det_field(m: ExactMatrix):
-    """Exact determinant over a field.  Over QQ, row i times s_i, the lcm of
-    its denominators, is integral, so det = det_bareiss(scaled) / prod s_i, a
-    Fraction.  Over Q(zeta_p), Gaussian elimination with exact division."""
+    """Exact determinant over a field, from a determinant over the integers.
+
+    Over QQ, row i times s_i, the lcm of its denominators, is integral, so
+    det = det_bareiss(scaled) / prod s_i, a Fraction.
+
+    Over Q(zeta_p), row i times s_i, the lcm of its denominators, lies over
+    Z[zeta_p], and det = det' / prod s_i, det' the determinant of the
+    scaled matrix A.  det' = sum_e c_e z^e is found from its residues mod
+    primes q by CRT (von zur Gathen and Gerhard, Modern Computer Algebra,
+    section 5.5), each residue from images in F_q (_det_coeffs_mod).  The
+    bound: for an embedding sigma, |sigma(alpha)| <= ||alpha||_1, the sum of
+    the |coefficients|, as |sigma(zeta)| = 1.  By Hadamard's inequality,
+    |sigma(det')| = |det sigma(A)| <= prod_i sqrt(sum_j |sigma(a_ij)|^2)
+    <= H = prod_i ceil(sqrt(sum_j ||a_ij||_1^2)).  The trace formula
+    c_e = (Tr(det' z^-e) - Tr(det' z)) / p, each trace a sum of p-1
+    conjugates times roots of unity, gives |c_e| <= 2(p-1)H/p < 2H.  With
+    M, the product of the primes, above 4H, c_e is the one integer of its
+    class mod M in (-M/2, M/2], since |c_e| < 2H < M/2.
+    """
     _require_square(m)
     ring = m.ring
     if not ring.is_field:
@@ -320,27 +417,22 @@ def det_field(m: ExactMatrix):
         scales = [lcm(*[x.denominator for x in row]) for row in m.entries]
         rows = [[x.numerator * (s // x.denominator) for x in row] for s, row in zip(scales, m.entries)]
         return Fraction(_det_rows(rows, ZZ), prod(scales))
-    zero = ring.zero
-    a = [list(row) for row in m.entries]
-    k = m.rows
-    det = ring.one
-    for col in range(k):
-        s = _pivot(a, col, k, zero)
-        if not s:
-            return zero
-        piv = a[col][col]
-        det = det * piv if s == 1 else -(det * piv)
-        pivinv = ring.one / piv
-        ac = a[col]
-        for i in range(col + 1, k):
-            ai = a[i]
-            if ai[col] == zero:
-                continue
-            f = ai[col] * pivinv
-            # column col below the pivot is never read again
-            for j in range(col + 1, k):
-                ai[j] = ai[j] - f * ac[j]
-    return det
+    if not isinstance(ring.zero, CycloElem):
+        raise ValueError(f"det_field has no kernel over {ring.name}")
+    p = ring.zero.p
+    scales, vecs = zip(*map(_cleared, m.entries))
+    h = 1
+    for row in vecs:
+        n2 = sum(sum(map(abs, v)) ** 2 for v in row)
+        h *= isqrt(n2 - 1) + 1 if n2 else 0
+    coeffs, modulus = [0] * (p - 1), 1
+    for q, r in _split_primes(p, 4 * h):
+        # CRT: keep coeffs = c mod modulus, lift to c mod modulus * q
+        lift = pow(modulus, -1, q)
+        coeffs = [x + modulus * ((c - x) * lift % q) for x, c in zip(coeffs, _det_coeffs_mod(vecs, p, q, r))]
+        modulus *= q
+    half = modulus // 2
+    return CycloElem(p, [x - modulus if x > half else x for x in coeffs], prod(scales))
 
 
 def adjugate(m: ExactMatrix) -> ExactMatrix:

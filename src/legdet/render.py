@@ -6,12 +6,13 @@ check that it loses nothing.  Grammar, by type:
   rational   -18, 3/2, 0
   polynomial -65*x - 18     (descending powers, unit coefficients omitted)
   cyclotomic z - z^2 + 3/2*z^4   (ascending powers of z, zero is "0")
-  quadratic  (3 + sqrt(13))/2, 4 + sqrt(17), 18 + 5*sqrt(13), 1/3 + 1/2*sqrt(5)
+  quadratic  (3 + sqrt(13))/2, 4 + sqrt(17), 18 + 5*sqrt(13), 1/3 + 1/2*sqrt(5),
+             sqrt(5)/2, -3*sqrt(5)/2, 1/2   (over 2, parentheses only for two terms)
   compound   v1 ; v2    (joint value of a two-part identity, from a tuple)
 
 Signs are folded into the joining " + " / " - " separators; no other
 whitespace is significant.  A quadratic value with y = 0 prints with no
-sqrt(...) part (1/3, 0, (1)/2), so parsing it back needs its field index p,
+sqrt(...) part (1/3, 0, 1/2), so parsing it back needs its field index p,
 as parsing a cyclotomic value does.
 """
 
@@ -65,12 +66,15 @@ def format_cyclo(e: CycloElem) -> str:
 
 def format_quad(e: QuadElem) -> str:
     """x + y*sqrt(p), written over 2 when 2x and 2y are integers and x or y
-    is not; any other coefficients are printed as rationals."""
+    is not, in parentheses if both terms are there; any other coefficients
+    are printed as rationals."""
     halves = max(e.x.denominator, e.y.denominator) == 2
     scale = 2 if halves else 1
     terms = [(c, sym) for c, sym in ((scale * e.x, ""), (scale * e.y, f"sqrt({e.p})")) if c != 0]
     body = _join_terms(terms)
-    return f"({body})/2" if halves else body
+    if not halves:
+        return body
+    return f"({body})/2" if len(terms) == 2 else f"{body}/2"
 
 
 def format_value(v) -> str:

@@ -7,8 +7,10 @@ extended Euclidean algorithm, adjugates from explicit cofactors (over QQ by
 Gaussian elimination, over any ring by cofactor expansion), the two-vector
 lemma's closed form in Fraction arithmetic, and the kernels that faster ones
 replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
-lists of lists, and Gaussian elimination in Fractions (det_gauss), which
-fraction-free elimination on integer-scaled rows replaced over QQ.
+lists of lists, the entrywise cyclotomic matrix product, and Gaussian
+elimination over a field (det_gauss), which fraction-free elimination on
+integer-scaled rows replaced over QQ and a CRT over split primes replaced
+over Q(zeta_p).
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
@@ -42,15 +44,16 @@ def naive_det(rows):
 
 
 def det_gauss(rows):
-    """Determinant of an integer or rational matrix by Gaussian elimination
-    in Fractions, with a row swap wherever a pivot is zero: the QQ kernel
-    that fraction-free elimination replaced in the package.  Always a
-    Fraction."""
-    a = [[Fraction(x) for x in row] for row in rows]
+    """Determinant by Gaussian elimination over a field, with a row swap
+    wherever a pivot is zero: the kernel that integer routes replaced in the
+    package, over QQ and over Q(zeta_p).  Integer and rational entries are
+    taken as Fractions, and their determinant is always a Fraction;
+    CycloElem entries divide through CycloElem.inv."""
+    a = [[x if isinstance(x, CycloElem) else Fraction(x) for x in row] for row in rows]
     k = len(a)
     det = Fraction(1)
     for c in range(k):
-        r = next((r for r in range(c, k) if a[r][c]), None)
+        r = next((r for r in range(c, k) if a[r][c] != 0), None)
         if r is None:
             return Fraction(0)
         if r != c:
@@ -61,6 +64,18 @@ def det_gauss(rows):
             f = a[i][c] / a[c][c]
             a[i] = [x - f * y for x, y in zip(a[i], a[c])]
     return det
+
+
+def matmul_entrywise(a, b):
+    """The entries of a @ b for two ExactMatrix over Q(zeta_p), each a sum
+    of CycloElems whose products come from convolve_cyclo."""
+    p = a.ring.zero.p
+    out = []
+    for row in a.entries:
+        out.append([sum((CycloElem(p, convolve_cyclo(p, x.num, y.num), x.den * y.den)
+                         for x, y in zip(row, col)), start=a.ring.zero)
+                    for col in zip(*b.entries)])
+    return out
 
 
 def cofactor_adjugate(m):
@@ -267,12 +282,13 @@ def parse_cyclo(s: str, p: int) -> CycloElem:
 
 
 def parse_quad(s: str, p: int | None = None) -> QuadElem:
-    """Inverse of format_quad.  A form with no sqrt(...) part is an element
+    """Inverse of format_quad, halves forms "(x + y*sqrt(p))/2" and
+    "y*sqrt(p)/2" included.  A form with no sqrt(...) part is an element
     with y = 0, whose field only the index p names: without p it raises.  A
     sqrt(q) part with q != p raises too."""
     s = s.strip()
     halves = False
-    m = re.fullmatch(r"\((.*)\)/2", s)
+    m = re.fullmatch(r"\((.*)\)/2", s) or re.fullmatch(r"(.*sqrt\(\d+\))/2", s)
     if m:
         halves = True
         s = m.group(1)
@@ -299,11 +315,12 @@ def parse_quad(s: str, p: int | None = None) -> QuadElem:
 
 def parse_value(s: str, p: int | None = None):
     """Inverse of format_value.  Cyclotomic values need the field index p;
-    a quadratic value is one with a sqrt(...) part or in the halves form
-    "(...)/2", and its field is checked against p when p is given."""
+    a quadratic value is one with a sqrt(...) part, and its field is checked
+    against p when p is given.  A quadratic value with y = 0 reads as the
+    rational it prints as."""
     if " ; " in s:
         return tuple(parse_value(part, p) for part in s.split(" ; "))
-    if "sqrt" in s or s.startswith("("):
+    if "sqrt" in s:
         return parse_quad(s, p)
     if "z" in s:
         if p is None:

@@ -35,7 +35,7 @@ from legdet.identities import (
     verify_sun_congruence,
     verify_theorem,
 )
-from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_p, det_toeplitz
+from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_rows, det_toeplitz
 from legdet.ntheory import legendre, odd_primes_upto
 from legdet.render import format_value
 
@@ -275,13 +275,15 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
         assert check.passed is False
         assert check.lhs != check.rhs
     # the failing reports themselves, pinned: the first divergent entry of C,
-    # and for f1f2 the right side in full and the 5366-character left by hash
+    # and for f1f2 the right side in full and the 206-character left by hash,
+    # the hash of the determinants of the perturbed matrices by
+    # helpers.det_gauss with the true inverse
     assert (decomp.name, decomp.lhs, decomp.rhs, decomp.detail) == (
         "decomposition", "1", "z^3", "first divergent entry (i, j) = (0, 1)"
     )
     assert (f1f2.name, f1f2.detail) == ("f1f2_u00", "")
     assert hashlib.sha256(f1f2.lhs.encode()).hexdigest() == (
-        "9c7dc0d42421ea59fce5827e57bb56b7eed4c4a2fbf6f968261762bc5a5f31b8"
+        "3aa1e0ef7faeef80a6e05deed3476ab96f00be886821685b00bb64d825782c2e"
     )
     assert f1f2.rhs == (
         "70 + 195*z + 70*z^2 + 15*z^4 - 120*z^5 - 195*z^6 - 160*z^7 - 160*z^8 - 195*z^9 - 120*z^10 + 15*z^11"
@@ -337,7 +339,7 @@ def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
 
 
 def test_wrong_residue_fails_sun_congruence(monkeypatch):
-    monkeypatch.setattr(identities, "det_mod_p", lambda m, p: (det_mod_p(m, p) + 1) % p)
+    monkeypatch.setattr(identities, "det_mod_rows", lambda rows, q: (det_mod_rows(rows, q) + 1) % q)
     for d in range(13):
         r = verify_sun_congruence(13, d)
         assert r.passed is False and r.lhs != r.rhs

@@ -7,6 +7,7 @@ from helpers import (
     cofactor_adjugate,
     det_gauss,
     det_mod_p_lists,
+    matmul_entrywise,
     naive_adjugate,
     naive_det,
     rand_int_rows,
@@ -62,7 +63,7 @@ def test_matmul_and_add():
 
 
 def test_det_three_way_agreement():
-    """Bareiss, field elimination, and naive cofactor expansion agree on
+    """Bareiss, det_field over QQ, and naive cofactor expansion agree on
     random integer matrices up to size 5."""
     rng = random.Random(1)
     for _ in range(60):
@@ -104,13 +105,120 @@ def test_det_over_cyclotomics():
     ])
     assert det_field(d) == zeta_pow(p, 6)
     assert det_field(ExactMatrix(r, [[r.one if i == j else r.zero for j in range(3)] for i in range(3)])) == r.one
-    # zero pivots force row swaps: at the (0, 0) entry, and in the second
-    # matrix at (1, 1) once column 0 is eliminated; a zero CycloElem is
-    # truthy, so only a test against ring.zero finds them
+    # zero pivots force row swaps in every image mod q: at the (0, 0)
+    # entry, and in the second matrix at (1, 1) once column 0 is eliminated
     z = zeta_pow(p, 1)
     assert det_field(ExactMatrix(r, [[r.zero, r.one], [r.one, z]])) == -r.one
     rows = [[r.one, z, r.zero], [z, z * z, r.one], [r.zero, r.one, z]]
     assert det_field(ExactMatrix(r, rows)) == naive_det(rows) == -r.one
+
+
+def _cyclo(rng, p, bits, den_max=1):
+    return CycloElem(p, [rng.randint(-(1 << bits), 1 << bits) for _ in range(p - 1)], rng.randint(1, den_max))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_det_field_over_cyclotomics_vs_gauss_and_cofactors(p, monkeypatch):
+    """det_field over Q(zeta_p), a CRT over split primes, against Gaussian
+    elimination over the field and cofactor expansion, on seeded matrices
+    with k <= 4: singular ones, 1x1 ones, zeros at (0, 0) and at (1, 1)
+    after one step that force swaps, rows with denominators up to 10^6,
+    and coefficients of 300 bits, for which several primes are needed."""
+    split = linalg._split_primes
+    counts = []
+
+    def counted(p, bound):
+        primes = split(p, bound)
+        counts.append(len(primes))
+        return primes
+
+    monkeypatch.setattr(linalg, "_split_primes", counted)
+    rng = random.Random(p)
+    r = cyclo_ring(p)
+    z = zeta_pow(p, 1)
+    cases = []
+    for bits, den_max, ks in ((2, 1, (2, 3, 4)), (2, 10**6, (2, 3, 4)), (300, 1, (2, 3)), (300, 10**6, (2, 3))):
+        for k in ks:
+            cases.append([[_cyclo(rng, p, bits, den_max) for _ in range(k)] for _ in range(k)])
+    singular = [[[r.zero]]]
+    for k in (2, 3, 4):  # last row a combination of rows 0 and k-2
+        rows = [[_cyclo(rng, p, 3, 7) for _ in range(k)] for _ in range(k - 1)]
+        a, b = _cyclo(rng, p, 2, 3), _cyclo(rng, p, 2, 3)
+        singular.append(rows + [[a * x + b * y for x, y in zip(rows[0], rows[-1])]])
+    singular.append([[r.one, z], [z, z * z]])
+    cases += singular
+    cases += [[[_cyclo(rng, p, 300, 10**6)]], [[z]], [[CycloElem.from_rational(p, Fraction(-7, 3))]]]
+    cases += [[[r.zero, r.one], [r.one, z]],
+              [[r.one, z, r.zero], [z, z * z, r.one], [r.zero, r.one, z]],
+              [[r.zero, _cyclo(rng, p, 5, 9), r.one], [_cyclo(rng, p, 5, 9), r.zero, z], [z, z, _cyclo(rng, p, 5, 9)]]]
+    for rows in cases:
+        d = det_field(ExactMatrix(r, rows))
+        assert isinstance(d, CycloElem)
+        assert d == det_gauss(rows) == naive_det(rows)
+        assert (d == r.zero) == (rows in singular)
+    assert max(counts) >= 10
+
+
+def test_det_field_over_cyclotomics_needs_every_prime(monkeypatch):
+    """Negative control for the 4H bound: det = (q1 - 1) z^2 for the first
+    split prime q1 at p = 5.  H = q1 - 1, so the primes must pass
+    4 (q1 - 1) > q1 and two are taken; cut one short, the one prime left
+    reads the coefficient q1 - 1 as -1 and the determinant comes out
+    wrong."""
+    p = 5
+    r = cyclo_ring(p)
+    split = linalg._split_primes
+    q1 = split(p, 1)[0][0]
+    rows = [[CycloElem.from_rational(p, q1 - 1), r.zero], [r.zero, zeta_pow(p, 2)]]
+    m = ExactMatrix(r, rows)
+    want = det_gauss(rows)
+    assert want == (q1 - 1) * zeta_pow(p, 2)
+    assert det_field(m) == want
+    assert len(split(p, 4 * (q1 - 1))) == 2
+    monkeypatch.setattr(linalg, "_split_primes", lambda p, bound: split(p, bound)[:-1])
+    assert det_field(m) == -zeta_pow(p, 2) != want
+
+
+def test_cyclotomic_kernels_need_no_field_multiplication(monkeypatch):
+    """det_field and @ over Q(zeta_p) work on integer vectors: with
+    CycloElem.inv and its multiplication made to raise they still return,
+    with the oracles' values."""
+    rng = random.Random(5)
+    p = 13
+    r = cyclo_ring(p)
+    a = ExactMatrix(r, [[_cyclo(rng, p, 20, 50) for _ in range(4)] for _ in range(4)])
+    b = ExactMatrix(r, [[_cyclo(rng, p, 20, 50) for _ in range(3)] for _ in range(4)])
+    det, product = det_gauss(a.entries), matmul_entrywise(a, b)
+
+    def boom(*args):
+        raise AssertionError("field multiplication called")
+
+    for name in ("inv", "__mul__", "__rmul__"):
+        monkeypatch.setattr(CycloElem, name, boom)
+    assert det_field(a) == det
+    assert (a @ b).entries == tuple(map(tuple, product))
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_cyclotomic_matmul_slot_reaches_its_bound(p):
+    """@ over Q(zeta_p) against the entrywise product.  With every entry
+    of A the vector of all M = 2^t - 1 and every entry of B all +-M, slot
+    p-2 of each output's plain sum holds k (p-1) M^2 in size, the bound of
+    the cyclotomic._dot_vecs docstring, at every slot width in play; seeded
+    matrices with denominators beside."""
+    r = cyclo_ring(p)
+    k = 3
+    for t in list(range(1, 70)) + [300]:
+        m = (1 << t) - 1
+        for sign in (1, -1):
+            a = ExactMatrix(r, [[CycloElem(p, [m] * (p - 1))] * k] * k)
+            b = ExactMatrix(r, [[CycloElem(p, [sign * m] * (p - 1))] * k] * k)
+            assert (a @ b).entries == tuple(map(tuple, matmul_entrywise(a, b)))
+    rng = random.Random(p)
+    for bits in (1, 40, 300):
+        a = ExactMatrix(r, [[_cyclo(rng, p, bits, 30) for _ in range(3)] for _ in range(2)])
+        b = ExactMatrix(r, [[_cyclo(rng, p, bits, 30) for _ in range(4)] for _ in range(3)])
+        assert (a @ b).entries == tuple(map(tuple, matmul_entrywise(a, b)))
 
 
 def test_det_field_over_qq_vs_gauss_and_cofactors():
@@ -156,6 +264,8 @@ def test_det_usage_errors():
         det_field(ExactMatrix(QQ, [[Fraction(1), Fraction(2)]]))
     with pytest.raises(ValueError):
         det_field(ExactMatrix(ZZ, [[1]]))  # ZZ is not a field
+    with pytest.raises(ValueError):
+        det_field(ExactMatrix(linalg.Ring("GF(2)", 0, 1, is_field=True), [[1]]))  # no kernel for it
     with pytest.raises(ValueError):
         det_mod_p(rect, 5)
     with pytest.raises(ValueError):

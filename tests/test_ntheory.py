@@ -26,6 +26,44 @@ def test_is_prime_against_list():
         is_prime(-3)
 
 
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    assert [m for m in range(10**5) if is_prime(m)] == [
+        m for m in range(10**5) if m > 1 and all(m % f for f in range(2, math.isqrt(m) + 1))]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    """3215031751 = 151 * 751 * 28351 is a strong probable prime to the
+    bases 2, 3, 5, 7 (and 19, 37), and 3825123056546413051 =
+    149491 * 747451 * 34233211 to every prime base up to 31: only the base
+    37 exposes it."""
+    for m, factors in ((3215031751, (151, 751, 28351)), (3825123056546413051, (149491, 747451, 34233211))):
+        assert math.prod(factors) == m
+        assert not is_prime(m)
+
+
+def test_is_prime_accepts_split_primes_below_2_62():
+    """The three largest primes q < 2^62 with q = 1 (mod 29), the first
+    moduli of the cyclotomic determinant at p = 29, each proven prime by
+    Lucas's test on the factors of q - 1 (each below 10^10, prime by trial
+    division); every odd q = 1 (mod 29) between them has a Fermat witness,
+    so it is composite."""
+    certificates = {
+        4611686018427382099: (2, 3, 29, 109178599, 242757673),
+        4611686018427381577: (2, 2, 2, 3, 29, 31, 41047, 5207237383),
+        4611686018427381287: (2, 29, 113, 257, 4567, 599499961),
+    }
+    for q, factors in certificates.items():
+        assert q % 29 == 1 and q < 1 << 62 and math.prod(factors) == q - 1
+        assert all(all(f % d for d in range(2, math.isqrt(f) + 1)) for f in set(factors))
+        assert any(pow(a, q - 1, q) == 1 and all(pow(a, (q - 1) // f, q) != 1 for f in set(factors))
+                   for a in range(2, 100))
+        assert is_prime(q)
+    for c in range((((1 << 62) - 2) // 58) * 58 + 1, min(certificates), -58):
+        if c not in certificates:
+            assert any(pow(b, c - 1, c) != 1 for b in range(2, 50))
+            assert not is_prime(c)
+
+
 def test_odd_prime_type():
     p = OddPrime(13)
     assert p == 13 and isinstance(p, int)

@@ -87,7 +87,7 @@ def test_quad_forms_without_sqrt_part():
     without p it raises, and a sqrt part of another field raises."""
     assert format_quad(QuadElem(Fraction(1, 3), Fraction(0), 5)) == "1/3"
     assert format_quad(QuadElem(Fraction(0), Fraction(0), 5)) == "0"
-    assert format_quad(QuadElem(Fraction(1, 2), Fraction(0), 5)) == "(1)/2"
+    assert format_quad(QuadElem(Fraction(1, 2), Fraction(0), 5)) == "1/2"
     for p in (5, 13):
         for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(-3, 2), Fraction(7), Fraction(-5, 4)):
             e = QuadElem(x, Fraction(0), p)
@@ -97,10 +97,27 @@ def test_quad_forms_without_sqrt_part():
                 parse_quad(s)
         eps = fundamental_unit(p)
         assert parse_quad(format_quad(eps), p) == eps
-    # only the halves form tells parse_value that the value is quadratic
-    assert parse_value("(-3)/2", p=13) == QuadElem(Fraction(-3, 2), Fraction(0), 13)
+    # with no sqrt part, parse_value reads the rational it prints as
+    assert parse_value("-3/2", p=13) == Fraction(-3, 2)
     with pytest.raises(ValueError):
         parse_quad("1 + sqrt(13)", 5)
+
+
+def test_quad_halves_with_one_term():
+    """A lone term over 2 prints without parentheses, and both halves forms
+    parse back: the sqrt-free ones given p, the others with or without it."""
+    assert format_quad(QuadElem(Fraction(1, 2), Fraction(0), 5)) == "1/2"
+    assert format_quad(QuadElem(Fraction(0), Fraction(1, 2), 5)) == "sqrt(5)/2"
+    assert format_quad(QuadElem(Fraction(-3, 2), Fraction(0), 5)) == "-3/2"
+    assert format_quad(QuadElem(Fraction(0), Fraction(-3, 2), 13)) == "-3*sqrt(13)/2"
+    for p in (5, 13):
+        for x in (Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)):
+            for y in (Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(5, 2), Fraction(-3)):
+                e = QuadElem(x, y, p)
+                s = format_quad(e)
+                assert parse_quad(s, p) == e
+                if y:
+                    assert parse_quad(s) == e == parse_value(s)
 
 
 def test_parse_value_dispatch():
