@@ -1,13 +1,20 @@
-"""Timings of the integer kernels under the cyclotomic, Sun, Carlitz and C(x) checks.
+"""Timings of the integer kernels under the cyclotomic, Sun, Carlitz, C(x) and minor-antisymmetry checks.
 
-    python3 bench/kernels.py [--quick] [--src DIR] [--label NAME] [--out FILE]
+    python3 bench/kernels.py [--quick] [--parent DIR] [--change DIR] [--out FILE]
 
 Cases:
   mul_vec  legdet.cyclotomic._mul_vec at p = 13, 29, 59, a monomial or a
            dense vector times a dense vector, entries of 3, 40 or 300 bits;
            one sample is one pass over a fixed batch of seeded operand pairs.
-  det_mod_p  legdet.linalg.det_mod_p over the Sun matrices [((i + d j)/p)]
-           for every d, at p = 61, 101, 157; one sample is one pass over all d.
+  det_mod_p  legdet.linalg.det_mod_p over the Sun matrices [((i + d j)/p)],
+           built from a Legendre table, for every d, at p = 61, 101, 157; one
+           sample is one pass over all d.
+  sun_check  the whole Sun check of one prime: a fresh
+           identities.PrimeContext and verify_sun_congruence for every d, at
+           p = 61, 101, 157, rows included; one sample is one prime.
+  evil_adjugate  identities.PrimeContext(p).evil_adjugate, the adjugate that
+           minor antisymmetry reads, on a fresh context at p = 67 and 151;
+           one sample is one adjugate, its inputs included.
   toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
            matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
            C + J and C - J for the evil matrix C at p = 401; one sample is
@@ -24,20 +31,22 @@ Cases:
            decomposition check at p = 29, W = s D U D for the scalar s of
            that check; one sample is the two products.
 
-Each case is sampled 9 times in this one process, the samples taken round
-the cases, and reported as seconds per call: the median of the samples, and
-their minimum and maximum.  --src picks the ``src`` directory legdet is
-imported from (default: the one next to this script), so that a second
-checkout, for example the parent commit, can be timed on the same inputs.
-The result is one JSON object printed as the last line; --out FILE merges
-it into FILE under --label, keeping the other labels there.  The committed
-BENCH_kernels.json holds a "parent" and a "change" run made with
+Two checkouts are timed side by side: --parent and --change name the
+``src`` directories legdet is imported from (--change defaults to the one
+next to this script, --parent to --change).  Each runs in its own child
+process, which builds the inputs once and then, on each request, takes one
+sample of every case.  The requests alternate between the two children,
+the first side swapping each round, so that a slow spell of a shared
+machine lands on both checkouts, not on one.  Each case gets 9 samples per
+side, reported as seconds per call: the median of the samples, and their
+minimum and maximum.  The result is one JSON object, {"parent": ...,
+"change": ...}, printed as the last line; --out FILE writes it there.  The
+committed BENCH_kernels.json holds the run made with
 
-    python3 bench/kernels.py --src PARENT_CHECKOUT/src --label parent --out BENCH_kernels.json
-    python3 bench/kernels.py --label change --out BENCH_kernels.json
+    python3 bench/kernels.py --parent PARENT_CHECKOUT/src --out BENCH_kernels.json
 
---quick runs p = 13 and p = 61 only, with 3 samples of a small batch: a smoke
-test that every case still runs.  Its C +- J case is at p = 61, its
+--quick runs p = 13, 61 and 67 only, with 3 samples of a small batch: a
+smoke test that every case still runs.  Its C +- J case is at p = 61, its
 det_field case at m = 3, and its det_field_cyclo and matmul_cyclo cases at
 p = 13.
 """
@@ -51,6 +60,7 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -61,6 +71,7 @@ MUL_PRIMES = (13, 29, 59)
 MUL_BITS = (3, 40, 300)
 MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
+ADJUGATE_PRIMES = (67, 151)
 CARLITZ_PRIMES = (61, 101, 157)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
@@ -99,16 +110,46 @@ def mul_vec_cases(legdet, quick: bool) -> dict:
 
 
 def det_mod_p_cases(legdet, quick: bool) -> dict:
+    lin = legdet.linalg
     out = {}
     for p in SUN_PRIMES[:1] if quick else SUN_PRIMES:
-        mats = [legdet.identities.build_sun_matrix(p, d) for d in range(p)]
+        chi = [legdet.ntheory.legendre(r, p) for r in range(p)]
+        k = (p + 1) // 2
+        mats = [lin.ExactMatrix(lin.ZZ, [[chi[(i + d * j) % p] for j in range(k)] for i in range(k)])
+                for d in range(p)]
 
         def run(mats=mats, p=p):
             for m in mats:
-                legdet.linalg.det_mod_p(m, p)
+                lin.det_mod_p(m, p)
             return len(mats)
 
         out[f"det_mod_p sun p={p} all d"] = run
+    return out
+
+
+def sun_check_cases(legdet, quick: bool) -> dict:
+    ids = legdet.identities
+    out = {}
+    for p in SUN_PRIMES[:1] if quick else SUN_PRIMES:
+        def run(p=p):
+            ctx = ids.PrimeContext(p)
+            for d in range(p):
+                ids.verify_sun_congruence(ctx, d)
+            return 1
+
+        out[f"sun_check p={p} all d"] = run
+    return out
+
+
+def evil_adjugate_cases(legdet, quick: bool) -> dict:
+    ids = legdet.identities
+    out = {}
+    for p in ADJUGATE_PRIMES[:1] if quick else ADJUGATE_PRIMES:
+        def run(p=p):
+            ids.PrimeContext(p).evil_adjugate
+            return 1
+
+        out[f"evil_adjugate p={p}"] = run
     return out
 
 
@@ -196,17 +237,57 @@ def cyclo_cases(legdet, quick: bool) -> dict:
     return out
 
 
-def measure(cases: dict, repeats: int) -> dict:
-    """Seconds per call of each case.  The samples go round the cases, so a
-    slow spell of a shared machine lands on every case, not on one."""
-    times: dict[str, list[float]] = {name: [] for name in cases}
-    for _ in range(repeats):
+def child(src: Path, quick: bool) -> int:
+    """Build every case on legdet from src, print their names as one JSON
+    line, then print one JSON line of seconds per call per case for each
+    line read from stdin, until stdin closes."""
+    sys.path.insert(0, str(src))
+    import legdet.cyclotomic
+    import legdet.identities
+    import legdet.linalg
+    import legdet.ntheory
+
+    cases = {}
+    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, toeplitz_cases,
+                  det_field_cases, cyclo_cases):
+        cases.update(build(legdet, quick))
+    print(json.dumps(list(cases)), flush=True)
+    for _ in sys.stdin:
+        sample = {}
         for name, run in cases.items():
             t = time.perf_counter()
             calls = run()
-            times[name].append((time.perf_counter() - t) / calls)
-    return {name: {"median_s": statistics.median(v), "min_s": min(v), "max_s": max(v), "repeats": repeats}
-            for name, v in times.items()}
+            sample[name] = (time.perf_counter() - t) / calls
+        print(json.dumps(sample), flush=True)
+    return 0
+
+
+def measure(srcs: dict[str, Path], quick: bool, repeats: int) -> dict:
+    """Seconds per call of each case on each side, from one child process
+    per side, asked for samples in turn (the first side swapping each
+    round)."""
+    env = {**os.environ, "PYTHONHASHSEED": "0"}  # the same dict and set layouts on both sides
+    procs = {side: subprocess.Popen([sys.executable, __file__, "--child", str(src)] + ["--quick"] * quick,
+                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+             for side, src in srcs.items()}
+    try:
+        names = {side: json.loads(proc.stdout.readline()) for side, proc in procs.items()}
+        times = {side: {name: [] for name in names[side]} for side in procs}
+        sides = list(procs)
+        for r in range(repeats):
+            for side in sides if r % 2 == 0 else sides[::-1]:
+                procs[side].stdin.write("sample\n")
+                procs[side].stdin.flush()
+                for name, t in json.loads(procs[side].stdout.readline()).items():
+                    times[side][name].append(t)
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    if any(proc.returncode for proc in procs.values()):
+        raise RuntimeError("a timing child failed")
+    return {side: {name: {"median_s": statistics.median(v), "min_s": min(v), "max_s": max(v), "repeats": repeats}
+                   for name, v in t.items()} for side, t in times.items()}
 
 
 def environment(src: Path) -> dict:
@@ -227,31 +308,28 @@ def environment(src: Path) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--quick", action="store_true", help="smallest cases, 3 samples")
-    ap.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding legdet")
-    ap.add_argument("--label", default="change", help="key of this run in --out")
-    ap.add_argument("--out", type=Path, default=None, help="JSON file to merge the result into")
+    ap.add_argument("--change", type=Path, default=ROOT / "src", help="directory holding the changed legdet")
+    ap.add_argument("--parent", type=Path, default=None, help="directory holding the parent legdet (default: --change)")
+    ap.add_argument("--out", type=Path, default=None, help="JSON file to write the result to")
+    ap.add_argument("--child", type=Path, default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    repeats = 3 if args.quick else 9
-    src = args.src.resolve()
-    if not (src / "legdet" / "__init__.py").is_file():
-        ap.error(f"no legdet package under {src}")
-    sys.path.insert(0, str(src))
-    import legdet.cyclotomic
-    import legdet.identities
-    import legdet.linalg
-
-    cases = measure({**mul_vec_cases(legdet, args.quick), **det_mod_p_cases(legdet, args.quick),
-                     **toeplitz_cases(legdet, args.quick), **det_field_cases(legdet, args.quick),
-                     **cyclo_cases(legdet, args.quick)}, repeats)
-    for name, c in cases.items():
-        print(f"{name:40s} median {c['median_s'] * 1e6:10.1f} us  "
+    if args.child is not None:
+        return child(args.child, args.quick)
+    srcs = {"parent": (args.parent or args.change).resolve(), "change": args.change.resolve()}
+    for src in srcs.values():
+        if not (src / "legdet" / "__init__.py").is_file():
+            ap.error(f"no legdet package under {src}")
+    timed = measure(srcs, args.quick, 3 if args.quick else 9)
+    for name, c in timed["change"].items():
+        before = timed["parent"].get(name)
+        was = f"{before['median_s'] * 1e6:12.1f} us -> " if before else " " * 19
+        print(f"{name:40s} {was}{c['median_s'] * 1e6:10.1f} us  "
               f"(min {c['min_s'] * 1e6:.1f}, max {c['max_s'] * 1e6:.1f})")
-    result = {"environment": environment(src), "quick": args.quick, "cases": cases}
+    result = {side: {"environment": environment(src), "quick": args.quick, "cases": timed[side]}
+              for side, src in srcs.items()}
     if args.out is not None:
-        data = json.loads(args.out.read_text()) if args.out.exists() else {}
-        data[args.label] = result
-        args.out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(json.dumps({args.label: result}, sort_keys=True))
+        args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(result, sort_keys=True))
     return 0
 
 

@@ -16,7 +16,6 @@ from .identities import (
     VerificationReport,
     build_carlitz_matrix,
     build_evil_matrix,
-    build_sun_matrix,
     build_vsemirnov_matrices,
     c_polynomial,
     random_uv_instance,
@@ -70,7 +69,6 @@ __all__ = [
     "as_rational",
     "build_carlitz_matrix",
     "build_evil_matrix",
-    "build_sun_matrix",
     "build_vsemirnov_matrices",
     "c_polynomial",
     "class_number",

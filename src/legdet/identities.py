@@ -9,10 +9,11 @@ forms from the continued-fraction unit and form-class oracles in quadfield,
 and cyclotomic products expanded term by term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
-matrix, the routes record of det C, C(x) and u^T adj(C) u with their second
-routes, n! mod p, the unit coefficients, Vsemirnov's U, V and the diagonal of
-D, and the cyclotomic inverses) live on a PrimeContext and are computed on
-first use.  run_suite hands one context per prime to every check; a check
+matrix, the Toeplitz run on C + J, the routes record of det C, C(x) and
+u^T adj(C) u with their second routes, the certified adjugate of C, the
+packed Sun row tables, n! mod p, the unit coefficients, Vsemirnov's U, V and
+the diagonal of D, and the cyclotomic inverses) live on a PrimeContext and
+are computed on first use.  run_suite hands one context per prime to every check; a check
 called with a plain integer builds its own, so nothing outlives it.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
@@ -37,12 +38,17 @@ from .linalg import (
     ZZ,
     ExactMatrix,
     adjugate,
+    certify_adjugate,
     cyclo_ring,
     det_bareiss,
     det_field,
-    det_mod_rows,
+    det_mod_packed,
     det_toeplitz,
+    mod_slot_width,
+    pack_windows,
     poly_ring,
+    toeplitz_adjugate,
+    toeplitz_columns,
 )
 from .ntheory import OddPrime, factorial_mod, legendre, odd_primes_upto
 from .quadfield import UnitData, ab_coeffs
@@ -110,7 +116,30 @@ class PrimeContext:
     """The values that several checks at one odd prime p share, each one
     computed on first use and then kept for the life of the context.
     routes holds the evil_det, theorem_cx and adj_sum values, each beside
-    its second route, for _two_routes to compare."""
+    its second route, for _two_routes to compare.
+
+    Sun rows: for d != 0, i + dj = d(i d^-1 + j) (mod p), so row i of
+    [((i + dj)/p)] is row i d^-1 mod p of T_s, s = (d/p), where
+    T_s[r][j] = s ((r + j)/p).  sun_tables holds T_+1 and T_-1 mod p, p
+    rows each, packed once at det_mod_packed's slot width, and every Sun
+    matrix is a selection of their rows.
+
+    The adjugate of C for p = 3 (mod 4) comes from A = C + J, whose
+    Toeplitz recurrence (plus_j) also gives C(1): adj(A) from its first
+    and last columns (toeplitz_adjugate), then adj(C) from the rank-one
+    update C = A - u u^T, u all-ones,
+
+        adj(C) = (det C adj(A) + (adj(A) u)(u^T adj(A))) / det A,
+
+    and then a certificate, C X = c0 I with c0 = (C(1) + C(-1)) / 2
+    (evil_det), before any check reads X.  For c0 != 0 that equation forces
+    X = c0 C^-1, whatever the recurrence assumed: it builds in the
+    persymmetry of adj(A), which minor antisymmetry rests on.  A c0 other
+    than det C fails it, as the update then leaves X = adj(C) + (c0 - det C)
+    A^-1, and C X - c0 I = -(c0 - det C) u u^T A^-1 != 0.  A zero F_0,
+    divisor or det A, a remainder in the update, c0 = 0 or a failed
+    certificate sends C to Gauss-Jordan adjugate instead.
+    """
 
     def __init__(self, p):
         self.p = OddPrime(p)
@@ -126,22 +155,32 @@ class PrimeContext:
         return build_evil_matrix(self)
 
     @cached_property
+    def plus_j(self) -> tuple[int, list | None, list | None]:
+        """(C(1), F, B): det(C + J) and the first and last columns of its
+        adjugate (toeplitz_columns)."""
+        return toeplitz_columns(evil_toeplitz(self, 1), self.p.n + 1)
+
+    @cached_property
+    def evil_det(self) -> int:
+        """C(0) = det C = (C(1) + C(-1)) / 2, as C(x) = det(C + xJ) is linear
+        in x (a rank-one update); raises ArithmeticError if the sum is odd."""
+        c1 = self.plus_j[0]
+        c0, r = divmod(c1 + det_toeplitz(evil_toeplitz(self, -1), self.p.n + 1), 2)
+        if r:
+            raise ArithmeticError(f"C(1) + C(-1) = {2 * c0 + 1} is odd for p={self.p}")
+        return c0
+
+    @cached_property
     def routes(self) -> dict[str, tuple]:
         """The values of the three two-route checks, each recorded as
         (value, second route, note), the note naming the routes if they
-        disagree.  The values come from the Toeplitz determinants of C + J
-        and C - J, whose diagonals are 1 and -1: C(x) = det(C + xJ) is
-        linear in x (a rank-one update), so C(0) = (C(1) + C(-1)) / 2 and
+        disagree.  The values come from C(1) (plus_j) and C(0) (evil_det):
         the slope u^T adj(C) u is C(1) - C(0) by the determinant lemma.
         For p <= 13 the second routes are det_bareiss of C for det C, the
         C(x) of det_bareiss of C and C + J or, if that agrees, the
         symbolic determinant over QQ[x], and the adjugate's entry sum for
         the slope; above 13 each value is its own second route."""
-        k = self.p.n + 1
-        c1 = det_toeplitz(evil_toeplitz(self, 1), k)
-        c0, r = divmod(c1 + det_toeplitz(evil_toeplitz(self, -1), k), 2)
-        if r:
-            raise ArithmeticError(f"C(1) + C(-1) = {2 * c0 + 1} is odd for p={self.p}")
+        c1, c0 = self.plus_j[0], self.evil_det
         poly = UniPoly((c0, c1 - c0))
         values = {"evil_det": c0, "theorem_cx": poly, "adj_sum": c1 - c0}
         if self.p > 13:
@@ -162,7 +201,39 @@ class PrimeContext:
 
     @cached_property
     def evil_adjugate(self) -> ExactMatrix:
-        return adjugate(self.evil)
+        """adj(C): certified from the Toeplitz adjugate of C + J for
+        p = 3 (mod 4) (see the class docstring), else Gauss-Jordan."""
+        x = self._toeplitz_evil_adjugate() if self.p.mod4 == 3 else None
+        return adjugate(self.evil) if x is None else ExactMatrix(ZZ, x)
+
+    def _toeplitz_evil_adjugate(self) -> list[list[int]] | None:
+        det_a, f, b = self.plus_j
+        c0 = self.evil_det
+        adj_a = toeplitz_adjugate(f, b) if f is not None else None
+        if adj_a is None or not det_a or not c0:
+            return None
+        rs = [sum(row) for row in adj_a]
+        cs = [sum(col) for col in zip(*adj_a)]
+        x = []
+        for row, r in zip(adj_a, rs):
+            out = []
+            for a, s in zip(row, cs):
+                q, rem = divmod(c0 * a + r * s, det_a)
+                if rem:
+                    return None
+                out.append(q)
+            x.append(out)
+        return x if certify_adjugate(self.evil, x, c0) else None
+
+    @cached_property
+    def sun_tables(self) -> tuple[int, dict[int, list[int]]]:
+        """(w, {s: T_s}) for s = 1, -1: T_s[r] packs the row
+        s ((r + j)/p) mod p, 0 <= j <= n, at the slot width w of
+        det_mod_packed for n + 1 rows mod p (see the class docstring)."""
+        p, k = self.p, self.p.n + 1
+        w = mod_slot_width(p, k)
+        seq = [self.chi[m % p] for m in range(p + k - 1)]
+        return w, {s: pack_windows([s * x % p for x in seq], k, w) for s in (1, -1)}
 
     @cached_property
     def n_factorial(self) -> int:
@@ -226,12 +297,6 @@ def carlitz_toeplitz(p) -> list[int]:
     t_0 = (-1/p) != 0."""
     ctx = _context(p)
     return [ctx.chi[(d - 1) % ctx.p] for d in range(2 - ctx.p, ctx.p - 1)]
-
-
-def build_sun_matrix(p, d: int) -> ExactMatrix:
-    ctx = _context(p)
-    p, chi = ctx.p, ctx.chi
-    return ExactMatrix(ZZ, [[chi[(i + d * j) % p] for j in range(p.n + 1)] for i in range(p.n + 1)])
 
 
 # -- C(x) and the main theorem -----------------------------------------------
@@ -462,16 +527,24 @@ def verify_carlitz(p) -> CheckResult:
 def verify_sun_congruence(p, d: int) -> CheckResult:
     """det[( (i+dj)/p )]_{0<=i,j<=n} = ((d/p) d)^((p-1)/4) * n! (mod p).
 
-    The rows go to det_mod_rows straight from the Legendre table, each
-    entry already reduced to range(p).  d is zero-padded to the width of
-    p - 1 (at least 2) so names sort by d.
+    The left side is det_mod_packed of packed rows mod p: for d != 0 row i
+    is row i d^-1 mod p of the table T_(d/p) in ctx.sun_tables, and for
+    d = 0 it is (i/p) mod p in every slot.  d is zero-padded to the width
+    of p - 1 (at least 2) so names sort by d.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
-    res = [c % p for c in ctx.chi]
-    lhs = det_mod_rows([[res[(i + d * j) % p] for j in range(p.n + 1)] for i in range(p.n + 1)], p)
+    w, tables = ctx.sun_tables
+    k = p.n + 1
+    if d:
+        dinv, table = pow(d, -1, p), tables[ctx.chi[d]]
+        rows = [table[i * dinv % p] for i in range(k)]
+    else:
+        ones = sum(1 << (w * j) for j in range(k))
+        rows = [ctx.chi[i] % p * ones for i in range(k)]
+    lhs = det_mod_packed(rows, p, w)
     rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * ctx.n_factorial % p
     width = max(2, len(str(p - 1)))
     return _result(f"sun[d={d:0{width}d}]", p, lhs, rhs)

@@ -11,14 +11,25 @@ rows it first scales to integers; over the cyclotomic fields, rows scaled
 into Z[zeta_p], whose determinant is read off its images in F_q for split
 primes q and put together by CRT; det_toeplitz, fraction-free
 Levinson-Trench in O(k^2) integer operations on the 2k-1 diagonals of an
-integer Toeplitz matrix, which hands the explicit matrix to Bareiss when a
-leading minor it must divide by vanishes; and det_mod_rows, for when only
-the residue mod a prime of an integer determinant is wanted, which
-eliminates over F_q on rows packed one per integer, with delayed reduction.
-The product of two matrices over Q(zeta_p) likewise scales rows and columns
-to integers and packs each entry once.  The one adjugate is fraction-free
-Gauss-Jordan on [A | I], sharing the Bareiss step with the determinant; a
-singular matrix, over any ring, gets its signed cofactors instead.
+integer Toeplitz matrix (toeplitz_columns), which hands the explicit matrix
+to Bareiss when a leading minor it must divide by vanishes; and, for when
+only the residue mod a prime of an integer determinant is wanted,
+det_mod_packed, which eliminates over F_q on rows packed one per integer,
+with delayed reduction, and refuses a slot width below its proven bound.
+det_mod_rows packs plain rows for it; callers that select rows from a
+table, as the Sun check does (for d != 0, row i of [((i + dj)/p)] is row
+i d^-1 of [((d/p)(r + j)/p)], as i + dj = d(i d^-1 + j)), pack the table
+once (pack_windows).  The product of two matrices over Q(zeta_p) likewise
+scales rows and columns to integers and packs each entry once.
+
+The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
+Bareiss step with the determinant; a singular matrix, over any ring, gets
+its signed cofactors instead.  A Toeplitz matrix also has an O(k^2)
+adjugate, from the first and last columns that the Levinson-Trench run
+ends with (toeplitz_adjugate).  That one relies on the displacement
+structure of its input, so a caller certifies what it derives from it:
+certify_adjugate checks C X = d I on rows of X packed at a width past the
+slots' bound, which for d != 0 leaves X = d C^-1 as the only solution.
 """
 
 from __future__ import annotations
@@ -200,9 +211,10 @@ def det_bareiss(m: ExactMatrix):
     return _det_rows([list(row) for row in m.entries], m.ring)
 
 
-def det_toeplitz(t, k: int) -> int:
-    """det T for the k x k integer Toeplitz matrix T[i][j] = t[j - i + k - 1],
-    that is, t lists the 2k-1 diagonal values t_(1-k), ..., t_(k-1) in order.
+def toeplitz_columns(t, k: int) -> tuple[int, list | None, list | None]:
+    """(det T, F, B), F and B the first and last columns of adj(T), for the
+    k x k integer Toeplitz matrix T[i][j] = t[j - i + k - 1], that is, t
+    lists the 2k-1 diagonal values t_(1-k), ..., t_(k-1) in order.
 
     Fraction-free Levinson-Trench (Trench, J. SIAM 12, 1964; Bareiss,
     Numer. Math. 13, 1969), O(k^2) integer operations.  Let T_j be the
@@ -226,8 +238,8 @@ def det_toeplitz(t, k: int) -> int:
     These are identities between polynomials in the t's, so they hold
     whenever D_(j-1) != 0.  Each quotient is a minor of T, and an inline
     divmod raises ArithmeticError on a remainder, as in _bareiss.  When a
-    divisor D_(j-1) is 0 the step does not exist, and the explicit matrix
-    goes to _bareiss, which pivots.
+    divisor D_(j-1) is 0 the step does not exist: the explicit matrix goes
+    to _bareiss, which pivots, and F = B = None.
     """
     if k < 1:
         raise ValueError(f"Toeplitz determinant of order {k}")
@@ -238,51 +250,143 @@ def det_toeplitz(t, k: int) -> int:
     f = b = [1]
     for j in range(1, k):
         if not prev:
-            return _det_rows([[t[c + col - row] for col in range(k)] for row in range(k)], ZZ)
+            return _det_rows([[t[c + col - row] for col in range(k)] for row in range(k)], ZZ), None, None
         ef = sum(t[c + i - j] * x for i, x in enumerate(f))
         eb = sum(t[c + i + 1] * y for i, y in enumerate(b))
         nxt, r = divmod(det * det - ef * eb, prev)
         if r:
             raise ArithmeticError(f"inexact integer division by {prev}")
-        if j < k - 1:
-            nf, nb = [], []
-            for x, y in zip(f + [0], [0] + b):
-                qf, rf = divmod(det * x - ef * y, prev)
-                qb, rb = divmod(det * y - eb * x, prev)
-                if rf or rb:
-                    raise ArithmeticError(f"inexact integer division by {prev}")
-                nf.append(qf)
-                nb.append(qb)
-            f, b = nf, nb
+        nf, nb = [], []
+        for x, y in zip(f + [0], [0] + b):
+            qf, rf = divmod(det * x - ef * y, prev)
+            qb, rb = divmod(det * y - eb * x, prev)
+            if rf or rb:
+                raise ArithmeticError(f"inexact integer division by {prev}")
+            nf.append(qf)
+            nb.append(qb)
+        f, b = nf, nb
         prev, det = det, nxt
-    return det
+    return det, f, b
+
+
+def det_toeplitz(t, k: int) -> int:
+    """det T for the k x k integer Toeplitz matrix T[i][j] = t[j - i + k - 1]:
+    the determinant of toeplitz_columns."""
+    return toeplitz_columns(t, k)[0]
+
+
+def toeplitz_adjugate(f, b) -> list[list[int]] | None:
+    """The rows of adj(T) for an integer Toeplitz T of order k, from F and
+    B, its first and last columns (toeplitz_columns), in O(k^2) integer
+    operations; None when F_0 = 0.
+
+    T is persymmetric (J T J = T^T, J the reversal), and so is adj(T): its
+    first row is J B and its last row J F.  With Z the down-shift, the
+    Gohberg-Semencul displacement of the inverse (Trench 1964; Gohberg and
+    Semencul 1972; Heinig and Rost, Algebraic Methods for Toeplitz-like
+    Matrices, 1984), scaled by det T, is
+
+        adj(T) - Z adj(T) Z^T = (F (J B)^T - Z B (J F)^T Z^T) / F_0,
+
+    F_0 = D_(k-1) the (0, 0) cofactor; entrywise, adj[i][j] =
+    adj[i-1][j-1] + (F_i B_(k-1-j) - B_(i-1) F_(k-j)) / F_0.  Each quotient
+    is the difference of two entries of adj(T), hence an integer, and an
+    inline divmod raises ArithmeticError on a remainder.
+    """
+    k, f0 = len(f), f[0]
+    if not f0:
+        return None
+    rows = [b[::-1]]
+    for i in range(1, k):
+        above, fi, bi = rows[-1], f[i], b[i - 1]
+        row = [fi]
+        for j in range(1, k):
+            q, r = divmod(fi * b[k - 1 - j] - bi * f[k - j], f0)
+            if r:
+                raise ArithmeticError(f"inexact integer division by {f0}")
+            row.append(above[j - 1] + q)
+        rows.append(row)
+    return rows
+
+
+def certify_adjugate(c: ExactMatrix, x, d: int) -> bool:
+    """Whether C X = d I exactly, for C with entries in {0, 1, -1} and X a
+    list of integer rows: k^2 additions of rows of X packed one per integer.
+
+    Row i of C X packs to sum_l v_l 2^(w l), v_l = sum_j c_ij X[j][l], so
+    |v_l| <= k M, M = max |X|.  With w = bitlen(k M + |d|), each slot of
+    the packed difference from d 2^(w i) is below 2^w in absolute value,
+    and a sum of such slots times 2^(w l) vanishes only if every slot does
+    (the lowest nonzero one is not a multiple of 2^(w (l+1))).  So the
+    packed row equals d 2^(w i) exactly when row i of C X is d e_i.  When
+    d != 0 this forces X = d C^-1, hence X = adj(C) if d = det C.
+    """
+    k = c.rows
+    w = (k * max(abs(v) for row in x for v in row) + abs(d)).bit_length()
+    packed = [_pack(row, w) for row in x]
+    for i, row in enumerate(c.entries):
+        acc = 0
+        for cij, xj in zip(row, packed):
+            if cij == 1:
+                acc += xj
+            elif cij == -1:
+                acc -= xj
+            elif cij:
+                raise ValueError(f"certify_adjugate needs entries in {{0, 1, -1}}, got {cij}")
+        if acc != d << (w * i):
+            return False
+    return True
+
+
+def mod_slot_width(q: int, k: int) -> int:
+    """The slot width w of det_mod_packed for k rows mod q: the least with
+    q^2 k + q < 2^(w-1)."""
+    return (q * q * k + q).bit_length() + 1
 
 
 def det_mod_rows(rows, q: int) -> int:
     """det mod q, in range(q), of the square list of integer rows, for a
-    prime q and entries already in range(q).
+    prime q and entries already in range(q): the rows packed at
+    mod_slot_width, then det_mod_packed."""
+    w = mod_slot_width(q, len(rows))
+    return det_mod_packed([_pack(row, w) for row in rows], q, w)
+
+
+def pack_windows(seq, k: int, w: int) -> list[int]:
+    """The windows seq[r : r + k], 0 <= r <= len(seq) - k, each packed as
+    sum_j seq[r + j] 2^(w j), for nonnegative entries below 2^w: shifts of
+    one packed integer."""
+    whole = _pack(seq, w)
+    mask = (1 << (w * k)) - 1
+    return [(whole >> (w * r)) & mask for r in range(len(seq) - k + 1)]
+
+
+def det_mod_packed(rows, q: int, w: int) -> int:
+    """det mod q, in range(q), of the k x k matrix whose rows are packed one
+    per integer, sum_j a_j 2^(w*j), one w-bit slot per entry a_j in
+    range(q), for a prime q.  Raises ValueError unless q^2 k + q < 2^(w-1),
+    the slot bound below.
 
     Gaussian elimination over F_q with delayed reduction (Dumas, Giorgi and
-    Pernet, ACM TOMS 35(3), 2008) on packed rows: a row is the integer
-    sum_j a_j 2^(w*j), one w-bit slot per entry, so clearing the pivot
-    column from a row is one bigint step, row += f * packed(q - pivot_row)
-    with f = a_c / pivot mod q, which adds f * (q - r_j) = -f * r_j (mod q)
-    to each slot j.  Only the pivot row is unpacked and reduced mod q, to
-    r_j in [0, q); every other row stays unreduced and drops its
-    pivot-column slot (>> w) after the step.
+    Pernet, ACM TOMS 35(3), 2008): clearing the pivot column from a row is
+    one bigint step, row += f * packed(q - pivot_row) with f = a_c / pivot
+    mod q, which adds f * (q - r_j) = -f * r_j (mod q) to each slot j.  Only
+    the pivot row is unpacked and reduced mod q, to r_j in [0, q); every
+    other row stays unreduced and drops its pivot-column slot (>> w) after
+    the step.
 
     Slot bound: a slot starts in [0, q), and each step adds at most
     f * (q - r_j) <= (q - 1) * q to it.  A row takes one such step per
     column eliminated before it becomes the pivot row, at most k - 1 in
     all, so every slot stays below q + (k - 1)(q - 1)q < q^2 k + q
-    < 2^(w-1) with w = bitlen(q^2 k + q) + 1.  Slots only grow, since
-    nothing is subtracted, so no borrow ever crosses a slot, and none
-    reaches 2^w, so no carry does either.
+    < 2^(w-1).  Slots only grow, since nothing is subtracted, so no borrow
+    ever crosses a slot, and none reaches 2^w, so no carry does either.
     """
     k = len(rows)
-    w = (q * q * k + q).bit_length() + 1
+    if q * q * k + q >= 1 << (w - 1):
+        raise ValueError(f"slot width {w} is below the bound for {k} rows mod {q}")
     mask = (1 << w) - 1
-    rows = [_pack(row, w) for row in rows]
+    rows = list(rows)
     det = 1
     for c in range(k):
         # rows[c:] are the rows left, with column c in slot 0

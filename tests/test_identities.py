@@ -35,7 +35,17 @@ from legdet.identities import (
     verify_sun_congruence,
     verify_theorem,
 )
-from legdet.linalg import ZZ, ExactMatrix, adjugate, det_bareiss, det_field, det_mod_rows, det_toeplitz
+from legdet.linalg import (
+    ZZ,
+    ExactMatrix,
+    adjugate,
+    det_bareiss,
+    det_field,
+    det_mod_packed,
+    det_toeplitz,
+    toeplitz_adjugate,
+    toeplitz_columns,
+)
 from legdet.ntheory import legendre, odd_primes_upto
 from legdet.render import format_value
 
@@ -314,19 +324,34 @@ def test_zero_inverse_names_its_field():
         identities.PrimeContext(5).inverse(CycloElem.zero(5))
 
 
-def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
-    """Negative control: one cofactor off by one must fail the check and name
-    the (k, l) pair it breaks.  At p = 7 (n = 3) adj[2, 0] is cofactor C_02,
-    first paired at (k, l) = (0, 2).  The adjugate is also adj_sum's second
-    route at p <= 13: at p = 13 its entry sum moves to -64 and adj_sum fails
-    with both sums, while evil_det and theorem_cx, which never read it,
-    pass; at p = 17 there is no second route to disagree."""
-    def bumped(m):
-        rows = [list(row) for row in adjugate(m).entries]
-        rows[2][0] += 1
-        return ExactMatrix(m.ring, rows)
+def shift_toeplitz_dets(monkeypatch, shift):
+    """Every Toeplitz determinant the checks read, moved by shift(t): C - J
+    and the Carlitz T through det_toeplitz, C + J through toeplitz_columns."""
+    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + shift(t))
 
-    monkeypatch.setattr(identities, "adjugate", bumped)
+    def columns(t, k):
+        det, f, b = toeplitz_columns(t, k)
+        return det + shift(t), f, b
+
+    monkeypatch.setattr(identities, "toeplitz_columns", columns)
+
+
+def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
+    """Negative control: one cofactor off by one, after the certificate,
+    must fail the check and name the (k, l) pair it breaks.  At p = 7
+    (n = 3) adj[2, 0] is cofactor C_02, first paired at (k, l) = (0, 2).
+    The adjugate is also adj_sum's second route at p <= 13: at p = 13 its
+    entry sum moves to -64 and adj_sum fails with both sums, while evil_det
+    and theorem_cx, which never read it, pass; at p = 17 there is no second
+    route to disagree."""
+    certified = PrimeContext.__dict__["evil_adjugate"].func
+
+    def bumped(ctx):
+        rows = [list(row) for row in certified(ctx).entries]
+        rows[2][0] += 1
+        return ExactMatrix(ZZ, rows)
+
+    monkeypatch.setattr(PrimeContext, "evil_adjugate", property(bumped))
     r = verify_minor_antisymmetry(7)
     assert r.passed is False
     assert (r.name, r.lhs, r.rhs, r.detail) == ("minor_antisym", "1", "0", "(k, l) = (0, 2)")
@@ -338,8 +363,68 @@ def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     assert all(check(17).passed for check in (verify_adj_sum, verify_evil, verify_theorem))
 
 
+
+def spy_gauss_jordan(monkeypatch) -> list[int]:
+    """The orders of the matrices that reach Gauss-Jordan adjugate."""
+    calls = []
+
+    def spied(m):
+        calls.append(m.rows)
+        return adjugate(m)
+
+    monkeypatch.setattr(identities, "adjugate", spied)
+    return calls
+
+
+def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
+    """Negative control: one entry of the Toeplitz fill of adj(C + J) off by
+    one, before the certificate.  The rank-one update then has a remainder
+    or a wrong result, the certificate does not hold, and C goes to
+    Gauss-Jordan, so every check still passes."""
+    def corrupted(f, b):
+        rows = toeplitz_adjugate(f, b)
+        rows[1][1] += 1
+        return rows
+
+    monkeypatch.setattr(identities, "toeplitz_adjugate", corrupted)
+    calls = spy_gauss_jordan(monkeypatch)
+    for p in (7, 11, 19, 23):
+        ctx = PrimeContext(p)
+        assert verify_minor_antisymmetry(ctx).passed
+        assert verify_adj_sum(ctx).passed
+    assert calls == [4, 6, 10, 12]
+
+
+@pytest.mark.parametrize("trigger", ["divisor", "f0", "det_a", "remainder", "c0", "certificate"])
+def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trigger):
+    """Each condition under which the Toeplitz adjugate of C cannot be
+    certified sends C to Gauss-Jordan, and the adjugate is still right:
+    a vanishing recurrence divisor (no columns), a vanishing F_0, det(C + J)
+    = 0, a remainder in the rank-one update (det(C + J) replaced by a prime
+    that divides none of its numerators), c0 = 0, and a failed certificate.
+    The context's records are seeded with the forced values."""
+    p = 19
+    ctx = PrimeContext(p)
+    det_a, f, b = ctx.plus_j
+    assert ctx.evil_det == 1  # kept, so that seeding plus_j leaves it alone
+    seeded = {
+        "divisor": {"plus_j": (det_a, None, None)},
+        "f0": {"plus_j": (det_a, [0] + f[1:], b)},
+        "det_a": {"plus_j": (0, f, b)},
+        "remainder": {"plus_j": ((1 << 61) - 1, f, b)},
+        "c0": {"evil_det": 0},
+        "certificate": {},
+    }[trigger]
+    ctx.__dict__.update(seeded)
+    if trigger == "certificate":
+        monkeypatch.setattr(identities, "certify_adjugate", lambda c, x, d: False)
+    calls = spy_gauss_jordan(monkeypatch)
+    assert ctx.evil_adjugate == adjugate(build_evil_matrix(p))
+    assert calls == [(p + 1) // 2]
+    assert verify_minor_antisymmetry(ctx).passed
+
 def test_wrong_residue_fails_sun_congruence(monkeypatch):
-    monkeypatch.setattr(identities, "det_mod_rows", lambda rows, q: (det_mod_rows(rows, q) + 1) % q)
+    monkeypatch.setattr(identities, "det_mod_packed", lambda rows, q, w: (det_mod_packed(rows, q, w) + 1) % q)
     for d in range(13):
         r = verify_sun_congruence(13, d)
         assert r.passed is False and r.lhs != r.rhs
@@ -349,7 +434,7 @@ def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
     """det_toeplitz + 1 shifts Carlitz by one and C(1), C(-1) by one each,
     hence C(0) by one.  At p <= 13 the dense det C disagrees too, and
     evil_det fails with both values on its left side."""
-    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + 1)
+    shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
         for r in (verify_carlitz(p), verify_evil(p)):
             assert r.passed is False and r.lhs != r.rhs
@@ -370,7 +455,7 @@ def test_wrong_determinant_fails_theorem(monkeypatch):
     """det_toeplitz + 1 on both C + J and C - J shifts C(x) by the constant
     1.  At p <= 13 the dense route then disagrees and the check fails with
     both polynomials; above 13 the closed-form comparison is what fails."""
-    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + 1)
+    shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
         r = verify_theorem(p)
         assert r.passed is False and r.lhs != r.rhs
@@ -412,10 +497,7 @@ def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
     even and moves C(1) - C(0) by one.  Above p = 13 the check fails; at
     p <= 13 the adjugate cross-check also disagrees, and the check fails
     with both sums."""
-    def bumped(t, k):
-        return det_toeplitz(t, k) + 2 * (min(t) >= 0)
-
-    monkeypatch.setattr(identities, "det_toeplitz", bumped)
+    shift_toeplitz_dets(monkeypatch, lambda t: 2 * (min(t) >= 0))
     for p in (17, 19):
         r = verify_adj_sum(p)
         assert r.passed is False and r.lhs != r.rhs
@@ -426,8 +508,8 @@ def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
 
 def test_odd_toeplitz_sum_raises(monkeypatch):
     """C(1) + C(-1) = 2 C(0) is even; a shift of C(1) by one makes it odd,
-    and evil_dets raises instead of flooring."""
-    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + (min(t) >= 0))
+    and evil_det raises instead of flooring."""
+    shift_toeplitz_dets(monkeypatch, lambda t: min(t) >= 0)
     for p in (7, 17):
         with pytest.raises(ArithmeticError, match="odd"):
             verify_evil(p)
@@ -480,12 +562,15 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
-    """One context per prime: C(1), C(-1), a_p/b_p, n! mod p and Vsemirnov's
-    U, V, D are each computed once, however many checks read them, and so
-    are the p <= 13 cross-checks det C, det(C + J) and the symbolic C(x).
+    """One context per prime: C(1) with the columns of adj(C + J), C(-1),
+    a_p/b_p, n! mod p and Vsemirnov's U, V, D are each computed once, however
+    many checks read them, and so are the p <= 13 cross-checks det C,
+    det(C + J) and the symbolic C(x).  The certified adjugate of C reads the
+    one C + J run, and so does minor antisymmetry, so no prime calls the
+    Gauss-Jordan adjugate but p = 5 and 13, for adj_sum's second route.
     A direct call builds its own context, so nothing is kept between calls."""
-    calls = {"det_toeplitz": [], "det_bareiss": [], "ab_coeffs": [], "build_vsemirnov_matrices": [],
-             "factorial_mod": []}
+    calls = {"det_toeplitz": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [], "ab_coeffs": [],
+             "build_vsemirnov_matrices": [], "factorial_mod": []}
 
     def count(name, key):
         fn = getattr(identities, name)
@@ -497,24 +582,29 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
         monkeypatch.setattr(identities, name, counted)
 
     count("det_toeplitz", lambda t, k: (k, t[k - 1]))  # order and diagonal t_0
+    count("toeplitz_columns", lambda t, k: (k, t[k - 1]))
     count("det_bareiss", lambda m: (m.rows, m.ring.name))
+    count("adjugate", lambda m: m.rows)
     count("ab_coeffs", int)
     count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
     count("factorial_mod", lambda n, p: int(p))
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
     assert calls["ab_coeffs"] == calls["build_vsemirnov_matrices"] == calls["factorial_mod"] == [5, 13, 17, 29]
-    # per prime C + J, C - J and the Carlitz T, whose t_0 is (-1/p)
+    # per prime C + J with its columns, then C - J and the Carlitz T, whose t_0 is (-1/p)
     primes = odd_primes_upto(29)
+    assert calls["toeplitz_columns"] == [((p + 1) // 2, 1) for p in primes]
     assert calls["det_toeplitz"] == [
-        call for p in primes for call in (((p + 1) // 2, 1), ((p + 1) // 2, -1), (p - 1, legendre(-1, p)))]
+        call for p in primes for call in (((p + 1) // 2, -1), (p - 1, legendre(-1, p)))]
     assert calls["det_bareiss"] == [
         ((p + 1) // 2, ring) for p in primes if p <= 13 for ring in ("ZZ", "ZZ", "QQ[x]")]
+    assert calls["adjugate"] == [3, 7]
 
-    for name in ("det_toeplitz", "det_bareiss"):
+    for name in ("det_toeplitz", "toeplitz_columns", "det_bareiss"):
         calls[name].clear()
     c_polynomial(5)
     c_polynomial(5)
-    assert calls["det_toeplitz"] == [(3, 1), (3, -1)] * 2
+    assert calls["toeplitz_columns"] == [(3, 1)] * 2
+    assert calls["det_toeplitz"] == [(3, -1)] * 2
     assert calls["det_bareiss"] == [(3, "ZZ"), (3, "ZZ"), (3, "QQ[x]")] * 2
 
 

@@ -19,25 +19,37 @@ from legdet import linalg
 from legdet.identities import (
     build_carlitz_matrix,
     build_evil_matrix,
-    build_sun_matrix,
     carlitz_toeplitz,
     evil_toeplitz,
 )
+from legdet import identities
 from legdet.linalg import (
     QQ,
     ZZ,
     ExactMatrix,
     adjugate,
     adjugate_fast,
+    certify_adjugate,
     cyclo_ring,
     det_bareiss,
     det_field,
     det_mod_p,
+    det_mod_packed,
     det_toeplitz,
+    mod_slot_width,
+    pack_windows,
     poly_ring,
     quadratic_form_adjugate,
+    toeplitz_adjugate,
+    toeplitz_columns,
 )
-from legdet.ntheory import odd_primes_upto
+from legdet.ntheory import legendre, odd_primes_upto
+
+
+def sun_matrix(p: int, d: int) -> ExactMatrix:
+    """[((i + d j)/p)] for 0 <= i, j <= (p-1)/2, entry by entry."""
+    k = (p + 1) // 2
+    return ExactMatrix(ZZ, [[legendre(i + d * j, p) for j in range(k)] for i in range(k)])
 
 
 def test_matrix_construction_and_access():
@@ -303,7 +315,7 @@ def test_det_mod_p_matches_bareiss_residue():
     assert det_mod_p(m, 7) == det_bareiss(m) % 7 != 0
     for p in (5, 13, 17, 29):
         for d in range(p):
-            m = build_sun_matrix(p, d)
+            m = sun_matrix(p, d)
             assert det_mod_p(m, p) == det_bareiss(m) % p
 
 
@@ -321,7 +333,7 @@ def test_det_mod_p_matches_list_elimination_with_zero_pivots():
 
 def test_det_mod_p_matches_list_elimination_on_sun_matrices():
     for d in range(101):
-        m = build_sun_matrix(101, d)
+        m = sun_matrix(101, d)
         assert det_mod_p(m, 101) == det_mod_p_lists(m.entries, 101)
 
 
@@ -341,6 +353,88 @@ def test_det_mod_p_slot_reaches_its_bound(p, k):
     assert last[-1] < p * p * k + p
     assert det_mod_p(ExactMatrix(ZZ, rows), p) == det_mod_p_lists(rows, p) == p - 1
 
+
+
+def test_det_mod_packed_refuses_a_slot_below_its_bound():
+    """The slot bound q^2 k + q < 2^(w-1) is checked, not assumed: one bit
+    short of mod_slot_width is refused, and mod_slot_width is the least w
+    the bound admits."""
+    for q, k in ((2, 1), (13, 9), (101, 51), ((1 << 61) - 1, 14)):
+        w = mod_slot_width(q, k)
+        assert q * q * k + q < 1 << (w - 1) and q * q * k + q >= 1 << (w - 2)
+        rows = [1 << (w * i) for i in range(k)]  # the identity, packed
+        assert det_mod_packed(rows, q, w) == 1
+        with pytest.raises(ValueError, match="slot width"):
+            det_mod_packed(rows, q, w - 1)
+
+
+def test_pack_windows():
+    assert pack_windows([1, 2, 3, 4], 2, 4) == [1 + (2 << 4), 2 + (3 << 4), 3 + (4 << 4)]
+    assert pack_windows([5], 1, 3) == [5]
+
+
+def test_sun_tables_agree_with_explicit_matrices():
+    """For every p = 1 (mod 4) up to 200 and every d, the left side of the
+    Sun check, fed from rows of the two packed tables (or, for d = 0, one
+    packed residue per row), equals det_mod_p of [((i + d j)/p)] built
+    entry by entry."""
+    for p in odd_primes_upto(200):
+        if p % 4 != 1:
+            continue
+        ctx = identities.PrimeContext(p)
+        chi = [legendre(r, p) for r in range(p)]
+        k = (p + 1) // 2
+        for d in range(p):
+            want = det_mod_p(ExactMatrix(ZZ, [[chi[(i + d * j) % p] for j in range(k)] for i in range(k)]), p)
+            assert identities.verify_sun_congruence(ctx, d).lhs == str(want), (p, d)
+
+
+def test_toeplitz_adjugate_matches_gauss_jordan_on_random_matrices():
+    """Seeded integer Toeplitz matrices, k <= 8, entries in [-3, 3]: the
+    columns and determinant of toeplitz_columns, and the Trench fill when
+    F_0 != 0, against Gauss-Jordan adjugate; a vanishing divisor gives no
+    columns and a vanishing F_0 no fill, and both happen."""
+    rng = random.Random(16)
+    filled = no_columns = no_fill = 0
+    for _ in range(500):
+        k = rng.randint(1, 8)
+        t = [rng.randint(-3, 3) for _ in range(2 * k - 1)]
+        m = toeplitz_matrix(t, k)
+        det, f, b = toeplitz_columns(t, k)
+        assert det == det_bareiss(m)
+        if f is None:
+            no_columns += 1
+            continue
+        adj = adjugate(m)
+        assert f == [adj[i, 0] for i in range(k)] and b == [adj[i, k - 1] for i in range(k)]
+        rows = toeplitz_adjugate(f, b)
+        if rows is None:
+            assert f[0] == 0
+            no_fill += 1
+            continue
+        assert ExactMatrix(ZZ, rows) == adj, (t, k)
+        filled += 1
+    assert filled > 300 and no_columns > 20 and no_fill > 10
+
+
+def test_certify_adjugate():
+    """C X = d I exactly, on packed rows.  C = [[1, 1], [1, 1]], d = 0 and
+    X = [[2, 0], [2, -1]] give C X = [[4, -1], [4, -1]], which packs to 0
+    at slot width 2, as 4 - 1 * 2^2 = 0; the width kM + |d| = 4 needs,
+    bitlen 3, tells it apart."""
+    c = build_evil_matrix(7)
+    adj = [list(row) for row in adjugate(c).entries]
+    assert certify_adjugate(c, adj, 1)
+    assert not certify_adjugate(c, adj, 2)
+    assert not certify_adjugate(c, [[2 * x for x in row] for row in adj], 1)
+    assert certify_adjugate(c, [[2 * x for x in row] for row in adj], 2)
+    bumped = [list(row) for row in adj]
+    bumped[3][1] += 1
+    assert not certify_adjugate(c, bumped, 1)
+    assert not certify_adjugate(ExactMatrix(ZZ, [[1, 1], [1, 1]]), [[2, 0], [2, -1]], 0)
+    assert certify_adjugate(ExactMatrix(ZZ, [[1, 1], [1, 1]]), [[1, -1], [-1, 1]], 0)
+    with pytest.raises(ValueError, match="entries in"):
+        certify_adjugate(ExactMatrix(ZZ, [[2]]), [[1]], 2)
 
 def test_adjugate_formulas():
     m = ExactMatrix(ZZ, [[3, 5], [-2, 7]])
@@ -561,3 +655,22 @@ def test_det_toeplitz_agrees_on_carlitz_and_evil_without_fallback(monkeypatch):
         c = build_evil_matrix(p)
         for x, det in ((1, plus), (-1, minus)):
             assert det_bareiss(ExactMatrix(ZZ, [[e + x for e in row] for row in c.entries])) == det
+
+
+def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monkeypatch):
+    """For every p = 3 (mod 4) up to 200, PrimeContext.evil_adjugate, from
+    the Toeplitz adjugate of C + J, the rank-one update and the
+    certificate, equals Gauss-Jordan adjugate of C.  The fallback is
+    disabled: no divisor, F_0 or det(C + J) vanishes, and every
+    certificate holds."""
+    def forbidden(m):
+        raise AssertionError(f"Gauss-Jordan fallback on a {m.rows}x{m.rows} matrix")
+
+    for p in odd_primes_upto(200):
+        if p % 4 != 3:
+            continue
+        ctx = identities.PrimeContext(p)
+        with monkeypatch.context() as mp:
+            mp.setattr(identities, "adjugate", forbidden)
+            got = ctx.evil_adjugate
+        assert got == adjugate(build_evil_matrix(p)), p
