@@ -15,6 +15,11 @@ Cases:
   evil_adjugate  identities.PrimeContext(p).evil_adjugate, the adjugate that
            minor antisymmetry reads, on a fresh context at p = 67 and 151;
            one sample is one adjugate, its inputs included.
+  evil_routes  identities.PrimeContext(p).routes, the values of the
+           evil_det, theorem_cx and adj_sum checks with their second
+           routes, on fresh contexts at p = 5 and 13, where the dense second
+           routes run; one sample is one pass over a fixed batch of
+           contexts, their inputs included.
   toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
            matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
            C + J and C - J for the evil matrix C at p = 401; one sample is
@@ -33,22 +38,26 @@ Cases:
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
-next to this script, --parent to --change).  Each runs in its own child
-process, which builds the inputs once and then, on each request, takes one
-sample of every case.  The requests alternate between the two children,
-the first side swapping each round, so that a slow spell of a shared
-machine lands on both checkouts, not on one.  Each case gets 9 samples per
-side, reported as seconds per call: the median of the samples, and their
-minimum and maximum.  The result is one JSON object, {"parent": ...,
-"change": ...}, printed as the last line; --out FILE writes it there.  The
-committed BENCH_kernels.json holds the run made with
+next to this script, --parent to --change).  Each side runs in child
+processes, each of which builds the inputs, takes one untimed pass over
+every case, and then, on each request, takes one sample of every case.
+A process has a speed of its own (its memory layout, for one), which
+would read as a change if one child per side took every sample.  So the
+samples of a side come from 3 children, run one after another: each round
+starts a fresh child per side and asks the two for an equal share of the
+samples in turn, the first side swapping each sample, so that a slow spell
+of a shared machine lands on both checkouts, not on one.  Each case gets 9
+samples per side, reported as seconds per call: the median of the
+samples, and their minimum and maximum.  The result is one JSON object,
+{"parent": ..., "change": ...}, printed as the last line; --out FILE
+writes it there.  The committed BENCH_kernels.json holds the run made with
 
     python3 bench/kernels.py --parent PARENT_CHECKOUT/src --out BENCH_kernels.json
 
---quick runs p = 13, 61 and 67 only, with 3 samples of a small batch: a
-smoke test that every case still runs.  Its C +- J case is at p = 61, its
-det_field case at m = 3, and its det_field_cyclo and matmul_cyclo cases at
-p = 13.
+--quick runs p = 5, 13, 61 and 67 only, with 3 samples of a small batch,
+one per child: a smoke test that every case still runs.  Its C +- J case
+is at p = 61, its det_field case at m = 3, and its det_field_cyclo and
+matmul_cyclo cases at p = 13.
 """
 
 from __future__ import annotations
@@ -72,6 +81,8 @@ MUL_BITS = (3, 40, 300)
 MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
 ADJUGATE_PRIMES = (67, 151)
+ROUTES_PRIMES = (5, 13)
+ROUTES_BATCH = 20
 CARLITZ_PRIMES = (61, 101, 157)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
@@ -79,6 +90,7 @@ LEMMA_BATCH = 50
 CYCLO_DET_PRIMES = (29, 41)
 CYCLO_MATMUL_PRIME = 29
 CYCLO_QUICK_PRIME = 13
+PROCESSES = 3
 
 
 def _vector(rng: random.Random, p: int, bits: int, monomial: bool) -> list[int]:
@@ -150,6 +162,19 @@ def evil_adjugate_cases(legdet, quick: bool) -> dict:
             return 1
 
         out[f"evil_adjugate p={p}"] = run
+    return out
+
+
+def evil_routes_cases(legdet, quick: bool) -> dict:
+    ids = legdet.identities
+    out = {}
+    for p in ROUTES_PRIMES:
+        def run(p=p, batch=ROUTES_BATCH // 4 if quick else ROUTES_BATCH):
+            for _ in range(batch):
+                ids.PrimeContext(p).routes
+            return batch
+
+        out[f"evil_routes p={p}"] = run
     return out
 
 
@@ -238,9 +263,9 @@ def cyclo_cases(legdet, quick: bool) -> dict:
 
 
 def child(src: Path, quick: bool) -> int:
-    """Build every case on legdet from src, print their names as one JSON
-    line, then print one JSON line of seconds per call per case for each
-    line read from stdin, until stdin closes."""
+    """Build every case on legdet from src, run each once untimed, print
+    their names as one JSON line, then print one JSON line of seconds per
+    call per case for each line read from stdin, until stdin closes."""
     sys.path.insert(0, str(src))
     import legdet.cyclotomic
     import legdet.identities
@@ -248,9 +273,11 @@ def child(src: Path, quick: bool) -> int:
     import legdet.ntheory
 
     cases = {}
-    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, toeplitz_cases,
-                  det_field_cases, cyclo_cases):
+    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, evil_routes_cases,
+                  toeplitz_cases, det_field_cases, cyclo_cases):
         cases.update(build(legdet, quick))
+    for run in cases.values():
+        run()
     print(json.dumps(list(cases)), flush=True)
     for _ in sys.stdin:
         sample = {}
@@ -263,29 +290,35 @@ def child(src: Path, quick: bool) -> int:
 
 
 def measure(srcs: dict[str, Path], quick: bool, repeats: int) -> dict:
-    """Seconds per call of each case on each side, from one child process
-    per side, asked for samples in turn (the first side swapping each
-    round)."""
+    """Seconds per call of each case on each side, from PROCESSES rounds of
+    one fresh child process per side, each round's two children asked for
+    repeats / PROCESSES samples in turn (the first side swapping each
+    sample)."""
     env = {**os.environ, "PYTHONHASHSEED": "0"}  # the same dict and set layouts on both sides
-    procs = {side: subprocess.Popen([sys.executable, __file__, "--child", str(src)] + ["--quick"] * quick,
-                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
-             for side, src in srcs.items()}
-    try:
-        names = {side: json.loads(proc.stdout.readline()) for side, proc in procs.items()}
-        times = {side: {name: [] for name in names[side]} for side in procs}
-        sides = list(procs)
-        for r in range(repeats):
-            for side in sides if r % 2 == 0 else sides[::-1]:
-                procs[side].stdin.write("sample\n")
-                procs[side].stdin.flush()
-                for name, t in json.loads(procs[side].stdout.readline()).items():
-                    times[side][name].append(t)
-    finally:
-        for proc in procs.values():
-            proc.stdin.close()
-            proc.wait()
-    if any(proc.returncode for proc in procs.values()):
-        raise RuntimeError("a timing child failed")
+    sides = list(srcs)
+    times = {side: {} for side in sides}
+    sample = 0
+    for _ in range(PROCESSES):
+        procs = {side: subprocess.Popen([sys.executable, __file__, "--child", str(src)] + ["--quick"] * quick,
+                                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+                 for side, src in srcs.items()}
+        try:
+            for side, proc in procs.items():
+                for name in json.loads(proc.stdout.readline()):
+                    times[side].setdefault(name, [])
+            for _ in range(repeats // PROCESSES):
+                for side in sides if sample % 2 == 0 else sides[::-1]:
+                    procs[side].stdin.write("sample\n")
+                    procs[side].stdin.flush()
+                    for name, t in json.loads(procs[side].stdout.readline()).items():
+                        times[side][name].append(t)
+                sample += 1
+        finally:
+            for proc in procs.values():
+                proc.stdin.close()
+                proc.wait()
+        if any(proc.returncode for proc in procs.values()):
+            raise RuntimeError("a timing child failed")
     return {side: {name: {"median_s": statistics.median(v), "min_s": min(v), "max_s": max(v), "repeats": repeats}
                    for name, v in t.items()} for side, t in times.items()}
 

@@ -44,7 +44,6 @@ from .linalg import (
     det_bareiss,
     det_field,
     det_toeplitz,
-    poly_ring,
 )
 from .ntheory import OddPrime, factorial_mod, is_prime, legendre, odd_primes_upto
 from .quadfield import QuadElem, UnitData, ab_coeffs, class_number, fundamental_unit, quad_pow
@@ -82,7 +81,6 @@ __all__ = [
     "is_prime",
     "legendre",
     "odd_primes_upto",
-    "poly_ring",
     "quad_pow",
     "random_uv_instance",
     "run_suite",

@@ -4,11 +4,9 @@ Rationals are stdlib ``fractions.Fraction`` values, which already maintain
 the invariants every caller relies on: positive denominator, fully reduced,
 canonical zero.
 
-Polynomials are dense coefficient tuples over Fraction.  They are the value
-of C(x), degree at most one, and the entries of the one symbolic determinant
-over QQ[x] (c_polynomial's cross-check at p <= 13), so they carry just the
-ring operations between polynomials and the exact division that fraction-free
-elimination needs; there is no arithmetic with bare scalars.
+Polynomials are dense coefficient tuples over Fraction.  Their one use is
+as the value of C(x), of degree at most one, which the checks compare and
+the reports print; they carry no arithmetic but long division.
 """
 
 from __future__ import annotations
@@ -67,40 +65,9 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """Polynomial long division, quotient and remainder."""
+        """Polynomial long division, quotient and remainder; no caller in the
+        package, kept because the benchmark tracer times it by name."""
         if not isinstance(other, UniPoly):
             raise TypeError(f"cannot divide a polynomial by {other!r}")
         if other.is_zero():
@@ -118,15 +85,6 @@ class UniPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= q * b
         return UniPoly(quo), UniPoly(rem)
-
-    def __truediv__(self, other: "UniPoly") -> "UniPoly":
-        """Division that must leave no remainder (used by fraction-free elimination)."""
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        quo, rem = self.divmod(other)
-        if not rem.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return quo
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"

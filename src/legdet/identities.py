@@ -46,7 +46,6 @@ from .linalg import (
     det_toeplitz,
     mod_slot_width,
     pack_windows,
-    poly_ring,
     toeplitz_adjugate,
     toeplitz_columns,
 )
@@ -176,25 +175,23 @@ class PrimeContext:
         (value, second route, note), the note naming the routes if they
         disagree.  The values come from C(1) (plus_j) and C(0) (evil_det):
         the slope u^T adj(C) u is C(1) - C(0) by the determinant lemma.
-        For p <= 13 the second routes are det_bareiss of C for det C, the
-        C(x) of det_bareiss of C and C + J or, if that agrees, the
-        symbolic determinant over QQ[x], and the adjugate's entry sum for
-        the slope; above 13 each value is its own second route."""
+        For p <= 13 the second routes come from d0, d1 and dm, the
+        det_bareiss values of C, C + J and C - J: d0 for det C, the line
+        through C(1) = d1 and C(-1) = dm for C(x), and the adjugate's entry
+        sum for the slope.  So C(0) is compared at x = 0 and C(x) at x = 1
+        and -1, and each dense determinant feeds one compared value.  Above
+        13 each value is its own second route."""
         c1, c0 = self.plus_j[0], self.evil_det
         poly = UniPoly((c0, c1 - c0))
         values = {"evil_det": c0, "theorem_cx": poly, "adj_sum": c1 - c0}
         if self.p > 13:
             return {name: (v, v, "") for name, v in values.items()}
-        c = self.evil
-        d0 = det_bareiss(c)
-        dense = UniPoly((d0, det_bareiss(ExactMatrix(ZZ, [[e + 1 for e in row] for row in c.entries])) - d0))
-        cx = dense, "Toeplitz and dense C(x) disagree"
-        if dense == poly:
-            sym = ExactMatrix(poly_ring(), [[UniPoly((e, 1)) for e in row] for row in c.entries])
-            cx = det_bareiss(sym), "Toeplitz and symbolic C(x) disagree"
+        d0, d1, dm = (det_bareiss(ExactMatrix(ZZ, [[e + x for e in row] for row in self.evil.entries]))
+                      for x in (0, 1, -1))
         return {
             "evil_det": (c0, d0, "Toeplitz and dense det C disagree"),
-            "theorem_cx": (poly, *cx),
+            "theorem_cx": (poly, UniPoly((Fraction(d1 + dm, 2), Fraction(d1 - dm, 2))),
+                           "Toeplitz and dense C(x) disagree"),
             "adj_sum": (c1 - c0, sum(map(sum, self.evil_adjugate.entries)),
                         "determinant-lemma and adjugate sums disagree"),
         }

@@ -1,15 +1,17 @@
-"""Dense exact matrices over pluggable coefficient structures.
+"""Dense exact matrices over ZZ, QQ and Q(zeta_p), with every kernel on integers.
 
-A coefficient structure is a ``Ring``: the zero and one elements and whether
-it is a field, chosen at matrix construction time.  Elements carry their own
-+, -, *, == and an exact / through operator overloading (Fractions, UniPoly,
-CycloElem; ints divide inline), so the matrix code never dispatches on type.
+A matrix carries a ``Ring``, its name and zero and one elements: ZZ, QQ or
+Q(zeta_p) (cyclo_ring).  Entries are ints, Fractions or CycloElems with
+their own +, -, * and ==, which is all the plain matrix product uses.  The
+kernels dispatch on the ring: det_bareiss, adjugate and det_mod_p take ZZ
+alone and raise ValueError naming any other, det_field takes QQ and
+Q(zeta_p) alone, and @ over Q(zeta_p) has a kernel of its own.
 
 Determinants come in four flavors, each on integers: fraction-free Bareiss
-elimination for integral domains (integers, polynomials) and for QQ, whose
-rows it first scales to integers; over the cyclotomic fields, rows scaled
-into Z[zeta_p], whose determinant is read off its images in F_q for split
-primes q and put together by CRT; det_toeplitz, fraction-free
+elimination over ZZ, and over QQ (det_field) on rows first scaled to
+integers; over the cyclotomic fields, rows scaled into Z[zeta_p], whose
+determinant is read off its images in F_q for split primes q and put
+together by CRT; det_toeplitz, fraction-free
 Levinson-Trench in O(k^2) integer operations on the 2k-1 diagonals of an
 integer Toeplitz matrix (toeplitz_columns), which hands the explicit matrix
 to Bareiss when a leading minor it must divide by vanishes; and, for when
@@ -23,11 +25,11 @@ once (pack_windows).  The product of two matrices over Q(zeta_p) likewise
 scales rows and columns to integers and packs each entry once.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
-Bareiss step with the determinant; a singular matrix, over any ring, gets
-its signed cofactors instead.  A Toeplitz matrix also has an O(k^2)
-adjugate, from the first and last columns that the Levinson-Trench run
-ends with (toeplitz_adjugate).  That one relies on the displacement
-structure of its input, so a caller certifies what it derives from it:
+Bareiss step with the determinant; a singular matrix gets its signed
+cofactors instead.  A Toeplitz matrix also has an O(k^2) adjugate, from
+the first and last columns that the Levinson-Trench run ends with
+(toeplitz_adjugate).  That one relies on the displacement structure of
+its input, so a caller certifies what it derives from it:
 certify_adjugate checks C X = d I on rows of X packed at a width past the
 slots' bound, which for d != 0 leaves X = d C^-1 as the only solution.
 """
@@ -41,7 +43,6 @@ from operator import mul
 from typing import Any
 
 from .cyclotomic import CycloElem, _dot_vecs, _pack
-from .exact import UniPoly
 from .ntheory import is_prime
 
 
@@ -52,19 +53,14 @@ class Ring:
     name: str
     zero: Any
     one: Any
-    is_field: bool = False
 
 
 ZZ = Ring("ZZ", 0, 1)
-QQ = Ring("QQ", Fraction(0), Fraction(1), is_field=True)
-
-
-def poly_ring() -> Ring:
-    return Ring("QQ[x]", UniPoly(), UniPoly.constant(1))
+QQ = Ring("QQ", Fraction(0), Fraction(1))
 
 
 def cyclo_ring(p: int) -> Ring:
-    return Ring(f"QQ(zeta_{p})", CycloElem.zero(p), CycloElem.one(p), is_field=True)
+    return Ring(f"QQ(zeta_{p})", CycloElem.zero(p), CycloElem.one(p))
 
 
 class ExactMatrix:
@@ -134,12 +130,18 @@ def _require_square(m: ExactMatrix) -> None:
         raise ValueError(f"determinant of a {m.rows}x{m.cols} matrix")
 
 
-def _pivot(a: list, c: int, k: int, zero) -> int:
+def _require_integer(m: ExactMatrix, what: str) -> None:
+    _require_square(m)
+    if m.ring is not ZZ:
+        raise ValueError(f"{what} needs an integer matrix, got one over {m.ring.name}")
+
+
+def _pivot(a: list, c: int, k: int) -> int:
     """Make a[c][c] nonzero by swapping up the first row below with a nonzero
     entry in column c: 1 if no swap was needed, -1 after a swap, 0 if rows
-    c..k-1 have none.  Tests != zero, since CycloElem has no truth value."""
+    c..k-1 have none."""
     for r in range(c, k):
-        if a[r][c] != zero:
+        if a[r][c]:
             if r == c:
                 return 1
             a[c], a[r] = a[r], a[c]
@@ -147,8 +149,9 @@ def _pivot(a: list, c: int, k: int, zero) -> int:
     return 0
 
 
-def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
-    """Fraction-free elimination in place on the first k columns of rows a.
+def _bareiss(a: list, k: int, jordan: bool) -> int:
+    """Fraction-free elimination in place on the first k columns of integer
+    rows a.
 
     Step c pivots on a[c][c] (see _pivot) and sets
     a[i][j] = (a[i][j] * piv - a[i][c] * a[c][j]) / prev for j > c, prev
@@ -157,17 +160,14 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
     below c and a[k-1][k-1] ends as sign * det.  With jordan, steps 0..k-1
     update every other row (Nakos, Turner and Williams 1997), so all rows
     end at the scale of the last pivot.  Columns up to c are left stale.
-    Over ZZ an inline divmod raises ArithmeticError on a remainder; other
-    rings divide with their elements' exact /.  Returns the sign of the row
-    permutation, or 0 when a column has no nonzero pivot.
+    An inline divmod raises ArithmeticError on a remainder.  Returns the
+    sign of the row permutation, or 0 when a column has no nonzero pivot.
     """
-    zero = ring.zero
-    integer = ring is ZZ
     width = len(a[0])
     sign = 1
-    prev = ring.one
+    prev = 1
     for c in range(k if jordan else k - 1):
-        s = _pivot(a, c, k, zero)
+        s = _pivot(a, c, k)
         if not s:
             return 0
         sign *= s
@@ -178,37 +178,32 @@ def _bareiss(a: list, k: int, ring: Ring, jordan: bool) -> int:
                 continue
             ai = a[i]
             f = ai[c]
-            if integer:
-                for j in range(c + 1, width):
-                    q, r = divmod(ai[j] * piv - f * pr[j], prev)
-                    if r:
-                        raise ArithmeticError(f"inexact integer division by {prev}")
-                    ai[j] = q
-            else:
-                for j in range(c + 1, width):
-                    ai[j] = (ai[j] * piv - f * pr[j]) / prev
+            for j in range(c + 1, width):
+                q, r = divmod(ai[j] * piv - f * pr[j], prev)
+                if r:
+                    raise ArithmeticError(f"inexact integer division by {prev}")
+                ai[j] = q
         prev = piv
     return sign
 
 
-def _det_rows(a: list, ring: Ring):
-    """Determinant of the square list of rows a, which _bareiss overwrites."""
-    sign = _bareiss(a, len(a), ring, jordan=False)
+def _det_rows(a: list) -> int:
+    """Determinant of the square list of integer rows a, which _bareiss
+    overwrites."""
+    sign = _bareiss(a, len(a), jordan=False)
     if sign == 0:
-        return ring.zero
+        return 0
     det = a[-1][-1]
     return det if sign == 1 else -det
 
 
-def det_bareiss(m: ExactMatrix):
-    """Exact determinant by one-step fraction-free elimination.
-
-    Every division is exact in the coefficient domain (entries stay equal to
-    minors of the input), so this works over the integers and over
-    polynomial rings with no rational intermediates.
-    """
-    _require_square(m)
-    return _det_rows([list(row) for row in m.entries], m.ring)
+def det_bareiss(m: ExactMatrix) -> int:
+    """Exact determinant of an integer matrix by one-step fraction-free
+    elimination: every division is exact (entries stay equal to minors of
+    the input), so no rational arises.  Raises ValueError over any ring but
+    ZZ."""
+    _require_integer(m, "det_bareiss")
+    return _det_rows([list(row) for row in m.entries])
 
 
 def toeplitz_columns(t, k: int) -> tuple[int, list | None, list | None]:
@@ -250,7 +245,7 @@ def toeplitz_columns(t, k: int) -> tuple[int, list | None, list | None]:
     f = b = [1]
     for j in range(1, k):
         if not prev:
-            return _det_rows([[t[c + col - row] for col in range(k)] for row in range(k)], ZZ), None, None
+            return _det_rows([[t[c + col - row] for col in range(k)] for row in range(k)]), None, None
         ef = sum(t[c + i - j] * x for i, x in enumerate(f))
         eb = sum(t[c + i + 1] * y for i, y in enumerate(b))
         nxt, r = divmod(det * det - ef * eb, prev)
@@ -414,9 +409,7 @@ def det_mod_packed(rows, q: int, w: int) -> int:
 def det_mod_p(m: ExactMatrix, p: int) -> int:
     """det(m) mod p, in range(p), for an integer matrix and a prime p: the
     entries reduced mod p, then det_mod_rows."""
-    _require_square(m)
-    if m.ring is not ZZ:
-        raise ValueError(f"det_mod_p needs an integer matrix, got one over {m.ring.name}")
+    _require_integer(m, "det_mod_p")
     return det_mod_rows([[x % p for x in row] for row in m.entries], p)
 
 
@@ -515,12 +508,10 @@ def det_field(m: ExactMatrix):
     """
     _require_square(m)
     ring = m.ring
-    if not ring.is_field:
-        raise ValueError(f"det_field over {ring.name}, which is not marked as a field")
     if ring is QQ:
         scales = [lcm(*[x.denominator for x in row]) for row in m.entries]
         rows = [[x.numerator * (s // x.denominator) for x in row] for s, row in zip(scales, m.entries)]
-        return Fraction(_det_rows(rows, ZZ), prod(scales))
+        return Fraction(_det_rows(rows), prod(scales))
     if not isinstance(ring.zero, CycloElem):
         raise ValueError(f"det_field has no kernel over {ring.name}")
     p = ring.zero.p
@@ -540,31 +531,29 @@ def det_field(m: ExactMatrix):
 
 
 def adjugate(m: ExactMatrix) -> ExactMatrix:
-    """Transpose of the cofactor matrix, so M @ adj(M) = det(M) * I.
+    """Transpose of the cofactor matrix of an integer matrix, so
+    M @ adj(M) = det(M) * I.  Raises ValueError over any ring but ZZ.
 
     Nonsingular input: fraction-free Gauss-Jordan on [M | I] with row
-    pivoting over m's own ring.  It ends at [d * I | d * M^(-1)] with
-    d = sign * det(M), sign that of the row swaps, so the right half times
-    sign is adj(M), reached by exact divisions only.
+    pivoting.  It ends at [d * I | d * M^(-1)] with d = sign * det(M), sign
+    that of the row swaps, so the right half times sign is adj(M), reached
+    by exact divisions only.
 
-    Singular input, over any ring: the signed cofactors, entry (i, j) being
-    (-1)^(i+j) det(M without row j and column i) by det_bareiss over m's
-    own ring.  The 1x1 case follows the empty-minor convention
-    adj([h]) = [1].
+    Singular input: the signed cofactors, entry (i, j) being
+    (-1)^(i+j) det(M without row j and column i) by det_bareiss.  The 1x1
+    case follows the empty-minor convention adj([h]) = [1].
     """
-    _require_square(m)
-    ring = m.ring
+    _require_integer(m, "adjugate")
     k = m.rows
-    a = [list(row) + [ring.one if j == i else ring.zero for j in range(k)]
-         for i, row in enumerate(m.entries)]
-    sign = _bareiss(a, k, ring, jordan=True)
+    a = [list(row) + [int(j == i) for j in range(k)] for i, row in enumerate(m.entries)]
+    sign = _bareiss(a, k, jordan=True)
     if sign:
-        return ExactMatrix(ring, [row[k:] if sign == 1 else [-x for x in row[k:]] for row in a])
+        return ExactMatrix(ZZ, [row[k:] if sign == 1 else [-x for x in row[k:]] for row in a])
     if k == 1:
-        return ExactMatrix(ring, [[ring.one]])
+        return ExactMatrix(ZZ, [[1]])
     out = [[det_bareiss(m.submatrix(j, i)) for j in range(k)] for i in range(k)]
-    return ExactMatrix(ring, [[c if (i + j) % 2 == 0 else -c for j, c in enumerate(row)]
-                              for i, row in enumerate(out)])
+    return ExactMatrix(ZZ, [[c if (i + j) % 2 == 0 else -c for j, c in enumerate(row)]
+                            for i, row in enumerate(out)])
 
 
 # the former name stays importable: legbench traces the adjugate under both
@@ -575,8 +564,8 @@ def quadratic_form_adjugate(h: ExactMatrix, u, v):
     """v^T adj(H) u computed as det(H + u v^T) - det(H).
 
     The matrix determinant lemma makes the two sides equal; computing the
-    difference of two determinants, each by Bareiss (exact over every ring
-    here), avoids forming the adjugate.  Kept, uncalled, for the benchmark tracer.
+    difference of two integer determinants, each by Bareiss, avoids forming
+    the adjugate.  Kept, uncalled, for the benchmark tracer.
     """
     _require_square(h)
     u = list(u)

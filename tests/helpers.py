@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive and self-contained so that agreement
 with the package is meaningful: cofactor determinants, reciprocity-based
-Jacobi symbols, a brute-force Pell search, cyclotomic inversion by the
-extended Euclidean algorithm, adjugates from explicit cofactors (over QQ by
-Gaussian elimination, over any ring by cofactor expansion), the two-vector
-lemma's closed form in Fraction arithmetic, and the kernels that faster ones
+Jacobi symbols, a brute-force Pell search, polynomial products and
+differences on coefficient lists, cyclotomic inversion by the extended
+Euclidean algorithm on them, adjugates from explicit cofactors by Gaussian
+elimination, the two-vector lemma's closed form in Fraction arithmetic, and
+the kernels that faster ones
 replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
 lists of lists, the entrywise cyclotomic matrix product, and Gaussian
 elimination over a field (det_gauss), which fraction-free elimination on
@@ -79,7 +80,7 @@ def matmul_entrywise(a, b):
 
 
 def cofactor_adjugate(m):
-    """Transpose of the cofactor matrix of an integer or rational matrix.
+    """Transpose of the cofactor matrix of an integer matrix.
 
     Each minor is det_gauss, elimination in Fractions, a route that shares
     nothing with the package's fraction-free elimination; O(k^5), fine for
@@ -92,25 +93,8 @@ def cofactor_adjugate(m):
             for j in range(k):
                 minor = det_gauss(m.submatrix(i, j).entries)
                 out[j][i] = minor if (i + j) % 2 == 0 else -minor
-    if m.ring is ZZ:
-        assert all(x.denominator == 1 for row in out for x in row)
-        out = [[x.numerator for x in row] for row in out]
-    return ExactMatrix(m.ring, out)
-
-
-def naive_adjugate(m):
-    """Transpose of the cofactor matrix over m's own ring, every minor by
-    naive_det; ring-generic and exponential, sizes <= 6 only.  The 1x1 case
-    is adj([h]) = [1]."""
-    k = m.rows
-    if k == 1:
-        return ExactMatrix(m.ring, [[m.ring.one]])
-    out = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = naive_det(m.submatrix(i, j).entries)
-            out[j][i] = minor if (i + j) % 2 == 0 else -minor
-    return ExactMatrix(m.ring, out)
+    assert all(x.denominator == 1 for row in out for x in row)
+    return ExactMatrix(ZZ, [[x.numerator for x in row] for row in out])
 
 
 def convolve_cyclo(p, a, b):
@@ -202,21 +186,46 @@ def toeplitz_matrix(t, k):
     return ExactMatrix(ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
 
 
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def poly_mul(a, b):
+    """Product of two polynomials given as coefficient lists, lowest degree
+    first; [] is zero."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def poly_sub(a, b):
+    """a - b on coefficient lists, with no trailing zeros."""
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
+
+
 def euclid_inverse(a):
-    """Inverse of a nonzero CycloElem by extended Euclid against 1 + x + ... + x^(p-1)."""
+    """Inverse of a nonzero CycloElem by extended Euclid against
+    1 + x + ... + x^(p-1), on Fraction coefficient lists."""
     p = a.p
-    r0 = UniPoly([1] * p)
-    r1 = UniPoly(a.coeffs)
-    t0, t1 = UniPoly(), UniPoly.constant(1)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
+    r0, r1 = [Fraction(1)] * p, _trim(list(a.coeffs))
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        # long division r0 = q r1 + r0
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        for k in range(len(q) - 1, -1, -1):
+            q[k] = r0[k + len(r1) - 1] / r1[-1]
+            r0 = r0[:k] + [x - q[k] * y for x, y in zip(r0[k:], r1)] + r0[k + len(r1):]
+        r0, r1 = r1, _trim(r0)
+        t0, t1 = t1, poly_sub(t0, poly_mul(q, t1))
     # r0 is a nonzero constant: the cyclotomic polynomial is irreducible
-    if r0.degree != 0:
+    if len(r0) != 1:
         raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
-    inv_poly = t0 * UniPoly.constant(1 / r0.coeff(0))
-    return CycloElem.from_coeffs(p, [inv_poly.coeff(k) for k in range(p - 1)])
+    return CycloElem.from_coeffs(p, [(t0[k] if k < len(t0) else 0) / r0[0] for k in range(p - 1)])
 
 
 def parse_rational(s: str) -> Fraction:

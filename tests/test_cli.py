@@ -9,7 +9,6 @@ import pytest
 
 from helpers import parse_value
 from legdet import cli, identities
-from legdet.exact import UniPoly
 from legdet.identities import CheckResult, VerificationReport
 from legdet.linalg import det_bareiss
 from legdet.render import format_value
@@ -31,18 +30,15 @@ def test_cx_command():
 
 
 def test_cx_command_reports_route_disagreement(monkeypatch, capsys):
-    """With the symbolic QQ[x] determinant shifted, cx prints nothing on
-    stdout, both polynomials on stderr, and exits 1 instead of raising.
-    Above p = 13 only the Toeplitz route runs, so the output stands."""
-    def shifted(m):
-        d = det_bareiss(m)
-        return d + m.ring.one if isinstance(d, UniPoly) else d
-
-    monkeypatch.setattr(identities, "det_bareiss", shifted)
+    """With the dense det(C - J), the one matrix of the cross-check whose
+    (0, 0) entry is -1, shifted, cx prints nothing on stdout, both
+    polynomials on stderr, and exits 1 instead of raising.  Above p = 13
+    only the Toeplitz route runs, so the output stands."""
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == -1))
     assert cli.main(["cx", "--p", "13"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "Toeplitz and symbolic C(x) disagree for p=13: -65*x - 18 ; -65*x - 17\n"
+    assert err == "Toeplitz and dense C(x) disagree for p=13: -65*x - 18 ; -131/2*x - 35/2\n"
     assert cli.main(["cx", "--p", "17"]) == 0
     assert capsys.readouterr().out == "17*x - 4\n"
 

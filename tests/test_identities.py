@@ -466,30 +466,6 @@ def test_wrong_determinant_fails_theorem(monkeypatch):
     assert (r.lhs, r.rhs, r.detail) == ("17*x - 3", "17*x - 4", "")
 
 
-def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
-    """A shift of the QQ[x] determinant alone splits the Toeplitz and
-    symbolic routes to C(x) at p <= 13.  theorem_cx then fails with both on
-    its left side, and the suite runs on; c_polynomial still raises.  Above
-    p = 13 only the Toeplitz route runs, so the check passes."""
-    def shifted(m):
-        d = det_bareiss(m)
-        return d + m.ring.one if isinstance(d, UniPoly) else d
-
-    monkeypatch.setattr(identities, "det_bareiss", shifted)
-    r = verify_theorem(13)
-    assert r.passed is False
-    assert (r.lhs, r.rhs, r.detail) == (
-        "-65*x - 18 ; -65*x - 17", "-65*x - 18", "Toeplitz and symbolic C(x) disagree")
-    assert verify_theorem(17).passed
-    report = run_suite(13, SuiteOptions(uv_trials=1))
-    failed = [c for c in report.checks if not c.passed]
-    assert [(c.name, c.p) for c in failed] == [("theorem_cx", p) for p in (3, 5, 7, 11, 13)]
-    args = cli._build_parser().parse_args(["verify", "--pmax", "13"])
-    assert cli._dispatch(args, io.StringIO()) == 1
-    with pytest.raises(RuntimeError, match="p=13"):
-        c_polynomial(13)
-
-
 def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
     """det_toeplitz + 1 on every matrix cancels in C(1) - C(0), so this
     control shifts C(1) = det(C + J) alone, the only Toeplitz matrix here
@@ -516,30 +492,37 @@ def test_odd_toeplitz_sum_raises(monkeypatch):
 
 
 def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
-    """The p <= 13 cross-check by det_bareiss of C and C + J.  Shifting
-    det C there fails evil_det and theorem_cx, each with both values on its
-    left side; shifting det(C + J) alone leaves det C right, so only
-    theorem_cx fails.  Neither raises, and above 13 nothing changes."""
-    def shifted(which):
-        def det(m):
-            d = det_bareiss(m)
-            return d + 1 if m.ring is ZZ and which(m) else d
-        return det
+    """The p <= 13 cross-check by det_bareiss of C, C + J and C - J, told
+    apart by their (0, 0) entries 0, 1 and -1.  Shifting det C fails
+    evil_det alone, and shifting det(C + J) or det(C - J) fails theorem_cx
+    alone, each with both values on its left side and the note as its
+    detail.  Nothing raises in a check, the suite runs on, and above 13
+    nothing changes; c_polynomial, which has no check to fail, raises."""
+    def shift(x):
+        monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == x))
 
-    monkeypatch.setattr(identities, "det_bareiss", shifted(lambda m: min(map(min, m.entries)) < 0))
+    shift(0)
     r = verify_evil(13)
     assert (r.passed, r.lhs, r.rhs, r.detail) == (False, "-18 ; -17", "-18", "Toeplitz and dense det C disagree")
-    r = verify_theorem(13)
-    assert (r.passed, r.lhs, r.rhs, r.detail) == (
-        False, "-65*x - 18 ; -66*x - 17", "-65*x - 18", "Toeplitz and dense C(x) disagree")
+    assert verify_theorem(13).passed
     assert verify_evil(17).passed and verify_theorem(17).passed
-
-    monkeypatch.setattr(identities, "det_bareiss", shifted(lambda m: min(map(min, m.entries)) >= 0))
-    assert verify_evil(13).passed
-    r = verify_theorem(13)
-    assert (r.passed, r.lhs, r.detail) == (False, "-65*x - 18 ; -64*x - 18", "Toeplitz and dense C(x) disagree")
     report = run_suite(13, SuiteOptions(uv_trials=1))
-    assert [(c.name, c.p) for c in report.checks if not c.passed] == [("theorem_cx", p) for p in (3, 5, 7, 11, 13)]
+    assert [(c.name, c.p) for c in report.checks if not c.passed] == [("evil_det", p) for p in (3, 5, 7, 11, 13)]
+
+    for x, line in ((1, "-129/2*x - 35/2"), (-1, "-131/2*x - 35/2")):
+        shift(x)
+        assert verify_evil(13).passed
+        r = verify_theorem(13)
+        assert (r.passed, r.lhs, r.rhs, r.detail) == (
+            False, f"-65*x - 18 ; {line}", "-65*x - 18", "Toeplitz and dense C(x) disagree")
+        assert verify_theorem(17).passed
+        report = run_suite(13, SuiteOptions(uv_trials=1))
+        failed = [(c.name, c.p) for c in report.checks if not c.passed]
+        assert failed == [("theorem_cx", p) for p in (3, 5, 7, 11, 13)]
+        args = cli._build_parser().parse_args(["verify", "--pmax", "13"])
+        assert cli._dispatch(args, io.StringIO()) == 1
+        with pytest.raises(RuntimeError, match="p=13"):
+            c_polynomial(13)
 
 
 def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
@@ -565,7 +548,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     """One context per prime: C(1) with the columns of adj(C + J), C(-1),
     a_p/b_p, n! mod p and Vsemirnov's U, V, D are each computed once, however
     many checks read them, and so are the p <= 13 cross-checks det C,
-    det(C + J) and the symbolic C(x).  The certified adjugate of C reads the
+    det(C + J) and det(C - J).  The certified adjugate of C reads the
     one C + J run, and so does minor antisymmetry, so no prime calls the
     Gauss-Jordan adjugate but p = 5 and 13, for adj_sum's second route.
     A direct call builds its own context, so nothing is kept between calls."""
@@ -596,7 +579,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     assert calls["det_toeplitz"] == [
         call for p in primes for call in (((p + 1) // 2, -1), (p - 1, legendre(-1, p)))]
     assert calls["det_bareiss"] == [
-        ((p + 1) // 2, ring) for p in primes if p <= 13 for ring in ("ZZ", "ZZ", "QQ[x]")]
+        ((p + 1) // 2, "ZZ") for p in primes if p <= 13 for _ in range(3)]
     assert calls["adjugate"] == [3, 7]
 
     for name in ("det_toeplitz", "toeplitz_columns", "det_bareiss"):
@@ -605,7 +588,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     c_polynomial(5)
     assert calls["toeplitz_columns"] == [(3, 1)] * 2
     assert calls["det_toeplitz"] == [(3, -1)] * 2
-    assert calls["det_bareiss"] == [(3, "ZZ"), (3, "ZZ"), (3, "QQ[x]")] * 2
+    assert calls["det_bareiss"] == [(3, "ZZ")] * 6
 
 
 def test_check_names_sort_in_numeric_order():
