@@ -491,17 +491,18 @@ def test_odd_toeplitz_sum_raises(monkeypatch):
             verify_evil(p)
 
 
-def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
-    """The p <= 13 cross-check by det_bareiss of C, C + J and C - J, told
-    apart by their (0, 0) entries 0, 1 and -1.  Shifting det C fails
-    evil_det alone, and shifting det(C + J) or det(C - J) fails theorem_cx
-    alone, each with both values on its left side and the note as its
-    detail.  Nothing raises in a check, the suite runs on, and above 13
-    nothing changes; c_polynomial, which has no check to fail, raises."""
-    def shift(x):
-        monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == x))
+def _shift_dense_det(monkeypatch, x):
+    """Add 1 to det_bareiss of the one cross-check matrix whose (0, 0)
+    entry is x: 0 for C, 1 for C + J and -1 for C - J."""
+    monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == x))
 
-    shift(0)
+
+def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
+    """The p <= 13 cross-check by det_bareiss of C, C + J and C - J.
+    Shifting det C fails evil_det alone, with both values on its left side
+    and the note as its detail.  Nothing raises, the suite runs on, and
+    above 13 nothing changes."""
+    _shift_dense_det(monkeypatch, 0)
     r = verify_evil(13)
     assert (r.passed, r.lhs, r.rhs, r.detail) == (False, "-18 ; -17", "-18", "Toeplitz and dense det C disagree")
     assert verify_theorem(13).passed
@@ -509,8 +510,16 @@ def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
     report = run_suite(13, SuiteOptions(uv_trials=1))
     assert [(c.name, c.p) for c in report.checks if not c.passed] == [("evil_det", p) for p in (3, 5, 7, 11, 13)]
 
+
+def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
+    """At p <= 13 the symbolic C(x) = det(C + xJ) of the Toeplitz route is
+    checked against the line through the dense C(1) and C(-1).  Shifting
+    det(C + J) or det(C - J) alone splits the two, so theorem_cx fails with
+    both on its left side and evil_det passes; the suite runs on, the CLI
+    exits 1, and c_polynomial, which has no check to fail, raises.  Above
+    p = 13 only the Toeplitz route runs, so the check passes."""
     for x, line in ((1, "-129/2*x - 35/2"), (-1, "-131/2*x - 35/2")):
-        shift(x)
+        _shift_dense_det(monkeypatch, x)
         assert verify_evil(13).passed
         r = verify_theorem(13)
         assert (r.passed, r.lhs, r.rhs, r.detail) == (
