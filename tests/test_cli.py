@@ -30,15 +30,14 @@ def test_cx_command():
 
 
 def test_cx_command_reports_route_disagreement(monkeypatch, capsys):
-    """With the dense det(C - J), the one matrix of the cross-check whose
-    (0, 0) entry is -1, shifted, cx prints nothing on stdout, both
-    polynomials on stderr, and exits 1 instead of raising.  Above p = 13
-    only the Toeplitz route runs, so the output stands."""
+    """With the dense det(C - J), the one matrix of c_polynomial's p <= 13
+    cross-check whose (0, 0) entry is -1, shifted, cx prints nothing on
+    stdout and the RuntimeError escapes with both polynomials.  Above
+    p = 13 only the Toeplitz runs take place, so the output stands."""
     monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == -1))
-    assert cli.main(["cx", "--p", "13"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "Toeplitz and dense C(x) disagree for p=13: -65*x - 18 ; -131/2*x - 35/2\n"
+    with pytest.raises(RuntimeError, match=r"p=13: -65\*x - 18 ; -131/2\*x - 35/2"):
+        cli.main(["cx", "--p", "13"])
+    assert capsys.readouterr().out == ""
     assert cli.main(["cx", "--p", "17"]) == 0
     assert capsys.readouterr().out == "17*x - 4\n"
 

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import random
 from dataclasses import replace
 from decimal import Decimal
@@ -9,7 +8,7 @@ import pytest
 
 import legdet
 from helpers import lemma_uv_rhs_fraction
-from legdet import cli, identities
+from legdet import identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
@@ -339,11 +338,7 @@ def shift_toeplitz_dets(monkeypatch, shift):
 def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     """Negative control: one cofactor off by one, after the certificate,
     must fail the check and name the (k, l) pair it breaks.  At p = 7
-    (n = 3) adj[2, 0] is cofactor C_02, first paired at (k, l) = (0, 2).
-    The adjugate is also adj_sum's second route at p <= 13: at p = 13 its
-    entry sum moves to -64 and adj_sum fails with both sums, while evil_det
-    and theorem_cx, which never read it, pass; at p = 17 there is no second
-    route to disagree."""
+    (n = 3) adj[2, 0] is cofactor C_02, first paired at (k, l) = (0, 2)."""
     certified = PrimeContext.__dict__["evil_adjugate"].func
 
     def bumped(ctx):
@@ -355,13 +350,6 @@ def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     r = verify_minor_antisymmetry(7)
     assert r.passed is False
     assert (r.name, r.lhs, r.rhs, r.detail) == ("minor_antisym", "1", "0", "(k, l) = (0, 2)")
-    ctx = PrimeContext(13)
-    r = verify_adj_sum(ctx)
-    assert (r.passed, r.lhs, r.rhs, r.detail) == (
-        False, "-65 ; -64", "-65", "determinant-lemma and adjugate sums disagree")
-    assert verify_evil(ctx).passed and verify_theorem(ctx).passed
-    assert all(check(17).passed for check in (verify_adj_sum, verify_evil, verify_theorem))
-
 
 
 def spy_gauss_jordan(monkeypatch) -> list[int]:
@@ -432,16 +420,15 @@ def test_wrong_residue_fails_sun_congruence(monkeypatch):
 
 def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
     """det_toeplitz + 1 shifts Carlitz by one and C(1), C(-1) by one each,
-    hence C(0) by one.  At p <= 13 the dense det C disagrees too, and
-    evil_det fails with both values on its left side."""
+    hence C(0) by one."""
     shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
         for r in (verify_carlitz(p), verify_evil(p)):
             assert r.passed is False and r.lhs != r.rhs
     assert (verify_carlitz(7).lhs, verify_carlitz(7).rhs) == ("50", "49")
-    r = verify_evil(13)
-    assert (r.lhs, r.rhs, r.detail) == ("-17 ; -18", "-18", "Toeplitz and dense det C disagree")
-    assert (verify_evil(17).lhs, verify_evil(17).rhs) == ("-3", "-4")
+    for p, lhs, rhs in ((13, "-17", "-18"), (17, "-3", "-4")):
+        r = verify_evil(p)
+        assert (r.lhs, r.rhs, r.detail) == (lhs, rhs, "")
 
 
 def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
@@ -453,33 +440,27 @@ def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
 
 def test_wrong_determinant_fails_theorem(monkeypatch):
     """det_toeplitz + 1 on both C + J and C - J shifts C(x) by the constant
-    1.  At p <= 13 the dense route then disagrees and the check fails with
-    both polynomials; above 13 the closed-form comparison is what fails."""
+    1, and the closed-form comparison fails."""
     shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
         r = verify_theorem(p)
         assert r.passed is False and r.lhs != r.rhs
-    r = verify_theorem(13)
-    assert (r.lhs, r.rhs, r.detail) == (
-        "-65*x - 17 ; -65*x - 18", "-65*x - 18", "Toeplitz and dense C(x) disagree")
-    r = verify_theorem(17)
-    assert (r.lhs, r.rhs, r.detail) == ("17*x - 3", "17*x - 4", "")
+    for p, lhs, rhs in ((13, "-65*x - 17", "-65*x - 18"), (17, "17*x - 3", "17*x - 4")):
+        r = verify_theorem(p)
+        assert (r.lhs, r.rhs, r.detail) == (lhs, rhs, "")
 
 
 def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
     """det_toeplitz + 1 on every matrix cancels in C(1) - C(0), so this
     control shifts C(1) = det(C + J) alone, the only Toeplitz matrix here
     with no negative diagonal.  The shift is 2, which keeps C(1) + C(-1)
-    even and moves C(1) - C(0) by one.  Above p = 13 the check fails; at
-    p <= 13 the adjugate cross-check also disagrees, and the check fails
-    with both sums."""
+    even and moves C(1) - C(0) by one."""
     shift_toeplitz_dets(monkeypatch, lambda t: 2 * (min(t) >= 0))
-    for p in (17, 19):
+    for p in (13, 17, 19):
         r = verify_adj_sum(p)
         assert r.passed is False and r.lhs != r.rhs
     r = verify_adj_sum(13)
-    assert r.passed is False
-    assert (r.lhs, r.rhs, r.detail) == ("-64 ; -65", "-65", "determinant-lemma and adjugate sums disagree")
+    assert (r.lhs, r.rhs, r.detail) == ("-64", "-65", "")
 
 
 def test_odd_toeplitz_sum_raises(monkeypatch):
@@ -497,41 +478,20 @@ def _shift_dense_det(monkeypatch, x):
     monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == x))
 
 
-def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
-    """The p <= 13 cross-check by det_bareiss of C, C + J and C - J.
-    Shifting det C fails evil_det alone, with both values on its left side
-    and the note as its detail.  Nothing raises, the suite runs on, and
-    above 13 nothing changes."""
-    _shift_dense_det(monkeypatch, 0)
-    r = verify_evil(13)
-    assert (r.passed, r.lhs, r.rhs, r.detail) == (False, "-18 ; -17", "-18", "Toeplitz and dense det C disagree")
-    assert verify_theorem(13).passed
-    assert verify_evil(17).passed and verify_theorem(17).passed
-    report = run_suite(13, SuiteOptions(uv_trials=1))
-    assert [(c.name, c.p) for c in report.checks if not c.passed] == [("evil_det", p) for p in (3, 5, 7, 11, 13)]
-
-
-def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
-    """At p <= 13 the symbolic C(x) = det(C + xJ) of the Toeplitz route is
-    checked against the line through the dense C(1) and C(-1).  Shifting
-    det(C + J) or det(C - J) alone splits the two, so theorem_cx fails with
-    both on its left side and evil_det passes; the suite runs on, the CLI
-    exits 1, and c_polynomial, which has no check to fail, raises.  Above
-    p = 13 only the Toeplitz route runs, so the check passes."""
-    for x, line in ((1, "-129/2*x - 35/2"), (-1, "-131/2*x - 35/2")):
+def test_dense_cross_check_disagreement_raises_in_c_polynomial(monkeypatch):
+    """For p <= 13 c_polynomial takes det_bareiss of C, C + J and C - J
+    and compares them with C(0), C(1) and C(-1) from the Toeplitz runs.
+    Shifting any one of the three makes it raise with both polynomials
+    and the dense C(0).  The suite reads only the Toeplitz values, so it
+    still passes, and above 13 c_polynomial takes no dense determinant."""
+    for x, line, d0 in ((0, "-65*x - 18", -17), (1, "-129/2*x - 35/2", -18), (-1, "-131/2*x - 35/2", -18)):
         _shift_dense_det(monkeypatch, x)
-        assert verify_evil(13).passed
-        r = verify_theorem(13)
-        assert (r.passed, r.lhs, r.rhs, r.detail) == (
-            False, f"-65*x - 18 ; {line}", "-65*x - 18", "Toeplitz and dense C(x) disagree")
-        assert verify_theorem(17).passed
-        report = run_suite(13, SuiteOptions(uv_trials=1))
-        failed = [(c.name, c.p) for c in report.checks if not c.passed]
-        assert failed == [("theorem_cx", p) for p in (3, 5, 7, 11, 13)]
-        args = cli._build_parser().parse_args(["verify", "--pmax", "13"])
-        assert cli._dispatch(args, io.StringIO()) == 1
-        with pytest.raises(RuntimeError, match="p=13"):
+        want = f"Toeplitz and dense C(x) disagree for p=13: -65*x - 18 ; {line}, dense C(0) = {d0}"
+        with pytest.raises(RuntimeError) as exc:
             c_polynomial(13)
+        assert str(exc.value) == want
+        assert c_polynomial(17) == UniPoly((-4, 17))
+        assert run_suite(13, SuiteOptions(uv_trials=1)).all_passed
 
 
 def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
@@ -556,11 +516,11 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     """One context per prime: C(1) with the columns of adj(C + J), C(-1),
     a_p/b_p, n! mod p and Vsemirnov's U, V, D are each computed once, however
-    many checks read them, and so are the p <= 13 cross-checks det C,
-    det(C + J) and det(C - J).  The certified adjugate of C reads the
-    one C + J run, and so does minor antisymmetry, so no prime calls the
-    Gauss-Jordan adjugate but p = 5 and 13, for adj_sum's second route.
-    A direct call builds its own context, so nothing is kept between calls."""
+    many checks read them.  The certified adjugate of C reads the one C + J
+    run, so the suite calls neither det_bareiss nor the Gauss-Jordan
+    adjugate.  c_polynomial takes det C, det(C + J) and det(C - J) densely
+    for p <= 13, and a direct call builds its own context, so nothing is
+    kept between calls."""
     calls = {"det_toeplitz": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [], "ab_coeffs": [],
              "build_vsemirnov_matrices": [], "factorial_mod": []}
 
@@ -587,9 +547,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     assert calls["toeplitz_columns"] == [((p + 1) // 2, 1) for p in primes]
     assert calls["det_toeplitz"] == [
         call for p in primes for call in (((p + 1) // 2, -1), (p - 1, legendre(-1, p)))]
-    assert calls["det_bareiss"] == [
-        ((p + 1) // 2, "ZZ") for p in primes if p <= 13 for _ in range(3)]
-    assert calls["adjugate"] == [3, 7]
+    assert calls["det_bareiss"] == calls["adjugate"] == []
 
     for name in ("det_toeplitz", "toeplitz_columns", "det_bareiss"):
         calls[name].clear()

@@ -615,17 +615,15 @@ def test_det_toeplitz_agrees_on_carlitz_and_evil_without_fallback(monkeypatch):
 
 
 def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monkeypatch):
-    """For every p = 3 (mod 4) up to 200, PrimeContext.evil_adjugate, from
-    the Toeplitz adjugate of C + J, the rank-one update and the
-    certificate, equals Gauss-Jordan adjugate of C.  The fallback is
-    disabled: no divisor, F_0 or det(C + J) vanishes, and every
-    certificate holds."""
+    """For every odd p up to 200, PrimeContext.evil_adjugate, from the
+    Toeplitz adjugate of C + J, the rank-one update and the certificate,
+    equals Gauss-Jordan adjugate of C.  The fallback is disabled: no
+    divisor, F_0, det(C + J) or det C vanishes, and every certificate
+    holds."""
     def forbidden(m):
         raise AssertionError(f"Gauss-Jordan fallback on a {m.rows}x{m.rows} matrix")
 
     for p in odd_primes_upto(200):
-        if p % 4 != 3:
-            continue
         ctx = identities.PrimeContext(p)
         with monkeypatch.context() as mp:
             mp.setattr(identities, "adjugate", forbidden)
