@@ -478,18 +478,45 @@ def _shift_dense_det(monkeypatch, x):
     monkeypatch.setattr(identities, "det_bareiss", lambda m: det_bareiss(m) + (m[0, 0] == x))
 
 
-def test_dense_cross_check_disagreement_raises_in_c_polynomial(monkeypatch):
-    """For p <= 13 c_polynomial takes det_bareiss of C, C + J and C - J
-    and compares them with C(0), C(1) and C(-1) from the Toeplitz runs.
-    Shifting any one of the three makes it raise with both polynomials
-    and the dense C(0).  The suite reads only the Toeplitz values, so it
-    still passes, and above 13 c_polynomial takes no dense determinant."""
-    for x, line, d0 in ((0, "-65*x - 18", -17), (1, "-129/2*x - 35/2", -18), (-1, "-131/2*x - 35/2", -18)):
+def test_dense_cross_check_disagreement_fails_evil_and_theorem(monkeypatch):
+    """For p <= 13 c_polynomial compares det_bareiss of C with C(0) from the
+    Toeplitz runs.  Toeplitz values moved by one (dense ones untouched) fail
+    evil_det and theorem_cx against their closed forms, and c_polynomial
+    raises with both polynomials and the dense C(0).  Shifting the dense
+    det C alone makes c_polynomial raise too, while the suite, which reads
+    only the Toeplitz values, passes, and above 13 nothing changes."""
+    shift_toeplitz_dets(monkeypatch, lambda t: 1)
+    assert not verify_evil(13).passed and not verify_theorem(13).passed
+    with pytest.raises(RuntimeError) as exc:
+        c_polynomial(13)
+    assert str(exc.value) == "Toeplitz and dense C(x) disagree for p=13: -65*x - 17 ; -65*x - 18, dense C(0) = -18"
+    monkeypatch.undo()
+    _shift_dense_det(monkeypatch, 0)
+    with pytest.raises(RuntimeError) as exc:
+        c_polynomial(13)
+    assert str(exc.value) == "Toeplitz and dense C(x) disagree for p=13: -65*x - 18 ; -65*x - 18, dense C(0) = -17"
+    assert c_polynomial(17) == UniPoly((-4, 17))
+    assert run_suite(13, SuiteOptions(uv_trials=1)).all_passed
+
+
+def test_symbolic_cx_disagreement_fails_theorem(monkeypatch):
+    """For p <= 13 c_polynomial checks the Toeplitz C(x) against the line
+    through the dense C(1) and C(-1).  Moving the Toeplitz C(1) alone by 2
+    bends C(x) off its closed form: theorem_cx fails and c_polynomial raises.
+    Shifting the dense det(C + J) or det(C - J) alone moves the dense line,
+    so c_polynomial raises with both polynomials, while the suite passes and
+    p = 17, which takes no dense determinant, is unaffected."""
+    shift_toeplitz_dets(monkeypatch, lambda t: 2 * (min(t) >= 0))
+    r = verify_theorem(13)
+    assert r.passed is False and r.rhs == "-65*x - 18" and r.lhs != r.rhs
+    with pytest.raises(RuntimeError, match=r"p=13: .* ; -65\*x - 18, dense C\(0\) = -18"):
+        c_polynomial(13)
+    monkeypatch.undo()
+    for x, line in ((1, "-129/2*x - 35/2"), (-1, "-131/2*x - 35/2")):
         _shift_dense_det(monkeypatch, x)
-        want = f"Toeplitz and dense C(x) disagree for p=13: -65*x - 18 ; {line}, dense C(0) = {d0}"
         with pytest.raises(RuntimeError) as exc:
             c_polynomial(13)
-        assert str(exc.value) == want
+        assert str(exc.value) == f"Toeplitz and dense C(x) disagree for p=13: -65*x - 18 ; {line}, dense C(0) = -18"
         assert c_polynomial(17) == UniPoly((-4, 17))
         assert run_suite(13, SuiteOptions(uv_trials=1)).all_passed
 
