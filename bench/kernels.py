@@ -1,4 +1,4 @@
-"""Timings of the integer kernels under the cyclotomic, Sun, Carlitz, C(x) and minor-antisymmetry checks.
+"""Timings of the integer kernels under the cyclotomic, Sun, Carlitz, C(x), adjugate and lemma checks.
 
     python3 bench/kernels.py [--quick] [--parent DIR] [--change DIR] [--out FILE]
 
@@ -23,6 +23,10 @@ Cases:
            [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, u and v from seeded
            identities.random_uv_instance draws of that m; one sample is one
            pass over a fixed batch of matrices.
+  lemma_uv identities.verify_lemma_uv on the same batches of (u, v) at
+           m = 3, 5, 7: the whole check, its matrix entries built from the
+           integer numerators and denominators and its closed form
+           included; one sample is one pass over a batch.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the two
            matrices of the f1f2_u00 check at p = 29 and 41: the Cauchy-type
            [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j, and Vsemirnov's U
@@ -51,8 +55,8 @@ writes it there.  The committed BENCH_kernels.json holds the run made with
 
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its C +- J case
-is at p = 61, its det_field case at m = 3, and its det_field_cyclo and
-matmul_cyclo cases at p = 13.
+is at p = 61, its det_field and lemma_uv cases at m = 3, and its
+det_field_cyclo and matmul_cyclo cases at p = 13.
 """
 
 from __future__ import annotations
@@ -188,23 +192,33 @@ def toeplitz_cases(legdet, quick: bool) -> dict:
 
 
 def det_field_cases(legdet, quick: bool) -> dict:
+    """Seeded batches of two-vector lemma instances of order m, timed as
+    det_field on their pre-built Fraction matrices and as the whole
+    verify_lemma_uv check, entries and closed form included."""
     ids = legdet.identities
     lin = legdet.linalg
     out = {}
     for m in LEMMA_ORDERS[:1] if quick else LEMMA_ORDERS:
         rng = random.Random(m)
-        mats = []
-        while len(mats) < (LEMMA_BATCH // 10 if quick else LEMMA_BATCH):
+        batch = []
+        while len(batch) < (LEMMA_BATCH // 10 if quick else LEMMA_BATCH):
             k, u, v = ids.random_uv_instance(rng, m)
             if k == m:
-                mats.append(lin.ExactMatrix(lin.QQ, [[(ui + vj) / (1 + ui * vj) for vj in v] for ui in u]))
+                batch.append((u, v))
+        mats = [lin.ExactMatrix(lin.QQ, [[(ui + vj) / (1 + ui * vj) for vj in v] for ui in u]) for u, v in batch]
 
         def run(mats=mats):
             for mat in mats:
                 lin.det_field(mat)
             return len(mats)
 
+        def run_check(batch=batch, m=m):
+            for u, v in batch:
+                ids.verify_lemma_uv(m, u, v)
+            return len(batch)
+
         out[f"det_field QQ lemma m={m}"] = run
+        out[f"lemma_uv m={m}"] = run_check
     return out
 
 
@@ -312,7 +326,7 @@ def environment(src: Path) -> dict:
     except OSError:
         pass
     digest = hashlib.sha256()
-    for name in ("cyclotomic.py", "linalg.py", "ntheory.py"):
+    for name in ("cyclotomic.py", "identities.py", "linalg.py", "ntheory.py"):
         digest.update((src / "legdet" / name).read_bytes())
     return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu, "kernels_sha256": digest.hexdigest()}

@@ -33,7 +33,6 @@ from math import prod
 from .cyclotomic import CycloElem, gauss_sum, zeta_pow
 from .exact import UniPoly, as_rational
 from .linalg import (
-    QQ,
     ZZ,
     ExactMatrix,
     adjugate,
@@ -41,6 +40,7 @@ from .linalg import (
     cyclo_ring,
     det_bareiss,
     det_field,
+    det_fractions,
     det_mod_packed,
     det_toeplitz,
     mod_slot_width,
@@ -389,15 +389,18 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
         ((prod(1+u_i)(1+v_i) + (-1)^m prod(1-u_i)(1-v_i)) / 2)
             * prod_{i<j}(u_i-u_j)(v_j-v_i) / prod_{i,j}(1+u_i v_j).
 
-    The left side is det_field over QQ (fraction-free, on integer-scaled
-    rows).  The right side is one Fraction of integers: with u_i = a_i/b_i,
-    v_j = c_j/d_j in lowest terms, b, d > 0, and B = prod b_i, D = prod d_j,
+    With u_i = a_i/b_i, v_j = c_j/d_j in lowest terms, b, d > 0, entry
+    (i, j) is (a_i d_j + b_i c_j)/E_ij, E_ij = b_i d_j + a_i c_j (numerator
+    and denominator times b_i d_j).  The left side is det_fractions of these
+    integer pairs, fraction-free on integer-scaled rows, with no Fraction
+    per entry; E_ij may be negative and the pair unreduced.  The right side
+    is one Fraction of integers: with B = prod b_i, D = prod d_j,
       1 + u_i = (b_i+a_i)/b_i, so prod(1+u_i)(1+v_i) = P/(BD) with
           P = prod(b_i+a_i)(d_i+c_i), and likewise M = prod(b_i-a_i)(d_i-c_i);
       u_i-u_j = (a_i b_j - a_j b_i)/(b_i b_j), v_j-v_i = (c_j d_i - c_i d_j)/(d_i d_j),
           and each index lies in m-1 pairs, so the product is V/(BD)^(m-1);
-      1 + u_i v_j = E_ij/(b_i d_j) with E_ij = b_i d_j + a_i c_j, and the
-          product over all m^2 pairs is prod E_ij/(BD)^m.
+      1 + u_i v_j = E_ij/(b_i d_j), and the product over all m^2 pairs
+          is prod E_ij/(BD)^m.
     The powers of BD cancel (1 + (m-1) - m = 0), leaving
     (P + (-1)^m M) V / (2 prod E_ij).  Each E_ij is computed once: it is the
     guard (E_ij = 0 exactly when u_i v_j = -1, as b_i d_j > 0), the
@@ -414,9 +417,8 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
     e = [[bi * dj + ai * cj for cj, dj in cd] for ai, bi in ab]
     if any(0 in row for row in e):
         raise ValueError("u_i * v_j = -1 makes a matrix entry undefined")
-    mat = ExactMatrix(QQ, [[Fraction(ai * dj + bi * cj, eij) for (cj, dj), eij in zip(cd, row)]
-                           for (ai, bi), row in zip(ab, e)])
-    lhs = det_field(mat)
+    lhs = det_fractions([[(ai * dj + bi * cj, eij) for (cj, dj), eij in zip(cd, row)]
+                         for (ai, bi), row in zip(ab, e)])
     plus = prod((bi + ai) * (di + ci) for (ai, bi), (ci, di) in zip(ab, cd))
     minus = prod((bi - ai) * (di - ci) for (ai, bi), (ci, di) in zip(ab, cd))
     vandermonde = prod((ai * bj - aj * bi) * (cj * di - ci * dj)
@@ -532,15 +534,16 @@ def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fracti
 
     Numerators and denominators come from a small box; instances hitting the
     excluded locus are redrawn whole so the stream stays reproducible.  The
-    test is verify_lemma_uv's, in integers: 1 + u_i v_j = 0 exactly when
-    b_i d_j + a_i c_j = 0.
+    test is verify_lemma_uv's, in integers, on the drawn pairs: 1 + u_i v_j
+    = 0 exactly when b_i d_j + a_i c_j = 0, with b_i, d_j > 0, reduced or
+    not.  Only an accepted draw is made into Fractions.
     """
     while True:
         m = rng.randint(1, m_max)
-        u = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
-        v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
-        if all(x.denominator * y.denominator + x.numerator * y.numerator for x in u for y in v):
-            return m, u, v
+        u = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        v = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        if all(b * d + a * c for a, b in u for c, d in v):
+            return m, [Fraction(a, b) for a, b in u], [Fraction(c, d) for c, d in v]
 
 
 def uv_trial_checks(trials: int, m_max: int, seed: int) -> list[CheckResult]:

@@ -8,10 +8,11 @@ alone and raise ValueError naming any other, det_field takes QQ and
 Q(zeta_p) alone, and @ over Q(zeta_p) has a kernel of its own.
 
 Determinants come in four flavors, each on integers: fraction-free Bareiss
-elimination over ZZ, and over QQ (det_field) on rows first scaled to
-integers; over the cyclotomic fields, rows scaled into Z[zeta_p], whose
-determinant is read off its images in F_q for split primes q and put
-together by CRT; det_toeplitz, fraction-free
+elimination over ZZ, and over QQ on rows first scaled to integers
+(det_fractions, on rows of integer (numerator, denominator) pairs; det_field
+over QQ hands it those of its Fractions); over the cyclotomic fields, rows
+scaled into Z[zeta_p], whose determinant is read off its images in F_q for
+split primes q and put together by CRT; det_toeplitz, fraction-free
 Levinson-Trench in O(k^2) integer operations on the 2k-1 diagonals of an
 integer Toeplitz matrix (toeplitz_columns), which hands the explicit matrix
 to Bareiss when a leading minor it must divide by vanishes; and, for when
@@ -486,11 +487,23 @@ def _det_coeffs_mod(vecs, p: int, q: int, r: int) -> list[int]:
             for e in range(p - 1)]
 
 
+def det_fractions(rows) -> Fraction:
+    """Determinant of a square matrix of rationals, given as rows of integer
+    pairs (n, d) for the entries n/d; d may be negative and n/d unreduced.
+    Row i times s_i = lcm(d_i0, d_i1, ...), which math.lcm makes positive,
+    is integral, entry n * (s_i // d), the division exact and signed, so
+    det = det(scaled) / prod s_i, the scaled determinant by the checked
+    integer Bareiss step.  Always a Fraction.  A zero d makes its row's s_i
+    zero, and s_i // d raises ZeroDivisionError."""
+    scales = [lcm(*[d for _, d in row]) for row in rows]
+    scaled = [[n * (s // d) for n, d in row] for s, row in zip(scales, rows)]
+    return Fraction(_det_rows(scaled), prod(scales))
+
+
 def det_field(m: ExactMatrix):
     """Exact determinant over a field, from a determinant over the integers.
 
-    Over QQ, row i times s_i, the lcm of its denominators, is integral, so
-    det = det_bareiss(scaled) / prod s_i, a Fraction.
+    Over QQ, det_fractions of the (numerator, denominator) pairs.
 
     Over Q(zeta_p), row i times s_i, the lcm of its denominators, lies over
     Z[zeta_p], and det = det' / prod s_i, det' the determinant of the
@@ -509,9 +522,7 @@ def det_field(m: ExactMatrix):
     _require_square(m)
     ring = m.ring
     if ring is QQ:
-        scales = [lcm(*[x.denominator for x in row]) for row in m.entries]
-        rows = [[x.numerator * (s // x.denominator) for x in row] for s, row in zip(scales, m.entries)]
-        return Fraction(_det_rows(rows), prod(scales))
+        return det_fractions([[(x.numerator, x.denominator) for x in row] for row in m.entries])
     if not isinstance(ring.zero, CycloElem):
         raise ValueError(f"det_field has no kernel over {ring.name}")
     p = ring.zero.p

@@ -39,7 +39,7 @@ from legdet.linalg import (
     ExactMatrix,
     adjugate,
     det_bareiss,
-    det_field,
+    det_fractions,
     det_mod_packed,
     det_toeplitz,
     toeplitz_adjugate,
@@ -368,7 +368,8 @@ def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
     """Negative control: one entry of the Toeplitz fill of adj(C + J) off by
     one, before the certificate.  The rank-one update then has a remainder
     or a wrong result, the certificate does not hold, and C goes to
-    Gauss-Jordan, so every check still passes."""
+    Gauss-Jordan: the context's adjugate is Gauss-Jordan's, and minor
+    antisymmetry still passes."""
     def corrupted(f, b):
         rows = toeplitz_adjugate(f, b)
         rows[1][1] += 1
@@ -379,7 +380,7 @@ def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
     for p in (7, 11, 19, 23):
         ctx = PrimeContext(p)
         assert verify_minor_antisymmetry(ctx).passed
-        assert verify_adj_sum(ctx).passed
+        assert ctx.evil_adjugate == adjugate(ctx.evil)
     assert calls == [4, 6, 10, 12]
 
 
@@ -535,7 +536,7 @@ def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
 
 
 def test_wrong_determinant_fails_lemma_uv(monkeypatch):
-    monkeypatch.setattr(identities, "det_field", lambda m: det_field(m) + 1)
+    monkeypatch.setattr(identities, "det_fractions", lambda rows: det_fractions(rows) + 1)
     r = verify_lemma_uv(2, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)])
     assert r.passed is False and r.lhs == "1188/1225" and r.rhs == "-37/1225"
 

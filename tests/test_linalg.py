@@ -32,6 +32,7 @@ from legdet.linalg import (
     cyclo_ring,
     det_bareiss,
     det_field,
+    det_fractions,
     det_mod_p,
     det_mod_packed,
     det_toeplitz,
@@ -253,6 +254,30 @@ def test_det_field_over_qq_vs_gauss_and_cofactors():
         assert isinstance(d, Fraction)
         assert d == det_gauss(rows) == naive_det(rows)
         assert (d == 0) == (rows in singular)
+
+
+def test_det_fractions_vs_gauss_with_negative_and_unreduced_denominators():
+    """det_fractions on rows of integer pairs (n, d) against Gaussian
+    elimination in Fractions, k <= 6.  Denominators take either sign and
+    pairs are left unreduced (6/-4), so s_i // d is negative for some
+    entries; det_field over QQ, on the same entries as Fractions, agrees.
+    A zero denominator raises instead of giving a value."""
+    rng = random.Random(19)
+    cases = [[[(1, -2), (3, 4)], [(6, -4), (2, 6)]], [[(0, -3), (0, 5)], [(4, -6), (2, 3)]]]
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        cases.append([[(rng.randint(-9, 9), rng.choice((-1, 1)) * rng.randint(1, 6)) for _ in range(k)]
+                      for _ in range(k)])
+    for rows in cases:
+        fractions = [[Fraction(n, d) for n, d in row] for row in rows]
+        det = det_fractions(rows)
+        assert isinstance(det, Fraction)
+        assert det == det_gauss(fractions) == det_field(ExactMatrix(QQ, fractions))
+    assert det_fractions(cases[0]) == Fraction(23, 24)
+    assert det_fractions(cases[1]) == 0
+    for rows in ([[(5, 0)]], [[(1, 1), (1, 1)], [(1, 2), (3, 0)]]):
+        with pytest.raises(ZeroDivisionError):
+            det_fractions(rows)
 
 
 def test_det_usage_errors():
