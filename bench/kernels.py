@@ -27,10 +27,13 @@ Cases:
            m = 3, 5, 7: the whole check, its matrix entries built from the
            integer numerators and denominators and its closed form
            included; one sample is one pass over a batch.
+  vsemirnov_build  Vsemirnov's U, V, D and the Cauchy-type matrix
+           [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j, on a fresh
+           identities.PrimeContext at p = 29 and 53; one sample is one build.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the two
            matrices of the f1f2_u00 check at p = 29 and 41: the Cauchy-type
-           [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j, and Vsemirnov's U
-           without row and column 0; one sample is one determinant.
+           matrix (PrimeContext.cauchy) and Vsemirnov's U without row and
+           column 0; one sample is one determinant.
   matmul_cyclo  V @ W @ V over Q(zeta_p), the right side of the
            decomposition check at p = 29, W = s D U D for the scalar s of
            that check; one sample is the two products.
@@ -56,7 +59,7 @@ writes it there.  The committed BENCH_kernels.json holds the run made with
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its C +- J case
 is at p = 61, its det_field and lemma_uv cases at m = 3, and its
-det_field_cyclo and matmul_cyclo cases at p = 13.
+vsemirnov_build, det_field_cyclo and matmul_cyclo cases at p = 13.
 """
 
 from __future__ import annotations
@@ -84,6 +87,7 @@ CARLITZ_PRIMES = (61, 101, 157)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
+VSEMIRNOV_PRIMES = (29, 53)
 CYCLO_DET_PRIMES = (29, 41)
 CYCLO_MATMUL_PRIME = 29
 CYCLO_QUICK_PRIME = 13
@@ -222,6 +226,15 @@ def det_field_cases(legdet, quick: bool) -> dict:
     return out
 
 
+def _cauchy(legdet, ctx):
+    """ctx.cauchy; a checkout older than PrimeContext.cauchy builds the
+    matrix as its verify_f1f2 did, through its memoised ctx.inverse."""
+    if hasattr(type(ctx), "cauchy"):
+        return ctx.cauchy
+    lin, u = legdet.linalg, ctx.u
+    return lin.ExactMatrix(lin.cyclo_ring(ctx.p), [[(ui + uj) * ctx.inverse(1 + ui * uj) for uj in u] for ui in u])
+
+
 def cyclo_cases(legdet, quick: bool) -> dict:
     """The matrices of verify_f1f2 and verify_decomposition, built as those
     checks build them."""
@@ -229,12 +242,17 @@ def cyclo_cases(legdet, quick: bool) -> dict:
     lin = legdet.linalg
     cyc = legdet.cyclotomic
     out = {}
+    for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
+        def run_build(p=p):
+            ctx = ids.PrimeContext(p)
+            ctx.vsemirnov
+            _cauchy(legdet, ctx)
+            return 1
+
+        out[f"vsemirnov_build U V D cauchy p={p}"] = run_build
     for p in (CYCLO_QUICK_PRIME,) if quick else CYCLO_DET_PRIMES:
         ctx = ids.PrimeContext(p)
-        u = ctx.u
-        mats = {"cauchy": lin.ExactMatrix(lin.cyclo_ring(p), [[(ui + uj) * ctx.inverse(1 + ui * uj) for uj in u]
-                                                              for ui in u]),
-                "U_00": ctx.vsemirnov[0].submatrix(0, 0)}
+        mats = {"cauchy": _cauchy(legdet, ctx), "U_00": ctx.vsemirnov[0].submatrix(0, 0)}
         for name, mat in mats.items():
             def run(mat=mat):
                 lin.det_field(mat)

@@ -10,8 +10,8 @@ and cyclotomic products expanded term by term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
-C, the packed Sun row tables, n! mod p, the unit coefficients, Vsemirnov's
-U, V and the diagonal of D, and the cyclotomic inverses) live on a
+C, the packed Sun row tables, n! mod p, the unit coefficients, the
+Cauchy-type matrix, and Vsemirnov's U, V and the diagonal of D) live on a
 PrimeContext and are computed on first use.  run_suite hands one context per
 prime to every check; a check called with a plain integer builds its own.
 
@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import combinations
 from math import prod
 
-from .cyclotomic import CycloElem, gauss_sum, zeta_pow
+from .cyclotomic import CycloElem, _fold, gauss_sum, zeta_pow
 from .exact import UniPoly, as_rational
 from .linalg import (
     ZZ,
@@ -83,7 +83,7 @@ class VerificationReport:
 @dataclass(frozen=True)
 class SuiteOptions:
     """Suite knobs; the caps exist because the cyclotomic checks grow fast
-    with p: U takes (n+1)^2 inverses of O(log p) multiplications each,
+    with p: D takes n+1 inverses of O(log p) multiplications each,
     det_field runs p-1 eliminations of O(n^3) steps mod each of its split
     primes, whose count grows with the Hadamard bound, and V W V sums
     2(n+1)^3 products of packed entries."""
@@ -141,7 +141,6 @@ class PrimeContext:
 
     def __init__(self, p):
         self.p = OddPrime(p)
-        self._inverses: dict[CycloElem, CycloElem] = {}
 
     @cached_property
     def chi(self) -> list[int]:
@@ -226,15 +225,12 @@ class PrimeContext:
         return [self.chi[j] * zeta_pow(self.p, j) for j in range(1, self.p.n + 1)]
 
     @cached_property
+    def cauchy(self) -> ExactMatrix:
+        return build_cauchy_matrix(self)
+
+    @cached_property
     def vsemirnov(self) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
         return build_vsemirnov_matrices(self)
-
-    def inverse(self, e: CycloElem) -> CycloElem:
-        """1/e in Q(zeta_p); each distinct e is inverted once per context."""
-        r = self._inverses.get(e)
-        if r is None:
-            r = self._inverses[e] = e.inv()
-        return r
 
 
 def _context(p, need_1mod4: bool = False) -> PrimeContext:
@@ -336,33 +332,78 @@ def verify_minor_antisymmetry(p) -> CheckResult:
 
 # -- the cyclotomic decomposition and its ingredients -------------------------
 
+def _cauchy_closed_form(p: int, lg: list[int], i: int, j: int) -> list[int]:
+    """E_ij of build_cauchy_matrix unfolded to p slots, slot t for z^(t mod p)."""
+    m, e = i + j, lg[i]
+    acc = [0] * p
+    if lg[j] == e:
+        for t in range(0, m * (p + 1), 2 * m):
+            acc[(i + t) % p] += e
+            acc[(j + t) % p] += e
+    else:
+        for t in range(0, (j - i) * pow(m, -1, p) % p * m, m):
+            acc[(i + t) % p] += e
+    return acc
+
+
+def build_cauchy_matrix(p) -> ExactMatrix:
+    """E_ij = (a + b)/(1 + ab), a = (i/p) z^i, b = (j/p) z^j, 1 <= i, j <= n,
+    p = 1 (mod 4), from closed forms with no inverse.
+
+    With m = i + j, y = z^m is a primitive p-th root.  If (i/p) = (j/p) = e,
+    then ab = y and (1 + y) sum_{k<=n} y^(2k) = sum_{k<=p} y^k = 1, so
+    E = e (z^i + z^j) sum_{k<=n} y^(2k).  If (i/p) = -(j/p) = e, then
+    ab = -y, a + b = e z^i (1 - y^c) for c = (j - i) m^-1 mod p, and
+    E = e z^i sum_{k<c} y^k.  Each E, unfolded to p slots (exponents mod p),
+    is certified by (1 + ab) E = a + b, E plus ab E (E rotated by m) against
+    a + b up to a multiple of the all-ones vector 1 + z + ... + z^(p-1);
+    a failure raises ArithmeticError.
+    """
+    ctx = _context(p, need_1mod4=True)
+    p, lg = ctx.p, ctx.chi
+    rows = []
+    for i in range(1, p.n + 1):
+        row = []
+        for j in range(1, p.n + 1):
+            m, s, acc = i + j, lg[i] * lg[j], _cauchy_closed_form(p, lg, i, j)
+            cert = [x + s * y for x, y in zip(acc, acc[-m:] + acc[:-m])]
+            cert[i] -= lg[i]
+            cert[j] -= lg[j]
+            if cert.count(cert[0]) != p:
+                raise ArithmeticError(f"closed-form Cauchy entry fails (1 + ab) E = a + b at p={p}, i={i}, j={j}")
+            row.append(CycloElem(p, _fold(acc)))
+        rows.append(row)
+    return ExactMatrix(cyclo_ring(p), rows)
+
+
 def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
     """Vsemirnov's U and V over Q(zeta_p), p = 1 (mod 4), and the diagonal d of D.
 
     u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) / (z^(-i-j) + (i/p)(j/p)),
     v_ij = z^(2ij), d_i = 1/prod_{k != i} (z^(2i) - z^(2k)), 0 <= i, j <= n.
-    u_00 comes out 0 from the formula itself: the numerator vanishes and the
-    denominator is 1.  Denominators are never zero for valid p (z^k = -1 has
-    no solution at odd p), and the inverse raises on a zero one anyway.
+    Times z^(i+j)/z^(i+j), u_ij = (i/p)(j/p) z^(-i-j) E_ij for i, j >= 1,
+    E the Cauchy-type matrix, so that block is E rotated entry by entry;
+    u_0j = (j/p) z^(-j), u_i0 = (i/p) z^(-i) and u_00 = 0.
     """
     ctx = _context(p, need_1mod4=True)
     p, lg = ctx.p, ctx.chi
     n = p.n
     ring = cyclo_ring(p)
-    urows = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            num = lg[i] * zeta_pow(p, -j - 2 * i) + lg[j] * zeta_pow(p, -2 * j - i)
-            den = zeta_pow(p, -i - j) + lg[i] * lg[j]
-            row.append(num * ctx.inverse(den))
+    edge = [lg[k] * zeta_pow(p, -k) for k in range(n + 1)]
+    urows = [edge]
+    for i, erow in enumerate(ctx.cauchy.entries, 1):
+        row = [edge[i]]
+        for j, e in enumerate(erow, 1):
+            # slot t of z^(-m) E is slot t + m of E, unfolded
+            m, acc = i + j, [*e.num, 0]
+            row.append(CycloElem(p, [lg[i] * lg[j] * c for c in _fold(acc[m:] + acc[:m])]))
         urows.append(row)
     u = ExactMatrix(ring, urows)
 
     v = ExactMatrix(ring, [[zeta_pow(p, 2 * i * j) for j in range(n + 1)] for i in range(n + 1)])
 
     powers = [zeta_pow(p, 2 * k) for k in range(n + 1)]
-    d = tuple(ctx.inverse(prod((x - y for y in powers if y != x), start=ring.one)) for x in powers)
+    d = tuple(prod((x - y for y in powers if y != x), start=ring.one).inv() for x in powers)
     return u, v, d
 
 
@@ -468,16 +509,17 @@ def verify_f1f2(p) -> CheckResult:
 
     With u_j = (j/p) z^j, f1 = prod_{i<j}(u_j - u_i), f2 = prod_{i<j}(1 + u_j u_i):
     det[(u_i+u_j)/(1+u_i u_j)]_{1<=i,j<=n} = p b_p legendre(2,p) f1^2 f2^(-2),
-    and U_00 = that value times z^(-(p-1)/4).
+    and U_00 = that value times z^(-(p-1)/4).  The left sides are det_field of
+    the certified closed-form entries (ctx.cauchy) and of U without row and
+    column 0; the right side takes one inverse, of f2^2.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     u = ctx.u
     f1 = prod((uj - ui for ui, uj in combinations(u, 2)), start=CycloElem.one(p))
     f2 = prod((1 + uj * ui for ui, uj in combinations(u, 2)), start=CycloElem.one(p))
-    base = (ctx.chi[2] * p * ctx.unit.b) * f1 * f1 * ctx.inverse(f2 * f2)
-    cauchy = ExactMatrix(cyclo_ring(p), [[(ui + uj) * ctx.inverse(1 + ui * uj) for uj in u] for ui in u])
-    lhs = (det_field(cauchy), det_field(ctx.vsemirnov[0].submatrix(0, 0)))
+    base = (ctx.chi[2] * p * ctx.unit.b) * f1 * f1 * (f2 * f2).inv()
+    lhs = (det_field(ctx.cauchy), det_field(ctx.vsemirnov[0].submatrix(0, 0)))
     rhs = (base, base * zeta_pow(p, -(p - 1) // 4))
     return _result("f1f2_u00", p, lhs, rhs)
 

@@ -5,7 +5,8 @@ with the package is meaningful: cofactor determinants, reciprocity-based
 Jacobi symbols, a brute-force Pell search, polynomial products and
 differences on coefficient lists, cyclotomic inversion by the extended
 Euclidean algorithm on them, adjugates from explicit cofactors by Gaussian
-elimination, the two-vector lemma's closed form in Fraction arithmetic, and
+elimination, the two-vector lemma's closed form in Fraction arithmetic,
+Vsemirnov's U and the Cauchy-type matrix by inverting their definitions, and
 the kernels that faster ones
 replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
 lists of lists, the entrywise cyclotomic matrix product, and Gaussian
@@ -24,9 +25,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
 
-from legdet.cyclotomic import CycloElem
+from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
 from legdet.linalg import ZZ, ExactMatrix
+from legdet.ntheory import legendre
 from legdet.quadfield import QuadElem
 
 
@@ -226,6 +228,29 @@ def euclid_inverse(a):
     if len(r0) != 1:
         raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
     return CycloElem.from_coeffs(p, [(t0[k] if k < len(t0) else 0) / r0[0] for k in range(p - 1)])
+
+
+def cauchy_and_u_by_inversion(p):
+    """(E, U) as entry lists for p = 1 (mod 4), each entry its definition's
+    numerator times CycloElem.inv of its denominator, each distinct
+    denominator inverted once: E_ij = (a + b)/(1 + ab), a = (i/p) z^i,
+    b = (j/p) z^j, 1 <= i, j <= n, and
+    u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) / (z^(-i-j) + (i/p)(j/p)),
+    0 <= i, j <= n: the build that closed forms replaced in the package."""
+    inverses = {}
+
+    def div(num, den):
+        if den not in inverses:
+            inverses[den] = den.inv()
+        return num * inverses[den]
+
+    n = (p - 1) // 2
+    lg = [legendre(k, p) for k in range(n + 1)]
+    a = [lg[k] * zeta_pow(p, k) for k in range(n + 1)]
+    e = [[div(a[i] + a[j], 1 + a[i] * a[j]) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    u = [[div(lg[i] * zeta_pow(p, -j - 2 * i) + lg[j] * zeta_pow(p, -2 * j - i),
+              zeta_pow(p, -i - j) + lg[i] * lg[j]) for j in range(n + 1)] for i in range(n + 1)]
+    return e, u
 
 
 def parse_rational(s: str) -> Fraction:

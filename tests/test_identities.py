@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import legdet
-from helpers import lemma_uv_rhs_fraction
+from helpers import cauchy_and_u_by_inversion, lemma_uv_rhs_fraction
 from legdet import identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
@@ -15,6 +15,7 @@ from legdet.identities import (
     PrimeContext,
     SuiteOptions,
     _result,
+    build_cauchy_matrix,
     build_evil_matrix,
     build_vsemirnov_matrices,
     c_polynomial,
@@ -276,7 +277,10 @@ def test_pair_result_length_mismatch_fails():
 
 def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     """Negative control: an inverse off by a factor zeta must show as a
-    failed check, not as a pass and not as an exception."""
+    failed check, not as a pass and not as an exception.  The Cauchy-type
+    matrix and U come from closed forms, so the inverse reaches f1f2 only
+    through 1/f2^2 on its right side, and the decomposition only through D."""
+    true_lhs = verify_f1f2(13).lhs
     true_inv = CycloElem.inv
     monkeypatch.setattr(CycloElem, "inv", lambda a: true_inv(a) * zeta_pow(a.p, 1))
     f1f2, decomp = verify_f1f2(13), verify_decomposition(13)
@@ -284,20 +288,53 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
         assert check.passed is False
         assert check.lhs != check.rhs
     # the failing reports themselves, pinned: the first divergent entry of C,
-    # and for f1f2 the right side in full and the 206-character left by hash,
-    # the hash of the determinants of the perturbed matrices by
-    # helpers.det_gauss with the true inverse
+    # d_0 d_1 times z^2, and for f1f2 the right side in full and the
+    # 203-character left, the unperturbed determinants, by hash
     assert (decomp.name, decomp.lhs, decomp.rhs, decomp.detail) == (
-        "decomposition", "1", "z^3", "first divergent entry (i, j) = (0, 1)"
+        "decomposition", "1", "z^2", "first divergent entry (i, j) = (0, 1)"
     )
-    assert (f1f2.name, f1f2.detail) == ("f1f2_u00", "")
+    assert (f1f2.name, f1f2.detail, f1f2.lhs) == ("f1f2_u00", "", true_lhs)
     assert hashlib.sha256(f1f2.lhs.encode()).hexdigest() == (
-        "3aa1e0ef7faeef80a6e05deed3476ab96f00be886821685b00bb64d825782c2e"
+        "c352b47452180846faccd1ae8355741e1c66ac01fe032f92811843c1e2c1d9e8"
     )
     assert f1f2.rhs == (
         "70 + 195*z + 70*z^2 + 15*z^4 - 120*z^5 - 195*z^6 - 160*z^7 - 160*z^8 - 195*z^9 - 120*z^10 + 15*z^11"
         " ; -70 - 55*z - 190*z^2 - 265*z^3 - 230*z^4 - 230*z^5 - 265*z^6 - 190*z^7 - 55*z^8 - 70*z^9 + 125*z^11"
     )
+
+
+@pytest.mark.parametrize("p", [p for p in odd_primes_upto(109) if p % 4 == 1])
+def test_closed_forms_match_inversion_oracle(p):
+    """The Cauchy-type matrix and U from closed forms equal their definitions
+    inverted entry by entry (helpers.cauchy_and_u_by_inversion)."""
+    e, u = cauchy_and_u_by_inversion(p)
+    ctx = PrimeContext(p)
+    assert ctx.cauchy.entries == tuple(map(tuple, e))
+    assert ctx.vsemirnov[0].entries == tuple(map(tuple, u))
+
+
+@pytest.mark.parametrize("ij", [(2, 5), (1, 2)], ids=["same_symbol", "opposite_symbols"])
+def test_corrupted_cauchy_entry_raises(monkeypatch, ij):
+    """A closed-form entry off by one z^0 fails its certificate as an
+    internal error naming p, i and j; one off by the all-ones vector, which
+    is 0 in Q(zeta_p), passes and leaves the matrix unchanged."""
+    true_form = identities._cauchy_closed_form
+    want = build_cauchy_matrix(13)
+
+    def shifted(delta):
+        def form(p, lg, i, j):
+            acc = true_form(p, lg, i, j)
+            return [x + d for x, d in zip(acc, delta)] if (i, j) == ij else acc
+        return form
+
+    monkeypatch.setattr(identities, "_cauchy_closed_form", shifted([1] * 13))
+    assert build_cauchy_matrix(13) == want
+    monkeypatch.setattr(identities, "_cauchy_closed_form", shifted([1] + [0] * 12))
+    i, j = ij
+    with pytest.raises(ArithmeticError, match=rf"p=13, i={i}, j={j}$"):
+        build_cauchy_matrix(13)
+    with pytest.raises(ArithmeticError, match=rf"p=13, i={i}, j={j}$"):
+        verify_f1f2(13)
 
 
 @pytest.mark.parametrize("k", [0, -1], ids=["d_0", "d_n"])
@@ -320,7 +357,7 @@ def test_doubled_diagonal_entry_fails_decomposition(monkeypatch, k):
 
 def test_zero_inverse_names_its_field():
     with pytest.raises(ZeroDivisionError, match="zeta_5"):
-        identities.PrimeContext(5).inverse(CycloElem.zero(5))
+        CycloElem.zero(5).inv()
 
 
 def shift_toeplitz_dets(monkeypatch, shift):
@@ -543,14 +580,14 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     """One context per prime: C(1) with the columns of adj(C + J), C(-1),
-    a_p/b_p, n! mod p and Vsemirnov's U, V, D are each computed once, however
-    many checks read them.  The certified adjugate of C reads the one C + J
+    a_p/b_p, n! mod p, the Cauchy-type matrix and Vsemirnov's U, V, D are
+    each computed once, however many checks read them.  The certified adjugate of C reads the one C + J
     run, so the suite calls neither det_bareiss nor the Gauss-Jordan
     adjugate.  c_polynomial takes det C, det(C + J) and det(C - J) densely
     for p <= 13, and a direct call builds its own context, so nothing is
     kept between calls."""
     calls = {"det_toeplitz": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [], "ab_coeffs": [],
-             "build_vsemirnov_matrices": [], "factorial_mod": []}
+             "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": []}
 
     def count(name, key):
         fn = getattr(identities, name)
@@ -566,10 +603,12 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     count("det_bareiss", lambda m: (m.rows, m.ring.name))
     count("adjugate", lambda m: m.rows)
     count("ab_coeffs", int)
+    count("build_cauchy_matrix", lambda p: int(p.p))
     count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
     count("factorial_mod", lambda n, p: int(p))
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
-    assert calls["ab_coeffs"] == calls["build_vsemirnov_matrices"] == calls["factorial_mod"] == [5, 13, 17, 29]
+    assert calls["ab_coeffs"] == calls["build_cauchy_matrix"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
+    assert calls["factorial_mod"] == [5, 13, 17, 29]
     # per prime C + J with its columns, then C - J and the Carlitz T, whose t_0 is (-1/p)
     primes = odd_primes_upto(29)
     assert calls["toeplitz_columns"] == [((p + 1) // 2, 1) for p in primes]
