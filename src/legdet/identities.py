@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .cyclotomic import CycloElem, _fold, gauss_sum, zeta_pow
 from .exact import UniPoly, as_rational
@@ -83,10 +83,10 @@ class VerificationReport:
 @dataclass(frozen=True)
 class SuiteOptions:
     """Suite knobs; the caps exist because the cyclotomic checks grow fast
-    with p: D takes n+1 inverses of O(log p) multiplications each,
-    det_field runs p-1 eliminations of O(n^3) steps mod each of its split
-    primes, whose count grows with the Hadamard bound, and V W V sums
-    2(n+1)^3 products of packed entries."""
+    with p: D and its certificate take O(p^3) slot operations, det_field
+    runs p-1 eliminations of O(n^3) steps mod each of its split primes,
+    whose count grows with the Hadamard bound, and V W V sums 2(n+1)^3
+    products of packed entries."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29
@@ -376,14 +376,33 @@ def build_cauchy_matrix(p) -> ExactMatrix:
     return ExactMatrix(cyclo_ring(p), rows)
 
 
+def _d_closed_form(p: int, i: int) -> list[int]:
+    """p d_i of build_vsemirnov_matrices, x_i prod_o (x_i - z^o) over the odd
+    o < p, x_i = z^(2i), unfolded to p slots: one rotation and one
+    subtraction per factor."""
+    acc, x = [0] * p, -2 * i % p
+    acc[2 * i % p] = 1
+    for o in range(1, p - 1, 2):
+        # slot t of x_i acc is slot t + x of acc, of z^o acc slot t - o
+        acc = [a - b for a, b in zip(acc[x:] + acc[:x], acc[-o:] + acc[:-o])]
+    return acc
+
+
 def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
     """Vsemirnov's U and V over Q(zeta_p), p = 1 (mod 4), and the diagonal d of D.
 
     u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) / (z^(-i-j) + (i/p)(j/p)),
-    v_ij = z^(2ij), d_i = 1/prod_{k != i} (z^(2i) - z^(2k)), 0 <= i, j <= n.
-    Times z^(i+j)/z^(i+j), u_ij = (i/p)(j/p) z^(-i-j) E_ij for i, j >= 1,
-    E the Cauchy-type matrix, so that block is E rotated entry by entry;
-    u_0j = (j/p) z^(-j), u_i0 = (i/p) z^(-i) and u_00 = 0.
+    v_ij = z^(2ij), d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i),
+    0 <= i, j <= n.  Times z^(i+j)/z^(i+j), u_ij = (i/p)(j/p) z^(-i-j) E_ij
+    for i, j >= 1, E the Cauchy-type matrix, so that block is E rotated
+    entry by entry; u_0j = (j/p) z^(-j), u_i0 = (i/p) z^(-i) and u_00 = 0.
+
+    The nodes x_k and the z^o, o odd, 1 <= o <= p - 2, are all the p-th
+    roots of unity, so prod_{k != i} (x_i - x_k) prod_o (x_i - z^o) = p / x_i
+    and d_i = (x_i / p) prod_o (x_i - z^o), with no inverse.  The returned d
+    is certified by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n,
+    up to the all-ones vector; V is an invertible Vandermonde, so this
+    forces d, and a failure raises ArithmeticError.
     """
     ctx = _context(p, need_1mod4=True)
     p, lg = ctx.p, ctx.chi
@@ -402,8 +421,17 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloEl
 
     v = ExactMatrix(ring, [[zeta_pow(p, 2 * i * j) for j in range(n + 1)] for i in range(n + 1)])
 
-    powers = [zeta_pow(p, 2 * k) for k in range(n + 1)]
-    d = tuple(prod((x - y for y in powers if y != x), start=ring.one).inv() for x in powers)
+    d = tuple(CycloElem(p, _fold(_d_closed_form(p, i)), p) for i in range(n + 1))
+    den = lcm(*(di.den for di in d))
+    nums = [[c * (den // di.den) for c in (*di.num, 0)] for di in d]
+    for j in range(n + 1):
+        # slot t of d_i x_i^j is slot t - 2ij of d_i
+        shifts = (2 * i * j % p for i in range(n + 1))
+        cert = list(map(sum, zip(*(c[-r:] + c[:-r] for c, r in zip(nums, shifts)))))
+        if j == n:
+            cert[0] -= den
+        if cert.count(cert[0]) != p:
+            raise ArithmeticError(f"closed-form D fails V^T d = e_n at p={p}, j={j}")
     return u, v, d
 
 
@@ -509,9 +537,13 @@ def verify_f1f2(p) -> CheckResult:
 
     With u_j = (j/p) z^j, f1 = prod_{i<j}(u_j - u_i), f2 = prod_{i<j}(1 + u_j u_i):
     det[(u_i+u_j)/(1+u_i u_j)]_{1<=i,j<=n} = p b_p legendre(2,p) f1^2 f2^(-2),
-    and U_00 = that value times z^(-(p-1)/4).  The left sides are det_field of
-    the certified closed-form entries (ctx.cauchy) and of U without row and
-    column 0; the right side takes one inverse, of f2^2.
+    and U_00 = that value times z^(-(p-1)/4).  The left side is one det_field,
+    of the certified closed-form entries E (ctx.cauchy).  U's block
+    i, j >= 1 is diag((i/p) z^-i) E diag((j/p) z^-j) by construction, so
+    det U_00 = z^(-n(n+1)) det E: the second half checks that exponent
+    against the paper's (n(n+1) = (p-1)/4 mod p), and only
+    verify_decomposition checks the block, so nothing does above a lowered
+    decomp_p_max.  The right side takes one inverse, of f2^2.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
@@ -519,7 +551,8 @@ def verify_f1f2(p) -> CheckResult:
     f1 = prod((uj - ui for ui, uj in combinations(u, 2)), start=CycloElem.one(p))
     f2 = prod((1 + uj * ui for ui, uj in combinations(u, 2)), start=CycloElem.one(p))
     base = (ctx.chi[2] * p * ctx.unit.b) * f1 * f1 * (f2 * f2).inv()
-    lhs = (det_field(ctx.cauchy), det_field(ctx.vsemirnov[0].submatrix(0, 0)))
+    det_e = det_field(ctx.cauchy)
+    lhs = (det_e, det_e * zeta_pow(p, -p.n * (p.n + 1)))
     rhs = (base, base * zeta_pow(p, -(p - 1) // 4))
     return _result("f1f2_u00", p, lhs, rhs)
 

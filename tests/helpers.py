@@ -6,7 +6,7 @@ Jacobi symbols, a brute-force Pell search, polynomial products and
 differences on coefficient lists, cyclotomic inversion by the extended
 Euclidean algorithm on them, adjugates from explicit cofactors by Gaussian
 elimination, the two-vector lemma's closed form in Fraction arithmetic,
-Vsemirnov's U and the Cauchy-type matrix by inverting their definitions, and
+Vsemirnov's U, D and the Cauchy-type matrix by inverting their definitions, and
 the kernels that faster ones
 replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
 lists of lists, the entrywise cyclotomic matrix product, and Gaussian
@@ -251,6 +251,14 @@ def cauchy_and_u_by_inversion(p):
     u = [[div(lg[i] * zeta_pow(p, -j - 2 * i) + lg[j] * zeta_pow(p, -2 * j - i),
               zeta_pow(p, -i - j) + lg[i] * lg[j]) for j in range(n + 1)] for i in range(n + 1)]
     return e, u
+
+
+def d_by_inversion(p):
+    """Vsemirnov's D as its diagonal, d_i = CycloElem.inv of
+    prod_{k != i} (z^(2i) - z^(2k)), 0 <= i <= n: the Galois-norm build that
+    the closed form replaced in the package."""
+    powers = [zeta_pow(p, 2 * k) for k in range((p - 1) // 2 + 1)]
+    return [prod((x - y for y in powers if y != x), start=CycloElem.one(p)).inv() for x in powers]
 
 
 def parse_rational(s: str) -> Fraction:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import legdet
-from helpers import cauchy_and_u_by_inversion, lemma_uv_rhs_fraction
+from helpers import cauchy_and_u_by_inversion, d_by_inversion, lemma_uv_rhs_fraction
 from legdet import identities
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
@@ -40,6 +40,7 @@ from legdet.linalg import (
     ExactMatrix,
     adjugate,
     det_bareiss,
+    det_field,
     det_fractions,
     det_mod_packed,
     det_toeplitz,
@@ -278,21 +279,16 @@ def test_pair_result_length_mismatch_fails():
 def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     """Negative control: an inverse off by a factor zeta must show as a
     failed check, not as a pass and not as an exception.  The Cauchy-type
-    matrix and U come from closed forms, so the inverse reaches f1f2 only
-    through 1/f2^2 on its right side, and the decomposition only through D."""
+    matrix, U and D come from closed forms, so the inverse reaches f1f2 only
+    through 1/f2^2 on its right side."""
     true_lhs = verify_f1f2(13).lhs
     true_inv = CycloElem.inv
     monkeypatch.setattr(CycloElem, "inv", lambda a: true_inv(a) * zeta_pow(a.p, 1))
-    f1f2, decomp = verify_f1f2(13), verify_decomposition(13)
-    for check in (f1f2, decomp):
-        assert check.passed is False
-        assert check.lhs != check.rhs
-    # the failing reports themselves, pinned: the first divergent entry of C,
-    # d_0 d_1 times z^2, and for f1f2 the right side in full and the
+    f1f2 = verify_f1f2(13)
+    assert f1f2.passed is False
+    assert f1f2.lhs != f1f2.rhs
+    # the failing report itself, pinned: the right side in full and the
     # 203-character left, the unperturbed determinants, by hash
-    assert (decomp.name, decomp.lhs, decomp.rhs, decomp.detail) == (
-        "decomposition", "1", "z^2", "first divergent entry (i, j) = (0, 1)"
-    )
     assert (f1f2.name, f1f2.detail, f1f2.lhs) == ("f1f2_u00", "", true_lhs)
     assert hashlib.sha256(f1f2.lhs.encode()).hexdigest() == (
         "c352b47452180846faccd1ae8355741e1c66ac01fe032f92811843c1e2c1d9e8"
@@ -303,14 +299,43 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("k", [0, 7, 14], ids=["d_0", "d_7", "d_n"])
+def test_corrupted_d_entry_raises(monkeypatch, k):
+    """A closed-form entry of D off by one slot before its certificate
+    fails V^T d = e_n as an internal error naming p and j, in the build and
+    in the decomposition check that reads it."""
+    true_form = identities._d_closed_form
+
+    def form(p, i):
+        acc = true_form(p, i)
+        return [acc[0] + 1, *acc[1:]] if i == k else acc
+
+    monkeypatch.setattr(identities, "_d_closed_form", form)
+    with pytest.raises(ArithmeticError, match=r"p=29, j=0$"):
+        build_vsemirnov_matrices(29)
+    with pytest.raises(ArithmeticError, match=r"p=29, j=0$"):
+        verify_decomposition(29)
+
+
 @pytest.mark.parametrize("p", [p for p in odd_primes_upto(109) if p % 4 == 1])
 def test_closed_forms_match_inversion_oracle(p):
-    """The Cauchy-type matrix and U from closed forms equal their definitions
-    inverted entry by entry (helpers.cauchy_and_u_by_inversion)."""
+    """The Cauchy-type matrix, U and D from closed forms equal their
+    definitions inverted entry by entry (helpers.cauchy_and_u_by_inversion,
+    helpers.d_by_inversion)."""
     e, u = cauchy_and_u_by_inversion(p)
     ctx = PrimeContext(p)
     assert ctx.cauchy.entries == tuple(map(tuple, e))
     assert ctx.vsemirnov[0].entries == tuple(map(tuple, u))
+    assert ctx.vsemirnov[2] == tuple(d_by_inversion(p))
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
+def test_u00_determinant_is_rotated_cauchy_determinant(p):
+    """det U_00, U without row and column 0, by det_field equals
+    z^(-(p-1)/4) det E: the identity verify_f1f2 reads its second half by."""
+    ctx = PrimeContext(p)
+    u00 = det_field(ctx.vsemirnov[0].submatrix(0, 0))
+    assert u00 == zeta_pow(p, -(p - 1) // 4) * det_field(ctx.cauchy)
 
 
 @pytest.mark.parametrize("ij", [(2, 5), (1, 2)], ids=["same_symbol", "opposite_symbols"])
