@@ -33,9 +33,10 @@ Cases:
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
            of the f1f2_u00 check at p = 29 and 41, the Cauchy-type matrix
            (PrimeContext.cauchy); one sample is one determinant.
-  matmul_cyclo  V @ W @ V over Q(zeta_p), the right side of the
-           decomposition check at p = 29, W = s D U D for the scalar s of
-           that check; one sample is the two products.
+  decomposition  identities.verify_decomposition at p = 29 and 53 on a
+           context whose U, V, D and evil matrix are already built, so the
+           sample is the right side V (s D U D) V and the comparison; one
+           sample is one check.
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
@@ -58,7 +59,7 @@ writes it there.  The committed BENCH_kernels.json holds the run made with
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its C +- J case
 is at p = 61, its det_field and lemma_uv cases at m = 3, and its
-vsemirnov_build, det_field_cyclo and matmul_cyclo cases at p = 13.
+vsemirnov_build, det_field_cyclo and decomposition cases at p = 13.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
 VSEMIRNOV_PRIMES = (29, 53)
 CYCLO_DET_PRIMES = (29, 41)
-CYCLO_MATMUL_PRIME = 29
 CYCLO_QUICK_PRIME = 13
 PROCESSES = 3
 
@@ -225,48 +225,36 @@ def det_field_cases(legdet, quick: bool) -> dict:
     return out
 
 
-def _cauchy(legdet, ctx):
-    """ctx.cauchy; a checkout older than PrimeContext.cauchy builds the
-    matrix as its verify_f1f2 did, through its memoised ctx.inverse."""
-    if hasattr(type(ctx), "cauchy"):
-        return ctx.cauchy
-    lin, u = legdet.linalg, ctx.u
-    return lin.ExactMatrix(lin.cyclo_ring(ctx.p), [[(ui + uj) * ctx.inverse(1 + ui * uj) for uj in u] for ui in u])
-
-
 def cyclo_cases(legdet, quick: bool) -> dict:
-    """The matrices of verify_f1f2 and verify_decomposition, built as those
-    checks build them."""
+    """The builds and kernels of verify_f1f2 and verify_decomposition; the
+    decomposition check runs on a context that already holds its inputs."""
     ids = legdet.identities
     lin = legdet.linalg
-    cyc = legdet.cyclotomic
     out = {}
     for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
         def run_build(p=p):
             ctx = ids.PrimeContext(p)
             ctx.vsemirnov
-            _cauchy(legdet, ctx)
+            ctx.cauchy
             return 1
 
         out[f"vsemirnov_build U V D cauchy p={p}"] = run_build
     for p in (CYCLO_QUICK_PRIME,) if quick else CYCLO_DET_PRIMES:
-        def run(mat=_cauchy(legdet, ids.PrimeContext(p))):
+        def run(mat=ids.PrimeContext(p).cauchy):
             lin.det_field(mat)
             return 1
 
         out[f"det_field_cyclo cauchy p={p}"] = run
-    p = CYCLO_QUICK_PRIME if quick else CYCLO_MATMUL_PRIME
-    ctx = ids.PrimeContext(p)
-    uu, v, d = ctx.vsemirnov
-    scalar = ctx.chi[2] * cyc.gauss_sum(p) * cyc.zeta_pow(p, (p - 1) // 4)
-    sd = [scalar * di for di in d]
-    w = lin.ExactMatrix(uu.ring, [[sdi * uij * dj for uij, dj in zip(row, d)] for sdi, row in zip(sd, uu.entries)])
+    for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
+        ctx = ids.PrimeContext(p)
+        ctx.vsemirnov
+        ctx.evil
 
-    def run_matmul(v=v, w=w):
-        v @ w @ v
-        return 1
+        def run_check(ctx=ctx):
+            ids.verify_decomposition(ctx)
+            return 1
 
-    out[f"matmul_cyclo V @ W @ V p={p}"] = run_matmul
+        out[f"decomposition p={p}"] = run_check
     return out
 
 

@@ -11,8 +11,6 @@ Products of integer vectors go through one kernel, _mul_vec: a product with
 a monomial c*zeta^e is a rotation of the other vector, and any other product
 is one bigint multiplication of the two vectors packed into byte-aligned
 slots (Kronecker substitution), folded mod zeta^p = 1 while still packed.
-_dot_vecs gives the entries of a matrix product with the same packing, each
-entry one sum of packed products, decoded once.
 
 Inversion uses the Galois norm: a^-1 = (prod of the conjugates sigma_k(a),
 k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute and
@@ -28,7 +26,6 @@ import struct
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .exact import as_rational
 from .ntheory import OddPrime, legendre, primitive_root
@@ -62,7 +59,7 @@ def _pack(vec, w: int) -> int:
 def _unpack(p: int, x: int, wb: int) -> list[int]:
     """The folded power-basis vector of a packed plain product x, that is,
     x = sum_g c_g 2^(w g) over the 2p-3 slots g of a product of two packed
-    vectors or a sum of such products, w = 8 wb, with every |c_g| < 2^(w-2).
+    vectors, w = 8 wb, with every |c_g| < 2^(w-2).
 
     A bias of 2^(w-2) added to each of the 2p-3 slots puts every slot in
     [0, 2^(w-1)), so the biased slots are the base-2^w digits of the biased
@@ -98,8 +95,10 @@ def _mul_vec(p: int, a, b) -> list[int]:
     Kronecker path, otherwise (von zur Gathen and Gerhard, Modern Computer
     Algebra, section 8.4): evaluate both vectors at 2^w, multiply the two
     integers once and read the plain product's coefficients off as w-bit
-    slots (_unpack).  It is the k = 1 case of _dot_vecs and of its slot
-    bound, |c_g| <= (p-1) max|a| max|b| < 2^(w-2).
+    slots (_unpack).  Slot bound: slot g of the plain product holds
+    sum_{e+f=g} a_e b_f, at most p - 1 terms, so |c_g| <= (p-1) A B
+    < 2^(w-2), A and B the largest |entry| of a and of b, since w is at
+    least bitlen(A) + bitlen(B) + bitlen(p-1) + 2.
     """
     n = p - 1
     za, zb = a.count(0), b.count(0)
@@ -115,26 +114,6 @@ def _mul_vec(p: int, a, b) -> list[int]:
         return acc if c == 1 else [c * x for x in acc]
     wb = _slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 2)
     return _unpack(p, _pack(a, 8 * wb) * _pack(b, 8 * wb), wb)
-
-
-def _dot_vecs(p: int, rows, cols) -> list[list[list[int]]]:
-    """out[i][j] = sum_l rows[i][l] * cols[j][l], for rows and cols lists of
-    k integer power-basis vectors each: the entries of a matrix product.
-
-    Each vector is packed once at 2^w (_pack); each out[i][j] is one sum of
-    k bigint products, decoded once (_unpack).  Slot bound: slot g of the
-    plain sum holds sum_l sum_{e+f=g} a_le b_lf, at most k (p-1) terms, so
-    |c_g| <= k (p-1) A B < 2^(w-2), A and B the largest |entry| of rows and
-    of cols, since w is at least bitlen(A) + bitlen(B) + bitlen(k (p-1)) + 2.
-    """
-    k = len(cols[0])
-    a = max(abs(c) for r in rows for v in r for c in v)
-    b = max(abs(c) for r in cols for v in r for c in v)
-    wb = _slot_bytes(a.bit_length() + b.bit_length() + (k * (p - 1)).bit_length() + 2)
-    w = 8 * wb
-    prow = [[_pack(v, w) for v in r] for r in rows]
-    pcol = [[_pack(v, w) for v in c] for c in cols]
-    return [[_unpack(p, sum(map(mul, r, c)), wb) for c in pcol] for r in prow]
 
 
 def _sigma_vec(p: int, a, k: int) -> list[int]:

@@ -10,7 +10,7 @@ and cyclotomic products expanded term by term in Q(zeta_p).
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
-C, the packed Sun row tables, n! mod p, the unit coefficients, the
+C, the packed Sun row table, n! mod p, the unit coefficients, the
 Cauchy-type matrix, and Vsemirnov's U, V and the diagonal of D) live on a
 PrimeContext and are computed on first use.  run_suite hands one context per
 prime to every check; a check called with a plain integer builds its own.
@@ -86,7 +86,7 @@ class SuiteOptions:
     with p: D and its certificate take O(p^3) slot operations, det_field
     runs p-1 eliminations of O(n^3) steps mod each of its split primes,
     whose count grows with the Hadamard bound, and V W V sums 2(n+1)^3
-    products of packed entries."""
+    rotations of p-slot vectors."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29
@@ -118,9 +118,11 @@ class PrimeContext:
 
     Sun rows: for d != 0, i + dj = d(i d^-1 + j) (mod p), so row i of
     [((i + dj)/p)] is row i d^-1 mod p of T_s, s = (d/p), where
-    T_s[r][j] = s ((r + j)/p).  sun_tables holds T_+1 and T_-1 mod p, p
-    rows each, packed once at det_mod_packed's slot width, and every Sun
-    matrix is a selection of their rows.
+    T_s[r][j] = s ((r + j)/p).  T_-1 = -T_+1, and a Sun matrix has
+    k = n + 1 rows, odd for p = 1 (mod 4), so its determinant is s^k = s
+    times that of the same rows of T_+1.  sun_tables holds T_+1 mod p, p
+    rows packed once at det_mod_packed's slot width, and every Sun matrix
+    is, up to that sign, a selection of its rows.
 
     The adjugate of C comes from A = C + J, whose Toeplitz recurrence
     (plus_j) also gives C(1): adj(A) from its first and last columns
@@ -200,14 +202,13 @@ class PrimeContext:
         return x if certify_adjugate(self.evil, x, c0) else None
 
     @cached_property
-    def sun_tables(self) -> tuple[int, dict[int, list[int]]]:
-        """(w, {s: T_s}) for s = 1, -1: T_s[r] packs the row
-        s ((r + j)/p) mod p, 0 <= j <= n, at the slot width w of
-        det_mod_packed for n + 1 rows mod p (see the class docstring)."""
+    def sun_tables(self) -> tuple[int, list[int]]:
+        """(w, T_+1): T_+1[r] packs the row ((r + j)/p) mod p, 0 <= j <= n,
+        at the slot width w of det_mod_packed for n + 1 rows mod p; rows of
+        T_-1 are these times -1 (see the class docstring)."""
         p, k = self.p, self.p.n + 1
         w = mod_slot_width(p, k)
-        seq = [self.chi[m % p] for m in range(p + k - 1)]
-        return w, {s: pack_windows([s * x % p for x in seq], k, w) for s in (1, -1)}
+        return w, pack_windows([self.chi[m % p] % p for m in range(p + k - 1)], k, w)
 
     @cached_property
     def n_factorial(self) -> int:
@@ -419,7 +420,8 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloEl
         urows.append(row)
     u = ExactMatrix(ring, urows)
 
-    v = ExactMatrix(ring, [[zeta_pow(p, 2 * i * j) for j in range(n + 1)] for i in range(n + 1)])
+    zs = [zeta_pow(p, e) for e in range(p)]
+    v = ExactMatrix(ring, [[zs[2 * i * j % p] for j in range(n + 1)] for i in range(n + 1)])
 
     d = tuple(CycloElem(p, _fold(_d_closed_form(p, i)), p) for i in range(n + 1))
     den = lcm(*(di.den for di in d))
@@ -435,17 +437,36 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloEl
     return u, v, d
 
 
+def _times_v_twice(p: int, w) -> list[list[CycloElem]]:
+    """V W V for V_ij = z^(2ij) and W a square list of rows of CycloElems
+    of Q(zeta_p), by rotations, with no product of two entries.
+
+    W is cleared to one common denominator, each entry an unfolded p-slot
+    integer vector A_il, slot t for z^(t mod p).  Entry (j, i) of (A V)^T is
+    sum_l A_il z^(2lj), and slot t of z^(2lj) A_il is slot t - 2lj of A_il.
+    Two passes of "times V, then transpose" give ((A V)^T V)^T = V^T A V,
+    which is V A V, as V is symmetric.
+    """
+    den = lcm(*(e.den for row in w for e in row))
+    a = [[[*(c * (den // e.den) for c in e.num), 0] for e in row] for row in w]
+    shifts = [[2 * l * j % p for l in range(len(a))] for j in range(len(a))]
+    for _ in range(2):
+        a = [[list(map(sum, zip(*(v[-r:] + v[:-r] for v, r in zip(row, js))))) for row in a] for js in shifts]
+    return [[CycloElem(p, _fold(acc), den) for acc in row] for row in a]
+
+
 def verify_decomposition(p) -> CheckResult:
     """C = legendre(2,p) * g * z^((p-1)/4) * V D U D V entrywise in Q(zeta_p),
     with sqrt(p) realized as the Gauss sum g.  With s that scalar and D = diag(d),
-    s D U D is W_ij = (s d_i) u_ij d_j, so the right side is V W V."""
+    s D U D is W_ij = (s d_i) u_ij d_j, so the right side is V W V
+    (_times_v_twice)."""
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
-    u, v, d = ctx.vsemirnov
+    u, _, d = ctx.vsemirnov
     scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
     sd = [scalar * di for di in d]
-    w = ExactMatrix(u.ring, [[sdi * uij * dj for uij, dj in zip(row, d)] for sdi, row in zip(sd, u.entries)])
-    rhs = v @ w @ v
+    w = [[sdi * uij * dj for uij, dj in zip(row, d)] for sdi, row in zip(sd, u.entries)]
+    rhs = ExactMatrix(u.ring, _times_v_twice(p, w))
     diverge = ctx.evil.first_diff(rhs)
     i, j = diverge or (0, 0)
     detail = "" if diverge is None else f"first divergent entry (i, j) = ({i}, {j})"
@@ -580,23 +601,23 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
     """det[( (i+dj)/p )]_{0<=i,j<=n} = ((d/p) d)^((p-1)/4) * n! (mod p).
 
     The left side is det_mod_packed of packed rows mod p: for d != 0 row i
-    is row i d^-1 mod p of the table T_(d/p) in ctx.sun_tables, and for
-    d = 0 it is (i/p) mod p in every slot.  d is zero-padded to the width
-    of p - 1 (at least 2) so names sort by d.
+    is row i d^-1 mod p of the table T_+1 in ctx.sun_tables, the
+    determinant times (d/p), and for d = 0 it is (i/p) mod p in every slot.
+    d is zero-padded to the width of p - 1 (at least 2) so names sort by d.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
-    w, tables = ctx.sun_tables
+    w, table = ctx.sun_tables
     k = p.n + 1
     if d:
-        dinv, table = pow(d, -1, p), tables[ctx.chi[d]]
+        s, dinv = ctx.chi[d], pow(d, -1, p)
         rows = [table[i * dinv % p] for i in range(k)]
     else:
-        ones = sum(1 << (w * j) for j in range(k))
+        s, ones = 1, sum(1 << (w * j) for j in range(k))
         rows = [ctx.chi[i] % p * ones for i in range(k)]
-    lhs = det_mod_packed(rows, p, w)
+    lhs = s * det_mod_packed(rows, p, w) % p
     rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * ctx.n_factorial % p
     width = max(2, len(str(p - 1)))
     return _result(f"sun[d={d:0{width}d}]", p, lhs, rhs)

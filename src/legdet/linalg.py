@@ -4,8 +4,8 @@ A matrix carries a ``Ring``, its name and zero and one elements: ZZ, QQ or
 Q(zeta_p) (cyclo_ring).  Entries are ints, Fractions or CycloElems with
 their own +, -, * and ==, which is all the plain matrix product uses.  The
 kernels dispatch on the ring: det_bareiss, adjugate and det_mod_p take ZZ
-alone and raise ValueError naming any other, det_field takes QQ and
-Q(zeta_p) alone, and @ over Q(zeta_p) has a kernel of its own.
+alone and raise ValueError naming any other, and det_field takes QQ and
+Q(zeta_p) alone.
 
 Determinants come in four flavors, each on integers: fraction-free Bareiss
 elimination over ZZ, and over QQ on rows first scaled to integers
@@ -20,10 +20,9 @@ only the residue mod a prime of an integer determinant is wanted,
 det_mod_packed, which eliminates over F_q on rows packed one per integer,
 with delayed reduction, and refuses a slot width below its proven bound.
 det_mod_rows packs plain rows for it; callers that select rows from a
-table, as the Sun check does (for d != 0, row i of [((i + dj)/p)] is row
-i d^-1 of [((d/p)(r + j)/p)], as i + dj = d(i d^-1 + j)), pack the table
-once (pack_windows).  The product of two matrices over Q(zeta_p) likewise
-scales rows and columns to integers and packs each entry once.
+table, as the Sun check does (for d != 0, row i of [((i + dj)/p)] is
+(d/p) times row i d^-1 of [((r + j)/p)], as i + dj = d(i d^-1 + j)), pack
+the table once (pack_windows).
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant; a singular matrix gets its signed
@@ -43,7 +42,7 @@ from math import isqrt, lcm, prod
 from operator import mul
 from typing import Any
 
-from .cyclotomic import CycloElem, _dot_vecs, _pack
+from .cyclotomic import CycloElem, _pack
 from .ntheory import is_prime
 
 
@@ -105,8 +104,6 @@ class ExactMatrix:
             raise ValueError(f"inner dimensions {self.cols} and {other.rows} disagree")
         zero = self.ring.zero
         cols = list(zip(*other.entries))
-        if isinstance(zero, CycloElem):
-            return ExactMatrix(self.ring, _cyclo_matmul(zero.p, self.entries, cols))
         return ExactMatrix(
             self.ring,
             [[sum((a * b for a, b in zip(row, col)), start=zero) for col in cols] for row in self.entries],
@@ -419,17 +416,6 @@ def _cleared(line):
     and each element times s as its integer power-basis vector."""
     s = lcm(*[e.den for e in line])
     return s, [e.num if e.den == s else [c * (s // e.den) for c in e.num] for e in line]
-
-
-def _cyclo_matmul(p: int, rows, cols) -> list[list[CycloElem]]:
-    """The product of the matrix with these rows and the matrix with these
-    columns, all CycloElems of Q(zeta_p): row i times its lcm s_i and
-    column j times its lcm t_j are integral, so entry (i, j) is the integer
-    dot product of the two (cyclotomic._dot_vecs) over s_i t_j."""
-    rs, rvecs = zip(*map(_cleared, rows))
-    cs, cvecs = zip(*map(_cleared, cols))
-    out = _dot_vecs(p, rvecs, cvecs)
-    return [[CycloElem(p, v, s * t) for v, t in zip(row, cs)] for row, s in zip(out, rs)]
 
 
 def _split_primes(p: int, bound: int) -> list[tuple[int, int]]:

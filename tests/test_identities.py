@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 import legdet
-from helpers import cauchy_and_u_by_inversion, d_by_inversion, lemma_uv_rhs_fraction
+from helpers import cauchy_and_u_by_inversion, d_by_inversion, lemma_uv_rhs_fraction, matmul_entrywise
 from legdet import identities
-from legdet.cyclotomic import CycloElem, zeta_pow
+from legdet.cyclotomic import CycloElem, gauss_sum, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     PrimeContext,
@@ -135,6 +135,19 @@ def test_decomposition_small():
         r = verify_decomposition(p)
         assert r.passed, r.detail
         assert r.name == "decomposition" and r.detail == ""
+
+
+@pytest.mark.parametrize("p", [5, 13, 17])
+def test_rotations_give_v_w_v(p):
+    """The right side of the decomposition by rotations equals V W V as
+    two entrywise products of the returned V, with W = s D U D built as
+    verify_decomposition builds it."""
+    ctx = PrimeContext(p)
+    u, v, d = ctx.vsemirnov
+    scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
+    w = [[scalar * di * uij * dj for uij, dj in zip(row, d)] for di, row in zip(d, u.entries)]
+    want = matmul_entrywise(ExactMatrix(u.ring, matmul_entrywise(v, ExactMatrix(u.ring, w))), v)
+    assert identities._times_v_twice(p, w) == want
 
 
 def test_lemma_uv_m1_closed_form():
