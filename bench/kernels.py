@@ -32,7 +32,9 @@ Cases:
            identities.PrimeContext at p = 29 and 53; one sample is one build.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
            of the f1f2_u00 check at p = 29 and 41, the Cauchy-type matrix
-           (PrimeContext.cauchy); one sample is one determinant.
+           (PrimeContext.cauchy), which conjugation fixes, and at p = 29 on
+           U without row and column 0, which it does not; one sample is one
+           determinant.
   decomposition  identities.verify_decomposition at p = 29 and 53 on a
            context whose U, V, D and evil matrix are already built, so the
            sample is the right side V (s D U D) V and the comparison; one
@@ -89,6 +91,7 @@ LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
 VSEMIRNOV_PRIMES = (29, 53)
 CYCLO_DET_PRIMES = (29, 41)
+U00_PRIME = 29
 CYCLO_QUICK_PRIME = 13
 PROCESSES = 3
 
@@ -245,6 +248,13 @@ def cyclo_cases(legdet, quick: bool) -> dict:
             return 1
 
         out[f"det_field_cyclo cauchy p={p}"] = run
+    p = CYCLO_QUICK_PRIME if quick else U00_PRIME
+
+    def run_u00(mat=ids.PrimeContext(p).vsemirnov[0].submatrix(0, 0)):
+        lin.det_field(mat)
+        return 1
+
+    out[f"det_field_cyclo U_00 p={p}"] = run_u00
     for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
         ctx = ids.PrimeContext(p)
         ctx.vsemirnov

@@ -4,7 +4,7 @@ Each verify_* function builds the objects on both sides of one identity and
 compares them with exact equality; there is no tolerance anywhere.  The two
 sides are always computed independently: determinants from the
 fraction-free Toeplitz recurrence, from fraction-free elimination, or from
-elimination modulo primes (put together by CRT over Q(zeta_p)), closed
+elimination modulo primes (one Proth prime over Q(zeta_p)), closed
 forms from the continued-fraction unit and form-class oracles in quadfield,
 and cyclotomic products expanded term by term in Q(zeta_p).
 
@@ -84,9 +84,9 @@ class VerificationReport:
 class SuiteOptions:
     """Suite knobs; the caps exist because the cyclotomic checks grow fast
     with p: D and its certificate take O(p^3) slot operations, det_field
-    runs p-1 eliminations of O(n^3) steps mod each of its split primes,
-    whose count grows with the Hadamard bound, and V W V sums 2(n+1)^3
-    rotations of p-slot vectors."""
+    runs (p-1)/2 eliminations of O(n^3) steps mod one prime, whose size
+    grows with the Hadamard bound, and V W V sums 2(n+1)^3 rotations of
+    p-slot vectors."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29

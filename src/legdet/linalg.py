@@ -12,7 +12,8 @@ elimination over ZZ, and over QQ on rows first scaled to integers
 (det_fractions, on rows of integer (numerator, denominator) pairs; det_field
 over QQ hands it those of its Fractions); over the cyclotomic fields, rows
 scaled into Z[zeta_p], whose determinant is read off its images in F_q for
-split primes q and put together by CRT; det_toeplitz, fraction-free
+one Proth-certified prime q past four times a Hadamard bound, half of them
+when conjugation fixes every entry; det_toeplitz, fraction-free
 Levinson-Trench in O(k^2) integer operations on the 2k-1 diagonals of an
 integer Toeplitz matrix (toeplitz_columns), which hands the explicit matrix
 to Bareiss when a leading minor it must divide by vanishes; and, for when
@@ -38,12 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Any
 
 from .cyclotomic import CycloElem, _pack
-from .ntheory import is_prime
 
 
 @dataclass(frozen=True)
@@ -418,24 +418,42 @@ def _cleared(line):
     return s, [e.num if e.den == s else [c * (s // e.den) for c in e.num] for e in line]
 
 
-def _split_primes(p: int, bound: int) -> list[tuple[int, int]]:
-    """Pairs (q, r), q running down the primes below 2^62 with q = 1 (mod p)
-    and r an element of order p in F_q, until the product of the q exceeds
-    bound.  Every q passes is_prime, which is proven exact there.  Since
-    p | q - 1, r = x^((q-1)/p) has r^p = 1 for every x in F_q^*, and the
-    first x with r != 1 gives r of order p, p being prime."""
-    out, modulus = [], 1
-    q = (((1 << 62) - 2) // (2 * p)) * 2 * p + 1  # odd, since p is
-    while modulus <= bound:
-        if is_prime(q):
-            r = next(r for r in (pow(x, (q - 1) // p, q) for x in range(2, q)) if r != 1)
-            out.append((q, r))
-            modulus *= q
-        q -= 2 * p
-    return out
+# the odd primes below 100: Proth witnesses, and a screen for candidates
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
-def _det_coeffs_mod(vecs, p: int, q: int, r: int) -> list[int]:
+def _proth_prime(p: int, bound: int) -> tuple[int, int]:
+    """(q, r): a prime q > bound with q = 1 (mod p), and r of order p in F_q.
+
+    q runs over the Proth numbers j p 2^s + 1, j odd and j p < 2^s, from the
+    least above bound, s from the least with 2^s > p and 2^(2s) > 4 bound,
+    skipping those with a factor below 100.  Proth's theorem (1878) proves
+    q prime once a^((q-1)/2) = -1 (mod q): for a prime f | q, the order of
+    a mod f divides q - 1 but not (q-1)/2, so 2^s | f - 1 and
+    f^2 > 2^(2s) > q, and no such f is at most sqrt(q).  For prime q that
+    power is +-1 (Euler), so any other value shows q composite; at 1 the
+    next a is tried.  As p | q - 1,
+    r = x^((q-1)/p) has r^p = 1, and the first x with r != 1 gives r of
+    order p, p being prime."""
+    s = max(p.bit_length(), (bound.bit_length() + 3) // 2)
+    while True:
+        j = ((bound - 1) // (p << s) + 1) | 1
+        while j * p < 1 << s:
+            q = (j * p << s) + 1
+            j += 2
+            if gcd(q, _PRIMORIAL) != 1:
+                continue
+            for a in _SMALL_PRIMES:
+                w = pow(a, (q - 1) // 2, q)
+                if w == q - 1:
+                    return q, next(r for r in (pow(x, (q - 1) // p, q) for x in range(2, q)) if r != 1)
+                if w != 1:
+                    break
+        s += 1
+
+
+def _det_coeffs_mod(vecs, p: int, q: int, r: int, real: bool) -> list[int]:
     """c_e mod q, 0 <= e <= p-2, for det' = sum_e c_e z^e, the determinant
     of the k x k matrix over Z[zeta_p] whose entries have the integer
     power-basis vectors vecs (k rows of k vectors).
@@ -443,10 +461,15 @@ def _det_coeffs_mod(vecs, p: int, q: int, r: int) -> list[int]:
     phi_t: zeta -> r^t, 1 <= t <= p-1, is a ring map Z[zeta_p] -> F_q, as
     Z[zeta_p] = Z[x]/(Phi_p) and Phi_p(r^t) = 0 in F_q: (r^t)^p - 1 =
     (r^t - 1) Phi_p(r^t) vanishes and r^t != 1.  So d_t = phi_t(det') is
-    det_mod_rows of the entrywise image.  The images are packed: with P_e
-    the integer holding the coefficient e mod q of every entry in its own
-    slot, the image under phi_t is sum_e (r^(te) mod q) P_e, whose slots
-    stay below (p - 1) q^2 < 2^w and never carry.
+    det_mod_rows of the entrywise image.  The images of an entry v are
+    packed: with C_e holding r^(te) mod q in slot t for each t, slot t of
+    sum_e v_e C_e is phi_t(v) up to a multiple of q.  Its absolute value is
+    below (p - 1) B q < 2^(w-1), B the largest |v_e|, so with 2^(w-1) added
+    to every slot each lies in [0, 2^w), and no borrow or carry crosses one.
+
+    real says that every entry, hence det', is fixed by complex conjugation
+    sigma_(-1); as phi_(p-t) = phi_t sigma_(-1), then d_(p-t) = d_t, and
+    only t <= (p-1)/2 are eliminated.
 
     The trace Tr = sum_t sigma_t, sigma_t: zeta -> zeta^t, gives the
     coefficients: Tr(z^j) is p-1 if p | j and -1 otherwise, so for
@@ -456,17 +479,21 @@ def _det_coeffs_mod(vecs, p: int, q: int, r: int) -> list[int]:
     c_e = p^-1 sum_t d_t (r^(-te) - r^t).
     """
     k = len(vecs)
-    flat = [v for row in vecs for v in row]
-    wb = ((p * q * q).bit_length() + 7) // 8
-    packed = [int.from_bytes(b"".join((v[e] % q).to_bytes(wb, "little") for v in flat), "little")
-              for e in range(p - 1)]
+    ts = range(1, (p + 1) // 2 if real else p)
     pows = [pow(r, j, q) for j in range(p)]
+    big = max(abs(c) for row in vecs for v in row for c in v)
+    wb = ((p - 1) * big * q).bit_length() // 8 + 1
+    cols = [int.from_bytes(b"".join(pows[t * e % p].to_bytes(wb, "little") for t in ts), "little")
+            for e in range(p - 1)]
+    half = 1 << (8 * wb - 1)
+    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * len(ts), "little")
+    bufs = [(sum(map(mul, v, cols)) + bias).to_bytes(wb * len(ts), "little") for row in vecs for v in row]
     dets = []
-    for t in range(1, p):
-        image = sum(map(mul, [pows[t * e % p] for e in range(p - 1)], packed))
-        buf = image.to_bytes(wb * k * k, "little")
-        vals = [int.from_bytes(buf[i:i + wb], "little") % q for i in range(0, wb * k * k, wb)]
-        dets.append(det_mod_rows([vals[i:i + k] for i in range(0, k * k, k)], q))
+    for i in range(0, wb * len(ts), wb):
+        vals = [(int.from_bytes(b[i:i + wb], "little") - half) % q for b in bufs]
+        dets.append(det_mod_rows([vals[j:j + k] for j in range(0, k * k, k)], q))
+    if real:
+        dets += dets[::-1]
     pinv = pow(p, -1, q)
     tr_z = sum(d * pows[t] for t, d in enumerate(dets, 1))
     return [(sum(d * pows[-t * e % p] for t, d in enumerate(dets, 1)) - tr_z) * pinv % q
@@ -493,17 +520,22 @@ def det_field(m: ExactMatrix):
 
     Over Q(zeta_p), row i times s_i, the lcm of its denominators, lies over
     Z[zeta_p], and det = det' / prod s_i, det' the determinant of the
-    scaled matrix A.  det' = sum_e c_e z^e is found from its residues mod
-    primes q by CRT (von zur Gathen and Gerhard, Modern Computer Algebra,
-    section 5.5), each residue from images in F_q (_det_coeffs_mod).  The
-    bound: for an embedding sigma, |sigma(alpha)| <= ||alpha||_1, the sum of
-    the |coefficients|, as |sigma(zeta)| = 1.  By Hadamard's inequality,
+    scaled matrix A.  det' = sum_e c_e z^e is read off c_e mod one prime
+    q > 4H that Proth's theorem proves prime (_proth_prime), from images in
+    F_q and the trace formula (_det_coeffs_mod; von zur Gathen and Gerhard,
+    Modern Computer Algebra, section 5.5).  The bound: for an embedding
+    sigma, |sigma(alpha)| <= ||alpha||_1, the sum of the |coefficients|, as
+    |sigma(zeta)| = 1.  By Hadamard's inequality,
     |sigma(det')| = |det sigma(A)| <= prod_i sqrt(sum_j |sigma(a_ij)|^2)
     <= H = prod_i ceil(sqrt(sum_j ||a_ij||_1^2)).  The trace formula
     c_e = (Tr(det' z^-e) - Tr(det' z)) / p, each trace a sum of p-1
-    conjugates times roots of unity, gives |c_e| <= 2(p-1)H/p < 2H.  With
-    M, the product of the primes, above 4H, c_e is the one integer of its
-    class mod M in (-M/2, M/2], since |c_e| < 2H < M/2.
+    conjugates times roots of unity, gives |c_e| <= 2(p-1)H/p < 2H < q/2,
+    so c_e is its symmetric residue mod q.  H = 0 means a zero row.
+
+    Conjugation sends sum_e c_e z^e to c_0 - c_1 sum_f z^f +
+    sum_(e>=2) c_e z^(p-e), so it fixes an entry exactly when its vector v
+    has v[1] = 0 and v[2:] a palindrome; when every entry passes, det' is
+    real and half the images suffice.
     """
     _require_square(m)
     ring = m.ring
@@ -517,14 +549,11 @@ def det_field(m: ExactMatrix):
     for row in vecs:
         n2 = sum(sum(map(abs, v)) ** 2 for v in row)
         h *= isqrt(n2 - 1) + 1 if n2 else 0
-    coeffs, modulus = [0] * (p - 1), 1
-    for q, r in _split_primes(p, 4 * h):
-        # CRT: keep coeffs = c mod modulus, lift to c mod modulus * q
-        lift = pow(modulus, -1, q)
-        coeffs = [x + modulus * ((c - x) * lift % q) for x, c in zip(coeffs, _det_coeffs_mod(vecs, p, q, r))]
-        modulus *= q
-    half = modulus // 2
-    return CycloElem(p, [x - modulus if x > half else x for x in coeffs], prod(scales))
+    if not h:
+        return ring.zero
+    q, r = _proth_prime(p, 4 * h)
+    real = all(v[1] == 0 and v[2:] == v[:1:-1] for row in vecs for v in row)
+    return CycloElem(p, [c - q if c > q // 2 else c for c in _det_coeffs_mod(vecs, p, q, r, real)], prod(scales))
 
 
 def adjugate(m: ExactMatrix) -> ExactMatrix:

@@ -1,11 +1,11 @@
 """Primality, Legendre symbols, and small modular helpers.
 
 Everything here is deterministic.  The odd primes p of the identities stay
-far below 10**4, but the cyclotomic determinant works modulo primes just
-below 2^62, so is_prime runs strong-probable-prime tests to a set of bases
-proven to leave no composite below its range, and trial division only above
-it.  The Legendre symbol is Euler's criterion with fast modular
-exponentiation.
+far below 10**4; is_prime is exact at any size all the same, by
+strong-probable-prime tests to a set of bases proven to leave no composite
+below its range, and trial division only above it, so it can check the
+Proth primes of the cyclotomic determinant independently.  The Legendre
+symbol is Euler's criterion with fast modular exponentiation.
 """
 
 from __future__ import annotations

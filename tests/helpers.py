@@ -11,8 +11,8 @@ the kernels that faster ones
 replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
 lists of lists, the entrywise cyclotomic matrix product, and Gaussian
 elimination over a field (det_gauss), which fraction-free elimination on
-integer-scaled rows replaced over QQ and a CRT over split primes replaced
-over Q(zeta_p).
+integer-scaled rows replaced over QQ and images mod one Proth prime
+replaced over Q(zeta_p).
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,

@@ -276,7 +276,9 @@ def test_d00_detg():
 
 
 def test_f1f2():
-    for p in (5, 13):
+    """Both halves at every p = 1 (mod 4) up to 41, where det_field reads
+    det E mod a Proth prime above 4H, a bound of 137 bits."""
+    for p in (5, 13, 17, 29, 37, 41):
         r = verify_f1f2(p)
         assert r.passed, r
         assert r.name == "f1f2_u00"

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -42,7 +43,7 @@ from legdet.linalg import (
     toeplitz_adjugate,
     toeplitz_columns,
 )
-from legdet.ntheory import legendre, odd_primes_upto
+from legdet.ntheory import _SPRP_LIMIT, is_prime, legendre, odd_primes_upto
 
 
 def sun_matrix(p: int, d: int) -> ExactMatrix:
@@ -117,22 +118,35 @@ def _cyclo(rng, p, bits, den_max=1):
     return CycloElem(p, [rng.randint(-(1 << bits), 1 << bits) for _ in range(p - 1)], rng.randint(1, den_max))
 
 
+def _hadamard(rows) -> int:
+    """H = prod_i ceil(sqrt(sum_j ||s_i a_ij||_1^2)), s_i the lcm of the
+    denominators of row i: the bound det_field's prime must pass four
+    times."""
+    h = 1
+    for row in rows:
+        s = math.lcm(*[e.den for e in row])
+        n2 = sum(sum(abs(c) * (s // e.den) for c in e.num) ** 2 for e in row)
+        h *= math.isqrt(n2 - 1) + 1 if n2 else 0
+    return h
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
 def test_det_field_over_cyclotomics_vs_gauss_and_cofactors(p, monkeypatch):
-    """det_field over Q(zeta_p), a CRT over split primes, against Gaussian
+    """det_field over Q(zeta_p), read mod one Proth prime, against Gaussian
     elimination over the field and cofactor expansion, on seeded matrices
     with k <= 4: singular ones, 1x1 ones, zeros at (0, 0) and at (1, 1)
     after one step that force swaps, rows with denominators up to 10^6,
-    and coefficients of 300 bits, for which several primes are needed."""
-    split = linalg._split_primes
-    counts = []
+    and coefficients of 300 bits, whose prime has hundreds of bits.  Each
+    prime exceeds 4H, H recomputed here; a zero row searches for none."""
+    proth = linalg._proth_prime
+    primes = []
 
-    def counted(p, bound):
-        primes = split(p, bound)
-        counts.append(len(primes))
-        return primes
+    def spied(p, bound):
+        pair = proth(p, bound)
+        primes.append(pair[0])
+        return pair
 
-    monkeypatch.setattr(linalg, "_split_primes", counted)
+    monkeypatch.setattr(linalg, "_proth_prime", spied)
     rng = random.Random(p)
     r = cyclo_ring(p)
     z = zeta_pow(p, 1)
@@ -152,31 +166,84 @@ def test_det_field_over_cyclotomics_vs_gauss_and_cofactors(p, monkeypatch):
               [[r.one, z, r.zero], [z, z * z, r.one], [r.zero, r.one, z]],
               [[r.zero, _cyclo(rng, p, 5, 9), r.one], [_cyclo(rng, p, 5, 9), r.zero, z], [z, z, _cyclo(rng, p, 5, 9)]]]
     for rows in cases:
+        before = len(primes)
         d = det_field(ExactMatrix(r, rows))
         assert isinstance(d, CycloElem)
         assert d == det_gauss(rows) == naive_det(rows)
         assert (d == r.zero) == (rows in singular)
-    assert max(counts) >= 10
+        h = _hadamard(rows)
+        assert len(primes) - before == (h > 0)
+        assert all(q > 4 * h for q in primes[before:])
+    assert max(primes).bit_length() > 600
 
 
-def test_det_field_over_cyclotomics_needs_every_prime(monkeypatch):
-    """Negative control for the 4H bound: det = (q1 - 1) z^2 for the first
-    split prime q1 at p = 5.  H = q1 - 1, so the primes must pass
-    4 (q1 - 1) > q1 and two are taken; cut one short, the one prime left
-    reads the coefficient q1 - 1 as -1 and the determinant comes out
-    wrong."""
+def test_det_field_over_cyclotomics_needs_the_4h_bound(monkeypatch):
+    """Negative control for the 4H bound: det = c z^2 at p = 5, where
+    H = c.  Read mod the Proth prime just above H instead of 4H, which is
+    below 2c, the coefficient c is past half the modulus, comes out as
+    c - q, and the determinant is wrong."""
     p = 5
     r = cyclo_ring(p)
-    split = linalg._split_primes
-    q1 = split(p, 1)[0][0]
-    rows = [[CycloElem.from_rational(p, q1 - 1), r.zero], [r.zero, zeta_pow(p, 2)]]
+    proth = linalg._proth_prime
+    c = proth(p, 10**6)[0] - 1
+    rows = [[CycloElem.from_rational(p, c), r.zero], [r.zero, zeta_pow(p, 2)]]
     m = ExactMatrix(r, rows)
     want = det_gauss(rows)
-    assert want == (q1 - 1) * zeta_pow(p, 2)
+    assert want == c * zeta_pow(p, 2) and _hadamard(rows) == c
     assert det_field(m) == want
-    assert len(split(p, 4 * (q1 - 1))) == 2
-    monkeypatch.setattr(linalg, "_split_primes", lambda p, bound: split(p, bound)[:-1])
-    assert det_field(m) == -zeta_pow(p, 2) != want
+    q = proth(p, c)[0]
+    assert c < q < 2 * c
+    monkeypatch.setattr(linalg, "_proth_prime", lambda p, bound: proth(p, bound // 4))
+    assert det_field(m) == (c - q) * zeta_pow(p, 2) != want
+
+
+def test_proth_prime_is_certified():
+    """For every odd p < 200 and bounds 2^8 to 2^76, _proth_prime returns
+    q = 1 (mod p) above the bound and below _SPRP_LIMIT, so that the
+    independent is_prime is exact on it and agrees that q is prime, and r
+    of order p in F_q."""
+    for p in odd_primes_upto(200):
+        for b in range(8, 77):
+            q, r = linalg._proth_prime(p, 1 << b)
+            assert q % p == 1 and 1 << b < q < _SPRP_LIMIT
+            assert is_prime(q)
+            assert r != 1 and pow(r, p, q) == 1
+
+
+def _real(rng, p, den_max):
+    """A seeded element of the real subfield: c_0 + sum_e c_e (z^e + z^-e)."""
+    out = CycloElem.from_rational(p, Fraction(rng.randint(-9, 9), rng.randint(1, den_max)))
+    for e in range(1, (p + 1) // 2):
+        out = out + CycloElem.from_rational(p, Fraction(rng.randint(-9, 9), rng.randint(1, den_max))) * (
+            zeta_pow(p, e) + zeta_pow(p, -e))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_det_field_half_images_need_a_real_matrix(p, monkeypatch):
+    """A matrix of real entries with row denominators takes the half-image
+    path on its own and matches det_gauss; other matrices take every
+    image.  Negative control: forced onto the half path, a matrix with one
+    non-real entry comes out wrong."""
+    coeffs = linalg._det_coeffs_mod
+    seen = []
+
+    def spied(vecs, p, q, r, real):
+        seen.append(real)
+        return coeffs(vecs, p, q, r, real)
+
+    monkeypatch.setattr(linalg, "_det_coeffs_mod", spied)
+    rng = random.Random(p)
+    rows = [[_real(rng, p, 7) for _ in range(4)] for _ in range(4)]
+    want = det_gauss(rows)
+    assert det_field(ExactMatrix(cyclo_ring(p), rows)) == want != 0
+    assert seen == [True]
+    rows[2][1] = rows[2][1] + zeta_pow(p, 1)
+    want = det_gauss(rows)
+    assert det_field(ExactMatrix(cyclo_ring(p), rows)) == want
+    assert seen == [True, False]
+    monkeypatch.setattr(linalg, "_det_coeffs_mod", lambda vecs, p, q, r, real: coeffs(vecs, p, q, r, True))
+    assert det_field(ExactMatrix(cyclo_ring(p), rows)) != want
 
 
 def test_cyclotomic_kernels_need_no_field_multiplication(monkeypatch):

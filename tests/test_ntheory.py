@@ -42,11 +42,10 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 
 def test_is_prime_accepts_split_primes_below_2_62():
-    """The three largest primes q < 2^62 with q = 1 (mod 29), the first
-    moduli of the cyclotomic determinant at p = 29, each proven prime by
-    Lucas's test on the factors of q - 1 (each below 10^10, prime by trial
-    division); every odd q = 1 (mod 29) between them has a Fermat witness,
-    so it is composite."""
+    """The three largest primes q < 2^62 with q = 1 (mod 29), each proven
+    prime by Lucas's test on the factors of q - 1 (each below 10^10, prime
+    by trial division); every odd q = 1 (mod 29) between them has a Fermat
+    witness, so it is composite."""
     certificates = {
         4611686018427382099: (2, 3, 29, 109178599, 242757673),
         4611686018427381577: (2, 2, 2, 3, 29, 31, 41047, 5207237383),
