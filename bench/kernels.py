@@ -27,7 +27,7 @@ Cases:
            m = 3, 5, 7: the whole check, its matrix entries built from the
            integer numerators and denominators and its closed form
            included; one sample is one pass over a batch.
-  vsemirnov_build  Vsemirnov's U, V, D and the Cauchy-type matrix
+  vsemirnov_build  Vsemirnov's U, D and the Cauchy-type matrix
            [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j, on a fresh
            identities.PrimeContext at p = 29 and 53; one sample is one build.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
@@ -36,9 +36,9 @@ Cases:
            U without row and column 0, which it does not; one sample is one
            determinant.
   decomposition  identities.verify_decomposition at p = 29 and 53 on a
-           context whose U, V, D and evil matrix are already built, so the
-           sample is the right side V (s D U D) V and the comparison; one
-           sample is one check.
+           context whose U, D and evil matrix are already built, so the
+           sample is the right side V (s D U D) V, by rotations, and the
+           comparison; one sample is one check.
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
@@ -241,7 +241,7 @@ def cyclo_cases(legdet, quick: bool) -> dict:
             ctx.cauchy
             return 1
 
-        out[f"vsemirnov_build U V D cauchy p={p}"] = run_build
+        out[f"vsemirnov_build U D cauchy p={p}"] = run_build
     for p in (CYCLO_QUICK_PRIME,) if quick else CYCLO_DET_PRIMES:
         def run(mat=ids.PrimeContext(p).cauchy):
             lin.det_field(mat)

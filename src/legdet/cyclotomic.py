@@ -7,6 +7,9 @@ normalized so the gcd of all entries and the denominator is 1; per-basis
 Fraction views are available through ``coeffs``.  Reduction uses
 zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 
+Outside the class, lists of elements become integer p-slot vectors over one
+denominator (clear_slots), on which multiplying by zeta^e is a rotation.
+
 Products of integer vectors go through one kernel, _mul_vec: a product with
 a monomial c*zeta^e is a rotation of the other vector, and any other product
 is one bigint multiplication of the two vectors packed into byte-aligned
@@ -272,6 +275,15 @@ class CycloElem:
         from .render import format_cyclo
 
         return format_cyclo(self)
+
+
+def clear_slots(elems) -> tuple[int, list[list[int]]]:
+    """(den, vecs) for a list of CycloElems of one field: den the lcm of
+    their denominators, and each element times den as p integer slots, slot
+    t for zeta^t and slot p-1 zero.  Unfolded so, a vector stands for 0
+    exactly when all its slots are equal."""
+    den = lcm(*[e.den for e in elems])
+    return den, [[c * (den // e.den) for c in (*e.num, 0)] for e in elems]
 
 
 def zeta_pow(p: int, k: int) -> CycloElem:

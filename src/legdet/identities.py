@@ -11,7 +11,7 @@ and cyclotomic products expanded term by term in Q(zeta_p).
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
 C, the packed Sun row table, n! mod p, the unit coefficients, the
-Cauchy-type matrix, and Vsemirnov's U, V and the diagonal of D) live on a
+Cauchy-type matrix, and Vsemirnov's U and the diagonal of D) live on a
 PrimeContext and are computed on first use.  run_suite hands one context per
 prime to every check; a check called with a plain integer builds its own.
 
@@ -28,9 +28,9 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
-from .cyclotomic import CycloElem, _fold, gauss_sum, zeta_pow
+from .cyclotomic import CycloElem, _fold, clear_slots, gauss_sum, zeta_pow
 from .exact import UniPoly, as_rational
 from .linalg import (
     ZZ,
@@ -230,7 +230,7 @@ class PrimeContext:
         return build_cauchy_matrix(self)
 
     @cached_property
-    def vsemirnov(self) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
+    def vsemirnov(self) -> tuple[ExactMatrix, tuple[CycloElem, ...]]:
         return build_vsemirnov_matrices(self)
 
 
@@ -389,26 +389,36 @@ def _d_closed_form(p: int, i: int) -> list[int]:
     return acc
 
 
-def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloElem, ...]]:
-    """Vsemirnov's U and V over Q(zeta_p), p = 1 (mod 4), and the diagonal d of D.
+def _times_v(p: int, vecs) -> list[list[int]]:
+    """A row of p-slot vectors (clear_slots) times V_lj = z^(2lj), by
+    rotations: entry j sums slot t - 2lj of vecs[l] over l."""
+    k = len(vecs)
+    shifts = [[2 * l * j % p for l in range(k)] for j in range(k)]
+    return [list(map(sum, zip(*(v[-r:] + v[:-r] for v, r in zip(vecs, rs))))) for rs in shifts]
+
+
+def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, tuple[CycloElem, ...]]:
+    """Vsemirnov's U over Q(zeta_p), p = 1 (mod 4), and the diagonal d of D.
 
     u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) / (z^(-i-j) + (i/p)(j/p)),
-    v_ij = z^(2ij), d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i),
-    0 <= i, j <= n.  Times z^(i+j)/z^(i+j), u_ij = (i/p)(j/p) z^(-i-j) E_ij
-    for i, j >= 1, E the Cauchy-type matrix, so that block is E rotated
-    entry by entry; u_0j = (j/p) z^(-j), u_i0 = (i/p) z^(-i) and u_00 = 0.
+    d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i), 0 <= i, j <= n.  Times
+    z^(i+j)/z^(i+j), u_ij = (i/p)(j/p) z^(-i-j) E_ij for i, j >= 1, E the
+    Cauchy-type matrix, so that block is E rotated entry by entry;
+    u_0j = (j/p) z^(-j), u_i0 = (i/p) z^(-i) and u_00 = 0.  The third
+    factor, V_ij = z^(2ij), is a matrix of monomials that is never built:
+    its products are rotations (_times_v).
 
     The nodes x_k and the z^o, o odd, 1 <= o <= p - 2, are all the p-th
     roots of unity, so prod_{k != i} (x_i - x_k) prod_o (x_i - z^o) = p / x_i
     and d_i = (x_i / p) prod_o (x_i - z^o), with no inverse.  The returned d
-    is certified by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n,
-    up to the all-ones vector; V is an invertible Vandermonde, so this
-    forces d, and a failure raises ArithmeticError.
+    is certified by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n:
+    d cleared to p-slot vectors, times V by _times_v (V is symmetric), each
+    entry against [j = n] up to the all-ones vector.  V is an invertible
+    Vandermonde, so this forces d, and a failure raises ArithmeticError.
     """
     ctx = _context(p, need_1mod4=True)
     p, lg = ctx.p, ctx.chi
     n = p.n
-    ring = cyclo_ring(p)
     edge = [lg[k] * zeta_pow(p, -k) for k in range(n + 1)]
     urows = [edge]
     for i, erow in enumerate(ctx.cauchy.entries, 1):
@@ -418,59 +428,43 @@ def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, ExactMatrix, tuple[CycloEl
             m, acc = i + j, [*e.num, 0]
             row.append(CycloElem(p, [lg[i] * lg[j] * c for c in _fold(acc[m:] + acc[:m])]))
         urows.append(row)
-    u = ExactMatrix(ring, urows)
-
-    zs = [zeta_pow(p, e) for e in range(p)]
-    v = ExactMatrix(ring, [[zs[2 * i * j % p] for j in range(n + 1)] for i in range(n + 1)])
+    u = ExactMatrix(cyclo_ring(p), urows)
 
     d = tuple(CycloElem(p, _fold(_d_closed_form(p, i)), p) for i in range(n + 1))
-    den = lcm(*(di.den for di in d))
-    nums = [[c * (den // di.den) for c in (*di.num, 0)] for di in d]
-    for j in range(n + 1):
-        # slot t of d_i x_i^j is slot t - 2ij of d_i
-        shifts = (2 * i * j % p for i in range(n + 1))
-        cert = list(map(sum, zip(*(c[-r:] + c[:-r] for c, r in zip(nums, shifts)))))
+    den, vecs = clear_slots(d)
+    for j, cert in enumerate(_times_v(p, vecs)):
         if j == n:
             cert[0] -= den
         if cert.count(cert[0]) != p:
             raise ArithmeticError(f"closed-form D fails V^T d = e_n at p={p}, j={j}")
-    return u, v, d
-
-
-def _times_v_twice(p: int, w) -> list[list[CycloElem]]:
-    """V W V for V_ij = z^(2ij) and W a square list of rows of CycloElems
-    of Q(zeta_p), by rotations, with no product of two entries.
-
-    W is cleared to one common denominator, each entry an unfolded p-slot
-    integer vector A_il, slot t for z^(t mod p).  Entry (j, i) of (A V)^T is
-    sum_l A_il z^(2lj), and slot t of z^(2lj) A_il is slot t - 2lj of A_il.
-    Two passes of "times V, then transpose" give ((A V)^T V)^T = V^T A V,
-    which is V A V, as V is symmetric.
-    """
-    den = lcm(*(e.den for row in w for e in row))
-    a = [[[*(c * (den // e.den) for c in e.num), 0] for e in row] for row in w]
-    shifts = [[2 * l * j % p for l in range(len(a))] for j in range(len(a))]
-    for _ in range(2):
-        a = [[list(map(sum, zip(*(v[-r:] + v[:-r] for v, r in zip(row, js))))) for row in a] for js in shifts]
-    return [[CycloElem(p, _fold(acc), den) for acc in row] for row in a]
+    return u, d
 
 
 def verify_decomposition(p) -> CheckResult:
     """C = legendre(2,p) * g * z^((p-1)/4) * V D U D V entrywise in Q(zeta_p),
     with sqrt(p) realized as the Gauss sum g.  With s that scalar and D = diag(d),
-    s D U D is W_ij = (s d_i) u_ij d_j, so the right side is V W V
-    (_times_v_twice)."""
+    s D U D is W_ij = (s d_i) u_ij d_j, so the right side is V W V.
+
+    W is cleared to p-slot vectors over one den (clear_slots); two passes
+    of "_times_v on each row, then transpose" give ((W V)^T V)^T = V W V,
+    as V is symmetric.  Entry (i, j) matches C_ij when it is den C_ij in
+    slot 0 up to the all-ones vector; only the entry reported, the first
+    divergent one or else (0, 0), is folded into a CycloElem."""
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
-    u, _, d = ctx.vsemirnov
+    u, d = ctx.vsemirnov
     scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
     sd = [scalar * di for di in d]
-    w = [[sdi * uij * dj for uij, dj in zip(row, d)] for sdi, row in zip(sd, u.entries)]
-    rhs = ExactMatrix(u.ring, _times_v_twice(p, w))
-    diverge = ctx.evil.first_diff(rhs)
-    i, j = diverge or (0, 0)
-    detail = "" if diverge is None else f"first divergent entry (i, j) = ({i}, {j})"
-    return _result("decomposition", p, ctx.evil[i, j], rhs[i, j], detail)
+    den, vecs = clear_slots([sdi * uij * dj for sdi, row in zip(sd, u.entries) for uij, dj in zip(row, d)])
+    a = [vecs[i:i + len(d)] for i in range(0, len(vecs), len(d))]
+    for _ in range(2):
+        a = [list(col) for col in zip(*(_times_v(p, row) for row in a))]
+    for i, (crow, arow) in enumerate(zip(ctx.evil.entries, a)):
+        for j, (c, v) in enumerate(zip(crow, arow)):
+            if v[1:].count(v[0] - den * c) != p - 1:
+                return _result("decomposition", p, c, CycloElem(p, _fold(v), den),
+                               f"first divergent entry (i, j) = ({i}, {j})")
+    return _result("decomposition", p, ctx.evil[0, 0], CycloElem(p, _fold(a[0][0]), den))
 
 
 def verify_lemma_uv(m: int, u, v) -> CheckResult:

@@ -43,7 +43,7 @@ from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Any
 
-from .cyclotomic import CycloElem, _pack
+from .cyclotomic import CycloElem, _pack, clear_slots
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def first_diff(self, other: "ExactMatrix") -> tuple[int, int] | None:
-        """Row-major index of the first differing entry, None if equal."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.entries[i][j] != other.entries[i][j]:
-                    return (i, j)
-        return None
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -411,13 +401,6 @@ def det_mod_p(m: ExactMatrix, p: int) -> int:
     return det_mod_rows([[x % p for x in row] for row in m.entries], p)
 
 
-def _cleared(line):
-    """(s, vectors): s the lcm of the denominators of a line of CycloElems,
-    and each element times s as its integer power-basis vector."""
-    s = lcm(*[e.den for e in line])
-    return s, [e.num if e.den == s else [c * (s // e.den) for c in e.num] for e in line]
-
-
 # the odd primes below 100: Proth witnesses, and a screen for candidates
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _PRIMORIAL = prod(_SMALL_PRIMES)
@@ -456,7 +439,7 @@ def _proth_prime(p: int, bound: int) -> tuple[int, int]:
 def _det_coeffs_mod(vecs, p: int, q: int, r: int, real: bool) -> list[int]:
     """c_e mod q, 0 <= e <= p-2, for det' = sum_e c_e z^e, the determinant
     of the k x k matrix over Z[zeta_p] whose entries have the integer
-    power-basis vectors vecs (k rows of k vectors).
+    p-slot vectors vecs (k rows of k vectors, slot p-1 zero; clear_slots).
 
     phi_t: zeta -> r^t, 1 <= t <= p-1, is a ring map Z[zeta_p] -> F_q, as
     Z[zeta_p] = Z[x]/(Phi_p) and Phi_p(r^t) = 0 in F_q: (r^t)^p - 1 =
@@ -519,8 +502,8 @@ def det_field(m: ExactMatrix):
     Over QQ, det_fractions of the (numerator, denominator) pairs.
 
     Over Q(zeta_p), row i times s_i, the lcm of its denominators, lies over
-    Z[zeta_p], and det = det' / prod s_i, det' the determinant of the
-    scaled matrix A.  det' = sum_e c_e z^e is read off c_e mod one prime
+    Z[zeta_p] (clear_slots), and det = det' / prod s_i, det' the determinant
+    of the scaled matrix A.  det' = sum_e c_e z^e is read off c_e mod one prime
     q > 4H that Proth's theorem proves prime (_proth_prime), from images in
     F_q and the trace formula (_det_coeffs_mod; von zur Gathen and Gerhard,
     Modern Computer Algebra, section 5.5).  The bound: for an embedding
@@ -532,9 +515,9 @@ def det_field(m: ExactMatrix):
     conjugates times roots of unity, gives |c_e| <= 2(p-1)H/p < 2H < q/2,
     so c_e is its symmetric residue mod q.  H = 0 means a zero row.
 
-    Conjugation sends sum_e c_e z^e to c_0 - c_1 sum_f z^f +
-    sum_(e>=2) c_e z^(p-e), so it fixes an entry exactly when its vector v
-    has v[1] = 0 and v[2:] a palindrome; when every entry passes, det' is
+    Conjugation moves slot t of an entry's p-slot vector v to slot -t mod p.
+    The mirror agrees with v at slot 0, so it is the same element exactly
+    when it is v itself, v[1:] == v[:0:-1]; when every entry passes, det' is
     real and half the images suffice.
     """
     _require_square(m)
@@ -544,7 +527,7 @@ def det_field(m: ExactMatrix):
     if not isinstance(ring.zero, CycloElem):
         raise ValueError(f"det_field has no kernel over {ring.name}")
     p = ring.zero.p
-    scales, vecs = zip(*map(_cleared, m.entries))
+    scales, vecs = zip(*map(clear_slots, m.entries))
     h = 1
     for row in vecs:
         n2 = sum(sum(map(abs, v)) ** 2 for v in row)
@@ -552,7 +535,7 @@ def det_field(m: ExactMatrix):
     if not h:
         return ring.zero
     q, r = _proth_prime(p, 4 * h)
-    real = all(v[1] == 0 and v[2:] == v[:1:-1] for row in vecs for v in row)
+    real = all(v[1:] == v[:0:-1] for row in vecs for v in row)
     return CycloElem(p, [c - q if c > q // 2 else c for c in _det_coeffs_mod(vecs, p, q, r, real)], prod(scales))
 
 

@@ -1,17 +1,16 @@
 """Primality, Legendre symbols, and small modular helpers.
 
 Everything here is deterministic.  The odd primes p of the identities stay
-far below 10**4; is_prime is exact at any size all the same, by
-strong-probable-prime tests to a set of bases proven to leave no composite
-below its range, and trial division only above it, so it can check the
-Proth primes of the cyclotomic determinant independently.  The Legendre
-symbol is Euler's criterion with fast modular exponentiation.
+far below 10**4; is_prime is exact all the same below about 3.2 * 10^23, by
+strong-probable-prime tests to bases proven to leave no composite there, so
+it can check the Proth primes of the cyclotomic determinant independently;
+it refuses larger inputs with no small factor.  The Legendre symbol is
+Euler's criterion with fast modular exponentiation.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import isqrt
 from operator import index
 
 
@@ -28,8 +27,9 @@ def is_prime(m: int) -> bool:
     prime exactly when it is a strong probable prime to each of those
     twelve bases: the least composite that passes all twelve is
     318665857834031151167461 (Sorenson and Webster, Math. Comp. 86, 2017;
-    with the base 41 added the range grows to 3.3 * 10^24).  Above that,
-    trial division, so no answer rests on an unproven test.
+    with the base 41 added the range grows to 3.3 * 10^24).  Above that, an
+    m with no factor up to 37 raises ValueError: no answer rests on an
+    unproven test, and trial division would take days.
     """
     if m < 0:
         raise ValueError("is_prime expects a nonnegative integer")
@@ -40,27 +40,22 @@ def is_prime(m: int) -> bool:
             return m == b
     if m < 41 * 41:
         return True
-    if m < _SPRP_LIMIT:
-        d, s = m - 1, 0
-        while d % 2 == 0:
-            d //= 2
-            s += 1
-        for b in _SPRP_BASES:
-            x = pow(b, d, m)
-            if x == 1 or x == m - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % m
-                if x == m - 1:
-                    break
-            else:
-                return False
-        return True
-    f = 41
-    while f <= isqrt(m):
-        if m % f == 0:
+    if m >= _SPRP_LIMIT:
+        raise ValueError(f"is_prime is proven only below {_SPRP_LIMIT}; {m} has no factor up to 37")
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _SPRP_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

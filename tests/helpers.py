@@ -6,7 +6,8 @@ Jacobi symbols, a brute-force Pell search, polynomial products and
 differences on coefficient lists, cyclotomic inversion by the extended
 Euclidean algorithm on them, adjugates from explicit cofactors by Gaussian
 elimination, the two-vector lemma's closed form in Fraction arithmetic,
-Vsemirnov's U, D and the Cauchy-type matrix by inverting their definitions, and
+Vsemirnov's U, D and the Cauchy-type matrix by inverting their definitions,
+Vsemirnov's V, which the package never builds, and
 the kernels that faster ones
 replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
 lists of lists, the entrywise cyclotomic matrix product, and Gaussian
@@ -27,7 +28,7 @@ from math import isqrt, prod
 
 from legdet.cyclotomic import CycloElem, zeta_pow
 from legdet.exact import UniPoly
-from legdet.linalg import ZZ, ExactMatrix
+from legdet.linalg import ZZ, ExactMatrix, cyclo_ring
 from legdet.ntheory import legendre
 from legdet.quadfield import QuadElem
 
@@ -251,6 +252,11 @@ def cauchy_and_u_by_inversion(p):
     u = [[div(lg[i] * zeta_pow(p, -j - 2 * i) + lg[j] * zeta_pow(p, -2 * j - i),
               zeta_pow(p, -i - j) + lg[i] * lg[j]) for j in range(n + 1)] for i in range(n + 1)]
     return e, u
+
+
+def vsemirnov_v(p):
+    """Vsemirnov's V_ij = z^(2ij), 0 <= i, j <= (p-1)/2, as an ExactMatrix."""
+    return ExactMatrix(cyclo_ring(p), [[zeta_pow(p, 2 * i * j) for j in range(p // 2 + 1)] for i in range(p // 2 + 1)])
 
 
 def d_by_inversion(p):

@@ -7,9 +7,15 @@ from fractions import Fraction
 import pytest
 
 import legdet
-from helpers import cauchy_and_u_by_inversion, d_by_inversion, lemma_uv_rhs_fraction, matmul_entrywise
+from helpers import (
+    cauchy_and_u_by_inversion,
+    d_by_inversion,
+    lemma_uv_rhs_fraction,
+    matmul_entrywise,
+    vsemirnov_v,
+)
 from legdet import identities
-from legdet.cyclotomic import CycloElem, gauss_sum, zeta_pow
+from legdet.cyclotomic import CycloElem, _fold, clear_slots, gauss_sum, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     PrimeContext,
@@ -116,13 +122,16 @@ def test_minor_antisymmetry():
 
 
 def test_vsemirnov_matrix_structure():
-    u, v, d = build_vsemirnov_matrices(5)
-    n1 = u.rows
-    assert n1 == 3 and v.rows == 3 and len(d) == 3 and isinstance(d, tuple)
+    """U and the diagonal d of D, with V^T d = e_n checked by entrywise
+    products with the oracle V."""
+    u, d = build_vsemirnov_matrices(5)
+    assert u.rows == u.cols == 3 and len(d) == 3 and isinstance(d, tuple)
     assert u[0, 0].is_zero()
-    assert all(v[0, j] == CycloElem.one(5) for j in range(n1))
-    d13 = build_vsemirnov_matrices(13)[2]
+    u13, d13 = build_vsemirnov_matrices(13)
     assert isinstance(d13, tuple) and len(d13) == 7 and all(isinstance(x, CycloElem) for x in d13)
+    ring = u13.ring
+    vtd = matmul_entrywise(ExactMatrix(ring, [d13]), vsemirnov_v(13))
+    assert vtd == [[ring.zero] * 6 + [ring.one]]
     # 1/d00^2 = 5 * zeta (the p=5 instance of p*zeta^(n(n+1)))
     inv_d00 = d[0].inv()
     assert inv_d00 * inv_d00 == 5 * zeta_pow(5, 1)
@@ -137,17 +146,26 @@ def test_decomposition_small():
         assert r.name == "decomposition" and r.detail == ""
 
 
-@pytest.mark.parametrize("p", [5, 13, 17])
+@pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_rotations_give_v_w_v(p):
-    """The right side of the decomposition by rotations equals V W V as
-    two entrywise products of the returned V, with W = s D U D built as
-    verify_decomposition builds it."""
+    """_times_v on each row of W = s D U D, built as verify_decomposition
+    builds it, gives W V, and two passes of "times V, then transpose" give
+    V W V, both against entrywise products with the oracle V."""
     ctx = PrimeContext(p)
-    u, v, d = ctx.vsemirnov
+    u, d = ctx.vsemirnov
+    v = vsemirnov_v(p)
     scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
     w = [[scalar * di * uij * dj for uij, dj in zip(row, d)] for di, row in zip(d, u.entries)]
-    want = matmul_entrywise(ExactMatrix(u.ring, matmul_entrywise(v, ExactMatrix(u.ring, w))), v)
-    assert identities._times_v_twice(p, w) == want
+    den, vecs = clear_slots([e for row in w for e in row])
+    k = len(d)
+
+    def folded(rows):
+        return [[CycloElem(p, _fold(x), den) for x in row] for row in rows]
+
+    wv = [identities._times_v(p, vecs[i:i + k]) for i in range(0, k * k, k)]
+    assert folded(wv) == matmul_entrywise(ExactMatrix(u.ring, w), v)
+    vwv = zip(*(identities._times_v(p, list(col)) for col in zip(*wv)))
+    assert folded(vwv) == matmul_entrywise(ExactMatrix(u.ring, matmul_entrywise(v, ExactMatrix(u.ring, w))), v)
 
 
 def test_lemma_uv_m1_closed_form():
@@ -341,7 +359,7 @@ def test_closed_forms_match_inversion_oracle(p):
     ctx = PrimeContext(p)
     assert ctx.cauchy.entries == tuple(map(tuple, e))
     assert ctx.vsemirnov[0].entries == tuple(map(tuple, u))
-    assert ctx.vsemirnov[2] == tuple(d_by_inversion(p))
+    assert ctx.vsemirnov[1] == tuple(d_by_inversion(p))
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
@@ -384,15 +402,45 @@ def test_doubled_diagonal_entry_fails_decomposition(monkeypatch, k):
     true_build = identities.build_vsemirnov_matrices
 
     def doubled(p):
-        u, v, d = true_build(p)
+        u, d = true_build(p)
         d = list(d)
         d[k] = 2 * d[k]
-        return u, v, tuple(d)
+        return u, tuple(d)
 
     monkeypatch.setattr(identities, "build_vsemirnov_matrices", doubled)
     r = verify_decomposition(13)
     assert r.passed is False and r.lhs != r.rhs
     assert r.detail.startswith("first divergent entry (i, j) = (")
+
+
+@pytest.mark.parametrize("delta, passed", [(1, False), (None, True)], ids=["one_slot", "all_ones"])
+def test_corrupted_v_w_v_entry_fails_decomposition(monkeypatch, delta, passed):
+    """Negative control for the slot comparison: entry (i, j) = (4, 2) of
+    V W V, one slot off by one after the two passes, fails the
+    decomposition at that entry, the earlier entries still matching; off
+    by the all-ones vector, which is 0 in Q(zeta_p), it passes."""
+    ctx = PrimeContext(13)
+    k = len(ctx.vsemirnov[1])
+    true_times_v = identities._times_v
+    calls = []
+
+    def corrupted(p, vecs):
+        out = true_times_v(p, vecs)
+        calls.append(1)
+        # call k + 1 + j of the second pass computes column j of V W V
+        if len(calls) == k + 3:
+            out[4] = [x + 1 for x in out[4]] if delta is None else [out[4][0] + delta, *out[4][1:]]
+        return out
+
+    monkeypatch.setattr(identities, "_times_v", corrupted)
+    r = verify_decomposition(ctx)
+    assert len(calls) == 2 * k
+    assert r.passed is passed
+    if passed:
+        assert r.detail == "" and r.lhs == r.rhs == "0"
+    else:
+        assert r.detail == "first divergent entry (i, j) = (4, 2)"
+        assert r.lhs == format_value(ctx.evil[4, 2]) != r.rhs
 
 
 def test_zero_inverse_names_its_field():

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from helpers import jacobi
+from legdet import cli
 from legdet.identities import c_polynomial, verify_theorem
 from legdet.ntheory import (
+    _SPRP_LIMIT,
     OddPrime,
     factorial_mod,
     is_prime,
@@ -61,6 +63,20 @@ def test_is_prime_accepts_split_primes_below_2_62():
         if c not in certificates:
             assert any(pow(b, c - 1, c) != 1 for b in range(2, 50))
             assert not is_prime(c)
+
+
+def test_is_prime_refuses_unproven_sizes():
+    """_SPRP_LIMIT, the least strong pseudoprime to the twelve bases, and
+    larger m with no factor up to 37 raise ValueError naming the bound,
+    where trial division would run for days; larger m with such a factor
+    are still answered.  The CLI exits 2 on that prime at once."""
+    assert _SPRP_LIMIT == 399165290221 * 798330580441
+    for m in (_SPRP_LIMIT, _SPRP_LIMIT + 6, 2**89 - 1):
+        assert all(m % b for b in range(2, 38))
+        with pytest.raises(ValueError, match=f"only below {_SPRP_LIMIT}; {m} "):
+            is_prime(m)
+    assert not is_prime(_SPRP_LIMIT + 1) and not is_prime(_SPRP_LIMIT + 2)
+    assert cli.main(["cx", "--p", str(_SPRP_LIMIT)]) == 2
 
 
 def test_odd_prime_type():
