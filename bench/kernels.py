@@ -27,18 +27,22 @@ Cases:
            m = 3, 5, 7: the whole check, its matrix entries built from the
            integer numerators and denominators and its closed form
            included; one sample is one pass over a batch.
-  vsemirnov_build  Vsemirnov's U, D and the Cauchy-type matrix
-           [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j, on a fresh
-           identities.PrimeContext at p = 29 and 53; one sample is one build.
+  vsemirnov_build  PrimeContext.vsemirnov and PrimeContext.cauchy on a
+           fresh identities.PrimeContext at p = 29 and 53: the diagonal of
+           Vsemirnov's D (with U, in checkouts that still build it) and the
+           Cauchy-type matrix [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j;
+           one sample is one build.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
            of the f1f2_u00 check at p = 29 and 41, the Cauchy-type matrix
            (PrimeContext.cauchy), which conjugation fixes, and at p = 29 on
-           U without row and column 0, which it does not; one sample is one
-           determinant.
+           U without row and column 0, [(i/p)(j/p) z^(-i-j) E_ij], which it
+           does not, built here from PrimeContext.cauchy so that every
+           checkout times the same matrix; one sample is one determinant.
   decomposition  identities.verify_decomposition at p = 29 and 53 on a
-           context whose U, D and evil matrix are already built, so the
-           sample is the right side V (s D U D) V, by rotations, and the
-           comparison; one sample is one check.
+           context whose D, Cauchy-type matrix and evil matrix are already
+           built (and U, in checkouts that still build it), so the sample
+           is the right side V (s D U D) V and the comparison; one sample
+           is one check.
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
@@ -241,16 +245,20 @@ def cyclo_cases(legdet, quick: bool) -> dict:
             ctx.cauchy
             return 1
 
-        out[f"vsemirnov_build U D cauchy p={p}"] = run_build
+        out[f"vsemirnov_build D cauchy p={p}"] = run_build
     for p in (CYCLO_QUICK_PRIME,) if quick else CYCLO_DET_PRIMES:
         def run(mat=ids.PrimeContext(p).cauchy):
             lin.det_field(mat)
             return 1
 
         out[f"det_field_cyclo cauchy p={p}"] = run
-    p = CYCLO_QUICK_PRIME if quick else U00_PRIME
+    ctx = ids.PrimeContext(CYCLO_QUICK_PRIME if quick else U00_PRIME)
+    p = ctx.p
+    g = [ctx.chi[i] * legdet.cyclotomic.zeta_pow(p, -i) for i in range(1, p.n + 1)]
+    u00 = lin.ExactMatrix(ctx.cauchy.ring, [[gi * e * gj for e, gj in zip(row, g)]
+                                            for gi, row in zip(g, ctx.cauchy.entries)])
 
-    def run_u00(mat=ids.PrimeContext(p).vsemirnov[0].submatrix(0, 0)):
+    def run_u00(mat=u00):
         lin.det_field(mat)
         return 1
 
@@ -258,6 +266,7 @@ def cyclo_cases(legdet, quick: bool) -> dict:
     for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
         ctx = ids.PrimeContext(p)
         ctx.vsemirnov
+        ctx.cauchy
         ctx.evil
 
         def run_check(ctx=ctx):

@@ -8,19 +8,22 @@ Fraction views are available through ``coeffs``.  Reduction uses
 zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 
 Outside the class, lists of elements become integer p-slot vectors over one
-denominator (clear_slots), on which multiplying by zeta^e is a rotation.
+denominator (clear_slots): Z[x]/(x^p - 1), slot t for zeta^t, in which a
+vector stands for 0 exactly when all its slots are equal.
 
-Products of integer vectors go through one kernel, _mul_vec: a product with
-a monomial c*zeta^e is a rotation of the other vector, and any other product
-is one bigint multiplication of the two vectors packed into byte-aligned
-slots (Kronecker substitution), folded mod zeta^p = 1 while still packed.
+Products go through one kernel, _mul_cyclic, on p-slot vectors: a product
+with a monomial c*zeta^e is a rotation of the other vector, and any other
+product is one bigint multiplication of the two vectors packed into
+byte-aligned slots (Kronecker substitution), folded by zeta^p = 1 while
+still packed.  CycloElem products pad their power-basis vectors to p slots
+and fold zeta^(p-1) away after (_mul_vec).
 
 Inversion uses the Galois norm: a^-1 = (prod of the conjugates sigma_k(a),
-k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute and
-fold the coefficient vector, so the whole inverse is integer convolutions.
-The conjugate product is built along the cyclic group generated by one
-primitive root, in O(log p) multiplications (an Itoh-Tsujii style chain; see
-Cohen, GTM 138, section 4.3).
+k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute
+the p slots, so the whole inverse is integer cyclic products.  The
+conjugate product is built along the cyclic group generated by one
+primitive root, in O(log p) multiplications (an Itoh-Tsujii style chain;
+see Cohen, GTM 138, section 4.3).
 """
 
 from __future__ import annotations
@@ -59,72 +62,55 @@ def _pack(vec, w: int) -> int:
     return x
 
 
-def _unpack(p: int, x: int, wb: int) -> list[int]:
-    """The folded power-basis vector of a packed plain product x, that is,
-    x = sum_g c_g 2^(w g) over the 2p-3 slots g of a product of two packed
-    vectors, w = 8 wb, with every |c_g| < 2^(w-2).
+def _mul_cyclic(p: int, a, b) -> list[int]:
+    """Product of two integer p-slot vectors in Z[x]/(x^p - 1), slot t for x^t.
 
-    A bias of 2^(w-2) added to each of the 2p-3 slots puts every slot in
-    [0, 2^(w-1)), so the biased slots are the base-2^w digits of the biased
-    x.  Slots p.. fold onto slots 0..p-4 (z^p = 1) while still packed: each
-    sum of two digits is below 2^w, so no carry crosses a slot.  Only the p
-    folded slots are decoded; they carry one bias each, two below slot
-    p-3, which go with the z^(p-1) fold.
+    Monomial path: if either operand is 0 or one term c*x^e, the other vector
+    rotated up by e and scaled by c.  Kronecker path, otherwise (von zur
+    Gathen and Gerhard, Modern Computer Algebra, section 8.4): the product
+    of the two vectors evaluated at 2^w, plus a bias of 2^(w-1) in each of
+    its low p slots, with the slots from p up folded onto those (x^p = 1)
+    while packed.  Slot bound: a slot, plain or folded, sums a_e b_f over at
+    most p pairs, so |c| <= p A B <= 2^(w-1) - 2 for A, B the largest |entry|
+    of a, b, as w - 1 >= bitlen(p) + bitlen(A) + bitlen(B).  Biased, every
+    slot lies in [2, 2^w - 2], so the low wp bits hold the biased low slots,
+    the bits above the high slots' value, and their sum the biased folded
+    slots as base-2^w digits.
     """
+    za, zb = a.count(0), b.count(0)
+    if za < zb:
+        a, b, za = b, a, zb
+    if za >= p - 1:
+        e = next(filter(a.__getitem__, range(p)), 0)
+        rot = [*b[p - e:], *b[:p - e]]
+        return rot if a[e] == 1 else [a[e] * x for x in rot]
+    wb = _slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + p.bit_length() + 1)
     w = 8 * wb
-    # the bias: byte 0x40 at the top of each of the 2p-3 slots is 2^(w-2)
-    x += int.from_bytes((bytes(wb - 1) + b"\x40") * (2 * p - 3), "little")
+    # the bias: byte 0x80 at the top of each of the p slots is 2^(w-1)
+    x = _pack(a, w) * _pack(b, w) + int.from_bytes((bytes(wb - 1) + b"\x80") * p, "little")
     x = (x & ((1 << (w * p)) - 1)) + (x >> (w * p))
     if wb in _WORDS:
         acc = memoryview(x.to_bytes(wb * p, sys.byteorder)).cast(_WORDS[wb]).tolist()
     else:
         buf = x.to_bytes(wb * p, "little")
         acc = [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * p, wb)]
-    bias = 1 << (w - 2)
-    top = acc.pop()
-    acc = [s - top - bias for s in acc]
-    acc[-1] += bias
-    acc[-2] += bias
-    return acc
+    bias = 1 << (w - 1)
+    return [s - bias for s in acc]
 
 
 def _mul_vec(p: int, a, b) -> list[int]:
-    """Product of two integer power-basis vectors of Q(zeta_p).
-
-    Monomial path: if either operand is 0 or one term c*z^e, the product is
-    the other vector, padded with a zero z^(p-1) slot, rotated up by e,
-    folded and scaled by c, with no product of two entries.
-
-    Kronecker path, otherwise (von zur Gathen and Gerhard, Modern Computer
-    Algebra, section 8.4): evaluate both vectors at 2^w, multiply the two
-    integers once and read the plain product's coefficients off as w-bit
-    slots (_unpack).  Slot bound: slot g of the plain product holds
-    sum_{e+f=g} a_e b_f, at most p - 1 terms, so |c_g| <= (p-1) A B
-    < 2^(w-2), A and B the largest |entry| of a and of b, since w is at
-    least bitlen(A) + bitlen(B) + bitlen(p-1) + 2.
-    """
-    n = p - 1
-    za, zb = a.count(0), b.count(0)
-    if za < zb:
-        a, b, za = b, a, zb
-    if za >= n - 1:
-        if za == n:
-            return [0] * n
-        e = next(filter(a.__getitem__, range(n)))
-        c = a[e]
-        acc = [*b, 0]
-        acc = _fold(acc[p - e:] + acc[:p - e])
-        return acc if c == 1 else [c * x for x in acc]
-    wb = _slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + n.bit_length() + 2)
-    return _unpack(p, _pack(a, 8 * wb) * _pack(b, 8 * wb), wb)
+    """Product of two integer power-basis vectors of Q(zeta_p): _mul_cyclic
+    on the two padded with a zero z^(p-1) slot, folded."""
+    return _fold(_mul_cyclic(p, [*a, 0], [*b, 0]))
 
 
 def _sigma_vec(p: int, a, k: int) -> list[int]:
-    """The conjugate sigma_k(a), zeta -> zeta^k, of an integer power-basis vector."""
+    """The conjugate sigma_k(a), zeta -> zeta^k, of an integer p-slot vector:
+    slot e moves to slot e k mod p."""
     acc = [0] * p
     for e, c in enumerate(a):
         acc[e * k % p] = c
-    return _fold(acc)
+    return acc
 
 
 class CycloElem:
@@ -243,24 +229,25 @@ class CycloElem:
         b_m = prod_{i<m} sigma^i(A) doubles by b_2m = b_m * sigma^m(b_m) and
         steps by b_(m+1) = b_m * sigma^m(A), where sigma^m = sigma_(g^m).
         Then c = sigma(b_(p-2)) is the product of every conjugate except A,
-        and A * c = N(A) must be a nonzero rational.
+        and A * c = N(A) must be a nonzero rational: on p slots, slot 0 less
+        the other slots, which must all be equal.
         """
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero in Q(zeta_{self.p})")
-        p, a = self.p, self.num
+        p, a = self.p, [*self.num, 0]
         g = primitive_root(p)
         b, m = a, 1
         for bit in bin(p - 2)[3:]:
-            b = _mul_vec(p, b, _sigma_vec(p, b, pow(g, m, p)))
+            b = _mul_cyclic(p, b, _sigma_vec(p, b, pow(g, m, p)))
             m *= 2
             if bit == "1":
-                b = _mul_vec(p, b, _sigma_vec(p, a, pow(g, m, p)))
+                b = _mul_cyclic(p, b, _sigma_vec(p, a, pow(g, m, p)))
                 m += 1
         c = _sigma_vec(p, b, g)
-        norm = _mul_vec(p, a, c)
-        if any(norm[1:]) or not norm[0]:
+        norm = _mul_cyclic(p, a, c)
+        if norm[2:].count(norm[1]) != p - 2 or norm[0] == norm[1]:
             raise RuntimeError(f"conjugate product of {self!r} gave a norm that is not a nonzero rational")
-        return CycloElem(p, [x * self.den for x in c], norm[0])
+        return CycloElem(p, [x * self.den for x in _fold(c)], norm[0] - norm[1])
 
     def __truediv__(self, other) -> "CycloElem":
         o = self._coerce(other)
@@ -279,9 +266,7 @@ class CycloElem:
 
 def clear_slots(elems) -> tuple[int, list[list[int]]]:
     """(den, vecs) for a list of CycloElems of one field: den the lcm of
-    their denominators, and each element times den as p integer slots, slot
-    t for zeta^t and slot p-1 zero.  Unfolded so, a vector stands for 0
-    exactly when all its slots are equal."""
+    their denominators, each element times den as p slots, slot p-1 zero."""
     den = lcm(*[e.den for e in elems])
     return den, [[c * (den // e.den) for c in (*e.num, 0)] for e in elems]
 

@@ -6,12 +6,13 @@ sides are always computed independently: determinants from the
 fraction-free Toeplitz recurrence, from fraction-free elimination, or from
 elimination modulo primes (one Proth prime over Q(zeta_p)), closed
 forms from the continued-fraction unit and form-class oracles in quadfield,
-and cyclotomic products expanded term by term in Q(zeta_p).
+and cyclotomic products as p-slot vectors of Z[x]/(x^p - 1), compared up to
+the all-ones vector.
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
 C, the packed Sun row table, n! mod p, the unit coefficients, the
-Cauchy-type matrix, and Vsemirnov's U and the diagonal of D) live on a
+Cauchy-type matrix and the diagonal of Vsemirnov's D) live on a
 PrimeContext and are computed on first use.  run_suite hands one context per
 prime to every check; a check called with a plain integer builds its own.
 
@@ -30,7 +31,7 @@ from functools import cached_property
 from itertools import combinations
 from math import prod
 
-from .cyclotomic import CycloElem, _fold, clear_slots, gauss_sum, zeta_pow
+from .cyclotomic import CycloElem, _fold, _mul_cyclic, clear_slots, zeta_pow
 from .exact import UniPoly, as_rational
 from .linalg import (
     ZZ,
@@ -85,8 +86,8 @@ class SuiteOptions:
     """Suite knobs; the caps exist because the cyclotomic checks grow fast
     with p: D and its certificate take O(p^3) slot operations, det_field
     runs (p-1)/2 eliminations of O(n^3) steps mod one prime, whose size
-    grows with the Hadamard bound, and V W V sums 2(n+1)^3 rotations of
-    p-slot vectors."""
+    grows with the Hadamard bound, W = s D U D takes about 2(n+1)^2 cyclic
+    products of p-slot vectors, and V W V sums 2(n+1)^3 rotations."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29
@@ -230,7 +231,7 @@ class PrimeContext:
         return build_cauchy_matrix(self)
 
     @cached_property
-    def vsemirnov(self) -> tuple[ExactMatrix, tuple[CycloElem, ...]]:
+    def vsemirnov(self) -> tuple[CycloElem, ...]:
         return build_vsemirnov_matrices(self)
 
 
@@ -397,66 +398,63 @@ def _times_v(p: int, vecs) -> list[list[int]]:
     return [list(map(sum, zip(*(v[-r:] + v[:-r] for v, r in zip(vecs, rs))))) for rs in shifts]
 
 
-def build_vsemirnov_matrices(p) -> tuple[ExactMatrix, tuple[CycloElem, ...]]:
-    """Vsemirnov's U over Q(zeta_p), p = 1 (mod 4), and the diagonal d of D.
-
-    u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) / (z^(-i-j) + (i/p)(j/p)),
-    d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i), 0 <= i, j <= n.  Times
-    z^(i+j)/z^(i+j), u_ij = (i/p)(j/p) z^(-i-j) E_ij for i, j >= 1, E the
-    Cauchy-type matrix, so that block is E rotated entry by entry;
-    u_0j = (j/p) z^(-j), u_i0 = (i/p) z^(-i) and u_00 = 0.  The third
-    factor, V_ij = z^(2ij), is a matrix of monomials that is never built:
-    its products are rotations (_times_v).
+def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
+    """The diagonal d of Vsemirnov's D over Q(zeta_p), p = 1 (mod 4):
+    d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i), 0 <= i <= n.  V and U
+    are never built (verify_decomposition).
 
     The nodes x_k and the z^o, o odd, 1 <= o <= p - 2, are all the p-th
     roots of unity, so prod_{k != i} (x_i - x_k) prod_o (x_i - z^o) = p / x_i
-    and d_i = (x_i / p) prod_o (x_i - z^o), with no inverse.  The returned d
-    is certified by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n:
-    d cleared to p-slot vectors, times V by _times_v (V is symmetric), each
-    entry against [j = n] up to the all-ones vector.  V is an invertible
+    and d_i = (x_i / p) prod_o (x_i - z^o), with no inverse.  d is certified
+    by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n: the raw slot
+    vectors p d_i (_d_closed_form) times V by _times_v (V is symmetric), each
+    entry against p [j = n] up to the all-ones vector.  V is an invertible
     Vandermonde, so this forces d, and a failure raises ArithmeticError.
     """
-    ctx = _context(p, need_1mod4=True)
-    p, lg = ctx.p, ctx.chi
-    n = p.n
-    edge = [lg[k] * zeta_pow(p, -k) for k in range(n + 1)]
-    urows = [edge]
-    for i, erow in enumerate(ctx.cauchy.entries, 1):
-        row = [edge[i]]
-        for j, e in enumerate(erow, 1):
-            # slot t of z^(-m) E is slot t + m of E, unfolded
-            m, acc = i + j, [*e.num, 0]
-            row.append(CycloElem(p, [lg[i] * lg[j] * c for c in _fold(acc[m:] + acc[:m])]))
-        urows.append(row)
-    u = ExactMatrix(cyclo_ring(p), urows)
-
-    d = tuple(CycloElem(p, _fold(_d_closed_form(p, i)), p) for i in range(n + 1))
-    den, vecs = clear_slots(d)
+    p = _context(p, need_1mod4=True).p
+    vecs = [_d_closed_form(p, i) for i in range(p.n + 1)]
     for j, cert in enumerate(_times_v(p, vecs)):
-        if j == n:
-            cert[0] -= den
+        if j == p.n:
+            cert[0] -= p
         if cert.count(cert[0]) != p:
             raise ArithmeticError(f"closed-form D fails V^T d = e_n at p={p}, j={j}")
-    return u, d
+    return tuple(CycloElem(p, _fold(v), p) for v in vecs)
+
+
+def _w_slots(p: int, s, delta, rows) -> list[list[list[int]]]:
+    """W_ij = s delta_i E'_ij delta_j from p-slot vectors (verify_decomposition)."""
+    sd = [_mul_cyclic(p, s, di) for di in delta]
+    return [[_mul_cyclic(p, _mul_cyclic(p, sdi, e), dj) for e, dj in zip(row, delta)] for sdi, row in zip(sd, rows)]
 
 
 def verify_decomposition(p) -> CheckResult:
     """C = legendre(2,p) * g * z^((p-1)/4) * V D U D V entrywise in Q(zeta_p),
-    with sqrt(p) realized as the Gauss sum g.  With s that scalar and D = diag(d),
-    s D U D is W_ij = (s d_i) u_ij d_j, so the right side is V W V.
+    with sqrt(p) realized as the Gauss sum g, every factor in p-slot vectors
+    of Z[x]/(x^p - 1), compared up to the all-ones vector.
 
-    W is cleared to p-slot vectors over one den (clear_slots); two passes
-    of "_times_v on each row, then transpose" give ((W V)^T V)^T = V W V,
-    as V is symmetric.  Entry (i, j) matches C_ij when it is den C_ij in
+    Times z^(i+j)/z^(i+j), u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) /
+    (z^(-i-j) + (i/p)(j/p)) is (i/p)(j/p) z^(-i-j) E_ij for i, j >= 1, E the
+    Cauchy-type matrix, and u_0j = (j/p) z^-j, u_i0 = (i/p) z^-i, u_00 = 0:
+    U = G E' G, G = diag(1, (i/p) z^-i), E' = E bordered by a zero corner
+    and ones.  So with s the scalar, s D U D is W_ij = s delta_i E'_ij
+    delta_j (_w_slots), delta_0 = d_0 and delta_i = (i/p) z^-i d_i, a
+    rotation; s is the Legendre table (g unfolded) rotated by (p-1)/4 =
+    p // 4, times (2/p).  d and E are cleared over den_d and den_e
+    (clear_slots), so W is over den = den_d^2 den_e.  V_ij = z^(2ij) is
+    never built: two passes of "_times_v on each row, then transpose" give
+    V W V, as V is symmetric.  Entry (i, j) matches when it is den C_ij in
     slot 0 up to the all-ones vector; only the entry reported, the first
     divergent one or else (0, 0), is folded into a CycloElem."""
     ctx = _context(p, need_1mod4=True)
-    p = ctx.p
-    u, d = ctx.vsemirnov
-    scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
-    sd = [scalar * di for di in d]
-    den, vecs = clear_slots([sdi * uij * dj for sdi, row in zip(sd, u.entries) for uij, dj in zip(row, d)])
-    a = [vecs[i:i + len(d)] for i in range(0, len(vecs), len(d))]
+    p, chi, n = ctx.p, ctx.chi, ctx.p.n
+    den_d, dv = clear_slots(ctx.vsemirnov)
+    den_e, ev = clear_slots([e for row in ctx.cauchy.entries for e in row])
+    # slot t of z^-i d_i is slot t + i of d_i
+    delta = [dv[0], *([chi[i] * c for c in v[i:] + v[:i]] for i, v in enumerate(dv[1:], 1))]
+    s = [chi[2] * chi[(t - p // 4) % p] for t in range(p)]
+    one = [den_e] + [0] * (p - 1)
+    rows = [[[0] * p] + [one] * n] + [[one] + ev[k:k + n] for k in range(0, n * n, n)]
+    a, den = _w_slots(p, s, delta, rows), den_d * den_d * den_e
     for _ in range(2):
         a = [list(col) for col in zip(*(_times_v(p, row) for row in a))]
     for i, (crow, arow) in enumerate(zip(ctx.evil.entries, a)):
@@ -554,11 +552,11 @@ def verify_f1f2(p) -> CheckResult:
     det[(u_i+u_j)/(1+u_i u_j)]_{1<=i,j<=n} = p b_p legendre(2,p) f1^2 f2^(-2),
     and U_00 = that value times z^(-(p-1)/4).  The left side is one det_field,
     of the certified closed-form entries E (ctx.cauchy).  U's block
-    i, j >= 1 is diag((i/p) z^-i) E diag((j/p) z^-j) by construction, so
-    det U_00 = z^(-n(n+1)) det E: the second half checks that exponent
-    against the paper's (n(n+1) = (p-1)/4 mod p), and only
-    verify_decomposition checks the block, so nothing does above a lowered
-    decomp_p_max.  The right side takes one inverse, of f2^2.
+    i, j >= 1 is diag((i/p) z^-i) E diag((j/p) z^-j), so det U_00 =
+    z^(-n(n+1)) det E: the second half checks that exponent against the
+    paper's (n(n+1) = (p-1)/4 mod p).  Only verify_decomposition reads U's
+    block, as that rotation of E's slots, so nothing checks it above a
+    lowered decomp_p_max.  The right side takes one inverse, of f2^2.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p

@@ -7,13 +7,12 @@ differences on coefficient lists, cyclotomic inversion by the extended
 Euclidean algorithm on them, adjugates from explicit cofactors by Gaussian
 elimination, the two-vector lemma's closed form in Fraction arithmetic,
 Vsemirnov's U, D and the Cauchy-type matrix by inverting their definitions,
-Vsemirnov's V, which the package never builds, and
-the kernels that faster ones
-replaced: the O(p^2) cyclotomic convolution, Gaussian elimination mod p on
-lists of lists, the entrywise cyclotomic matrix product, and Gaussian
-elimination over a field (det_gauss), which fraction-free elimination on
-integer-scaled rows replaced over QQ and images mod one Proth prime
-replaced over Q(zeta_p).
+Vsemirnov's V, which the package never builds, and naive forms of the fast
+kernels: the O(p^2) cyclic and cyclotomic convolutions, Gaussian
+elimination mod p on lists of lists, the entrywise cyclotomic matrix
+product, and Gaussian elimination over a field (det_gauss), which
+fraction-free elimination on integer-scaled rows replaced over QQ and
+images mod one Proth prime replaced over Q(zeta_p).
 
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
@@ -100,13 +99,20 @@ def cofactor_adjugate(m):
     return ExactMatrix(ZZ, [[x.numerator for x in row] for row in out])
 
 
-def convolve_cyclo(p, a, b):
-    """Product of two integer power-basis vectors of Q(zeta_p), entry by
-    entry: convolve with exponents mod p, then fold zeta^(p-1) away."""
+def convolve_cyclic(p, a, b):
+    """Product of two integer vectors of at most p slots in Z[x]/(x^p - 1),
+    entry by entry: p slots, exponents mod p."""
     acc = [0] * p
     for e, c in enumerate(a):
         for f, d in enumerate(b):
             acc[(e + f) % p] += c * d
+    return acc
+
+
+def convolve_cyclo(p, a, b):
+    """Product of two integer power-basis vectors of Q(zeta_p): the cyclic
+    product (convolve_cyclic), then zeta^(p-1) folded away."""
+    acc = convolve_cyclic(p, a, b)
     return [c - acc[-1] for c in acc[:-1]]
 
 

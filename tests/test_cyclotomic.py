@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 import legdet.cyclotomic
-from helpers import convolve_cyclo, euclid_inverse
-from legdet.cyclotomic import CycloElem, _mul_vec, gauss_sum, zeta_pow
+from helpers import convolve_cyclic, convolve_cyclo, euclid_inverse
+from legdet.cyclotomic import CycloElem, _mul_cyclic, _mul_vec, gauss_sum, zeta_pow
 from legdet.ntheory import legendre, odd_primes_upto
 
 
@@ -40,17 +40,21 @@ def test_mul_examples():
     assert prod == -zeta_pow(5, 3)
 
 
-def _rand_vec(rng, p, kind, bits):
-    """A power-basis vector of one shape, with entries up to bits bits."""
+def _rand_vec(rng, p, kind, bits, slots=None):
+    """A vector of one shape with entries up to bits bits, in the power
+    basis (p - 1 slots) or, given slots = p, in Z[x]/(x^p - 1)."""
+    k = p - 1 if slots is None else slots
     m = (1 << bits) - 1
-    v = [0] * (p - 1)
+    v = [0] * k
     if kind == "monomial":
-        v[rng.randrange(p - 1)] = rng.choice((1, -1, rng.randint(1, m) * rng.choice((1, -1))))
+        v[rng.randrange(k)] = rng.choice((1, -1, rng.randint(1, m) * rng.choice((1, -1))))
     elif kind == "sparse":
-        for e in rng.sample(range(p - 1), min(3, p - 1)):
+        for e in rng.sample(range(k), min(3, k)):
             v[e] = rng.randint(1, m) * rng.choice((1, -1))
     elif kind == "dense":
-        v = [rng.randint(-m, m) for _ in range(p - 1)]
+        v = [rng.randint(-m, m) for _ in range(k)]
+    elif kind == "constant":
+        v = [rng.randint(1, m) * rng.choice((1, -1))] * k
     return v
 
 
@@ -89,6 +93,52 @@ def test_mul_vec_slots_at_the_bound(p):
                 want = convolve_cyclo(p, a, b)
                 assert _mul_vec(p, a, b) == want == convolve_cyclo(p, b, a)
                 assert _mul_vec(p, b, a) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 59])
+def test_mul_cyclic_matches_cyclic_convolution_oracle(p):
+    """Both paths of _mul_cyclic on p-slot vectors, every pairing of operand
+    shapes (a constant vector, 0 in Q(zeta_p), included; a monomial may sit
+    in slot p-1), entries from 1 to 2000 bits and both argument orders,
+    against the O(p^2) cyclic convolution."""
+    rng = random.Random(1000 + p)
+    kinds = ("zero", "monomial", "sparse", "dense", "constant")
+    for bits in (1, 3, 40, 300, 2000):
+        for ka in kinds:
+            for kb in kinds:
+                a = _rand_vec(rng, p, ka, bits, p)
+                b = _rand_vec(rng, p, kb, rng.choice((1, 3, 40, bits)), p)
+                want = convolve_cyclic(p, a, b)
+                assert _mul_cyclic(p, a, b) == want
+                assert _mul_cyclic(p, tuple(b), tuple(a)) == want
+    for e in range(p):
+        b = _rand_vec(rng, p, "dense", 40, p)
+        for c in (1, -1, 7):
+            a = [0] * p
+            a[e] = c
+            assert _mul_cyclic(p, a, b) == _mul_cyclic(p, b, a) == convolve_cyclic(p, a, b)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 59])
+def test_mul_cyclic_slots_at_the_bound(p):
+    """All-(+-M) p-slot operands with M = 2^t - 1 make every slot of the
+    cyclic product reach the docstring bound p * M * M in size (slot p-1
+    sums p products, one more than in the folded product of _mul_vec), at
+    every slot width in play, including widths that are exactly a word or a
+    byte multiple."""
+    for t in list(range(1, 80)) + [300, 2000]:
+        m = (1 << t) - 1
+        for sa in (1, -1):
+            for sb in (1, -1):
+                a, b = [sa * m] * p, [sb * m] * p
+                want = convolve_cyclic(p, a, b)
+                assert want == [sa * sb * p * m * m] * p
+                assert _mul_cyclic(p, a, b) == want
+                # alternating signs spread the extremes over the slots
+                a = [m if (e + t) % 2 else -m for e in range(p)]
+                want = convolve_cyclic(p, a, b)
+                assert _mul_cyclic(p, a, b) == want == convolve_cyclic(p, b, a)
+                assert _mul_cyclic(p, b, a) == want
 
 
 def test_rational_embedding():

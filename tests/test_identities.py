@@ -44,6 +44,7 @@ from legdet.identities import (
 from legdet.linalg import (
     ZZ,
     ExactMatrix,
+    cyclo_ring,
     adjugate,
     det_bareiss,
     det_field,
@@ -121,15 +122,25 @@ def test_minor_antisymmetry():
         verify_minor_antisymmetry(13)
 
 
+def _u_from_cauchy(ctx):
+    """Vsemirnov's U as G E' G, built here in CycloElems from ctx.cauchy:
+    G = diag(1, (i/p) z^-i), E' = E bordered by a zero corner and ones."""
+    p, one = ctx.p, CycloElem.one(ctx.p)
+    g = [one] + [ctx.chi[i] * zeta_pow(p, -i) for i in range(1, p.n + 1)]
+    e = [[CycloElem.zero(p)] + [one] * p.n] + [[one, *row] for row in ctx.cauchy.entries]
+    return [[gi * x * gj for x, gj in zip(row, g)] for gi, row in zip(g, e)]
+
+
 def test_vsemirnov_matrix_structure():
-    """U and the diagonal d of D, with V^T d = e_n checked by entrywise
-    products with the oracle V."""
-    u, d = build_vsemirnov_matrices(5)
-    assert u.rows == u.cols == 3 and len(d) == 3 and isinstance(d, tuple)
-    assert u[0, 0].is_zero()
-    u13, d13 = build_vsemirnov_matrices(13)
+    """The diagonal d of D, with V^T d = e_n checked by entrywise products
+    with the oracle V; U, which the package never builds, is the oracle's."""
+    u = cauchy_and_u_by_inversion(5)[1]
+    d = build_vsemirnov_matrices(5)
+    assert len(u) == len(u[0]) == 3 and len(d) == 3 and isinstance(d, tuple)
+    assert u[0][0].is_zero()
+    d13 = build_vsemirnov_matrices(13)
     assert isinstance(d13, tuple) and len(d13) == 7 and all(isinstance(x, CycloElem) for x in d13)
-    ring = u13.ring
+    ring = cyclo_ring(13)
     vtd = matmul_entrywise(ExactMatrix(ring, [d13]), vsemirnov_v(13))
     assert vtd == [[ring.zero] * 6 + [ring.one]]
     # 1/d00^2 = 5 * zeta (the p=5 instance of p*zeta^(n(n+1)))
@@ -147,25 +158,36 @@ def test_decomposition_small():
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
-def test_rotations_give_v_w_v(p):
-    """_times_v on each row of W = s D U D, built as verify_decomposition
-    builds it, gives W V, and two passes of "times V, then transpose" give
-    V W V, both against entrywise products with the oracle V."""
+def test_rotations_give_v_w_v(monkeypatch, p):
+    """The slot W of verify_decomposition (from _w_slots, over den_d^2
+    den_e) is s D U D built from the oracle U and D of helpers, with the
+    Gauss sum for sqrt(p); _times_v on each row of it gives W V, and two
+    passes of "times V, then transpose" give V W V, both against entrywise
+    products with the oracle V."""
     ctx = PrimeContext(p)
-    u, d = ctx.vsemirnov
-    v = vsemirnov_v(p)
+    true_w, seen = identities._w_slots, []
+
+    def spy(*args):
+        seen.append(true_w(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(identities, "_w_slots", spy)
+    assert verify_decomposition(ctx).passed
+    (vecs,) = seen
+    den = clear_slots(ctx.vsemirnov)[0] ** 2 * clear_slots([x for row in ctx.cauchy.entries for x in row])[0]
+    ring, v = cyclo_ring(p), vsemirnov_v(p)
+    d, u = d_by_inversion(p), cauchy_and_u_by_inversion(p)[1]
     scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
-    w = [[scalar * di * uij * dj for uij, dj in zip(row, d)] for di, row in zip(d, u.entries)]
-    den, vecs = clear_slots([e for row in w for e in row])
-    k = len(d)
+    w = [[scalar * di * uij * dj for uij, dj in zip(row, d)] for di, row in zip(d, u)]
 
     def folded(rows):
         return [[CycloElem(p, _fold(x), den) for x in row] for row in rows]
 
-    wv = [identities._times_v(p, vecs[i:i + k]) for i in range(0, k * k, k)]
-    assert folded(wv) == matmul_entrywise(ExactMatrix(u.ring, w), v)
+    assert folded(vecs) == w
+    wv = [identities._times_v(p, row) for row in vecs]
+    assert folded(wv) == matmul_entrywise(ExactMatrix(ring, w), v)
     vwv = zip(*(identities._times_v(p, list(col)) for col in zip(*wv)))
-    assert folded(vwv) == matmul_entrywise(ExactMatrix(u.ring, matmul_entrywise(v, ExactMatrix(u.ring, w))), v)
+    assert folded(vwv) == matmul_entrywise(ExactMatrix(ring, matmul_entrywise(v, ExactMatrix(ring, w))), v)
 
 
 def test_lemma_uv_m1_closed_form():
@@ -312,8 +334,8 @@ def test_pair_result_length_mismatch_fails():
 def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
     """Negative control: an inverse off by a factor zeta must show as a
     failed check, not as a pass and not as an exception.  The Cauchy-type
-    matrix, U and D come from closed forms, so the inverse reaches f1f2 only
-    through 1/f2^2 on its right side."""
+    matrix and D come from closed forms and U is never built, so the inverse
+    reaches f1f2 only through 1/f2^2 on its right side."""
     true_lhs = verify_f1f2(13).lhs
     true_inv = CycloElem.inv
     monkeypatch.setattr(CycloElem, "inv", lambda a: true_inv(a) * zeta_pow(a.p, 1))
@@ -352,22 +374,25 @@ def test_corrupted_d_entry_raises(monkeypatch, k):
 
 @pytest.mark.parametrize("p", [p for p in odd_primes_upto(109) if p % 4 == 1])
 def test_closed_forms_match_inversion_oracle(p):
-    """The Cauchy-type matrix, U and D from closed forms equal their
-    definitions inverted entry by entry (helpers.cauchy_and_u_by_inversion,
+    """The Cauchy-type matrix E and D from closed forms, and U = G E' G
+    built from E as verify_decomposition reads it, equal their definitions
+    inverted entry by entry (helpers.cauchy_and_u_by_inversion,
     helpers.d_by_inversion)."""
     e, u = cauchy_and_u_by_inversion(p)
     ctx = PrimeContext(p)
     assert ctx.cauchy.entries == tuple(map(tuple, e))
-    assert ctx.vsemirnov[0].entries == tuple(map(tuple, u))
-    assert ctx.vsemirnov[1] == tuple(d_by_inversion(p))
+    assert _u_from_cauchy(ctx) == u
+    assert ctx.vsemirnov == tuple(d_by_inversion(p))
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_u00_determinant_is_rotated_cauchy_determinant(p):
     """det U_00, U without row and column 0, by det_field equals
-    z^(-(p-1)/4) det E: the identity verify_f1f2 reads its second half by."""
+    z^(-(p-1)/4) det E: the identity verify_f1f2 reads its second half by.
+    U is the oracle's (helpers.cauchy_and_u_by_inversion)."""
     ctx = PrimeContext(p)
-    u00 = det_field(ctx.vsemirnov[0].submatrix(0, 0))
+    u = cauchy_and_u_by_inversion(p)[1]
+    u00 = det_field(ExactMatrix(cyclo_ring(p), [row[1:] for row in u[1:]]))
     assert u00 == zeta_pow(p, -(p - 1) // 4) * det_field(ctx.cauchy)
 
 
@@ -402,10 +427,9 @@ def test_doubled_diagonal_entry_fails_decomposition(monkeypatch, k):
     true_build = identities.build_vsemirnov_matrices
 
     def doubled(p):
-        u, d = true_build(p)
-        d = list(d)
+        d = list(true_build(p))
         d[k] = 2 * d[k]
-        return u, tuple(d)
+        return tuple(d)
 
     monkeypatch.setattr(identities, "build_vsemirnov_matrices", doubled)
     r = verify_decomposition(13)
@@ -420,7 +444,7 @@ def test_corrupted_v_w_v_entry_fails_decomposition(monkeypatch, delta, passed):
     decomposition at that entry, the earlier entries still matching; off
     by the all-ones vector, which is 0 in Q(zeta_p), it passes."""
     ctx = PrimeContext(13)
-    k = len(ctx.vsemirnov[1])
+    k = len(ctx.vsemirnov)
     true_times_v = identities._times_v
     calls = []
 
@@ -660,6 +684,28 @@ def test_wrong_symbol_fails_prod_2j_and_d00_detg(monkeypatch):
         assert r.passed is False and r.lhs != r.rhs
 
 
+@pytest.mark.parametrize("fault, entry", [("delta_rotated_up", (0, 6)), ("corner_one", (0, 0))],
+                         ids=["delta_rotated_up", "corner_one"])
+def test_wrong_w_factor_fails_decomposition(monkeypatch, fault, entry):
+    """Negative controls for W = s delta_i E'_ij delta_j at p = 13: each
+    delta_i, i >= 1, rotated by +i from d_i instead of -i, or the zero
+    corner of E' set to one, fails the decomposition, which names the first
+    divergent entry in row-major order."""
+    true_w = identities._w_slots
+
+    def faulty(p, s, delta, rows):
+        if fault == "delta_rotated_up":
+            delta = [delta[0], *(v[-2 * i:] + v[:-2 * i] for i, v in enumerate(delta[1:], 1))]
+        else:
+            rows = [[rows[0][1], *rows[0][1:]], *rows[1:]]
+        return true_w(p, s, delta, rows)
+
+    monkeypatch.setattr(identities, "_w_slots", faulty)
+    r = verify_decomposition(13)
+    assert r.passed is False and r.lhs != r.rhs
+    assert r.detail == f"first divergent entry (i, j) = {entry}"
+
+
 def test_wrong_determinant_fails_lemma_uv(monkeypatch):
     monkeypatch.setattr(identities, "det_fractions", lambda rows: det_fractions(rows) + 1)
     r = verify_lemma_uv(2, [Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 2), Fraction(1, 3)])
@@ -668,7 +714,7 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     """One context per prime: C(1) with the columns of adj(C + J), C(-1),
-    a_p/b_p, n! mod p, the Cauchy-type matrix and Vsemirnov's U, V, D are
+    a_p/b_p, n! mod p, the Cauchy-type matrix and Vsemirnov's D are
     each computed once, however many checks read them.  The certified adjugate of C reads the one C + J
     run, so the suite calls neither det_bareiss nor the Gauss-Jordan
     adjugate.  c_polynomial takes det C, det(C + J) and det(C - J) densely
