@@ -43,6 +43,10 @@ Cases:
            built (and U, in checkouts that still build it), so the sample
            is the right side V (s D U D) V and the comparison; one sample
            is one check.
+  cyclo_products  identities.verify_prod_2j, verify_lemma_sum and
+           verify_d00_detG, the product checks that take no determinant,
+           at p = 29 and 53 on a fresh context given the prime's unit data
+           (ctx.unit), built once; one sample is the three checks.
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
@@ -65,7 +69,8 @@ writes it there.  The committed BENCH_kernels.json holds the run made with
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its C +- J case
 is at p = 61, its det_field and lemma_uv cases at m = 3, and its
-vsemirnov_build, det_field_cyclo and decomposition cases at p = 13.
+vsemirnov_build, det_field_cyclo, decomposition and cyclo_products cases
+at p = 13.
 """
 
 from __future__ import annotations
@@ -254,7 +259,7 @@ def cyclo_cases(legdet, quick: bool) -> dict:
         out[f"det_field_cyclo cauchy p={p}"] = run
     ctx = ids.PrimeContext(CYCLO_QUICK_PRIME if quick else U00_PRIME)
     p = ctx.p
-    g = [ctx.chi[i] * legdet.cyclotomic.zeta_pow(p, -i) for i in range(1, p.n + 1)]
+    g = [legdet.cyclotomic.zeta_pow(p, -i) * ctx.chi[i] for i in range(1, p.n + 1)]
     u00 = lin.ExactMatrix(ctx.cauchy.ring, [[gi * e * gj for e, gj in zip(row, g)]
                                             for gi, row in zip(g, ctx.cauchy.entries)])
 
@@ -277,6 +282,25 @@ def cyclo_cases(legdet, quick: bool) -> dict:
     return out
 
 
+def cyclo_product_cases(legdet, quick: bool) -> dict:
+    """The three product checks on a fresh context per sample, handed the
+    unit data computed once, so a sample times the products and not the
+    continued fraction behind b_p."""
+    ids = legdet.identities
+    out = {}
+    for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
+        def run(p=p, unit=ids.PrimeContext(p).unit):
+            ctx = ids.PrimeContext(p)
+            ctx.unit = unit
+            ids.verify_prod_2j(ctx)
+            ids.verify_lemma_sum(ctx)
+            ids.verify_d00_detG(ctx)
+            return 1
+
+        out[f"cyclo_products p={p}"] = run
+    return out
+
+
 def child(src: Path, quick: bool) -> int:
     """Build every case on legdet from src, run each once untimed, print
     their names as one JSON line, then print one JSON line of seconds per
@@ -289,7 +313,7 @@ def child(src: Path, quick: bool) -> int:
 
     cases = {}
     for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, toeplitz_cases,
-                  det_field_cases, cyclo_cases):
+                  det_field_cases, cyclo_cases, cyclo_product_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():
         run()

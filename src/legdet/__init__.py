@@ -8,7 +8,7 @@ closed form inside the cyclotomic field Q(zeta_p).  Everything is integer or
 rational arithmetic; there is no floating point and no tolerance.
 """
 
-from .cyclotomic import CycloElem, gauss_sum, zeta_pow
+from .cyclotomic import CycloElem, zeta_pow
 from .exact import UniPoly, as_rational
 from .identities import (
     CheckResult,
@@ -77,7 +77,6 @@ __all__ = [
     "det_toeplitz",
     "factorial_mod",
     "fundamental_unit",
-    "gauss_sum",
     "is_prime",
     "legendre",
     "odd_primes_upto",

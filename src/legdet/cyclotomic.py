@@ -1,22 +1,26 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_p) for odd primes p.
+"""Exact values of the cyclotomic field Q(zeta_p), odd primes p, and the
+integer kernels that compute them.
 
-Elements are held in the power basis 1, zeta, ..., zeta^(p-2), which makes
-equality a plain vector comparison.  Internally the rational coefficient
-vector is stored as an integer vector over one positive common denominator,
-normalized so the gcd of all entries and the denominator is 1; per-basis
-Fraction views are available through ``coeffs``.  Reduction uses
-zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
-
-Outside the class, lists of elements become integer p-slot vectors over one
-denominator (clear_slots): Z[x]/(x^p - 1), slot t for zeta^t, in which a
-vector stands for 0 exactly when all its slots are equal.
+Every computation runs on integer p-slot vectors: Z[x]/(x^p - 1), slot t
+for zeta^t, in which a vector stands for 0 exactly when all its slots are
+equal.  Lists of CycloElems become such vectors over one denominator
+(clear_slots).
 
 Products go through one kernel, _mul_cyclic, on p-slot vectors: a product
 with a monomial c*zeta^e is a rotation of the other vector, and any other
 product is one bigint multiplication of the two vectors packed into
 byte-aligned slots (Kronecker substitution), folded by zeta^p = 1 while
-still packed.  CycloElem products pad their power-basis vectors to p slots
-and fold zeta^(p-1) away after (_mul_vec).
+still packed.
+
+CycloElem is the value a check reports: the power-basis coefficients of
+1, zeta, ..., zeta^(p-2) as an integer vector over one positive common
+denominator, normalized so the gcd of all entries and the denominator is 1,
+which makes == a plain vector comparison; coeffs gives Fraction views and
+str the canonical rendering.  A p-slot vector becomes one by folding slot
+p-1 away with zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)) (_fold).  Its *
+and inv remain only for the right side of the f1f2 check, c f1^2 (f2^2)^-1
+and its two monomial factors: a product pads the two power-basis vectors to
+p slots and folds after (_mul_vec).
 
 Inversion uses the Galois norm: a^-1 = (prod of the conjugates sigma_k(a),
 k != 1) / N(a).  The automorphisms sigma_k: zeta -> zeta^k only permute
@@ -34,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .exact import as_rational
-from .ntheory import OddPrime, legendre, primitive_root
+from .ntheory import OddPrime, primitive_root
 
 
 # struct codes of the unsigned machine words, by size in bytes
@@ -155,13 +159,6 @@ class CycloElem:
         num[0] = r.numerator
         return cls(p, num, r.denominator)
 
-    @classmethod
-    def from_coeffs(cls, p: int, coeffs) -> "CycloElem":
-        """Build from a vector of rationals in the power basis."""
-        fr = [as_rational(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in fr))
-        return cls(p, [c.numerator * (den // c.denominator) for c in fr], den)
-
     # -- views ------------------------------------------------------------
 
     @property
@@ -171,7 +168,7 @@ class CycloElem:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    # -- ring operations --------------------------------------------------
+    # -- comparison and the right side of f1f2 --------------------------
 
     def _coerce(self, other) -> "CycloElem | None":
         if isinstance(other, CycloElem):
@@ -189,38 +186,16 @@ class CycloElem:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
+        # a rational element equals its int or Fraction, so it hashes as one
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash((self.p, self.num, self.den))
-
-    def __neg__(self) -> "CycloElem":
-        return CycloElem(self.p, [-c for c in self.num], self.den)
-
-    def __add__(self, other) -> "CycloElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        g = gcd(self.den, o.den)
-        ls, lo = o.den // g, self.den // g
-        num = [a * ls + b * lo for a, b in zip(self.num, o.num)]
-        return CycloElem(self.p, num, self.den * ls)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CycloElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "CycloElem":
-        return (-self) + other
 
     def __mul__(self, other) -> "CycloElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return CycloElem(self.p, _mul_vec(self.p, self.num, o.num), self.den * o.den)
-
-    __rmul__ = __mul__
 
     def inv(self) -> "CycloElem":
         """Multiplicative inverse as (product of the other conjugates) / norm.
@@ -249,12 +224,6 @@ class CycloElem:
             raise RuntimeError(f"conjugate product of {self!r} gave a norm that is not a nonzero rational")
         return CycloElem(p, [x * self.den for x in _fold(c)], norm[0] - norm[1])
 
-    def __truediv__(self, other) -> "CycloElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
     def __repr__(self) -> str:
         return f"CycloElem(p={self.p}, {self!s})"
 
@@ -278,16 +247,3 @@ def zeta_pow(p: int, k: int) -> CycloElem:
     acc[k % p] = 1
     return CycloElem(p, _fold(acc))
 
-
-def gauss_sum(p: int) -> CycloElem:
-    """The quadratic Gauss sum g = sum of (k/p) zeta^k over k = 1..p-1.
-
-    For p = 1 (mod 4) it satisfies g*g = p, and under zeta = e^(2 pi i / p)
-    it is the positive square root of p, so it serves as the exact in-field
-    sqrt(p) wherever the matrix decomposition needs one.
-    """
-    p = OddPrime(p)
-    if p.mod4 != 1:
-        raise ValueError(f"p = {p} is 3 (mod 4); the sum squares to -p there")
-    # (0/p) = 0 fills the k = 0 slot
-    return CycloElem(p, _fold([legendre(k, p) for k in range(p)]))

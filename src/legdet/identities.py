@@ -7,7 +7,8 @@ fraction-free Toeplitz recurrence, from fraction-free elimination, or from
 elimination modulo primes (one Proth prime over Q(zeta_p)), closed
 forms from the continued-fraction unit and form-class oracles in quadfield,
 and cyclotomic products as p-slot vectors of Z[x]/(x^p - 1), compared up to
-the all-ones vector.
+the all-ones vector: a product of binomials c z^a + d z^b by rotations
+(_binomials), and only the value a check reports as a CycloElem (_scaled).
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
@@ -219,12 +220,6 @@ class PrimeContext:
     @cached_property
     def unit(self) -> UnitData:
         return ab_coeffs(self.p)
-
-    @cached_property
-    def u(self) -> list[CycloElem]:
-        """u[j - 1] = (j/p) z^j for 1 <= j <= n, the factors of the signed-sum
-        lemma, of det G and of the Cauchy determinant."""
-        return [self.chi[j] * zeta_pow(self.p, j) for j in range(1, self.p.n + 1)]
 
     @cached_property
     def cauchy(self) -> ExactMatrix:
@@ -509,26 +504,44 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
     return _result("lemma_uv", None, lhs, rhs)
 
 
+def _binomials(p: int, terms) -> list[int]:
+    """prod (c z^a + d z^b) over the (c, a, d, b) of terms, as an integer
+    p-slot vector; 1 for no terms.  Rotation rule: slot t of z^a v is slot
+    t - a (mod p) of v, so each factor takes two rotations and one add,
+    exponents of any sign reduced mod p; d = 0 makes a monomial factor."""
+    acc = [1] + [0] * (p - 1)
+    for c, a, d, b in terms:
+        a, b = a % p, b % p
+        acc = [c * x + d * y for x, y in zip(acc[-a:] + acc[:-a], acc[-b:] + acc[:-b])]
+    return acc
+
+
+def _scaled(p: int, v, r=1) -> CycloElem:
+    """r v for an integer p-slot vector v and a rational r, as the CycloElem
+    a check reports."""
+    r = as_rational(r)
+    return CycloElem(p, [r.numerator * c for c in _fold(v)], r.denominator)
+
+
 def verify_lemma_sum(p) -> CheckResult:
     """(prod(1+(j/p)z^j)^2 + prod(1-(j/p)z^j)^2) / 2 = (-1)^(n/2) z^(n(n+1)/2) b_p p."""
     ctx = _context(p, need_1mod4=True)
-    p = ctx.p
-    n = p.n
-    plus = prod((1 + t for t in ctx.u), start=CycloElem.one(p))
-    minus = prod((1 - t for t in ctx.u), start=CycloElem.one(p))
-    lhs = (plus * plus + minus * minus) * Fraction(1, 2)
+    p, chi, n = ctx.p, ctx.chi, ctx.p.n
+    plus = _binomials(p, [(1, 0, chi[j], j) for j in range(1, n + 1)])
+    minus = _binomials(p, [(1, 0, -chi[j], j) for j in range(1, n + 1)])
+    squares = zip(_mul_cyclic(p, plus, plus), _mul_cyclic(p, minus, minus))
+    lhs = _scaled(p, [x + y for x, y in squares], Fraction(1, 2))
     sign = -1 if (n // 2) % 2 else 1
-    rhs = zeta_pow(p, n * (n + 1) // 2) * (sign * p * ctx.unit.b)
+    rhs = _scaled(p, _binomials(p, [(1, n * (n + 1) // 2, 0, 0)]), sign * p * ctx.unit.b)
     return _result("lemma_sum", p, lhs, rhs)
 
 
 def verify_prod_2j(p) -> CheckResult:
     """prod_{j=1..n} (1 + z^(2j)) = z^(n(n+1)/2) * legendre(2,p), any odd p."""
     ctx = _context(p)
-    p = ctx.p
-    n = p.n
-    lhs = prod((1 + zeta_pow(p, 2 * j) for j in range(1, n + 1)), start=CycloElem.one(p))
-    rhs = zeta_pow(p, n * (n + 1) // 2) * ctx.chi[2]
+    p, n = ctx.p, ctx.p.n
+    lhs = _scaled(p, _binomials(p, [(1, 0, 1, 2 * j) for j in range(1, n + 1)]))
+    rhs = _scaled(p, _binomials(p, [(1, n * (n + 1) // 2, 0, 0)]), ctx.chi[2])
     return _result("prod_2j", p, lhs, rhs)
 
 
@@ -536,12 +549,11 @@ def verify_d00_detG(p) -> CheckResult:
     """Two product evaluations behind the decomposition, jointly:
     1/d_00^2 = p z^(n(n+1)) and (prod (j/p) z^j)^2 = z^((p^2-1)/4)."""
     ctx = _context(p, need_1mod4=True)
-    p = ctx.p
-    n = p.n
-    inv_d00 = prod((1 - zeta_pow(p, 2 * k) for k in range(1, n + 1)), start=CycloElem.one(p))
-    det_g = prod(ctx.u, start=CycloElem.one(p))
-    lhs = (inv_d00 * inv_d00, det_g * det_g)
-    rhs = (zeta_pow(p, n * (n + 1)) * p, zeta_pow(p, (p * p - 1) // 4))
+    p, n = ctx.p, ctx.p.n
+    inv_d00 = _binomials(p, [(1, 0, -1, 2 * k) for k in range(1, n + 1)])
+    det_g = _binomials(p, [(ctx.chi[j], j, 0, 0) for j in range(1, n + 1)])
+    lhs = (_scaled(p, _mul_cyclic(p, inv_d00, inv_d00)), _scaled(p, _mul_cyclic(p, det_g, det_g)))
+    rhs = (_scaled(p, _binomials(p, [(1, n * (n + 1), 0, 0)]), p), zeta_pow(p, (p * p - 1) // 4))
     return _result("d00_detg", p, lhs, rhs)
 
 
@@ -556,14 +568,15 @@ def verify_f1f2(p) -> CheckResult:
     z^(-n(n+1)) det E: the second half checks that exponent against the
     paper's (n(n+1) = (p-1)/4 mod p).  Only verify_decomposition reads U's
     block, as that rotation of E's slots, so nothing checks it above a
-    lowered decomp_p_max.  The right side takes one inverse, of f2^2.
+    lowered decomp_p_max.  f1 and f2 are slot vectors (_binomials); the
+    right side takes one inverse, of f2^2.
     """
     ctx = _context(p, need_1mod4=True)
-    p = ctx.p
-    u = ctx.u
-    f1 = prod((uj - ui for ui, uj in combinations(u, 2)), start=CycloElem.one(p))
-    f2 = prod((1 + uj * ui for ui, uj in combinations(u, 2)), start=CycloElem.one(p))
-    base = (ctx.chi[2] * p * ctx.unit.b) * f1 * f1 * (f2 * f2).inv()
+    p, chi = ctx.p, ctx.chi
+    pairs = list(combinations(range(1, p.n + 1), 2))
+    f1 = _binomials(p, [(chi[j], j, -chi[i], i) for i, j in pairs])
+    f2 = _binomials(p, [(1, 0, chi[i] * chi[j], i + j) for i, j in pairs])
+    base = _scaled(p, _mul_cyclic(p, f1, f1), chi[2] * p * ctx.unit.b) * _scaled(p, _mul_cyclic(p, f2, f2)).inv()
     det_e = det_field(ctx.cauchy)
     lhs = (det_e, det_e * zeta_pow(p, -p.n * (p.n + 1)))
     rhs = (base, base * zeta_pow(p, -(p - 1) // 4))

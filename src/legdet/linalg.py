@@ -1,8 +1,8 @@
 """Dense exact matrices over ZZ, QQ and Q(zeta_p), with every kernel on integers.
 
 A matrix carries a ``Ring``, its name and zero and one elements: ZZ, QQ or
-Q(zeta_p) (cyclo_ring).  Entries are ints, Fractions or CycloElems with
-their own +, -, * and ==, which is all the plain matrix product uses.  The
+Q(zeta_p) (cyclo_ring).  Entries are ints, Fractions or CycloElems; the
+plain matrix product needs entries with +, which CycloElem lacks.  The
 kernels dispatch on the ring: det_bareiss, adjugate and det_mod_p take ZZ
 alone and raise ValueError naming any other, and det_field takes QQ and
 Q(zeta_p) alone.

@@ -14,6 +14,12 @@ product, and Gaussian elimination over a field (det_gauss), which
 fraction-free elimination on integer-scaled rows replaced over QQ and
 images mod one Proth prime replaced over Q(zeta_p).
 
+The ring arithmetic of Q(zeta_p) lives here too, as Cyclo: the package
+multiplies binomials as p-slot vectors and reports a CycloElem, which has
+no +, - or /, so naive_det, det_gauss, matmul_entrywise, the inversion
+builds, parse_cyclo and the tests that build values by hand compute with
+Cyclo, along with zeta (zeta^k) and gauss_sum.
+
 The inverse parsers of legdet.render's canonical forms also live here, as
 the round-trip oracle for report strings: parse_rational, parse_poly,
 parse_cyclo, parse_quad and the dispatching parse_value (cyclotomic values,
@@ -23,18 +29,93 @@ and quadratic ones with no sqrt(...) part, need the field index p).
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 
-from legdet.cyclotomic import CycloElem, zeta_pow
-from legdet.exact import UniPoly
+from legdet.cyclotomic import CycloElem, _fold, _mul_vec, zeta_pow
+from legdet.exact import UniPoly, as_rational
 from legdet.linalg import ZZ, ExactMatrix, cyclo_ring
 from legdet.ntheory import legendre
 from legdet.quadfield import QuadElem
 
 
+class Cyclo(CycloElem):
+    """An element of Q(zeta_p) with ring arithmetic, the oracle's: a
+    CycloElem, so ==, hash, coeffs, rendering and the Galois-norm inv are
+    the package's, plus + - neg * / on its normalized integer vector over
+    one denominator.  An int or a Fraction operand is coerced as a
+    rational, a CycloElem one is taken as it is, and every result is a
+    Cyclo.  Products go through the package's _mul_vec, which its own tests
+    hold against convolve_cyclo; a / b is a * b.inv(), and inv is
+    CycloElem.inv looked up at call time, so a test that patches it reaches
+    the oracle too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, e: CycloElem) -> "Cyclo":
+        return cls(e.p, e.num, e.den)
+
+    @classmethod
+    def from_coeffs(cls, p, coeffs) -> "Cyclo":
+        """Build from a vector of rationals in the power basis."""
+        fr = [as_rational(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fr))
+        return cls(p, [c.numerator * (den // c.denominator) for c in fr], den)
+
+    def __neg__(self):
+        return Cyclo(self.p, [-c for c in self.num], self.den)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Cyclo(self.p, [a * o.den + b * self.den for a, b in zip(self.num, o.num)], self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + -Cyclo.of(o)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return Cyclo(self.p, _mul_vec(self.p, self.num, o.num), self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        return Cyclo.of(super().inv())
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * Cyclo.of(o).inv()
+
+
+def zeta(p, k):
+    """zeta^k as a Cyclo; k may be any integer (reduced mod p)."""
+    return Cyclo.of(zeta_pow(p, k))
+
+
+def gauss_sum(p):
+    """The quadratic Gauss sum g = sum of (k/p) zeta^k over k = 1..p-1, a
+    Cyclo, for p = 1 (mod 4); there g*g = p, and under zeta = e^(2 pi i / p)
+    g is the positive square root of p, the sqrt(p) of the decomposition."""
+    if p % 4 != 1:
+        raise ValueError(f"p = {p} is 3 (mod 4); the sum squares to -p there")
+    # (0/p) = 0 fills the k = 0 slot
+    return Cyclo(p, _fold([legendre(k, p) for k in range(p)]))
+
+
 def naive_det(rows):
     """Cofactor expansion along the first row over any ring whose elements
-    carry +, - and *; exponential, sizes <= 6 only."""
+    carry +, - and *, CycloElems taken as Cyclos; exponential, sizes <= 6
+    only."""
+    rows = [[Cyclo.of(x) if isinstance(x, CycloElem) else x for x in row] for row in rows]
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -51,8 +132,9 @@ def det_gauss(rows):
     wherever a pivot is zero: the kernel that integer routes replaced in the
     package, over QQ and over Q(zeta_p).  Integer and rational entries are
     taken as Fractions, and their determinant is always a Fraction;
-    CycloElem entries divide through CycloElem.inv."""
-    a = [[x if isinstance(x, CycloElem) else Fraction(x) for x in row] for row in rows]
+    CycloElem entries are taken as Cyclos, which divide through
+    CycloElem.inv."""
+    a = [[Cyclo.of(x) if isinstance(x, CycloElem) else Fraction(x) for x in row] for row in rows]
     k = len(a)
     det = Fraction(1)
     for c in range(k):
@@ -71,12 +153,12 @@ def det_gauss(rows):
 
 def matmul_entrywise(a, b):
     """The entries of a @ b for two ExactMatrix over Q(zeta_p), each a sum
-    of CycloElems whose products come from convolve_cyclo."""
+    of Cyclos whose products come from convolve_cyclo."""
     p = a.ring.zero.p
     out = []
     for row in a.entries:
-        out.append([sum((CycloElem(p, convolve_cyclo(p, x.num, y.num), x.den * y.den)
-                         for x, y in zip(row, col)), start=a.ring.zero)
+        out.append([sum((Cyclo(p, convolve_cyclo(p, x.num, y.num), x.den * y.den)
+                         for x, y in zip(row, col)), start=Cyclo.zero(p))
                     for col in zip(*b.entries)])
     return out
 
@@ -234,7 +316,7 @@ def euclid_inverse(a):
     # r0 is a nonzero constant: the cyclotomic polynomial is irreducible
     if len(r0) != 1:
         raise RuntimeError("gcd with the cyclotomic polynomial is not constant")
-    return CycloElem.from_coeffs(p, [(t0[k] if k < len(t0) else 0) / r0[0] for k in range(p - 1)])
+    return Cyclo.from_coeffs(p, [(t0[k] if k < len(t0) else 0) / r0[0] for k in range(p - 1)])
 
 
 def cauchy_and_u_by_inversion(p):
@@ -253,10 +335,10 @@ def cauchy_and_u_by_inversion(p):
 
     n = (p - 1) // 2
     lg = [legendre(k, p) for k in range(n + 1)]
-    a = [lg[k] * zeta_pow(p, k) for k in range(n + 1)]
+    a = [lg[k] * zeta(p, k) for k in range(n + 1)]
     e = [[div(a[i] + a[j], 1 + a[i] * a[j]) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    u = [[div(lg[i] * zeta_pow(p, -j - 2 * i) + lg[j] * zeta_pow(p, -2 * j - i),
-              zeta_pow(p, -i - j) + lg[i] * lg[j]) for j in range(n + 1)] for i in range(n + 1)]
+    u = [[div(lg[i] * zeta(p, -j - 2 * i) + lg[j] * zeta(p, -2 * j - i),
+              zeta(p, -i - j) + lg[i] * lg[j]) for j in range(n + 1)] for i in range(n + 1)]
     return e, u
 
 
@@ -269,8 +351,8 @@ def d_by_inversion(p):
     """Vsemirnov's D as its diagonal, d_i = CycloElem.inv of
     prod_{k != i} (z^(2i) - z^(2k)), 0 <= i <= n: the Galois-norm build that
     the closed form replaced in the package."""
-    powers = [zeta_pow(p, 2 * k) for k in range((p - 1) // 2 + 1)]
-    return [prod((x - y for y in powers if y != x), start=CycloElem.one(p)).inv() for x in powers]
+    powers = [zeta(p, 2 * k) for k in range((p - 1) // 2 + 1)]
+    return [prod((x - y for y in powers if y != x), start=Cyclo.one(p)).inv() for x in powers]
 
 
 def parse_rational(s: str) -> Fraction:
@@ -324,7 +406,7 @@ def parse_poly(s: str) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def parse_cyclo(s: str, p: int) -> CycloElem:
+def parse_cyclo(s: str, p: int) -> Cyclo:
     acc: dict[int, Fraction] = {}
     for sign, term in _split_terms(s):
         c, e = _parse_term(term, "z")
@@ -332,7 +414,7 @@ def parse_cyclo(s: str, p: int) -> CycloElem:
             raise ValueError(f"exponent {e} outside the power basis for p={p}")
         acc[e] = acc.get(e, Fraction(0)) + sign * c
     vec = [acc.get(k, Fraction(0)) for k in range(p - 1)]
-    return CycloElem.from_coeffs(p, vec)
+    return Cyclo.from_coeffs(p, vec)
 
 
 def parse_quad(s: str, p: int | None = None) -> QuadElem:

@@ -126,6 +126,21 @@ def test_report_golden_digests(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_product_checks_above_the_cyclo_cap_golden():
+    """The product checks past the default cyclo_p_max of 29, which the
+    pmax-60 golden stops at: the 41 rows named prod_2j, lemma_sum, d00_detg
+    and f1f2_u00 of run_suite(61) with the cap at 61 and no decomposition,
+    emitted as JSON with the suite's config and elapsed_seconds 0.0."""
+    report = identities.run_suite(61, identities.SuiteOptions(cyclo_p_max=61, decomp_p_max=0, uv_trials=1, seed=0))
+    rows = tuple(c for c in report.checks if c.name in ("prod_2j", "lemma_sum", "d00_detg", "f1f2_u00"))
+    assert len(rows) == 41
+    out = io.StringIO()
+    cli.emit_report(VerificationReport(rows, report.config, 0.0), "json", out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "7c8b41cf5c48a5cf6034d43073a9d730e83e9ca136d88a32abc1605b8691b88c"
+    )
+
+
 def test_verify_json_deterministic():
     args = ("verify", "--pmax", "13", "--seed", "42", "--format", "json")
     a = run_cli(*args)

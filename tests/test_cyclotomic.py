@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 import legdet.cyclotomic
-from helpers import convolve_cyclic, convolve_cyclo, euclid_inverse
-from legdet.cyclotomic import CycloElem, _mul_cyclic, _mul_vec, gauss_sum, zeta_pow
+from helpers import Cyclo, convolve_cyclic, convolve_cyclo, euclid_inverse, gauss_sum, zeta
+from legdet.cyclotomic import CycloElem, _mul_cyclic, _mul_vec, zeta_pow
 from legdet.ntheory import legendre, odd_primes_upto
 
 
 def rand_elem(rng, p):
-    return CycloElem.from_coeffs(
+    return Cyclo.from_coeffs(
         p, [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(p - 1)]
     )
 
@@ -27,17 +27,17 @@ def test_zeta_pow_basics():
 
 def test_vanishing_sum_and_root_of_unity():
     for p in (3, 5, 7, 13):
-        total = CycloElem.zero(p)
+        total = Cyclo.zero(p)
         for k in range(p):
             total = total + zeta_pow(p, k)
         assert total.is_zero()
-        assert math.prod([zeta_pow(p, 1)] * p) == CycloElem.one(p)
+        assert math.prod([zeta(p, 1)] * p) == CycloElem.one(p)
 
 
 def test_mul_examples():
     assert zeta_pow(5, 1) * zeta_pow(5, 4) == CycloElem.one(5)
-    prod = (1 + zeta_pow(5, 2)) * (1 + zeta_pow(5, 4))
-    assert prod == -zeta_pow(5, 3)
+    prod = (1 + zeta(5, 2)) * (1 + zeta(5, 4))
+    assert prod == -zeta(5, 3)
 
 
 def _rand_vec(rng, p, kind, bits, slots=None):
@@ -142,32 +142,35 @@ def test_mul_cyclic_slots_at_the_bound(p):
 
 
 def test_rational_embedding():
-    half = CycloElem.from_rational(5, Fraction(1, 2))
+    half = Cyclo.from_rational(5, Fraction(1, 2))
     assert half.coeffs == (Fraction(1, 2), 0, 0, 0)
     assert (half + half) == CycloElem.one(5)
 
 
 def test_constructors_reject_inexact_input():
     """A float, str or Decimal is not read as a nearby rational (0.1 as
-    3602879701896397/36028797018963968); ints and Fractions still build the
-    reduced element."""
+    3602879701896397/36028797018963968), by the package's from_rational or
+    the oracle's from_coeffs; ints and Fractions still build the reduced
+    element."""
     for bad in (0.1, "1/3", Decimal("0.5")):
         with pytest.raises(TypeError, match="exact rational"):
             CycloElem.from_rational(5, bad)
     with pytest.raises(TypeError, match="exact rational"):
-        CycloElem.from_coeffs(5, [0.5, 0, 0, 0])
+        Cyclo.from_coeffs(5, [0.5, 0, 0, 0])
     third = CycloElem.from_rational(5, Fraction(-2, 6))
     assert (third.num, third.den) == ((-1, 0, 0, 0), 3)
     assert CycloElem.from_rational(5, 4) == CycloElem(5, [4, 0, 0, 0])
-    e = CycloElem.from_coeffs(5, [Fraction(1, 2), Fraction(1, 3), 0, -1])
+    e = Cyclo.from_coeffs(5, [Fraction(1, 2), Fraction(1, 3), 0, -1])
     assert (e.num, e.den) == ((3, 2, 0, -6), 6)
 
 
 def test_mixed_p_rejected():
     with pytest.raises(ValueError):
-        zeta_pow(5, 1) + zeta_pow(7, 1)
+        zeta_pow(5, 1) == zeta_pow(7, 1)
     with pytest.raises(ValueError):
         zeta_pow(5, 1) * zeta_pow(7, 1)
+    with pytest.raises(ValueError):
+        zeta(5, 1) + zeta_pow(7, 1)
 
 
 def test_ring_laws_randomized():
@@ -207,13 +210,13 @@ def test_inverse_matches_euclid_oracle():
         # large coefficients; Euclid over Fractions is too slow for them beyond p = 13
         if p <= 13:
             elems += [
-                CycloElem.from_coeffs(
+                Cyclo.from_coeffs(
                     p, [Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**15)) for _ in range(p - 1)]
                 )
                 for _ in range(2)
             ]
         # the units 1 + zeta^k, of norm 1
-        elems += [1 + zeta_pow(p, rng.randrange(1, p)) for _ in range(3)]
+        elems += [1 + zeta(p, rng.randrange(1, p)) for _ in range(3)]
         for a in elems:
             if a.is_zero():
                 continue
@@ -232,11 +235,11 @@ def test_inverse_rejects_a_product_that_is_not_the_norm(monkeypatch):
     # wrong conjugates and A * c is not rational
     monkeypatch.setattr(legdet.cyclotomic, "primitive_root", lambda p: p - 1)
     with pytest.raises(RuntimeError):
-        (1 + 2 * zeta_pow(7, 1)).inv()
+        (1 + 2 * zeta(7, 1)).inv()
 
 
 def test_pow_and_division():
-    a = 1 + zeta_pow(7, 3)
+    a = 1 + zeta(7, 3)
     assert math.prod([a] * 3) / a == a * a
     assert (a * a).inv() == a.inv() * a.inv()
     assert (a / a) == CycloElem.one(7)
@@ -248,13 +251,13 @@ def test_one_minus_zeta_product():
     for p in (5, 7, 11, 13):
         prod = CycloElem.one(p)
         for k in range(1, p):
-            prod = prod * (1 - zeta_pow(p, k))
+            prod = prod * (1 - zeta(p, k))
         assert prod == CycloElem.from_rational(p, p)
 
 
 def test_gauss_sum_definition_and_square():
     g5 = gauss_sum(5)
-    assert g5 == zeta_pow(5, 1) - zeta_pow(5, 2) - zeta_pow(5, 3) + zeta_pow(5, 4)
+    assert g5 == zeta(5, 1) - zeta(5, 2) - zeta(5, 3) + zeta(5, 4)
     for p in [q for q in odd_primes_upto(41) if q % 4 == 1]:
         g = gauss_sum(p)
         assert g * g == CycloElem.from_rational(p, p)
@@ -266,14 +269,30 @@ def test_coeff_access_and_hash():
     a = zeta_pow(5, 2) * 3
     assert a.coeffs[2] == 3 and a.coeffs[1] == 0
     assert len(a.coeffs) == 4
-    assert hash(a) == hash(3 * zeta_pow(5, 2))
-    assert a == CycloElem.from_coeffs(5, (0, 0, 3, 0))
+    assert hash(a) == hash(CycloElem(5, (0, 0, 6, 0), 2))
+    assert a == Cyclo.from_coeffs(5, (0, 0, 3, 0))
     assert a != zeta_pow(5, 2)
 
 
 def test_legendre_weighted_sum_matches_gauss():
     for p in (5, 13, 17):
-        total = CycloElem.zero(p)
+        total = Cyclo.zero(p)
         for k in range(1, p):
-            total = total + legendre(k, p) * zeta_pow(p, k)
+            total = total + legendre(k, p) * zeta(p, k)
         assert total == gauss_sum(p)
+
+
+def test_equal_values_hash_equal():
+    """A rational element equals its int or Fraction, and hashes as it, so
+    either finds the other in a set; equal non-rational elements, however
+    built, hash equal too."""
+    for p in (3, 5, 13):
+        for r in (0, 1, -7, 3, Fraction(1, 2), Fraction(-5, 3)):
+            e = CycloElem.from_rational(p, r)
+            assert e == r and hash(e) == hash(r)
+            assert r in {e} and e in {r}
+            assert Cyclo.from_rational(p, r) in {r}
+    assert 3 in {CycloElem.from_rational(5, 3)} and Fraction(1, 2) in {CycloElem.from_rational(5, Fraction(1, 2))}
+    a, b = CycloElem(5, [0, 2, 0, -4], 6), Cyclo.from_coeffs(5, [0, Fraction(1, 3), 0, Fraction(-2, 3)])
+    assert a == b and hash(a) == hash(b) and a in {b}
+    assert zeta_pow(7, 3) in {zeta_pow(7, 10)} and zeta_pow(7, 3) not in {zeta_pow(7, 4)}

@@ -8,14 +8,18 @@ import pytest
 
 import legdet
 from helpers import (
+    Cyclo,
     cauchy_and_u_by_inversion,
+    convolve_cyclic,
     d_by_inversion,
+    gauss_sum,
     lemma_uv_rhs_fraction,
     matmul_entrywise,
     vsemirnov_v,
+    zeta,
 )
 from legdet import identities
-from legdet.cyclotomic import CycloElem, _fold, clear_slots, gauss_sum, zeta_pow
+from legdet.cyclotomic import CycloElem, _fold, clear_slots, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     PrimeContext,
@@ -123,11 +127,12 @@ def test_minor_antisymmetry():
 
 
 def _u_from_cauchy(ctx):
-    """Vsemirnov's U as G E' G, built here in CycloElems from ctx.cauchy:
-    G = diag(1, (i/p) z^-i), E' = E bordered by a zero corner and ones."""
-    p, one = ctx.p, CycloElem.one(ctx.p)
-    g = [one] + [ctx.chi[i] * zeta_pow(p, -i) for i in range(1, p.n + 1)]
-    e = [[CycloElem.zero(p)] + [one] * p.n] + [[one, *row] for row in ctx.cauchy.entries]
+    """Vsemirnov's U as G E' G, built here in the oracle's Cyclos from
+    ctx.cauchy: G = diag(1, (i/p) z^-i), E' = E bordered by a zero corner
+    and ones."""
+    p, one = ctx.p, Cyclo.one(ctx.p)
+    g = [one] + [ctx.chi[i] * zeta(p, -i) for i in range(1, p.n + 1)]
+    e = [[Cyclo.zero(p)] + [one] * p.n] + [[one, *row] for row in ctx.cauchy.entries]
     return [[gi * x * gj for x, gj in zip(row, g)] for gi, row in zip(g, e)]
 
 
@@ -145,7 +150,7 @@ def test_vsemirnov_matrix_structure():
     assert vtd == [[ring.zero] * 6 + [ring.one]]
     # 1/d00^2 = 5 * zeta (the p=5 instance of p*zeta^(n(n+1)))
     inv_d00 = d[0].inv()
-    assert inv_d00 * inv_d00 == 5 * zeta_pow(5, 1)
+    assert inv_d00 * inv_d00 == 5 * zeta(5, 1)
     with pytest.raises(ValueError):
         build_vsemirnov_matrices(7)
 
@@ -324,6 +329,73 @@ def test_f1f2():
         assert r.name == "f1f2_u00"
 
 
+@pytest.mark.parametrize("p", [3, 5, 13, 29])
+def test_binomials_match_naive_product(p):
+    """_binomials against a product of convolve_cyclic factors, each factor
+    c z^a + d z^b written into p slots directly: the empty product 1,
+    exponents from -3p to 3p, d = 0 (monomial factors) and a = b mod p."""
+    def naive(terms):
+        acc = [1] + [0] * (p - 1)
+        for c, a, d, b in terms:
+            f = [0] * p
+            f[a % p] += c
+            f[b % p] += d
+            acc = convolve_cyclic(p, acc, f)
+        return acc
+
+    rng = random.Random(p)
+    assert identities._binomials(p, []) == [1] + [0] * (p - 1)
+    fixed = [[(2, p, 0, 0)], [(-3, -1, 5, p - 1)], [(1, 2 * p + 1, -1, -p - 1)], [(1, 0, 1, 1)] * 3]
+    drawn = [[(rng.randint(-3, 3), rng.randint(-3 * p, 3 * p), rng.choice((0, rng.randint(-3, 3))),
+               rng.randint(-3 * p, 3 * p)) for _ in range(k)] for k in (1, 2, 5, 20) for _ in range(10)]
+    for terms in fixed + drawn:
+        assert identities._binomials(p, iter(terms)) == naive(terms)
+
+
+def test_rotation_off_by_one_fails_product_checks(monkeypatch):
+    """Negative control: the second rotation of every binomial off by one,
+    c z^a + d z^(b+1), fails prod_2j, lemma_sum and f1f2 at p = 13 as
+    failed rows, not exceptions; the monomial right sides (d = 0) and the
+    det_field left side of f1f2 stay as they were."""
+    want = [verify_prod_2j(13), verify_lemma_sum(13), verify_f1f2(13)]
+    true_binomials = identities._binomials
+    monkeypatch.setattr(identities, "_binomials",
+                        lambda p, terms: true_binomials(p, [(c, a, d, b + 1) for c, a, d, b in terms]))
+    for r, w in zip((verify_prod_2j(13), verify_lemma_sum(13), verify_f1f2(13)), want):
+        assert r.passed is False and r.lhs != r.rhs
+        assert r.name == w.name and (r.rhs == w.rhs) is (r.name != "f1f2_u00")
+
+
+def test_flipped_f1_binomial_fails_f1f2(monkeypatch):
+    """Negative control: f1's first factor u_2 - u_1 = (2/p) z^2 - (1/p) z
+    taken as u_2 + u_1 fails f1f2 at p = 13 on its right side; f2's
+    factors 1 + u_i u_j start at z^0, so a first term at z^2 marks f1."""
+    true_lhs = verify_f1f2(13).lhs
+    true_binomials = identities._binomials
+
+    def flipped(p, terms):
+        terms = list(terms)
+        if terms[0][1] == 2:
+            c, a, d, b = terms[0]
+            terms[0] = (c, a, -d, b)
+        return true_binomials(p, terms)
+
+    monkeypatch.setattr(identities, "_binomials", flipped)
+    r = verify_f1f2(13)
+    assert r.passed is False and r.lhs == true_lhs != r.rhs
+
+
+def test_dropped_half_fails_lemma_sum(monkeypatch):
+    """Negative control: lemma_sum's left side without its 1/2 fails; the
+    other product checks, which scale by no 1/2, still pass."""
+    true_scaled = identities._scaled
+    monkeypatch.setattr(identities, "_scaled",
+                        lambda p, v, r=1: true_scaled(p, v, 1 if r == Fraction(1, 2) else r))
+    r = verify_lemma_sum(13)
+    assert r.passed is False and r.lhs != r.rhs
+    assert verify_prod_2j(13).passed and verify_d00_detG(13).passed and verify_f1f2(13).passed
+
+
 def test_pair_result_length_mismatch_fails():
     assert _result("pair", 5, (1, 2), (1, 2)).passed
     assert not _result("pair", 5, (1, 2), (1,)).passed
@@ -428,7 +500,7 @@ def test_doubled_diagonal_entry_fails_decomposition(monkeypatch, k):
 
     def doubled(p):
         d = list(true_build(p))
-        d[k] = 2 * d[k]
+        d[k] = d[k] * 2
         return tuple(d)
 
     monkeypatch.setattr(identities, "build_vsemirnov_matrices", doubled)
