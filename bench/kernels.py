@@ -11,7 +11,7 @@ Cases:
            sample is one pass over all d.
   sun_check  the whole Sun check of one prime: a fresh
            identities.PrimeContext and verify_sun_congruence for every d, at
-           p = 61, 101, 157, rows included; one sample is one prime.
+           p = 61, 101, 157, its table included; one sample is one prime.
   evil_adjugate  identities.PrimeContext(p).evil_adjugate, the adjugate that
            minor antisymmetry reads, on a fresh context at p = 67 and 151;
            one sample is one adjugate, its inputs included.
@@ -50,19 +50,25 @@ Cases:
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
-next to this script, --parent to --change).  Each side runs in child
-processes, each of which builds the inputs, takes one untimed pass over
-every case, and then, on each request, takes one sample of every case.
-A process has a speed of its own (its memory layout, for one), which
-would read as a change if one child per side took every sample.  So the
-samples of a side come from 3 children, run one after another: each round
-starts a fresh child per side and asks the two for an equal share of the
-samples in turn, the first side swapping each sample, so that a slow spell
-of a shared machine lands on both checkouts, not on one.  Each case gets 9
-samples per side, reported as seconds per call: the median of the
-samples, and their minimum and maximum.  The result is one JSON object,
-{"parent": ..., "change": ...}, printed as the last line; --out FILE
-writes it there.  The committed BENCH_kernels.json holds the run made with
+next to this script, --parent to --change).  A third side, control,
+imports the parent checkout again, so the control/parent ratio of a case
+shows how far two timings of the same code drift apart in one run, beside
+the change/parent ratio.  Each side runs in child processes, each of which
+builds the inputs, takes one untimed pass over every case, and then, on
+each request, takes one sample of every case.  A process has a speed of
+its own (its memory layout, for one), which would read as a change if one
+child per side took every sample.  So the samples of a side come from 3
+children, run one after another: each round starts a fresh child per side
+and asks the three for an equal share of the samples in turn, the order
+rotating each sample, so that a slow spell of a shared machine lands on
+every side, not on one.  Each case gets 9 samples per side, reported as
+seconds per call: the median of the samples, and their minimum and
+maximum.  The result is one JSON object, {"parent": ..., "change": ...,
+"control": ...}, printed as the last line; --out FILE writes it there.
+A checkout holding legdet/__pycache__ while PYTHONDONTWRITEBYTECODE is set
+draws a warning: its cached modules load from bytecode that is never
+refreshed, the others compile, so two checkouts are not set up alike.
+The committed BENCH_kernels.json holds the run made with
 
     python3 bench/kernels.py --parent PARENT_CHECKOUT/src --out BENCH_kernels.json
 
@@ -330,10 +336,9 @@ def child(src: Path, quick: bool) -> int:
 
 def measure(srcs: dict[str, Path], quick: bool, repeats: int) -> dict:
     """Seconds per call of each case on each side, from PROCESSES rounds of
-    one fresh child process per side, each round's two children asked for
-    repeats / PROCESSES samples in turn (the first side swapping each
-    sample)."""
-    env = {**os.environ, "PYTHONHASHSEED": "0"}  # the same dict and set layouts on both sides
+    one fresh child process per side, each round's children asked for
+    repeats / PROCESSES samples in turn (the order rotating each sample)."""
+    env = {**os.environ, "PYTHONHASHSEED": "0"}  # the same dict and set layouts on every side
     sides = list(srcs)
     times = {side: {} for side in sides}
     sample = 0
@@ -346,7 +351,7 @@ def measure(srcs: dict[str, Path], quick: bool, repeats: int) -> dict:
                 for name in json.loads(proc.stdout.readline()):
                     times[side].setdefault(name, [])
             for _ in range(repeats // PROCESSES):
-                for side in sides if sample % 2 == 0 else sides[::-1]:
+                for side in sides[sample % len(sides):] + sides[:sample % len(sides)]:
                     procs[side].stdin.write("sample\n")
                     procs[side].stdin.flush()
                     for name, t in json.loads(procs[side].stdout.readline()).items():
@@ -387,16 +392,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.child is not None:
         return child(args.child, args.quick)
-    srcs = {"parent": (args.parent or args.change).resolve(), "change": args.change.resolve()}
-    for src in srcs.values():
+    parent = (args.parent or args.change).resolve()
+    srcs = {"parent": parent, "change": args.change.resolve(), "control": parent}
+    for src in dict.fromkeys(srcs.values()):
         if not (src / "legdet" / "__init__.py").is_file():
             ap.error(f"no legdet package under {src}")
+        if os.environ.get("PYTHONDONTWRITEBYTECODE") and (src / "legdet" / "__pycache__").is_dir():
+            print(f"warning: {src / 'legdet' / '__pycache__'} exists and PYTHONDONTWRITEBYTECODE is set: "
+                  "its stale bytecode is never refreshed; time clean checkouts", file=sys.stderr)
     timed = measure(srcs, args.quick, 3 if args.quick else 9)
+    print(f"{'case':40s} {'parent':>12s}    {'change':>10s}     change/parent  control/parent")
     for name, c in timed["change"].items():
-        before = timed["parent"].get(name)
-        was = f"{before['median_s'] * 1e6:12.1f} us -> " if before else " " * 19
-        print(f"{name:40s} {was}{c['median_s'] * 1e6:10.1f} us  "
-              f"(min {c['min_s'] * 1e6:.1f}, max {c['max_s'] * 1e6:.1f})")
+        before, ctl = timed["parent"].get(name), timed["control"].get(name)
+        if before:
+            print(f"{name:40s} {before['median_s'] * 1e6:12.1f} us -> {c['median_s'] * 1e6:10.1f} us  "
+                  f"{c['median_s'] / before['median_s']:10.2f}  {ctl['median_s'] / before['median_s']:14.2f}")
+        else:
+            print(f"{name:40s} {'':19s}{c['median_s'] * 1e6:10.1f} us")
     result = {side: {"environment": environment(src), "quick": args.quick, "cases": timed[side]}
               for side, src in srcs.items()}
     if args.out is not None:

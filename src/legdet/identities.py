@@ -12,7 +12,7 @@ the all-ones vector: a product of binomials c z^a + d z^b by rotations
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
-C, the packed Sun row table, n! mod p, the unit coefficients, the
+C, the Sun Schur-complement table, n! mod p, the unit coefficients, the
 Cauchy-type matrix and the diagonal of Vsemirnov's D) live on a
 PrimeContext and are computed on first use.  run_suite hands one context per
 prime to every check; a check called with a plain integer builds its own.
@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import prod
+from operator import itemgetter
 
 from .cyclotomic import CycloElem, _fold, _mul_cyclic, clear_slots, zeta_pow
 from .exact import UniPoly, as_rational
@@ -44,9 +45,11 @@ from .linalg import (
     det_field,
     det_fractions,
     det_mod_packed,
+    det_mod_rows,
     det_toeplitz,
     mod_slot_width,
     pack_windows,
+    solve_mod_packed,
     toeplitz_adjugate,
     toeplitz_columns,
 )
@@ -118,13 +121,23 @@ class PrimeContext:
     evil_det, theorem_cx and adj_sum read C(0) (evil_det), C(x) (cx) and
     C(1) - C(0), all from the Toeplitz runs on C + J and C - J.
 
-    Sun rows: for d != 0, i + dj = d(i d^-1 + j) (mod p), so row i of
-    [((i + dj)/p)] is row i d^-1 mod p of T_s, s = (d/p), where
-    T_s[r][j] = s ((r + j)/p).  T_-1 = -T_+1, and a Sun matrix has
-    k = n + 1 rows, odd for p = 1 (mod 4), so its determinant is s^k = s
-    times that of the same rows of T_+1.  sun_tables holds T_+1 mod p, p
-    rows packed once at det_mod_packed's slot width, and every Sun matrix
-    is, up to that sign, a selection of its rows.
+    Sun table: let H be the p x k table H[r][j] = ((r + j)/p), k = n + 1,
+    and A = H[0..n], the Sun matrix of d = 1.  For d != 0,
+    i + dj = d(i d^-1 + j) (mod p), so the Sun matrix of d is (d/p) H[S],
+    S = (i d^-1 mod p), 0 <= i <= n, and (d/p)^k = (d/p) as k is odd for
+    p = 1 (mod 4).  With X = H A^-1 over F_p, det H[S] = det A det X[S],
+    and row r of X is the unit row e_r for r <= n.  So det X[S] = sgn(tau)
+    det M: M is the minor of X on the rows of S above n and the columns
+    that S misses in [0, n], each in order, and tau sends position i to S_i
+    when S_i <= n and the other positions, in order, to the missed columns.
+    M averages k/2 rows.  sun_schur holds det A, read by det_mod_packed on
+    the packed rows of A, and the rows r > n of X, from one Gauss-Jordan
+    (solve_mod_packed) on the k columns of H, rotations of the Legendre
+    table packed once (pack_windows); A is symmetric, so it eliminates
+    [A | H[n+1..p-1]^T].  The slots of X are bytes, b of them at a width
+    8b >= mod_slot_width(p, k), the slot bound of both eliminations for k
+    rows mod p, so every minor packs at that width by joining bytes, one
+    row per missed column (M transposed, of the same determinant).
 
     The adjugate of C comes from A = C + J, whose Toeplitz recurrence
     (plus_j) also gives C(1): adj(A) from its first and last columns
@@ -204,13 +217,21 @@ class PrimeContext:
         return x if certify_adjugate(self.evil, x, c0) else None
 
     @cached_property
-    def sun_tables(self) -> tuple[int, list[int]]:
-        """(w, T_+1): T_+1[r] packs the row ((r + j)/p) mod p, 0 <= j <= n,
-        at the slot width w of det_mod_packed for n + 1 rows mod p; rows of
-        T_-1 are these times -1 (see the class docstring)."""
+    def sun_schur(self) -> tuple[int, int, list[tuple[bytes, ...]]]:
+        """(det A mod p, b, cols), the table of the Sun check (class
+        docstring): cols[c][r - k] is X[r][c], r > n, as b little-endian
+        bytes, and cols is empty when det A = 0 (mod p)."""
         p, k = self.p, self.p.n + 1
-        w = mod_slot_width(p, k)
-        return w, pack_windows([self.chi[m % p] % p for m in range(p + k - 1)], k, w)
+        b = -(-mod_slot_width(p, k) // 8)
+        w = 8 * b
+        h = pack_windows([self.chi[m % p] % p for m in range(p + k - 1)], p, w)
+        det_a = det_mod_packed([col & ((1 << (w * k)) - 1) for col in h], p, w)
+        if not det_a:
+            return 0, b, []
+        x = solve_mod_packed(h, p, p, w)
+        if x is None:
+            raise ArithmeticError(f"det A = {det_a} (mod {p}) but A is singular")
+        return det_a, b, [tuple(v.to_bytes(b, "little") for v in col) for col in x]
 
     @cached_property
     def n_factorial(self) -> int:
@@ -602,28 +623,54 @@ def verify_carlitz(p) -> CheckResult:
     return _result("carlitz", p, det_toeplitz(carlitz_toeplitz(ctx), p - 1), p ** ((p - 3) // 2))
 
 
+def _sun_minor(p: int, k: int, d: int) -> tuple[int, list[int], list[int]]:
+    """(sgn tau, missed, below) for S = (i d^-1 mod p), 0 <= i <= n
+    (PrimeContext docstring): missed lists the columns c <= n not in S and
+    below the r - k for the rows r > n of S, each in order."""
+    dinv = pow(d, -1, p)
+    rows = [i * dinv % p for i in range(k)]
+    hit = set(rows)
+    missed = [c for c in range(k) if c not in hit]
+    fill = iter(missed)
+    tau = [r if r < k else next(fill) for r in rows]
+    seen, cycles = bytearray(k), 0
+    for i in range(k):
+        cycles += not seen[i]
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            j = tau[j]
+    return (-1) ** (k - cycles), missed, [r - k for r in rows if r >= k]
+
+
 def verify_sun_congruence(p, d: int) -> CheckResult:
     """det[( (i+dj)/p )]_{0<=i,j<=n} = ((d/p) d)^((p-1)/4) * n! (mod p).
 
-    The left side is det_mod_packed of packed rows mod p: for d != 0 row i
-    is row i d^-1 mod p of the table T_+1 in ctx.sun_tables, the
-    determinant times (d/p), and for d = 0 it is (i/p) mod p in every slot.
-    d is zero-padded to the width of p - 1 (at least 2) so names sort by d.
+    The left side, mod p: for d != 0, (d/p) det A sgn(tau) det M from the
+    table ctx.sun_schur (PrimeContext docstring), M packed as one row per
+    missed column from the table's bytes and handed to det_mod_packed, or,
+    when det A = 0 (mod p), det_mod_rows of the explicit rows; for d = 0,
+    det_mod_packed of (i/p) mod p in every slot of row i.  d is zero-padded
+    to the width of p - 1 (at least 2) so names sort by d.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
-    w, table = ctx.sun_tables
-    k = p.n + 1
-    if d:
-        s, dinv = ctx.chi[d], pow(d, -1, p)
-        rows = [table[i * dinv % p] for i in range(k)]
+    chi, k = ctx.chi, p.n + 1
+    if not d:
+        w = mod_slot_width(p, k)
+        ones = sum(1 << (w * j) for j in range(k))
+        lhs = det_mod_packed([chi[i] % p * ones for i in range(k)], p, w)
+    elif (schur := ctx.sun_schur)[0]:
+        det_a, b, cols = schur
+        sign, missed, below = _sun_minor(p, k, d)
+        pick = itemgetter(*below) if len(below) > 1 else lambda col: [col[r] for r in below]
+        minor = [int.from_bytes(b"".join(pick(cols[c])), "little") for c in missed]
+        lhs = chi[d] * det_a * sign * det_mod_packed(minor, p, 8 * b) % p
     else:
-        s, ones = 1, sum(1 << (w * j) for j in range(k))
-        rows = [ctx.chi[i] % p * ones for i in range(k)]
-    lhs = s * det_mod_packed(rows, p, w) % p
-    rhs = pow(ctx.chi[d] * d % p, (p - 1) // 4, p) * ctx.n_factorial % p
+        lhs = det_mod_rows([[chi[(i + d * j) % p] % p for j in range(k)] for i in range(k)], p)
+    rhs = pow(chi[d] * d % p, (p - 1) // 4, p) * ctx.n_factorial % p
     width = max(2, len(str(p - 1)))
     return _result(f"sun[d={d:0{width}d}]", p, lhs, rhs)
 

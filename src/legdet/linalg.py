@@ -20,10 +20,13 @@ to Bareiss when a leading minor it must divide by vanishes; and, for when
 only the residue mod a prime of an integer determinant is wanted,
 det_mod_packed, which eliminates over F_q on rows packed one per integer,
 with delayed reduction, and refuses a slot width below its proven bound.
-det_mod_rows packs plain rows for it; callers that select rows from a
-table, as the Sun check does (for d != 0, row i of [((i + dj)/p)] is
-(d/p) times row i d^-1 of [((r + j)/p)], as i + dj = d(i d^-1 + j)), pack
-the table once (pack_windows).
+det_mod_rows packs plain rows for it.  solve_mod_packed runs the same
+delayed reduction as Gauss-Jordan, for A^-1 B over F_q.  The Sun check
+gets its Schur-complement table X = H A^-1 from it, H = [((r + j)/p)] on
+all p rows r, whose columns are rotations of one Legendre table packed
+once (pack_windows), and then hands det_mod_packed only a minor of X per
+d (for d != 0, row i of [((i + dj)/p)] is (d/p) times row i d^-1 of H,
+as i + dj = d(i d^-1 + j)).
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant; a singular matrix gets its signed
@@ -392,6 +395,43 @@ def det_mod_packed(rows, q: int, w: int) -> int:
             ri = rows[i]
             rows[i] = (ri + (ri & mask) * pivinv % q * packed) >> w
     return det % q
+
+
+def solve_mod_packed(rows, width: int, q: int, w: int) -> list[list[int]] | None:
+    """A^-1 B over F_q, entries in range(q), for the k rows of [A | B]
+    packed as in det_mod_packed, width slots each, the first k of them A's,
+    for a prime q; None when A is singular mod q.  Raises ValueError unless
+    q^2 k + q < 2^(w-1).
+
+    Gauss-Jordan with det_mod_packed's delayed reduction: step c reduces the
+    pivot row mod q and scales it to 1 in column c, then adds f times the
+    packed (-r_j mod q) to every other row, f its column-c slot mod q, and
+    every row drops that slot (>> w).  Slot bound: a row is reduced when it
+    pivots and takes one step in every other column, at most k - 1 steps of
+    at most (q - 1)^2 each past a start in [0, q), so every slot stays below
+    q + (k - 1)(q - 1)^2 < q^2 k + q < 2^(w-1).
+    """
+    k = len(rows)
+    if q * q * k + q >= 1 << (w - 1):
+        raise ValueError(f"slot width {w} is below the bound for {k} rows mod {q}")
+    mask = (1 << w) - 1
+    rows = list(rows)
+    for c in range(k):
+        # every row holds the slots of columns c, c + 1, ..., width - 1
+        for r in range(c, k):
+            piv = (rows[r] & mask) % q
+            if piv:
+                break
+        else:
+            return None
+        rows[c], rows[r] = rows[r], rows[c]
+        pivinv = pow(piv, -1, q)
+        pr = rows[c]
+        red = [((pr >> (w * j)) & mask) * pivinv % q for j in range(1, width - c)]
+        rows[c] = _pack(red, w) << w  # slot 0 is 0, so the step below adds nothing
+        neg = _pack([0, *(-x % q for x in red)], w)
+        rows = [(ri + (ri & mask) % q * neg) >> w for ri in rows]
+    return [[((row >> (w * j)) & mask) % q for j in range(width - k)] for row in rows]
 
 
 def det_mod_p(m: ExactMatrix, p: int) -> int:

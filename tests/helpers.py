@@ -9,10 +9,12 @@ elimination, the two-vector lemma's closed form in Fraction arithmetic,
 Vsemirnov's U, D and the Cauchy-type matrix by inverting their definitions,
 Vsemirnov's V, which the package never builds, and naive forms of the fast
 kernels: the O(p^2) cyclic and cyclotomic convolutions, Gaussian
-elimination mod p on lists of lists, the entrywise cyclotomic matrix
-product, and Gaussian elimination over a field (det_gauss), which
-fraction-free elimination on integer-scaled rows replaced over QQ and
-images mod one Proth prime replaced over Q(zeta_p).
+elimination and Gauss-Jordan mod p on lists of lists, the entrywise
+cyclotomic matrix product, and Gaussian elimination over a field
+(det_gauss), which fraction-free elimination on integer-scaled rows
+replaced over QQ and images mod one Proth prime replaced over Q(zeta_p).
+mutant recompiles a package function with one expression edited, for
+negative controls.
 
 The ring arithmetic of Q(zeta_p) lives here too, as Cyclo: the package
 multiplies binomials as p-slot vectors and reports a CycloElem, which has
@@ -26,6 +28,8 @@ parse_cyclo, parse_quad and the dispatching parse_value (cyclotomic values,
 and quadratic ones with no sqrt(...) part, need the field index p).
 """
 
+import __future__
+import inspect
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -218,6 +222,38 @@ def det_mod_p_lists(rows, p):
             f = a[i][c] * pivinv % p
             a[i] = [(x - f * y) % p for x, y in zip(a[i], a[c])]
     return det % p
+
+
+def solve_mod_p_lists(a, b, p):
+    """A^-1 B mod p by Gauss-Jordan over F_p on the lists [A | B], reducing
+    every entry after every update; None when A is singular mod p."""
+    k = len(a)
+    m = [[x % p for x in ra + rb] for ra, rb in zip(a, b)]
+    for c in range(k):
+        r = next((r for r in range(c, k) if m[r][c]), None)
+        if r is None:
+            return None
+        m[c], m[r] = m[r], m[c]
+        pivinv = pow(m[c][c], -1, p)
+        m[c] = [x * pivinv % p for x in m[c]]
+        for i in range(k):
+            if i != c:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return [row[k:] for row in m]
+
+
+def mutant(module, name: str, old: str, new: str):
+    """module.name recompiled from its source with the one occurrence of
+    old replaced by new, its globals a copy of the module's: a negative
+    control that edits one expression of the code under test."""
+    src = inspect.getsource(getattr(module, name))
+    assert src.count(old) == 1, f"{old!r} is not one expression of {name}"
+    code = compile(src.replace(old, new), module.__file__, "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    ns = dict(vars(module))
+    exec(code, ns)
+    return ns[name]
 
 
 def lemma_uv_rhs_fraction(m, u, v):

@@ -117,11 +117,14 @@ def test_lemma_uv_json_golden_report(capsys):
     ("cx --p 13", "0f1dcb27c7f93408f1d91665852734c48faae0697b6bac3404ea19de6f63d7e2"),
     ("unit --p 229", "e0e173426f19205288341d9e534a5cc39106c1033e93169d6423f5935d58aba4"),
     ("verify --pmax 160 --format json", "9c9aa96f80e7a3785cb94d71c2a088048045bda4a77db19058f1fcc6af50d365"),
-], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit", "verify-160"])
+    ("sun --p 197 --d all --format csv", "65d2d68bd2290746921f57ae9fba1652c3cc85229da153a8e414817c15b0dbb1"),
+], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit", "verify-160", "sun-197"])
 def test_report_golden_digests(capsys, argv, digest):
     """The bytes of every other report command.  Text reports of decomp,
     carlitz and sun carry the elapsed time, so their JSON or CSV is pinned.
-    The pmax-160 report pins the Toeplitz determinants up to k = 158."""
+    The pmax-160 report pins the Toeplitz determinants up to k = 158, and
+    the Sun report at p = 197, past its last prime 157, the Sun matrices
+    at k = 99."""
     assert cli.main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

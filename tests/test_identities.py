@@ -15,6 +15,7 @@ from helpers import (
     gauss_sum,
     lemma_uv_rhs_fraction,
     matmul_entrywise,
+    mutant,
     vsemirnov_v,
     zeta,
 )
@@ -54,6 +55,7 @@ from legdet.linalg import (
     det_field,
     det_fractions,
     det_mod_packed,
+    det_mod_rows,
     det_toeplitz,
     toeplitz_adjugate,
     toeplitz_columns,
@@ -638,6 +640,48 @@ def test_wrong_residue_fails_sun_congruence(monkeypatch):
     for d in range(13):
         r = verify_sun_congruence(13, d)
         assert r.passed is False and r.lhs != r.rhs
+
+
+@pytest.mark.parametrize("name, old, new, failed", [
+    ("verify_sun_congruence", "det_a * sign *", "det_a * -sign *", 12),
+    ("_sun_minor", "cycles), missed,", "cycles), [0, *missed[1:]],", 12),
+    ("verify_sun_congruence", "lhs = chi[d] * det_a", "lhs = det_a", 6),
+    ("verify_sun_congruence", "chi[d] * det_a * sign", "chi[d] * sign", 12),
+], ids=["sign-of-tau", "hit-for-missed-column", "no-legendre-factor", "no-det-a"])
+def test_schur_sun_mutants_fail(monkeypatch, name, old, new, failed):
+    """Negative controls for the Schur reading of the Sun check, each one
+    expression of its source: tau's sign flipped; column 0, which every S
+    hits (i = 0), in place of the first missed column; the (d/p) factor
+    dropped; det A left out of the product.  Each gives failed rows at
+    p = 13, not exceptions: every d but the dropped factor's, which fails
+    at the six non-residues."""
+    monkeypatch.setattr(identities, name, mutant(identities, name, old, new))
+    results = [identities.verify_sun_congruence(13, d) for d in range(1, 13)]
+    assert sum(not r.passed for r in results) == failed
+
+
+def test_sun_fallback_matches_schur_path(monkeypatch):
+    """A table that reports det A = 0 (mod p) sends every d != 0 to
+    det_mod_rows of the explicit rows, which gives the lhs the Schur path
+    gives at p = 13, 17 and 29; the builder reports a zero det A as
+    (0, b, []), and raises if elimination then finds A singular when
+    det A is not 0."""
+    calls = []
+    monkeypatch.setattr(identities, "det_mod_rows", lambda rows, q: calls.append(q) or det_mod_rows(rows, q))
+    for p in (13, 17, 29):
+        want = [verify_sun_congruence(p, d) for d in range(p)]
+        assert calls == [] and all(r.passed for r in want)
+        ctx = PrimeContext(p)
+        ctx.sun_schur = (0, ctx.sun_schur[1], [])
+        assert [verify_sun_congruence(ctx, d) for d in range(p)] == want
+        assert calls == [p] * (p - 1)
+        calls.clear()
+    monkeypatch.setattr(identities, "det_mod_packed", lambda rows, q, w: 0)
+    assert PrimeContext(13).sun_schur == (0, 2, [])
+    monkeypatch.setattr(identities, "det_mod_packed", lambda rows, q, w: 1)
+    monkeypatch.setattr(identities, "solve_mod_packed", lambda rows, width, q, w: None)
+    with pytest.raises(ArithmeticError, match="singular"):
+        PrimeContext(13).sun_schur
 
 
 def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):

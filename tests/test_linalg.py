@@ -13,10 +13,11 @@ from helpers import (
     matmul_entrywise,
     naive_det,
     rand_int_rows,
+    solve_mod_p_lists,
     toeplitz_matrix,
     zeta,
 )
-from legdet.cyclotomic import CycloElem, zeta_pow
+from legdet.cyclotomic import CycloElem, _pack, zeta_pow
 from legdet import linalg
 from legdet.identities import (
     build_carlitz_matrix,
@@ -42,6 +43,7 @@ from legdet.linalg import (
     mod_slot_width,
     pack_windows,
     quadratic_form_adjugate,
+    solve_mod_packed,
     toeplitz_adjugate,
     toeplitz_columns,
 )
@@ -456,6 +458,47 @@ def test_det_mod_p_slot_reaches_its_bound(p, k):
 
 
 
+def test_solve_mod_packed_matches_list_gauss_jordan():
+    """Seeded [A | B] mod q, k <= 8 and up to 6 columns of B, a fifth of
+    A's entries zero so that some A are singular: A^-1 B, or None, as the
+    list Gauss-Jordan gives it."""
+    rng = random.Random(27)
+    singular = 0
+    for _ in range(300):
+        q = rng.choice((2, 3, 13, 101, 197))
+        k, m = rng.randint(1, 8), rng.randint(0, 6)
+        a = [[rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(k)] for _ in range(k)]
+        b = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
+        w = mod_slot_width(q, k)
+        want = solve_mod_p_lists(a, b, q)
+        singular += want is None
+        assert solve_mod_packed([_pack(ra + rb, w) for ra, rb in zip(a, b)], k + m, q, w) == want
+    assert singular > 0
+
+
+@pytest.mark.parametrize("q, k", [(2, 7), (13, 9), (101, 51)])
+def test_solve_mod_packed_slot_reaches_its_bound(q, k):
+    """The slot bound of the solve_mod_packed docstring is met: rows
+    c < k - 1 are e_c with a B of ones and never change before they pivot,
+    the last row is q - 1 throughout, so each step has f = q - 1 and adds
+    (q - 1)^2 to each B slot of the last row.  A replay of that update rule
+    on plain integers shows those slots ending at q - 1 + (k - 1)(q - 1)^2.
+    One bit short of mod_slot_width is refused."""
+    a = [[int(i == j) for j in range(k)] for i in range(k - 1)] + [[q - 1] * k]
+    b = [[1] * 3 for _ in range(k - 1)] + [[q - 1] * 3]
+    last = a[-1] + b[-1]
+    for c in range(k - 1):
+        f = last[c] % q
+        last[c + 1:] = [x + f * (-y % q) for x, y in zip(last[c + 1:], (a[c] + b[c])[c + 1:])]
+    assert last[k:] == [q - 1 + (k - 1) * (q - 1) ** 2] * 3
+    assert last[-1] < q * q * k + q
+    w = mod_slot_width(q, k)
+    rows = [_pack(ra + rb, w) for ra, rb in zip(a, b)]
+    assert solve_mod_packed(rows, k + 3, q, w) == solve_mod_p_lists(a, b, q)
+    with pytest.raises(ValueError, match="slot width"):
+        solve_mod_packed(rows, k + 3, q, w - 1)
+
+
 def test_det_mod_packed_refuses_a_slot_below_its_bound():
     """The slot bound q^2 k + q < 2^(w-1) is checked, not assumed: one bit
     short of mod_slot_width is refused, and mod_slot_width is the least w
@@ -476,9 +519,9 @@ def test_pack_windows():
 
 def test_sun_tables_agree_with_explicit_matrices():
     """For every p = 1 (mod 4) up to 200 and every d, the left side of the
-    Sun check, fed from rows of the one packed table times (d/p) (or, for
-    d = 0, one packed residue per row), equals det_mod_p of [((i + d j)/p)]
-    built entry by entry."""
+    Sun check, read from the Schur-complement table as (d/p) det A
+    sgn(tau) det M (or, for d = 0, from one packed residue per row), equals
+    det_mod_p of [((i + d j)/p)] built entry by entry."""
     for p in odd_primes_upto(200):
         if p % 4 != 1:
             continue
