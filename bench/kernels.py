@@ -15,10 +15,14 @@ Cases:
   evil_adjugate  identities.PrimeContext(p).evil_adjugate, the adjugate that
            minor antisymmetry reads, on a fresh context at p = 67 and 151;
            one sample is one adjugate, its inputs included.
+  carlitz_check  the whole Carlitz check of one prime: a fresh
+           identities.PrimeContext and verify_carlitz, at p = 61, 101, 157
+           and 401, its Legendre table included; one sample is one prime.
   toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
-           matrices: the Carlitz T = [((j-i-1)/p)] at p = 61, 101, 157, and
-           C + J and C - J for the evil matrix C at p = 401; one sample is
-           one determinant, or both of C +- J.
+           matrices: the Toeplitz form T = [((j-i-1)/p)] of the Carlitz
+           matrix at p = 61, 101, 157, built here from the Legendre table,
+           and C + J and C - J for the evil matrix C at p = 401; one sample
+           is one determinant, or both of C +- J.
   det_field legdet.linalg.det_field over QQ on two-vector lemma matrices
            [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, u and v from seeded
            identities.random_uv_instance draws of that m; one sample is one
@@ -73,10 +77,10 @@ The committed BENCH_kernels.json holds the run made with
     python3 bench/kernels.py --parent PARENT_CHECKOUT/src --out BENCH_kernels.json
 
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
-one per child: a smoke test that every case still runs.  Its C +- J case
-is at p = 61, its det_field and lemma_uv cases at m = 3, and its
-vsemirnov_build, det_field_cyclo, decomposition and cyclo_products cases
-at p = 13.
+one per child: a smoke test that every case still runs.  Its carlitz_check
+and C +- J cases are at p = 61, its det_field and lemma_uv cases at m = 3,
+and its vsemirnov_build, det_field_cyclo, decomposition and cyclo_products
+cases at p = 13.
 """
 
 from __future__ import annotations
@@ -101,6 +105,7 @@ MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
 ADJUGATE_PRIMES = (67, 151)
 CARLITZ_PRIMES = (61, 101, 157)
+CARLITZ_CHECK_PRIMES = (61, 101, 157, 401)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
@@ -183,11 +188,31 @@ def evil_adjugate_cases(legdet, quick: bool) -> dict:
     return out
 
 
-def toeplitz_cases(legdet, quick: bool) -> dict:
-    """Diagonals t_(1-k), ..., t_(k-1) of each matrix, from the builders
-    that the Carlitz and C(x) checks use."""
+def carlitz_check_cases(legdet, quick: bool) -> dict:
     ids = legdet.identities
-    inputs = [(f"carlitz T p={p}", [ids.carlitz_toeplitz(p)])
+    out = {}
+    for p in CARLITZ_CHECK_PRIMES[:1] if quick else CARLITZ_CHECK_PRIMES:
+        def run(p=p):
+            ids.verify_carlitz(ids.PrimeContext(p))
+            return 1
+
+        out[f"carlitz_check p={p}"] = run
+    return out
+
+
+def _carlitz_t(ids, p: int) -> list[int]:
+    """The diagonals of T = [((j-i-1)/p)], 0 <= i, j < p-1, ((d-1)/p) for
+    d = 2-p, ..., p-2, from the context's Legendre table, so that every
+    checkout times the same matrix, whatever its Carlitz check runs on."""
+    chi = ids.PrimeContext(p).chi
+    return [chi[(d - 1) % p] for d in range(2 - p, p - 1)]
+
+
+def toeplitz_cases(legdet, quick: bool) -> dict:
+    """Diagonals t_(1-k), ..., t_(k-1) of each matrix: the Carlitz T, and
+    C +- J from the builder that the C(x) checks use."""
+    ids = legdet.identities
+    inputs = [(f"carlitz T p={p}", [_carlitz_t(ids, p)])
               for p in (CARLITZ_PRIMES[:1] if quick else CARLITZ_PRIMES)]
     p = CARLITZ_PRIMES[0] if quick else EVIL_PRIME
     inputs.append((f"C +- J p={p}", [ids.evil_toeplitz(p, x) for x in (1, -1)]))
@@ -318,8 +343,8 @@ def child(src: Path, quick: bool) -> int:
     import legdet.ntheory
 
     cases = {}
-    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, toeplitz_cases,
-                  det_field_cases, cyclo_cases, cyclo_product_cases):
+    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
+                  toeplitz_cases, det_field_cases, cyclo_cases, cyclo_product_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():
         run()

@@ -14,7 +14,6 @@ from .identities import (
     CheckResult,
     SuiteOptions,
     VerificationReport,
-    build_carlitz_matrix,
     build_evil_matrix,
     build_vsemirnov_matrices,
     c_polynomial,
@@ -66,7 +65,6 @@ __all__ = [
     "ab_coeffs",
     "adjugate",
     "as_rational",
-    "build_carlitz_matrix",
     "build_evil_matrix",
     "build_vsemirnov_matrices",
     "c_polynomial",

@@ -3,9 +3,9 @@
 Each verify_* function builds the objects on both sides of one identity and
 compares them with exact equality; there is no tolerance anywhere.  The two
 sides are always computed independently: determinants from the
-fraction-free Toeplitz recurrence, from fraction-free elimination, or from
-elimination modulo primes (one Proth prime over Q(zeta_p)), closed
-forms from the continued-fraction unit and form-class oracles in quadfield,
+fraction-free Toeplitz recurrence, a circulant's eigenvalues mod
+Phi_p(2^L), fraction-free elimination or elimination mod primes (one Proth
+prime over Q(zeta_p)), closed forms from the unit and form-class oracles,
 and cyclotomic products as p-slot vectors of Z[x]/(x^p - 1), compared up to
 the all-ones vector: a product of binomials c z^a + d z^b by rotations
 (_binomials), and only the value a check reports as a CycloElem (_scaled).
@@ -42,6 +42,7 @@ from .linalg import (
     certify_adjugate,
     cyclo_ring,
     det_bareiss,
+    det_circulant,
     det_field,
     det_fractions,
     det_mod_packed,
@@ -271,21 +272,6 @@ def evil_toeplitz(p, x: int) -> list[int]:
     det_toeplitz's order: ((d/p)) + x for d = -n, ..., n."""
     ctx = _context(p)
     return [ctx.chi[d % ctx.p] + x for d in range(-ctx.p.n, ctx.p.n + 1)]
-
-
-def build_carlitz_matrix(p) -> ExactMatrix:
-    ctx = _context(p)
-    p, chi = ctx.p, ctx.chi
-    return ExactMatrix(ZZ, [[chi[(j - i) % p] for j in range(1, p)] for i in range(1, p)])
-
-
-def carlitz_toeplitz(p) -> list[int]:
-    """The 2p-3 diagonals of T = [((j-i-1)/p)], 0 <= i, j < p-1, in
-    det_toeplitz's order: ((d-1)/p) for d = 2-p, ..., p-2.  T has the
-    determinant of the Carlitz matrix (see verify_carlitz) and
-    t_0 = (-1/p) != 0."""
-    ctx = _context(p)
-    return [ctx.chi[(d - 1) % ctx.p] for d in range(2 - ctx.p, ctx.p - 1)]
 
 
 # -- C(x) and the main theorem -----------------------------------------------
@@ -609,18 +595,21 @@ def verify_f1f2(p) -> CheckResult:
 def verify_carlitz(p) -> CheckResult:
     """det[( (j-i)/p )]_{1<=i,j<=p-1} = p^((p-3)/2).
 
-    The left side is det_toeplitz of T = [((j-i-1)/p)], 0 <= i, j < p-1,
-    which has the same determinant and a nonzero diagonal t_0 = (-1/p).
-    Let A = [((j-i)/p)], 0 <= i, j < p, the circulant whose rows sum to 0.
-    The Carlitz matrix is A without row 0 and column 0, and T is A without
-    row 0 and column p-1.  In T, add columns 1..p-2 to column 0: it becomes
-    minus column p-1 of A, as the rows sum to 0.  Moving that column to the
-    end takes p-2 transpositions, an odd number, which cancels the minus
-    sign and leaves the Carlitz matrix.
+    The left side is det(A + J) / p^2 (det_circulant), A = [((j-i)/p)] the
+    p x p circulant, J all-ones; the Carlitz matrix K is A without row and
+    column 0.  A's rows and columns sum to sum_t (t/p) = 0: A u = 0 = u^T A
+    (u all-ones), so A adj(A) = adj(A) A = 0 gives adj(A) = det K u u^T, and
+    the determinant lemma det(A + J) = det A + u^T adj(A) u = p^2 det K.
+    ArithmeticError if the table does not sum to 0 or p^2 leaves a remainder.
     """
     ctx = _context(p)
-    p = ctx.p
-    return _result("carlitz", p, det_toeplitz(carlitz_toeplitz(ctx), p - 1), p ** ((p - 3) // 2))
+    p, chi = ctx.p, ctx.chi
+    if sum(chi):
+        raise ArithmeticError(f"the Legendre symbols mod {p} sum to {sum(chi)}, not 0")
+    det, r = divmod(det_circulant([c + 1 for c in chi]), p * p)
+    if r:
+        raise ArithmeticError(f"det(A + J) = {det * p * p + r} is not a multiple of p^2 = {p * p}")
+    return _result("carlitz", p, det, p ** ((p - 3) // 2))
 
 
 def _sun_minor(p: int, k: int, d: int) -> tuple[int, list[int], list[int]]:

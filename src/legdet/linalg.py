@@ -7,26 +7,19 @@ kernels dispatch on the ring: det_bareiss, adjugate and det_mod_p take ZZ
 alone and raise ValueError naming any other, and det_field takes QQ and
 Q(zeta_p) alone.
 
-Determinants come in four flavors, each on integers: fraction-free Bareiss
-elimination over ZZ, and over QQ on rows first scaled to integers
-(det_fractions, on rows of integer (numerator, denominator) pairs; det_field
-over QQ hands it those of its Fractions); over the cyclotomic fields, rows
-scaled into Z[zeta_p], whose determinant is read off its images in F_q for
-one Proth-certified prime q past four times a Hadamard bound, half of them
-when conjugation fixes every entry; det_toeplitz, fraction-free
-Levinson-Trench in O(k^2) integer operations on the 2k-1 diagonals of an
-integer Toeplitz matrix (toeplitz_columns), which hands the explicit matrix
-to Bareiss when a leading minor it must divide by vanishes; and, for when
-only the residue mod a prime of an integer determinant is wanted,
-det_mod_packed, which eliminates over F_q on rows packed one per integer,
-with delayed reduction, and refuses a slot width below its proven bound.
-det_mod_rows packs plain rows for it.  solve_mod_packed runs the same
-delayed reduction as Gauss-Jordan, for A^-1 B over F_q.  The Sun check
-gets its Schur-complement table X = H A^-1 from it, H = [((r + j)/p)] on
-all p rows r, whose columns are rotations of one Legendre table packed
-once (pack_windows), and then hands det_mod_packed only a minor of X per
-d (for d != 0, row i of [((i + dj)/p)] is (d/p) times row i d^-1 of H,
-as i + dj = d(i d^-1 + j)).
+Determinants, each on integers: fraction-free Bareiss elimination over ZZ,
+and over QQ on rows first scaled to integers (det_fractions, on rows of
+(numerator, denominator) pairs, which det_field over QQ hands it); over
+Q(zeta_p), rows scaled into Z[zeta_p], read off their images in F_q for one
+Proth-certified prime q past four times a Hadamard bound, half of them when
+conjugation fixes every entry; det_toeplitz, fraction-free Levinson-Trench
+in O(k^2) integer operations (toeplitz_columns), with a Bareiss fallback;
+det_circulant, the product of a circulant's eigenvalues mod Phi_p(2^L);
+and, for a residue mod a prime, det_mod_packed, elimination over F_q on
+rows packed one per integer, with delayed reduction and a slot width it
+proves.  det_mod_rows packs plain rows for it, pack_windows the rotations
+of one table, and solve_mod_packed runs the same reduction as Gauss-Jordan,
+for the Sun check's table A^-1 B over F_q.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant; a singular matrix gets its signed
@@ -43,10 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any
 
 from .cyclotomic import CycloElem, _pack, clear_slots
+from .ntheory import OddPrime
 
 
 @dataclass(frozen=True)
@@ -259,6 +253,33 @@ def det_toeplitz(t, k: int) -> int:
     """det T for the k x k integer Toeplitz matrix T[i][j] = t[j - i + k - 1]:
     the determinant of toeplitz_columns."""
     return toeplitz_columns(t, k)[0]
+
+
+def det_circulant(a) -> int:
+    """det [a[(j - i) mod p]], 0 <= i, j < p, for an integer list a of odd
+    prime length p (ValueError otherwise): the product of the eigenvalues
+    a(zeta^s), s < p.  zeta -> 2^L is a ring map onto Z/Phi, Phi = Phi_p(2^L)
+    = (2^(Lp) - 1)/(2^L - 1), so det = a(1) prod_(s != 0) a(2^(Ls)) mod Phi.
+    Mod 2^(Lp) - 1, a(2^(Ls)) is a with slot j moved to slot sj mod p, one
+    join of L-bit byte slots; slot k here holds a_(ks), the factor of s^-1,
+    which runs over every s != 0 as s does.  Adding m to every slot adds
+    m Phi = m sum_(k<p) 2^(Lk), so slots hold a_j - min a >= 0.  Products
+    fold mod 2^(Lp) - 1, as _mul_cyclic folds, and reduce mod Phi at the
+    end.  Bound: each row has squared norm S = sum a_j^2, so |det| <= H =
+    S^(p/2) (Hadamard).  L = 8b for the least b with 2^(2L(p-1)) >= 4H^2 and
+    2^L > max a - min a, so Phi > 2^(L(p-1)) >= 2H and the residue lifted to
+    (-Phi/2, Phi/2] is det.  Entries >= 0 give det >= 0: a(1) >= 0 and
+    a(zeta^(p-s)) is the conjugate of a(zeta^s), p odd.
+    """
+    p, lo = OddPrime(len(a)), min(a)
+    bits = (4 * sum(x * x for x in a) ** p - 1).bit_length()
+    b = max(-(-bits // (16 * p - 16)), -(-(max(a) - lo).bit_length() // 8))
+    lp, cells, acc = 8 * b * p, [(x - lo).to_bytes(b, "little") for x in a], sum(a)
+    for s in range(1, p):
+        acc *= int.from_bytes(b"".join(itemgetter(*map(p.__rmod__, range(0, s * p, s)))(cells)), "little")
+        acc = (acc & ((1 << lp) - 1)) + (acc >> lp)
+    r = acc % (phi := ((1 << lp) - 1) // ((1 << 8 * b) - 1))
+    return r - phi if 2 * r > phi else r
 
 
 def toeplitz_adjugate(f, b) -> list[list[int]] | None:

@@ -18,6 +18,7 @@ as parsing a cyclotomic value does.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .cyclotomic import CycloElem
@@ -25,9 +26,14 @@ from .exact import UniPoly, as_rational
 from .quadfield import QuadElem
 
 
+def _digits(n: int) -> str:
+    """str(n), by Decimal from 14000 bits on: str refuses over 4300 digits (CPython >= 3.10.7)."""
+    return str(n) if n.bit_length() < 14000 else str(Decimal(n))
+
+
 def format_rational(r) -> str:
     r = as_rational(r)
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    return _digits(r.numerator) if r.denominator == 1 else f"{_digits(r.numerator)}/{_digits(r.denominator)}"
 
 
 def _join_terms(terms: list[tuple[Fraction, str]]) -> str:

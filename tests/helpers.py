@@ -6,13 +6,15 @@ Jacobi symbols, a brute-force Pell search, polynomial products and
 differences on coefficient lists, cyclotomic inversion by the extended
 Euclidean algorithm on them, adjugates from explicit cofactors by Gaussian
 elimination, the two-vector lemma's closed form in Fraction arithmetic,
-Vsemirnov's U, D and the Cauchy-type matrix by inverting their definitions,
-Vsemirnov's V, which the package never builds, and naive forms of the fast
-kernels: the O(p^2) cyclic and cyclotomic convolutions, Gaussian
-elimination and Gauss-Jordan mod p on lists of lists, the entrywise
-cyclotomic matrix product, and Gaussian elimination over a field
-(det_gauss), which fraction-free elimination on integer-scaled rows
-replaced over QQ and images mod one Proth prime replaced over Q(zeta_p).
+circulant matrices, the Carlitz matrix and its Toeplitz form T (the
+Levinson kernel's Carlitz input), Vsemirnov's U, D and the Cauchy-type
+matrix by inverting their definitions, Vsemirnov's V, which the package
+never builds, and naive forms of the fast kernels: the O(p^2) cyclic and
+cyclotomic convolutions, Gaussian elimination and Gauss-Jordan mod p on
+lists of lists, the entrywise cyclotomic matrix product, and Gaussian
+elimination over a field (det_gauss), which fraction-free elimination on
+integer-scaled rows replaced over QQ and images mod one Proth prime
+replaced over Q(zeta_p).
 mutant recompiles a package function with one expression edited, for
 negative controls.
 
@@ -311,6 +313,29 @@ def rand_int_rows(rng, k, lo=-5, hi=5):
 def toeplitz_matrix(t, k):
     """The k x k integer matrix [t_(j-i)] from its diagonals t_(1-k), ..., t_(k-1)."""
     return ExactMatrix(ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
+
+
+def circulant_matrix(a):
+    """The p x p integer matrix [a[(j - i) mod p]], p = len(a)."""
+    p = len(a)
+    return ExactMatrix(ZZ, [[a[(j - i) % p] for j in range(p)] for i in range(p)])
+
+
+def build_carlitz_matrix(p):
+    """The Carlitz matrix [((j-i)/p)], 1 <= i, j <= p-1, entry by entry."""
+    return ExactMatrix(ZZ, [[legendre(j - i, p) for j in range(1, p)] for i in range(1, p)])
+
+
+def carlitz_toeplitz(p):
+    """The 2p-3 diagonals of T = [((j-i-1)/p)], 0 <= i, j < p-1, in
+    det_toeplitz's order: ((d-1)/p) for d = 2-p, ..., p-2.  T has the
+    determinant of the Carlitz matrix and t_0 = (-1/p) != 0: with A the
+    p x p circulant [((j-i)/p)], whose rows sum to 0, the Carlitz matrix is
+    A without row and column 0, and T is A without row 0 and column p-1.
+    Adding columns 1..p-2 of T to column 0 makes it minus column p-1 of A;
+    moving that column to the end takes p-2 transpositions, an odd number,
+    which cancels the sign and leaves the Carlitz matrix."""
+    return [legendre(d - 1, p) for d in range(2 - p, p - 1)]
 
 
 def _trim(a):

@@ -10,11 +10,10 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import poly_mul, poly_sub, rand_int_rows
+from helpers import build_carlitz_matrix, poly_mul, poly_sub, rand_int_rows
 
 from legdet.exact import UniPoly
 from legdet.identities import (
-    build_carlitz_matrix,
     build_evil_matrix,
     c_polynomial,
     uv_trial_checks,

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -52,6 +53,7 @@ from legdet.linalg import (
     cyclo_ring,
     adjugate,
     det_bareiss,
+    det_circulant,
     det_field,
     det_fractions,
     det_mod_packed,
@@ -548,7 +550,7 @@ def test_zero_inverse_names_its_field():
 
 def shift_toeplitz_dets(monkeypatch, shift):
     """Every Toeplitz determinant the checks read, moved by shift(t): C - J
-    and the Carlitz T through det_toeplitz, C + J through toeplitz_columns."""
+    through det_toeplitz, C + J through toeplitz_columns."""
     monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + shift(t))
 
     def columns(t, k):
@@ -685,8 +687,9 @@ def test_sun_fallback_matches_schur_path(monkeypatch):
 
 
 def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
-    """det_toeplitz + 1 shifts Carlitz by one and C(1), C(-1) by one each,
-    hence C(0) by one."""
+    """det_circulant + p^2 shifts Carlitz, det(A + J) / p^2, by one, and
+    det_toeplitz + 1 shifts C(1), C(-1) by one each, hence C(0) by one."""
+    monkeypatch.setattr(identities, "det_circulant", lambda a: det_circulant(a) + len(a) ** 2)
     shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
         for r in (verify_carlitz(p), verify_evil(p)):
@@ -695,6 +698,48 @@ def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
     for p, lhs, rhs in ((13, "-17", "-18"), (17, "-3", "-4")):
         r = verify_evil(p)
         assert (r.lhs, r.rhs, r.detail) == (lhs, rhs, "")
+
+
+def _raises(fn, pattern: str) -> bool:
+    """Whether fn() raises ArithmeticError with a message matching pattern."""
+    try:
+        fn()
+    except ArithmeticError as exc:
+        return re.search(pattern, str(exc)) is not None
+    return False
+
+
+def carlitz_guard_trips(monkeypatch, verify) -> list[bool]:
+    """Which of verify_carlitz's two guards, verify() being the function
+    under test, raise on their bad input at p = 7: a Legendre table with
+    (3/7) flipped, which sums to 2, and a circulant determinant of
+    p^2 c + 1.  verify is called after det_circulant is patched, so that a
+    mutant compiled then reads the patched kernel."""
+    ctx = PrimeContext(7)
+    ctx.chi = [0, 1, 1, 1, 1, -1, -1]
+    trips = [_raises(lambda: verify()(ctx), "sum to 2, not 0")]
+    monkeypatch.setattr(identities, "det_circulant", lambda a: det_circulant(a) + 1)
+    trips.append(_raises(lambda: verify()(7), r"= 2402 is not a multiple of p\^2 = 49"))
+    return trips
+
+
+def test_carlitz_guards_raise(monkeypatch):
+    """A Legendre table that does not sum to 0, and a kernel result that
+    p^2 does not divide, each raise ArithmeticError, not a failed row."""
+    assert carlitz_guard_trips(monkeypatch, lambda: verify_carlitz) == [True, True]
+
+
+@pytest.mark.parametrize("old, trips", [("if sum(chi):", [False, True]), ("if r:", [True, False])],
+                         ids=["table-sum-guard", "remainder-guard"])
+def test_carlitz_guard_mutants_fail(monkeypatch, old, trips):
+    """Each guard of verify_carlitz replaced by if False: its bad input no
+    longer raises its ArithmeticError (the table's reaches the remainder
+    guard or a failed row, the remainder is floored away and passes), so
+    test_carlitz_guards_raise fails on it; the other guard still trips."""
+    def verify():
+        return mutant(identities, "verify_carlitz", old, "if False:")
+
+    assert carlitz_guard_trips(monkeypatch, verify) == trips
 
 
 def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
@@ -830,14 +875,14 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     """One context per prime: C(1) with the columns of adj(C + J), C(-1),
-    a_p/b_p, n! mod p, the Cauchy-type matrix and Vsemirnov's D are
-    each computed once, however many checks read them.  The certified adjugate of C reads the one C + J
+    Carlitz's det(A + J), a_p/b_p, n! mod p, the Cauchy-type matrix and
+    Vsemirnov's D are each computed once, however many checks read them.  The certified adjugate of C reads the one C + J
     run, so the suite calls neither det_bareiss nor the Gauss-Jordan
     adjugate.  c_polynomial takes det C, det(C + J) and det(C - J) densely
     for p <= 13, and a direct call builds its own context, so nothing is
     kept between calls."""
-    calls = {"det_toeplitz": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [], "ab_coeffs": [],
-             "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": []}
+    calls = {"det_toeplitz": [], "det_circulant": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [],
+             "ab_coeffs": [], "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": []}
 
     def count(name, key):
         fn = getattr(identities, name)
@@ -849,6 +894,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
         monkeypatch.setattr(identities, name, counted)
 
     count("det_toeplitz", lambda t, k: (k, t[k - 1]))  # order and diagonal t_0
+    count("det_circulant", len)
     count("toeplitz_columns", lambda t, k: (k, t[k - 1]))
     count("det_bareiss", lambda m: (m.rows, m.ring.name))
     count("adjugate", lambda m: m.rows)
@@ -859,11 +905,11 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
     assert calls["ab_coeffs"] == calls["build_cauchy_matrix"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
     assert calls["factorial_mod"] == [5, 13, 17, 29]
-    # per prime C + J with its columns, then C - J and the Carlitz T, whose t_0 is (-1/p)
+    # per prime C + J with its columns, C - J, and the p x p circulant A + J of Carlitz
     primes = odd_primes_upto(29)
     assert calls["toeplitz_columns"] == [((p + 1) // 2, 1) for p in primes]
-    assert calls["det_toeplitz"] == [
-        call for p in primes for call in (((p + 1) // 2, -1), (p - 1, legendre(-1, p)))]
+    assert calls["det_toeplitz"] == [((p + 1) // 2, -1) for p in primes]
+    assert calls["det_circulant"] == primes
     assert calls["det_bareiss"] == calls["adjugate"] == []
 
     for name in ("det_toeplitz", "toeplitz_columns", "det_bareiss"):
@@ -894,6 +940,13 @@ def test_carlitz_values():
     for p, want in ((3, "1"), (5, "5"), (7, "49"), (11, "14641")):
         r = verify_carlitz(p)
         assert r.passed and r.lhs == want
+
+
+def test_carlitz_past_the_int_str_digit_limit():
+    """At p = 2531 both sides have 4302 digits, past the 4300 that str
+    prints on CPython 3.10.7 and later, and the check still reports them."""
+    r = verify_carlitz(2531)
+    assert r.passed and len(r.lhs) == 4302 and r.lhs[:6] == "577127"
 
 
 def test_sun_congruence():

@@ -7,10 +7,14 @@ import pytest
 
 from helpers import (
     Cyclo,
+    build_carlitz_matrix,
+    carlitz_toeplitz,
+    circulant_matrix,
     cofactor_adjugate,
     det_gauss,
     det_mod_p_lists,
     matmul_entrywise,
+    mutant,
     naive_det,
     rand_int_rows,
     solve_mod_p_lists,
@@ -19,12 +23,7 @@ from helpers import (
 )
 from legdet.cyclotomic import CycloElem, _pack, zeta_pow
 from legdet import linalg
-from legdet.identities import (
-    build_carlitz_matrix,
-    build_evil_matrix,
-    carlitz_toeplitz,
-    evil_toeplitz,
-)
+from legdet.identities import build_evil_matrix, evil_toeplitz
 from legdet import identities
 from legdet.linalg import (
     QQ,
@@ -35,6 +34,7 @@ from legdet.linalg import (
     certify_adjugate,
     cyclo_ring,
     det_bareiss,
+    det_circulant,
     det_field,
     det_fractions,
     det_mod_p,
@@ -757,6 +757,66 @@ def test_det_toeplitz_agrees_on_carlitz_and_evil_without_fallback(monkeypatch):
         c = build_evil_matrix(p)
         for x, det in ((1, plus), (-1, minus)):
             assert det_bareiss(ExactMatrix(ZZ, [[e + x for e in row] for row in c.entries])) == det
+
+
+def seeded_circulants():
+    """(a, det) for seeded circulants at every odd prime p <= 31, entries
+    drawn from [0, 2], [0, 2^8], [0, 2^40] and [-2^20, 2^20], det by
+    Bareiss on the explicit matrix; the signed draws reach the slot shift
+    by min a and the lift to (-Phi/2, Phi/2]."""
+    rng = random.Random(28)
+    cases = []
+    for p in odd_primes_upto(31):
+        for lo, hi in ((0, 2), (0, 1 << 8), (0, 1 << 40), (-(1 << 20), 1 << 20)):
+            a = [rng.randint(lo, hi) for _ in range(p)]
+            cases.append((a, det_bareiss(circulant_matrix(a))))
+    return cases
+
+
+# (p, c) with det Circ(c e_k) = c^p = H, the Hadamard bound itself, where
+# 2^(2L(p-1)) >= H^2 holds at a smaller L = 8b than 2^(2L(p-1)) >= 4H^2
+HADAMARD_TIGHT = ((3, 33), (3, (1 << 16) - 1), (3, 1 << 16), (5, 1 << 32), (7, 1 << 48), (11, (1 << 29) + 1))
+
+
+def hadamard_tight():
+    """(a, c^p) for a = c e_k, every k: c times the cyclic shift by k, a
+    p-cycle or the identity, of sign +1 for odd p."""
+    return [([c * (j == k) for j in range(p)], c ** p) for p, c in HADAMARD_TIGHT for k in range(p)]
+
+
+def test_det_circulant_matches_bareiss_on_seeded_circulants():
+    for a, det in seeded_circulants():
+        assert det_circulant(a) == det, a
+    assert det_circulant([0] * 7) == det_circulant([5] * 7) == 0
+    assert det_circulant([1, 1, 0]) == 2 and det_circulant([-1, 0, 0]) == -1
+
+
+def test_det_circulant_is_exact_at_the_hadamard_bound():
+    for a, det in hadamard_tight():
+        assert det_circulant(a) == det, a
+
+
+def test_det_circulant_refuses_other_orders():
+    for a in ([], [1], [1, 2], [1] * 4, [1] * 9, [1] * 15):
+        with pytest.raises(ValueError, match=f"^{len(a)} is not an odd prime$"):
+            det_circulant(a)
+
+
+@pytest.mark.parametrize("old, new, cases", [
+    ("4 * sum(x * x for x in a) ** p", "sum(x * x for x in a) ** p", hadamard_tight),
+    (", sum(a)", ", 1", seeded_circulants),
+    ("(phi := ((1 << lp) - 1) // ((1 << 8 * b) - 1))", "(phi := (1 << lp) - 1)", seeded_circulants),
+], ids=["bound-without-4", "s0-factor-dropped", "mod-2^Lp-1"])
+def test_det_circulant_mutants_fail(old, new, cases):
+    """Negative controls, each one expression of det_circulant, each wrong
+    on the cases of the test named: the bound weakened to 2^(2L(p-1)) >=
+    H^2 (the Hadamard-tight test), the s = 0 factor a(1) dropped, and the
+    residue taken mod 2^(Lp) - 1 instead of Phi_p(2^L) (the seeded test).
+    Slot sj built from a_j, the factor of s, in place of slot k from
+    a_(ks), the factor of s^-1, is an equivalent mutant and not listed:
+    the product runs over every s != 0, and s^-1 runs over them too."""
+    bad = mutant(linalg, "det_circulant", old, new)
+    assert any(bad(a) != det for a, det in cases())
 
 
 def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monkeypatch):

@@ -22,6 +22,21 @@ def test_rational_forms():
             format_rational(bad)
 
 
+def test_rational_forms_past_the_int_str_digit_limit():
+    """Integers of over 4300 digits, which str refuses on CPython 3.10.7
+    and later, print in full; the digits come here from divmod by 10^1000."""
+    n = 7 ** 20000
+    chunks, m = [], n
+    while m:
+        m, r = divmod(m, 10 ** 1000)
+        chunks.append(f"{r:01000d}")
+    digits = "".join(reversed(chunks)).lstrip("0")
+    assert len(digits) == 16902
+    assert format_rational(n) == digits and format_rational(-n) == "-" + digits
+    assert format_value(Fraction(-n, 2)) == f"-{digits}/2"
+    assert format_value(Fraction(2, n)) == f"2/{digits}"
+
+
 def test_poly_canonical_forms():
     assert format_poly(UniPoly((-18, -65))) == "-65*x - 18"
     assert format_poly(UniPoly((-4, 17))) == "17*x - 4"
