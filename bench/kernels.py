@@ -18,11 +18,9 @@ Cases:
   carlitz_check  the whole Carlitz check of one prime: a fresh
            identities.PrimeContext and verify_carlitz, at p = 61, 101, 157
            and 401, its Legendre table included; one sample is one prime.
-  toeplitz legdet.linalg.det_toeplitz beside det_bareiss on the same
-           matrices: the Toeplitz form T = [((j-i-1)/p)] of the Carlitz
-           matrix at p = 61, 101, 157, built here from the Legendre table,
-           and C + J and C - J for the evil matrix C at p = 401; one sample
-           is one determinant, or both of C +- J.
+  toeplitz legdet.linalg.det_toeplitz beside det_bareiss on C + J and
+           C - J for the evil matrix C at p = 401; one sample is both
+           determinants.
   det_field legdet.linalg.det_field over QQ on two-vector lemma matrices
            [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, u and v from seeded
            identities.random_uv_instance draws of that m; one sample is one
@@ -104,7 +102,6 @@ MUL_BITS = (3, 40, 300)
 MUL_BATCH = 200
 SUN_PRIMES = (61, 101, 157)
 ADJUGATE_PRIMES = (67, 151)
-CARLITZ_PRIMES = (61, 101, 157)
 CARLITZ_CHECK_PRIMES = (61, 101, 157, 401)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
@@ -200,41 +197,27 @@ def carlitz_check_cases(legdet, quick: bool) -> dict:
     return out
 
 
-def _carlitz_t(ids, p: int) -> list[int]:
-    """The diagonals of T = [((j-i-1)/p)], 0 <= i, j < p-1, ((d-1)/p) for
-    d = 2-p, ..., p-2, from the context's Legendre table, so that every
-    checkout times the same matrix, whatever its Carlitz check runs on."""
-    chi = ids.PrimeContext(p).chi
-    return [chi[(d - 1) % p] for d in range(2 - p, p - 1)]
-
-
 def toeplitz_cases(legdet, quick: bool) -> dict:
-    """Diagonals t_(1-k), ..., t_(k-1) of each matrix: the Carlitz T, and
-    C +- J from the builder that the C(x) checks use."""
+    """C +- J, from the builder that the C(x) checks use, as diagonals
+    t_(1-k), ..., t_(k-1) and as dense matrices."""
     ids = legdet.identities
-    inputs = [(f"carlitz T p={p}", [_carlitz_t(ids, p)])
-              for p in (CARLITZ_PRIMES[:1] if quick else CARLITZ_PRIMES)]
-    p = CARLITZ_PRIMES[0] if quick else EVIL_PRIME
-    inputs.append((f"C +- J p={p}", [ids.evil_toeplitz(p, x) for x in (1, -1)]))
-    out = {}
-    for name, ts in inputs:
-        k = (len(ts[0]) + 1) // 2
-        mats = [legdet.linalg.ExactMatrix(legdet.linalg.ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
-                for t in ts]
+    p = 61 if quick else EVIL_PRIME
+    ts = [ids.evil_toeplitz(p, x) for x in (1, -1)]
+    k = (len(ts[0]) + 1) // 2
+    mats = [legdet.linalg.ExactMatrix(legdet.linalg.ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
+            for t in ts]
 
-        def run(ts=ts, k=k):
-            for t in ts:
-                legdet.linalg.det_toeplitz(t, k)
-            return len(ts)
+    def run():
+        for t in ts:
+            legdet.linalg.det_toeplitz(t, k)
+        return len(ts)
 
-        def run_dense(mats=mats):
-            for m in mats:
-                legdet.linalg.det_bareiss(m)
-            return len(mats)
+    def run_dense():
+        for m in mats:
+            legdet.linalg.det_bareiss(m)
+        return len(mats)
 
-        out[f"det_toeplitz {name}"] = run
-        out[f"det_bareiss {name}"] = run_dense
-    return out
+    return {f"det_toeplitz C +- J p={p}": run, f"det_bareiss C +- J p={p}": run_dense}
 
 
 def det_field_cases(legdet, quick: bool) -> dict:

@@ -85,9 +85,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def emit_report(report: VerificationReport, fmt: str, out) -> None:
     if fmt == "json":
-        rows = [{"name": c.name, "p": c.p, "status": c.status, "lhs": c.lhs, "rhs": c.rhs, "detail": c.detail}
-                for c in report.checks]
-        doc = {"config": report.config, "all_pass": report.all_passed, "checks": rows}
+        doc = {
+            "config": report.config,
+            "all_pass": report.all_passed,
+            "checks": [
+                {
+                    "name": c.name,
+                    "p": c.p,
+                    "status": c.status,
+                    "lhs": c.lhs,
+                    "rhs": c.rhs,
+                    "detail": c.detail,
+                }
+                for c in report.checks
+            ],
+        }
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     elif fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
@@ -114,7 +126,9 @@ def _dispatch(args, out) -> int:
     if args.command == "unit":
         p = OddPrime(args.p)
         if p.mod4 == 3:
-            raise ValueError(f"p = {p} is 3 (mod 4): C(x) is the constant 1 and needs no unit data")
+            raise ValueError(
+                f"p = {p} is 3 (mod 4): C(x) is the constant 1 and needs no unit data"
+            )
         ud = ab_coeffs(p)
         for field in ("eps", "h", "exponent", "a", "b"):
             out.write(f"{field} = {format_value(getattr(ud, field))}\n")

@@ -608,7 +608,7 @@ def verify_carlitz(p) -> CheckResult:
         raise ArithmeticError(f"the Legendre symbols mod {p} sum to {sum(chi)}, not 0")
     det, r = divmod(det_circulant([c + 1 for c in chi]), p * p)
     if r:
-        raise ArithmeticError(f"det(A + J) = {det * p * p + r} is not a multiple of p^2 = {p * p}")
+        raise ArithmeticError(f"det(A + J) leaves remainder {r} mod p^2 = {p * p}")
     return _result("carlitz", p, det, p ** ((p - 3) // 2))
 
 

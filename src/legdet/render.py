@@ -26,14 +26,12 @@ from .exact import UniPoly, as_rational
 from .quadfield import QuadElem
 
 
-def _digits(n: int) -> str:
-    """str(n), by Decimal from 14000 bits on: str refuses over 4300 digits (CPython >= 3.10.7)."""
-    return str(n) if n.bit_length() < 14000 else str(Decimal(n))
-
-
 def format_rational(r) -> str:
+    """n or n/d, its digits from Decimal: str(int) refuses more digits than
+    sys.get_int_max_str_digits() (4300 by default, CPython >= 3.10.7)."""
     r = as_rational(r)
-    return _digits(r.numerator) if r.denominator == 1 else f"{_digits(r.numerator)}/{_digits(r.denominator)}"
+    n = str(Decimal(r.numerator))
+    return n if r.denominator == 1 else f"{n}/{Decimal(r.denominator)}"
 
 
 def _join_terms(terms: list[tuple[Fraction, str]]) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -719,7 +720,7 @@ def carlitz_guard_trips(monkeypatch, verify) -> list[bool]:
     ctx.chi = [0, 1, 1, 1, 1, -1, -1]
     trips = [_raises(lambda: verify()(ctx), "sum to 2, not 0")]
     monkeypatch.setattr(identities, "det_circulant", lambda a: det_circulant(a) + 1)
-    trips.append(_raises(lambda: verify()(7), r"= 2402 is not a multiple of p\^2 = 49"))
+    trips.append(_raises(lambda: verify()(7), r"leaves remainder 1 mod p\^2 = 49"))
     return trips
 
 
@@ -947,6 +948,22 @@ def test_carlitz_past_the_int_str_digit_limit():
     prints on CPython 3.10.7 and later, and the check still reports them."""
     r = verify_carlitz(2531)
     assert r.passed and len(r.lhs) == 4302 and r.lhs[:6] == "577127"
+
+
+def test_carlitz_under_the_lowest_int_str_digit_limit(monkeypatch):
+    """With str's digit limit at its floor of 640, as PYTHONINTMAXSTRDIGITS
+    or -X int_max_str_digits can set it, Carlitz at p = 503 (676 digits)
+    still reports, and its remainder guard still raises ArithmeticError
+    rather than the ValueError of printing det(A + J)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        r = verify_carlitz(503)
+        assert r.passed and len(r.lhs) == 676
+        monkeypatch.setattr(identities, "det_circulant", lambda a: det_circulant(a) + 1)
+        assert _raises(lambda: verify_carlitz(503), r"leaves remainder 1 mod p\^2 = 253009")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sun_congruence():
