@@ -6,9 +6,10 @@ Cases:
   mul_vec  legdet.cyclotomic._mul_vec at p = 13, 29, 59, a monomial or a
            dense vector times a dense vector, entries of 3, 40 or 300 bits;
            one sample is one pass over a fixed batch of seeded operand pairs.
-  det_mod_p  legdet.linalg.det_mod_p over the Sun matrices [((i + d j)/p)],
-           built from a Legendre table, for every d, at p = 61, 101, 157; one
-           sample is one pass over all d.
+  det_mod_rows  legdet.linalg.det_mod_rows over the Sun matrices
+           [((i + d j)/p)], rows built from a Legendre table and reduced
+           mod p, for every d, at p = 61, 101, 157; one sample is one pass
+           over all d.
   sun_check  the whole Sun check of one prime: a fresh
            identities.PrimeContext and verify_sun_congruence for every d, at
            p = 61, 101, 157, its table included; one sample is one prime.
@@ -21,8 +22,10 @@ Cases:
   toeplitz legdet.linalg.det_toeplitz beside det_bareiss on C + J and
            C - J for the evil matrix C at p = 401; one sample is both
            determinants.
-  det_field legdet.linalg.det_field over QQ on two-vector lemma matrices
-           [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, u and v from seeded
+  det_fractions  legdet.linalg.det_fractions on two-vector lemma
+           matrices [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, each entry
+           the integer pair (a_i d_j + b_i c_j, b_i d_j + a_i c_j) for
+           u_i = a_i/b_i and v_j = c_j/d_j from seeded
            identities.random_uv_instance draws of that m; one sample is one
            pass over a fixed batch of matrices.
   lemma_uv identities.verify_lemma_uv on the same batches of (u, v) at
@@ -76,7 +79,7 @@ The committed BENCH_kernels.json holds the run made with
 
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its carlitz_check
-and C +- J cases are at p = 61, its det_field and lemma_uv cases at m = 3,
+and C +- J cases are at p = 61, its det_fractions and lemma_uv cases at m = 3,
 and its vsemirnov_build, det_field_cyclo, decomposition and cyclo_products
 cases at p = 13.
 """
@@ -141,21 +144,20 @@ def mul_vec_cases(legdet, quick: bool) -> dict:
     return out
 
 
-def det_mod_p_cases(legdet, quick: bool) -> dict:
+def det_mod_rows_cases(legdet, quick: bool) -> dict:
     lin = legdet.linalg
     out = {}
     for p in SUN_PRIMES[:1] if quick else SUN_PRIMES:
-        chi = [legdet.ntheory.legendre(r, p) for r in range(p)]
+        chi = [legdet.ntheory.legendre(r, p) % p for r in range(p)]
         k = (p + 1) // 2
-        mats = [lin.ExactMatrix(lin.ZZ, [[chi[(i + d * j) % p] for j in range(k)] for i in range(k)])
-                for d in range(p)]
+        mats = [[[chi[(i + d * j) % p] for j in range(k)] for i in range(k)] for d in range(p)]
 
         def run(mats=mats, p=p):
-            for m in mats:
-                lin.det_mod_p(m, p)
+            for rows in mats:
+                lin.det_mod_rows(rows, p)
             return len(mats)
 
-        out[f"det_mod_p sun p={p} all d"] = run
+        out[f"det_mod_rows sun p={p} all d"] = run
     return out
 
 
@@ -220,9 +222,9 @@ def toeplitz_cases(legdet, quick: bool) -> dict:
     return {f"det_toeplitz C +- J p={p}": run, f"det_bareiss C +- J p={p}": run_dense}
 
 
-def det_field_cases(legdet, quick: bool) -> dict:
+def lemma_cases(legdet, quick: bool) -> dict:
     """Seeded batches of two-vector lemma instances of order m, timed as
-    det_field on their pre-built Fraction matrices and as the whole
+    det_fractions on their pre-built rows of integer pairs and as the whole
     verify_lemma_uv check, entries and closed form included."""
     ids = legdet.identities
     lin = legdet.linalg
@@ -234,11 +236,13 @@ def det_field_cases(legdet, quick: bool) -> dict:
             k, u, v = ids.random_uv_instance(rng, m)
             if k == m:
                 batch.append((u, v))
-        mats = [lin.ExactMatrix(lin.QQ, [[(ui + vj) / (1 + ui * vj) for vj in v] for ui in u]) for u, v in batch]
+        mats = [[[(ui.numerator * vj.denominator + ui.denominator * vj.numerator,
+                   ui.denominator * vj.denominator + ui.numerator * vj.numerator) for vj in v] for ui in u]
+                for u, v in batch]
 
         def run(mats=mats):
-            for mat in mats:
-                lin.det_field(mat)
+            for rows in mats:
+                lin.det_fractions(rows)
             return len(mats)
 
         def run_check(batch=batch, m=m):
@@ -246,7 +250,7 @@ def det_field_cases(legdet, quick: bool) -> dict:
                 ids.verify_lemma_uv(m, u, v)
             return len(batch)
 
-        out[f"det_field QQ lemma m={m}"] = run
+        out[f"det_fractions lemma m={m}"] = run
         out[f"lemma_uv m={m}"] = run_check
     return out
 
@@ -326,8 +330,8 @@ def child(src: Path, quick: bool) -> int:
     import legdet.ntheory
 
     cases = {}
-    for build in (mul_vec_cases, det_mod_p_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
-                  toeplitz_cases, det_field_cases, cyclo_cases, cyclo_product_cases):
+    for build in (mul_vec_cases, det_mod_rows_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
+                  toeplitz_cases, lemma_cases, cyclo_cases, cyclo_product_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():
         run()

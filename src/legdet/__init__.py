@@ -34,7 +34,6 @@ from .identities import (
     verify_theorem,
 )
 from .linalg import (
-    QQ,
     ZZ,
     ExactMatrix,
     Ring,
@@ -54,7 +53,6 @@ __all__ = [
     "CycloElem",
     "ExactMatrix",
     "OddPrime",
-    "QQ",
     "QuadElem",
     "Ring",
     "SuiteOptions",

@@ -131,14 +131,14 @@ class PrimeContext:
     det M: M is the minor of X on the rows of S above n and the columns
     that S misses in [0, n], each in order, and tau sends position i to S_i
     when S_i <= n and the other positions, in order, to the missed columns.
-    M averages k/2 rows.  sun_schur holds det A, read by det_mod_packed on
-    the packed rows of A, and the rows r > n of X, from one Gauss-Jordan
-    (solve_mod_packed) on the k columns of H, rotations of the Legendre
-    table packed once (pack_windows); A is symmetric, so it eliminates
-    [A | H[n+1..p-1]^T].  The slots of X are bytes, b of them at a width
-    8b >= mod_slot_width(p, k), the slot bound of both eliminations for k
-    rows mod p, so every minor packs at that width by joining bytes, one
-    row per missed column (M transposed, of the same determinant).
+    M averages k/2 rows.  sun_schur holds det A and the rows r > n of X,
+    both from one Gauss-Jordan (solve_mod_packed, det A the product of its
+    pivots and row-swap signs) on the k columns of H, rotations of the
+    Legendre table packed once (pack_windows); A is symmetric, so it
+    eliminates [A | H[n+1..p-1]^T].  The slots of X are bytes, b of them at
+    a width 8b >= mod_slot_width(p, k), the slot bound of both eliminations
+    for k rows mod p, so every minor packs at that width by joining bytes,
+    one row per missed column (M transposed, of the same determinant).
 
     The adjugate of C comes from A = C + J, whose Toeplitz recurrence
     (plus_j) also gives C(1): adj(A) from its first and last columns
@@ -226,12 +226,9 @@ class PrimeContext:
         b = -(-mod_slot_width(p, k) // 8)
         w = 8 * b
         h = pack_windows([self.chi[m % p] % p for m in range(p + k - 1)], p, w)
-        det_a = det_mod_packed([col & ((1 << (w * k)) - 1) for col in h], p, w)
+        det_a, x = solve_mod_packed(h, p, p, w)
         if not det_a:
             return 0, b, []
-        x = solve_mod_packed(h, p, p, w)
-        if x is None:
-            raise ArithmeticError(f"det A = {det_a} (mod {p}) but A is singular")
         return det_a, b, [tuple(v.to_bytes(b, "little") for v in col) for col in x]
 
     @cached_property
@@ -637,21 +634,17 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
 
     The left side, mod p: for d != 0, (d/p) det A sgn(tau) det M from the
     table ctx.sun_schur (PrimeContext docstring), M packed as one row per
-    missed column from the table's bytes and handed to det_mod_packed, or,
-    when det A = 0 (mod p), det_mod_rows of the explicit rows; for d = 0,
-    det_mod_packed of (i/p) mod p in every slot of row i.  d is zero-padded
-    to the width of p - 1 (at least 2) so names sort by d.
+    missed column from the table's bytes and handed to det_mod_packed;
+    for d = 0, whose row i is (i/p) in every slot, or when det A = 0
+    (mod p), det_mod_rows of the explicit rows.  d is zero-padded to the
+    width of p - 1 (at least 2) so names sort by d.
     """
     ctx = _context(p, need_1mod4=True)
     p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")
     chi, k = ctx.chi, p.n + 1
-    if not d:
-        w = mod_slot_width(p, k)
-        ones = sum(1 << (w * j) for j in range(k))
-        lhs = det_mod_packed([chi[i] % p * ones for i in range(k)], p, w)
-    elif (schur := ctx.sun_schur)[0]:
+    if d and (schur := ctx.sun_schur)[0]:
         det_a, b, cols = schur
         sign, missed, below = _sun_minor(p, k, d)
         pick = itemgetter(*below) if len(below) > 1 else lambda col: [col[r] for r in below]

@@ -1,25 +1,23 @@
-"""Dense exact matrices over ZZ, QQ and Q(zeta_p), with every kernel on integers.
+"""Dense exact matrices over ZZ and Q(zeta_p), with every kernel on integers.
 
-A matrix carries a ``Ring``, its name and zero and one elements: ZZ, QQ or
-Q(zeta_p) (cyclo_ring).  Entries are ints, Fractions or CycloElems; the
-plain matrix product needs entries with +, which CycloElem lacks.  The
-kernels dispatch on the ring: det_bareiss, adjugate and det_mod_p take ZZ
-alone and raise ValueError naming any other, and det_field takes QQ and
-Q(zeta_p) alone.
+A matrix carries a ``Ring``, its name and zero and one elements: ZZ or
+Q(zeta_p) (cyclo_ring), with int or CycloElem entries.  det_bareiss and
+adjugate take ZZ alone and det_field Q(zeta_p) alone, each raising
+ValueError naming any other ring.
 
 Determinants, each on integers: fraction-free Bareiss elimination over ZZ,
 and over QQ on rows first scaled to integers (det_fractions, on rows of
-(numerator, denominator) pairs, which det_field over QQ hands it); over
-Q(zeta_p), rows scaled into Z[zeta_p], read off their images in F_q for one
-Proth-certified prime q past four times a Hadamard bound, half of them when
-conjugation fixes every entry; det_toeplitz, fraction-free Levinson-Trench
+(numerator, denominator) pairs); over Q(zeta_p), rows scaled into
+Z[zeta_p], read off their images in F_q for one Proth-certified prime q
+past four times a Hadamard bound, half of them when conjugation fixes
+every entry; det_toeplitz, fraction-free Levinson-Trench
 in O(k^2) integer operations (toeplitz_columns), with a Bareiss fallback;
 det_circulant, the product of a circulant's eigenvalues mod Phi_p(2^L);
 and, for a residue mod a prime, det_mod_packed, elimination over F_q on
 rows packed one per integer, with delayed reduction and a slot width it
 proves.  det_mod_rows packs plain rows for it, pack_windows the rotations
 of one table, and solve_mod_packed runs the same reduction as Gauss-Jordan,
-for the Sun check's table A^-1 B over F_q.
+for the Sun check's det A and table A^-1 B over F_q.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant; a singular matrix gets its signed
@@ -53,7 +51,6 @@ class Ring:
 
 
 ZZ = Ring("ZZ", 0, 1)
-QQ = Ring("QQ", Fraction(0), Fraction(1))
 
 
 def cyclo_ring(p: int) -> Ring:
@@ -85,16 +82,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"inner dimensions {self.cols} and {other.rows} disagree")
-        zero = self.ring.zero
-        cols = list(zip(*other.entries))
-        return ExactMatrix(
-            self.ring,
-            [[sum((a * b for a, b in zip(row, col)), start=zero) for col in cols] for row in self.entries],
-        )
 
     def submatrix(self, drop_row: int, drop_col: int) -> "ExactMatrix":
         return ExactMatrix(
@@ -418,16 +405,17 @@ def det_mod_packed(rows, q: int, w: int) -> int:
     return det % q
 
 
-def solve_mod_packed(rows, width: int, q: int, w: int) -> list[list[int]] | None:
-    """A^-1 B over F_q, entries in range(q), for the k rows of [A | B]
-    packed as in det_mod_packed, width slots each, the first k of them A's,
-    for a prime q; None when A is singular mod q.  Raises ValueError unless
-    q^2 k + q < 2^(w-1).
+def solve_mod_packed(rows, width: int, q: int, w: int) -> tuple[int, list[list[int]] | None]:
+    """(det A, A^-1 B) over F_q, entries in range(q), for the k rows of
+    [A | B] packed as in det_mod_packed, width slots each, the first k of
+    them A's, for a prime q; (0, None) when A is singular mod q.  Raises
+    ValueError unless q^2 k + q < 2^(w-1).
 
     Gauss-Jordan with det_mod_packed's delayed reduction: step c reduces the
     pivot row mod q and scales it to 1 in column c, then adds f times the
     packed (-r_j mod q) to every other row, f its column-c slot mod q, and
-    every row drops that slot (>> w).  Slot bound: a row is reduced when it
+    every row drops that slot (>> w); det A is the product of the unscaled
+    pivots, negated per row swap.  Slot bound: a row is reduced when it
     pivots and takes one step in every other column, at most k - 1 steps of
     at most (q - 1)^2 each past a start in [0, q), so every slot stays below
     q + (k - 1)(q - 1)^2 < q^2 k + q < 2^(w-1).
@@ -437,6 +425,7 @@ def solve_mod_packed(rows, width: int, q: int, w: int) -> list[list[int]] | None
         raise ValueError(f"slot width {w} is below the bound for {k} rows mod {q}")
     mask = (1 << w) - 1
     rows = list(rows)
+    det = 1
     for c in range(k):
         # every row holds the slots of columns c, c + 1, ..., width - 1
         for r in range(c, k):
@@ -444,22 +433,18 @@ def solve_mod_packed(rows, width: int, q: int, w: int) -> list[list[int]] | None
             if piv:
                 break
         else:
-            return None
-        rows[c], rows[r] = rows[r], rows[c]
+            return 0, None
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            det = -det
         pivinv = pow(piv, -1, q)
+        det = det * piv % q
         pr = rows[c]
         red = [((pr >> (w * j)) & mask) * pivinv % q for j in range(1, width - c)]
         rows[c] = _pack(red, w) << w  # slot 0 is 0, so the step below adds nothing
         neg = _pack([0, *(-x % q for x in red)], w)
         rows = [(ri + (ri & mask) % q * neg) >> w for ri in rows]
-    return [[((row >> (w * j)) & mask) % q for j in range(width - k)] for row in rows]
-
-
-def det_mod_p(m: ExactMatrix, p: int) -> int:
-    """det(m) mod p, in range(p), for an integer matrix and a prime p: the
-    entries reduced mod p, then det_mod_rows."""
-    _require_integer(m, "det_mod_p")
-    return det_mod_rows([[x % p for x in row] for row in m.entries], p)
+    return det % q, [[((row >> (w * j)) & mask) % q for j in range(width - k)] for row in rows]
 
 
 # the odd primes below 100: Proth witnesses, and a screen for candidates
@@ -550,21 +535,22 @@ def det_fractions(rows) -> Fraction:
     Row i times s_i = lcm(d_i0, d_i1, ...), which math.lcm makes positive,
     is integral, entry n * (s_i // d), the division exact and signed, so
     det = det(scaled) / prod s_i, the scaled determinant by the checked
-    integer Bareiss step.  Always a Fraction.  A zero d makes its row's s_i
-    zero, and s_i // d raises ZeroDivisionError."""
+    integer Bareiss step.  Always a Fraction.  Non-square rows raise
+    ValueError; a zero d zeroes s_i, so s_i // d raises ZeroDivisionError."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"determinant of {len(rows)} rows that are not all of length {len(rows)}")
     scales = [lcm(*[d for _, d in row]) for row in rows]
     scaled = [[n * (s // d) for n, d in row] for s, row in zip(scales, rows)]
     return Fraction(_det_rows(scaled), prod(scales))
 
 
 def det_field(m: ExactMatrix):
-    """Exact determinant over a field, from a determinant over the integers.
+    """Exact determinant over Q(zeta_p), from one over Z[zeta_p]; raises
+    ValueError naming any other ring (det_fractions takes QQ).
 
-    Over QQ, det_fractions of the (numerator, denominator) pairs.
-
-    Over Q(zeta_p), row i times s_i, the lcm of its denominators, lies over
-    Z[zeta_p] (clear_slots), and det = det' / prod s_i, det' the determinant
-    of the scaled matrix A.  det' = sum_e c_e z^e is read off c_e mod one prime
+    Row i times s_i, the lcm of its denominators, lies over Z[zeta_p]
+    (clear_slots), and det = det' / prod s_i, det' the determinant of the
+    scaled matrix A.  det' = sum_e c_e z^e is read off c_e mod one prime
     q > 4H that Proth's theorem proves prime (_proth_prime), from images in
     F_q and the trace formula (_det_coeffs_mod; von zur Gathen and Gerhard,
     Modern Computer Algebra, section 5.5).  The bound: for an embedding
@@ -583,8 +569,6 @@ def det_field(m: ExactMatrix):
     """
     _require_square(m)
     ring = m.ring
-    if ring is QQ:
-        return det_fractions([[(x.numerator, x.denominator) for x in row] for row in m.entries])
     if not isinstance(ring.zero, CycloElem):
         raise ValueError(f"det_field has no kernel over {ring.name}")
     p = ring.zero.p

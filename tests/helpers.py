@@ -11,10 +11,10 @@ Levinson kernel's Carlitz input), Vsemirnov's U, D and the Cauchy-type
 matrix by inverting their definitions, Vsemirnov's V, which the package
 never builds, and naive forms of the fast kernels: the O(p^2) cyclic and
 cyclotomic convolutions, Gaussian elimination and Gauss-Jordan mod p on
-lists of lists, the entrywise cyclotomic matrix product, and Gaussian
-elimination over a field (det_gauss), which fraction-free elimination on
-integer-scaled rows replaced over QQ and images mod one Proth prime
-replaced over Q(zeta_p).
+lists of lists, the integer and the entrywise cyclotomic matrix products,
+and Gaussian elimination over a field (det_gauss), which fraction-free
+elimination on integer-scaled rows replaced over QQ and images mod one
+Proth prime replaced over Q(zeta_p).
 mutant recompiles a package function with one expression edited, for
 negative controls.
 
@@ -157,9 +157,15 @@ def det_gauss(rows):
     return det
 
 
+def matmul(a, b):
+    """The product of two integer ExactMatrix, entry by entry."""
+    return ExactMatrix(ZZ, [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)]
+                            for row in a.entries])
+
+
 def matmul_entrywise(a, b):
-    """The entries of a @ b for two ExactMatrix over Q(zeta_p), each a sum
-    of Cyclos whose products come from convolve_cyclo."""
+    """The entries of the product a b of two ExactMatrix over Q(zeta_p),
+    each a sum of Cyclos whose products come from convolve_cyclo."""
     p = a.ring.zero.p
     out = []
     for row in a.entries:

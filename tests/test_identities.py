@@ -21,7 +21,7 @@ from helpers import (
     vsemirnov_v,
     zeta,
 )
-from legdet import identities
+from legdet import identities, linalg
 from legdet.cyclotomic import CycloElem, _fold, clear_slots, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
@@ -639,7 +639,10 @@ def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trig
     assert verify_minor_antisymmetry(ctx).passed
 
 def test_wrong_residue_fails_sun_congruence(monkeypatch):
+    """det_mod_packed + 1 shifts the minor of every d != 0, and
+    det_mod_rows + 1 the explicit rows of d = 0."""
     monkeypatch.setattr(identities, "det_mod_packed", lambda rows, q, w: (det_mod_packed(rows, q, w) + 1) % q)
+    monkeypatch.setattr(identities, "det_mod_rows", lambda rows, q: (det_mod_rows(rows, q) + 1) % q)
     for d in range(13):
         r = verify_sun_congruence(13, d)
         assert r.passed is False and r.lhs != r.rhs
@@ -663,28 +666,38 @@ def test_schur_sun_mutants_fail(monkeypatch, name, old, new, failed):
     assert sum(not r.passed for r in results) == failed
 
 
+@pytest.mark.parametrize("old, new", [
+    ("det = -det", "det = det"),
+    ("det * piv % q", "det * (piv * pivinv % q) % q"),
+], ids=["no-swap-sign", "scaled-pivot"])
+def test_sun_table_det_mutants_fail(monkeypatch, old, new):
+    """Negative controls for det A, which the table's one Gauss-Jordan
+    (solve_mod_packed) reads off its pivots: the sign of the row swaps
+    dropped (A[0][0] = (0/p) = 0, so step 0 always swaps), and each pivot
+    read after its row is scaled to 1.  Each fails every d != 0 at
+    p = 13."""
+    monkeypatch.setattr(identities, "solve_mod_packed", mutant(linalg, "solve_mod_packed", old, new))
+    assert not any(identities.verify_sun_congruence(13, d).passed for d in range(1, 13))
+
+
 def test_sun_fallback_matches_schur_path(monkeypatch):
-    """A table that reports det A = 0 (mod p) sends every d != 0 to
-    det_mod_rows of the explicit rows, which gives the lhs the Schur path
-    gives at p = 13, 17 and 29; the builder reports a zero det A as
-    (0, b, []), and raises if elimination then finds A singular when
-    det A is not 0."""
+    """A table whose elimination finds A singular mod p, (0, None) from
+    solve_mod_packed, is reported as (0, b, []) and sends every d to
+    det_mod_rows of the explicit rows, as d = 0 always goes, and the lhs
+    is the one the Schur path gives at p = 13, 17 and 29."""
     calls = []
     monkeypatch.setattr(identities, "det_mod_rows", lambda rows, q: calls.append(q) or det_mod_rows(rows, q))
+    want = {}
     for p in (13, 17, 29):
-        want = [verify_sun_congruence(p, d) for d in range(p)]
-        assert calls == [] and all(r.passed for r in want)
-        ctx = PrimeContext(p)
-        ctx.sun_schur = (0, ctx.sun_schur[1], [])
-        assert [verify_sun_congruence(ctx, d) for d in range(p)] == want
-        assert calls == [p] * (p - 1)
+        want[p] = [verify_sun_congruence(p, d) for d in range(p)]
+        assert calls == [p] and all(r.passed for r in want[p])
         calls.clear()
-    monkeypatch.setattr(identities, "det_mod_packed", lambda rows, q, w: 0)
+    monkeypatch.setattr(identities, "solve_mod_packed", lambda rows, width, q, w: (0, None))
     assert PrimeContext(13).sun_schur == (0, 2, [])
-    monkeypatch.setattr(identities, "det_mod_packed", lambda rows, q, w: 1)
-    monkeypatch.setattr(identities, "solve_mod_packed", lambda rows, width, q, w: None)
-    with pytest.raises(ArithmeticError, match="singular"):
-        PrimeContext(13).sun_schur
+    for p in (13, 17, 29):
+        assert [verify_sun_congruence(p, d) for d in range(p)] == want[p]
+        assert calls == [p] * p
+        calls.clear()
 
 
 def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
@@ -876,14 +889,16 @@ def test_wrong_determinant_fails_lemma_uv(monkeypatch):
 
 def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     """One context per prime: C(1) with the columns of adj(C + J), C(-1),
-    Carlitz's det(A + J), a_p/b_p, n! mod p, the Cauchy-type matrix and
-    Vsemirnov's D are each computed once, however many checks read them.  The certified adjugate of C reads the one C + J
+    Carlitz's det(A + J), a_p/b_p, n! mod p, the Sun table with its det A,
+    the Cauchy-type matrix and Vsemirnov's D are each computed once, however
+    many checks read them.  The certified adjugate of C reads the one C + J
     run, so the suite calls neither det_bareiss nor the Gauss-Jordan
     adjugate.  c_polynomial takes det C, det(C + J) and det(C - J) densely
     for p <= 13, and a direct call builds its own context, so nothing is
     kept between calls."""
     calls = {"det_toeplitz": [], "det_circulant": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [],
-             "ab_coeffs": [], "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": []}
+             "ab_coeffs": [], "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": [],
+             "solve_mod_packed": [], "det_mod_packed": []}
 
     def count(name, key):
         fn = getattr(identities, name)
@@ -903,9 +918,15 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     count("build_cauchy_matrix", lambda p: int(p.p))
     count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
     count("factorial_mod", lambda n, p: int(p))
+    count("solve_mod_packed", lambda rows, width, q, w: int(q))
+    count("det_mod_packed", lambda rows, q, w: (int(q), len(rows)))
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
     assert calls["ab_coeffs"] == calls["build_cauchy_matrix"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
     assert calls["factorial_mod"] == [5, 13, 17, 29]
+    # one Gauss-Jordan per Sun table gives det A too: every det_mod_packed
+    # is a minor, of fewer than (p + 1) / 2 rows, as each S hits column 0
+    assert calls["solve_mod_packed"] == [5, 13, 17, 29]
+    assert calls["det_mod_packed"] and all(k < (q + 1) // 2 for q, k in calls["det_mod_packed"])
     # per prime C + J with its columns, C - J, and the p x p circulant A + J of Carlitz
     primes = odd_primes_upto(29)
     assert calls["toeplitz_columns"] == [((p + 1) // 2, 1) for p in primes]
