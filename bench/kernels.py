@@ -19,9 +19,10 @@ Cases:
   carlitz_check  the whole Carlitz check of one prime: a fresh
            identities.PrimeContext and verify_carlitz, at p = 61, 101, 157
            and 401, its Legendre table included; one sample is one prime.
-  toeplitz legdet.linalg.det_toeplitz beside det_bareiss on C + J and
-           C - J for the evil matrix C at p = 401; one sample is both
-           determinants.
+  toeplitz legdet.linalg.toeplitz_columns, the determinant with the
+           first and last columns of the adjugate, beside det_bareiss on
+           C + J and C - J for the evil matrix C at p = 401; one sample is
+           both determinants.
   det_fractions  legdet.linalg.det_fractions on two-vector lemma
            matrices [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, each entry
            the integer pair (a_i d_j + b_i c_j, b_i d_j + a_i c_j) for
@@ -211,7 +212,7 @@ def toeplitz_cases(legdet, quick: bool) -> dict:
 
     def run():
         for t in ts:
-            legdet.linalg.det_toeplitz(t, k)
+            legdet.linalg.toeplitz_columns(t, k)
         return len(ts)
 
     def run_dense():
@@ -219,7 +220,7 @@ def toeplitz_cases(legdet, quick: bool) -> dict:
             legdet.linalg.det_bareiss(m)
         return len(mats)
 
-    return {f"det_toeplitz C +- J p={p}": run, f"det_bareiss C +- J p={p}": run_dense}
+    return {f"toeplitz_columns C +- J p={p}": run, f"det_bareiss C +- J p={p}": run_dense}
 
 
 def lemma_cases(legdet, quick: bool) -> dict:

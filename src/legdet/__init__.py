@@ -41,7 +41,6 @@ from .linalg import (
     cyclo_ring,
     det_bareiss,
     det_field,
-    det_toeplitz,
 )
 from .ntheory import OddPrime, factorial_mod, is_prime, legendre, odd_primes_upto
 from .quadfield import QuadElem, UnitData, ab_coeffs, class_number, fundamental_unit, quad_pow
@@ -70,7 +69,6 @@ __all__ = [
     "cyclo_ring",
     "det_bareiss",
     "det_field",
-    "det_toeplitz",
     "factorial_mod",
     "fundamental_unit",
     "is_prime",

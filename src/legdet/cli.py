@@ -30,7 +30,6 @@ from .identities import (
     verify_decomposition,
     verify_sun_congruence,
 )
-from .ntheory import OddPrime
 from .quadfield import ab_coeffs
 from .render import format_poly, format_value
 
@@ -124,12 +123,7 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "unit":
-        p = OddPrime(args.p)
-        if p.mod4 == 3:
-            raise ValueError(
-                f"p = {p} is 3 (mod 4): C(x) is the constant 1 and needs no unit data"
-            )
-        ud = ab_coeffs(p)
+        ud = ab_coeffs(args.p)
         for field in ("eps", "h", "exponent", "a", "b"):
             out.write(f"{field} = {format_value(getattr(ud, field))}\n")
         return 0

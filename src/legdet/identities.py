@@ -47,7 +47,6 @@ from .linalg import (
     det_fractions,
     det_mod_packed,
     det_mod_rows,
-    det_toeplitz,
     mod_slot_width,
     pack_windows,
     solve_mod_packed,
@@ -152,9 +151,10 @@ class PrimeContext:
     X = c0 C^-1, whatever the recurrence assumed: it builds in the
     persymmetry of adj(A), which minor antisymmetry rests on.  A c0 other
     than det C fails it, as the update then leaves X = adj(C) + (c0 - det C)
-    A^-1, and C X - c0 I = -(c0 - det C) u u^T A^-1 != 0.  A zero F_0,
-    divisor or det A, a remainder in the update, c0 = 0 or a failed
-    certificate sends C to Gauss-Jordan adjugate instead.
+    A^-1, and C X - c0 I = -(c0 - det C) u u^T A^-1 != 0.  The update
+    takes floor quotients: an inexact one leaves an X that the certificate
+    rejects like any other wrong X.  A zero F_0, divisor or det A, c0 = 0
+    or a failed certificate sends C to Gauss-Jordan adjugate instead.
     """
 
     def __init__(self, p):
@@ -180,7 +180,7 @@ class PrimeContext:
         """C(0) = det C = (C(1) + C(-1)) / 2, as C(x) = det(C + xJ) is linear
         in x (a rank-one update); raises ArithmeticError if the sum is odd."""
         c1 = self.plus_j[0]
-        c0, r = divmod(c1 + det_toeplitz(evil_toeplitz(self, -1), self.p.n + 1), 2)
+        c0, r = divmod(c1 + toeplitz_columns(evil_toeplitz(self, -1), self.p.n + 1)[0], 2)
         if r:
             raise ArithmeticError(f"C(1) + C(-1) = {2 * c0 + 1} is odd for p={self.p}")
         return c0
@@ -206,15 +206,7 @@ class PrimeContext:
             return None
         rs = [sum(row) for row in adj_a]
         cs = [sum(col) for col in zip(*adj_a)]
-        x = []
-        for row, r in zip(adj_a, rs):
-            out = []
-            for a, s in zip(row, cs):
-                q, rem = divmod(c0 * a + r * s, det_a)
-                if rem:
-                    return None
-                out.append(q)
-            x.append(out)
+        x = [[(c0 * a + r * s) // det_a for a, s in zip(row, cs)] for row, r in zip(adj_a, rs)]
         return x if certify_adjugate(self.evil, x, c0) else None
 
     @cached_property
@@ -266,7 +258,7 @@ def build_evil_matrix(p) -> ExactMatrix:
 
 def evil_toeplitz(p, x: int) -> list[int]:
     """The p diagonals of C + xJ, the evil matrix plus x in every entry, in
-    det_toeplitz's order: ((d/p)) + x for d = -n, ..., n."""
+    toeplitz_columns' order: ((d/p)) + x for d = -n, ..., n."""
     ctx = _context(p)
     return [ctx.chi[d % ctx.p] + x for d in range(-ctx.p.n, ctx.p.n + 1)]
 
@@ -377,18 +369,6 @@ def build_cauchy_matrix(p) -> ExactMatrix:
     return ExactMatrix(cyclo_ring(p), rows)
 
 
-def _d_closed_form(p: int, i: int) -> list[int]:
-    """p d_i of build_vsemirnov_matrices, x_i prod_o (x_i - z^o) over the odd
-    o < p, x_i = z^(2i), unfolded to p slots: one rotation and one
-    subtraction per factor."""
-    acc, x = [0] * p, -2 * i % p
-    acc[2 * i % p] = 1
-    for o in range(1, p - 1, 2):
-        # slot t of x_i acc is slot t + x of acc, of z^o acc slot t - o
-        acc = [a - b for a, b in zip(acc[x:] + acc[:x], acc[-o:] + acc[:-o])]
-    return acc
-
-
 def _times_v(p: int, vecs) -> list[list[int]]:
     """A row of p-slot vectors (clear_slots) times V_lj = z^(2lj), by
     rotations: entry j sums slot t - 2lj of vecs[l] over l."""
@@ -406,12 +386,13 @@ def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
     roots of unity, so prod_{k != i} (x_i - x_k) prod_o (x_i - z^o) = p / x_i
     and d_i = (x_i / p) prod_o (x_i - z^o), with no inverse.  d is certified
     by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n: the raw slot
-    vectors p d_i (_d_closed_form) times V by _times_v (V is symmetric), each
+    vectors p d_i (_binomials) times V by _times_v (V is symmetric), each
     entry against p [j = n] up to the all-ones vector.  V is an invertible
     Vandermonde, so this forces d, and a failure raises ArithmeticError.
     """
     p = _context(p, need_1mod4=True).p
-    vecs = [_d_closed_form(p, i) for i in range(p.n + 1)]
+    vecs = [_binomials(p, [(1, 2 * i, 0, 0), *((1, 2 * i, -1, o) for o in range(1, p - 1, 2))])
+            for i in range(p.n + 1)]
     for j, cert in enumerate(_times_v(p, vecs)):
         if j == p.n:
             cert[0] -= p

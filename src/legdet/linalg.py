@@ -10,8 +10,8 @@ and over QQ on rows first scaled to integers (det_fractions, on rows of
 (numerator, denominator) pairs); over Q(zeta_p), rows scaled into
 Z[zeta_p], read off their images in F_q for one Proth-certified prime q
 past four times a Hadamard bound, half of them when conjugation fixes
-every entry; det_toeplitz, fraction-free Levinson-Trench
-in O(k^2) integer operations (toeplitz_columns), with a Bareiss fallback;
+every entry; a Toeplitz matrix's by fraction-free Levinson-Trench in
+O(k^2) integer operations (toeplitz_columns), with a Bareiss fallback;
 det_circulant, the product of a circulant's eigenvalues mod Phi_p(2^L);
 and, for a residue mod a prime, det_mod_packed, elimination over F_q on
 rows packed one per integer, with delayed reduction and a slot width it
@@ -234,12 +234,6 @@ def toeplitz_columns(t, k: int) -> tuple[int, list | None, list | None]:
         f, b = nf, nb
         prev, det = det, nxt
     return det, f, b
-
-
-def det_toeplitz(t, k: int) -> int:
-    """det T for the k x k integer Toeplitz matrix T[i][j] = t[j - i + k - 1]:
-    the determinant of toeplitz_columns."""
-    return toeplitz_columns(t, k)[0]
 
 
 def det_circulant(a) -> int:

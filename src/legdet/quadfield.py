@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .exact import as_rational
@@ -72,6 +73,8 @@ def quad_pow(e: QuadElem, k: int) -> QuadElem:
     return acc
 
 
+# typed, so that a float equal to a cached prime still meets OddPrime's TypeError
+@lru_cache(maxsize=None, typed=True)
 def fundamental_unit(p: int) -> QuadElem:
     """Smallest unit > 1 of the ring of integers Z[(1+sqrt(p))/2], p = 1 (mod 4).
 

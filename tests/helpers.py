@@ -33,6 +33,7 @@ and quadratic ones with no sqrt(...) part, need the field index p).
 import __future__
 import inspect
 import re
+import textwrap
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm, prod
@@ -252,16 +253,20 @@ def solve_mod_p_lists(a, b, p):
 
 
 def mutant(module, name: str, old: str, new: str):
-    """module.name recompiled from its source with the one occurrence of
-    old replaced by new, its globals a copy of the module's: a negative
-    control that edits one expression of the code under test."""
-    src = inspect.getsource(getattr(module, name))
+    """module.name, a function or a method named Class.method, recompiled
+    from its dedented source with the one occurrence of old replaced by new,
+    its globals a copy of the module's: a negative control that edits one
+    expression of the code under test."""
+    obj = module
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    src = textwrap.dedent(inspect.getsource(obj))
     assert src.count(old) == 1, f"{old!r} is not one expression of {name}"
     code = compile(src.replace(old, new), module.__file__, "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     ns = dict(vars(module))
     exec(code, ns)
-    return ns[name]
+    return ns[name.rpartition(".")[2]]
 
 
 def lemma_uv_rhs_fraction(m, u, v):
@@ -334,7 +339,7 @@ def build_carlitz_matrix(p):
 
 def carlitz_toeplitz(p):
     """The 2p-3 diagonals of T = [((j-i-1)/p)], 0 <= i, j < p-1, in
-    det_toeplitz's order: ((d-1)/p) for d = 2-p, ..., p-2.  T has the
+    toeplitz_columns' order: ((d-1)/p) for d = 2-p, ..., p-2.  T has the
     determinant of the Carlitz matrix and t_0 = (-1/p) != 0: with A the
     p x p circulant [((j-i)/p)], whose rows sum to 0, the Carlitz matrix is
     A without row and column 0, and T is A without row 0 and column p-1.

@@ -62,7 +62,7 @@ def test_unit_command():
 def test_unit_rejects_3_mod_4():
     r = run_cli("unit", "--p", "7")
     assert r.returncode == 2
-    assert "no unit" in r.stderr
+    assert "3 (mod 4)" in r.stderr
 
 
 def test_verify_pmax_boundary():

@@ -59,11 +59,11 @@ from legdet.linalg import (
     det_fractions,
     det_mod_packed,
     det_mod_rows,
-    det_toeplitz,
     toeplitz_adjugate,
     toeplitz_columns,
 )
 from legdet.ntheory import legendre, odd_primes_upto
+from legdet.quadfield import fundamental_unit
 from legdet.render import format_value
 
 
@@ -433,20 +433,35 @@ def test_wrong_inverse_fails_cyclotomic_checks(monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 7, 14], ids=["d_0", "d_7", "d_n"])
 def test_corrupted_d_entry_raises(monkeypatch, k):
-    """A closed-form entry of D off by one slot before its certificate
-    fails V^T d = e_n as an internal error naming p and j, in the build and
-    in the decomposition check that reads it."""
-    true_form = identities._d_closed_form
+    """Row k of D, the product of binomials that _binomials returns for
+    p d_k (first factor the monomial x_k = z^(2k)), off by one slot before
+    its certificate fails V^T d = e_n as an internal error naming p and j,
+    in the build and in the decomposition check that reads it."""
+    true_binomials = identities._binomials
 
-    def form(p, i):
-        acc = true_form(p, i)
-        return [acc[0] + 1, *acc[1:]] if i == k else acc
+    def binomials(p, terms):
+        acc = true_binomials(p, terms)
+        return [acc[0] + 1, *acc[1:]] if terms[0] == (1, 2 * k, 0, 0) else acc
 
-    monkeypatch.setattr(identities, "_d_closed_form", form)
+    monkeypatch.setattr(identities, "_binomials", binomials)
     with pytest.raises(ArithmeticError, match=r"p=29, j=0$"):
         build_vsemirnov_matrices(29)
     with pytest.raises(ArithmeticError, match=r"p=29, j=0$"):
         verify_decomposition(29)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("(1, 2 * i, -1, o)", "(1, 2 * i, 1 if o == 1 else -1, o)"),
+    ("range(1, p - 1, 2)", "range(1, p - 2, 2)"),
+], ids=["one-factor-sign", "last-odd-o-dropped"])
+def test_d_builder_mutants_raise(old, new):
+    """Negative controls for the products of binomials that give p d_i:
+    the factor x_i - z of every d_i made x_i + z, and the factor of the
+    last odd o, p - 2, dropped.  Each fails the certificate V^T d = e_n,
+    an internal error naming p and j, not a wrong D."""
+    build = mutant(identities, "build_vsemirnov_matrices", old, new)
+    with pytest.raises(ArithmeticError, match=r"^closed-form D fails V\^T d = e_n at p=29, j=0$"):
+        build(29)
 
 
 @pytest.mark.parametrize("p", [p for p in odd_primes_upto(109) if p % 4 == 1])
@@ -550,10 +565,9 @@ def test_zero_inverse_names_its_field():
 
 
 def shift_toeplitz_dets(monkeypatch, shift):
-    """Every Toeplitz determinant the checks read, moved by shift(t): C - J
-    through det_toeplitz, C + J through toeplitz_columns."""
-    monkeypatch.setattr(identities, "det_toeplitz", lambda t, k: det_toeplitz(t, k) + shift(t))
-
+    """Every Toeplitz determinant the checks read, moved by shift(t): the
+    toeplitz_columns runs on C + J (diagonal t_0 = 1) and on C - J
+    (t_0 = -1)."""
     def columns(t, k):
         det, f, b = toeplitz_columns(t, k)
         return det + shift(t), f, b
@@ -615,9 +629,10 @@ def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trig
     """Each condition under which the Toeplitz adjugate of C cannot be
     certified sends C to Gauss-Jordan, and the adjugate is still right:
     a vanishing recurrence divisor (no columns), a vanishing F_0, det(C + J)
-    = 0, a remainder in the rank-one update (det(C + J) replaced by a prime
-    that divides none of its numerators), c0 = 0, and a failed certificate.
-    The context's records are seeded with the forced values."""
+    = 0, a det(C + J) replaced by a prime that divides none of the rank-one
+    update's numerators (the floor quotients leave an X that the
+    certificate rejects), c0 = 0, and a failed certificate.  The context's
+    records are seeded with the forced values."""
     p = 19
     ctx = PrimeContext(p)
     det_a, f, b = ctx.plus_j
@@ -702,7 +717,8 @@ def test_sun_fallback_matches_schur_path(monkeypatch):
 
 def test_wrong_determinant_fails_carlitz_and_evil(monkeypatch):
     """det_circulant + p^2 shifts Carlitz, det(A + J) / p^2, by one, and
-    det_toeplitz + 1 shifts C(1), C(-1) by one each, hence C(0) by one."""
+    the toeplitz_columns determinant + 1 on C + J and C - J shifts C(1),
+    C(-1) by one each, hence C(0) by one."""
     monkeypatch.setattr(identities, "det_circulant", lambda a: det_circulant(a) + len(a) ** 2)
     shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
@@ -764,8 +780,8 @@ def test_wrong_b_fails_every_check_that_reads_it(monkeypatch):
 
 
 def test_wrong_determinant_fails_theorem(monkeypatch):
-    """det_toeplitz + 1 on both C + J and C - J shifts C(x) by the constant
-    1, and the closed-form comparison fails."""
+    """The toeplitz_columns determinant + 1 on both C + J and C - J shifts
+    C(x) by the constant 1, and the closed-form comparison fails."""
     shift_toeplitz_dets(monkeypatch, lambda t: 1)
     for p in (7, 13, 17, 19):
         r = verify_theorem(p)
@@ -776,10 +792,10 @@ def test_wrong_determinant_fails_theorem(monkeypatch):
 
 
 def test_wrong_shifted_determinant_fails_adj_sum(monkeypatch):
-    """det_toeplitz + 1 on every matrix cancels in C(1) - C(0), so this
-    control shifts C(1) = det(C + J) alone, the only Toeplitz matrix here
-    with no negative diagonal.  The shift is 2, which keeps C(1) + C(-1)
-    even and moves C(1) - C(0) by one."""
+    """A toeplitz_columns determinant + 1 on both runs cancels in
+    C(1) - C(0), so this control shifts C(1) = det(C + J) alone, the only
+    Toeplitz matrix here with no negative diagonal.  The shift is 2, which
+    keeps C(1) + C(-1) even and moves C(1) - C(0) by one."""
     shift_toeplitz_dets(monkeypatch, lambda t: 2 * (min(t) >= 0))
     for p in (13, 17, 19):
         r = verify_adj_sum(p)
@@ -896,7 +912,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     adjugate.  c_polynomial takes det C, det(C + J) and det(C - J) densely
     for p <= 13, and a direct call builds its own context, so nothing is
     kept between calls."""
-    calls = {"det_toeplitz": [], "det_circulant": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [],
+    calls = {"det_circulant": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [],
              "ab_coeffs": [], "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": [],
              "solve_mod_packed": [], "det_mod_packed": []}
 
@@ -909,9 +925,8 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
 
         monkeypatch.setattr(identities, name, counted)
 
-    count("det_toeplitz", lambda t, k: (k, t[k - 1]))  # order and diagonal t_0
     count("det_circulant", len)
-    count("toeplitz_columns", lambda t, k: (k, t[k - 1]))
+    count("toeplitz_columns", lambda t, k: (k, t[k - 1]))  # order and diagonal t_0
     count("det_bareiss", lambda m: (m.rows, m.ring.name))
     count("adjugate", lambda m: m.rows)
     count("ab_coeffs", int)
@@ -927,20 +942,27 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     # is a minor, of fewer than (p + 1) / 2 rows, as each S hits column 0
     assert calls["solve_mod_packed"] == [5, 13, 17, 29]
     assert calls["det_mod_packed"] and all(k < (q + 1) // 2 for q, k in calls["det_mod_packed"])
-    # per prime C + J with its columns, C - J, and the p x p circulant A + J of Carlitz
+    # per prime C + J with its columns, then C - J, and the p x p circulant A + J of Carlitz
     primes = odd_primes_upto(29)
-    assert calls["toeplitz_columns"] == [((p + 1) // 2, 1) for p in primes]
-    assert calls["det_toeplitz"] == [((p + 1) // 2, -1) for p in primes]
+    assert calls["toeplitz_columns"] == [((p + 1) // 2, x) for p in primes for x in (1, -1)]
     assert calls["det_circulant"] == primes
     assert calls["det_bareiss"] == calls["adjugate"] == []
 
-    for name in ("det_toeplitz", "toeplitz_columns", "det_bareiss"):
+    for name in ("toeplitz_columns", "det_bareiss"):
         calls[name].clear()
     c_polynomial(5)
     c_polynomial(5)
-    assert calls["toeplitz_columns"] == [(3, 1)] * 2
-    assert calls["det_toeplitz"] == [(3, -1)] * 2
+    assert calls["toeplitz_columns"] == [(3, 1), (3, -1)] * 2
     assert calls["det_bareiss"] == [(3, "ZZ")] * 6
+
+
+def test_run_suite_walks_each_unit_expansion_once():
+    """ab_coeffs and class_number's norm guard both read the fundamental
+    unit, whose PQa walk is cached: one walk for each of the 7 primes
+    p = 1 (mod 4) up to 60."""
+    fundamental_unit.cache_clear()
+    assert run_suite(60).all_passed
+    assert fundamental_unit.cache_info().misses == 7
 
 
 def test_check_names_sort_in_numeric_order():

@@ -38,7 +38,6 @@ from legdet.linalg import (
     det_fractions,
     det_mod_packed,
     det_mod_rows,
-    det_toeplitz,
     mod_slot_width,
     pack_windows,
     quadratic_form_adjugate,
@@ -696,7 +695,7 @@ def test_det_toeplitz_matches_bareiss_on_random_matrices(monkeypatch):
         before = len(fallbacks)
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_det_rows", counted)
-            got = det_toeplitz(t, k)
+            got = toeplitz_columns(t, k)[0]
         det = det_bareiss(toeplitz_matrix(t, k))
         assert got == det, (t, k)
         fast += len(fallbacks) == before
@@ -706,19 +705,22 @@ def test_det_toeplitz_matches_bareiss_on_random_matrices(monkeypatch):
 
 
 def test_det_toeplitz_small_cases_and_errors():
-    assert det_toeplitz([5], 1) == 5
-    assert det_toeplitz([0], 1) == 0
+    def det(t, k):
+        return toeplitz_columns(t, k)[0]
+
+    assert det([5], 1) == 5
+    assert det([0], 1) == 0
     # [[t0, t1], [t-1, t0]]
-    assert det_toeplitz([3, 2, 7], 2) == 2 * 2 - 7 * 3
+    assert det([3, 2, 7], 2) == 2 * 2 - 7 * 3
     # t_0 = 0: D_1 vanishes and the fallback pivots
-    assert det_toeplitz([1, 0, 1], 2) == -1
-    assert det_toeplitz([2, 0, 1, 0, 3], 3) == det_bareiss(toeplitz_matrix([2, 0, 1, 0, 3], 3))
+    assert det([1, 0, 1], 2) == -1
+    assert det([2, 0, 1, 0, 3], 3) == det_bareiss(toeplitz_matrix([2, 0, 1, 0, 3], 3))
     with pytest.raises(ValueError):
-        det_toeplitz([1, 2], 2)
+        det([1, 2], 2)
     with pytest.raises(ValueError):
-        det_toeplitz([], 0)
+        det([], 0)
     with pytest.raises(ArithmeticError):
-        det_toeplitz([1, Fraction(1, 2), 1], 2)
+        det([1, Fraction(1, 2), 1], 2)
 
 
 def test_det_toeplitz_agrees_on_carlitz_and_evil_without_fallback(monkeypatch):
@@ -733,9 +735,9 @@ def test_det_toeplitz_agrees_on_carlitz_and_evil_without_fallback(monkeypatch):
         t = carlitz_toeplitz(p)
         with monkeypatch.context() as mp:
             mp.setattr(linalg, "_det_rows", forbidden)
-            carlitz = det_toeplitz(t, p - 1)
-            plus = det_toeplitz(evil_toeplitz(p, 1), n + 1)
-            minus = det_toeplitz(evil_toeplitz(p, -1), n + 1)
+            carlitz = toeplitz_columns(t, p - 1)[0]
+            plus = toeplitz_columns(evil_toeplitz(p, 1), n + 1)[0]
+            minus = toeplitz_columns(evil_toeplitz(p, -1), n + 1)[0]
         assert carlitz == p ** ((p - 3) // 2)
         assert det_bareiss(build_carlitz_matrix(p)) == carlitz
         assert det_bareiss(toeplitz_matrix(t, p - 1)) == carlitz
@@ -804,12 +806,9 @@ def test_det_circulant_mutants_fail(old, new, cases):
     assert any(bad(a) != det for a, det in cases())
 
 
-def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monkeypatch):
-    """For every odd p up to 200, PrimeContext.evil_adjugate, from the
-    Toeplitz adjugate of C + J, the rank-one update and the certificate,
-    equals Gauss-Jordan adjugate of C.  The fallback is disabled: no
-    divisor, F_0, det(C + J) or det C vanishes, and every certificate
-    holds."""
+def certified_adjugate_without_fallback(monkeypatch):
+    """For every odd p up to 200, PrimeContext.evil_adjugate with the
+    Gauss-Jordan fallback disabled, against Gauss-Jordan adjugate of C."""
     def forbidden(m):
         raise AssertionError(f"Gauss-Jordan fallback on a {m.rows}x{m.rows} matrix")
 
@@ -819,3 +818,32 @@ def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monke
             mp.setattr(identities, "adjugate", forbidden)
             got = ctx.evil_adjugate
         assert got == adjugate(build_evil_matrix(p)), p
+
+
+def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monkeypatch):
+    """For every odd p up to 200, PrimeContext.evil_adjugate, from the
+    Toeplitz adjugate of C + J, the rank-one update and the certificate,
+    equals Gauss-Jordan adjugate of C.  The fallback is disabled: no
+    divisor, F_0, det(C + J) or det C vanishes, and every certificate
+    holds."""
+    certified_adjugate_without_fallback(monkeypatch)
+
+
+@pytest.mark.parametrize("old, new", [("c0 * a + r * s", "c0 * a"), ("// det_a", "// (det_a + 1)")],
+                         ids=["no-rank-one-term", "det-a-plus-one"])
+def test_rank_one_update_mutants_reach_gauss_jordan(monkeypatch, old, new):
+    """Negative controls for the rank-one update from adj(C + J) to adj(C),
+    which floors its quotients and leaves the certificate as the one guard:
+    the update without its (adj(A) u)(u^T adj(A)) term, and dividing by
+    det A + 1.  Each X fails C X = c0 I, so at p = 19 C reaches Gauss-Jordan
+    and the adjugate is still right, and the without-fallback sweep above
+    fails on it."""
+    monkeypatch.setattr(identities.PrimeContext, "_toeplitz_evil_adjugate",
+                        mutant(identities, "PrimeContext._toeplitz_evil_adjugate", old, new))
+    calls = []
+    with monkeypatch.context() as mp:
+        mp.setattr(identities, "adjugate", lambda m: calls.append(m.rows) or adjugate(m))
+        assert identities.PrimeContext(19).evil_adjugate == adjugate(build_evil_matrix(19))
+    assert calls == [10]
+    with pytest.raises(AssertionError, match="Gauss-Jordan fallback"):
+        certified_adjugate_without_fallback(monkeypatch)

@@ -59,6 +59,11 @@ def test_fundamental_unit_spot_values():
     assert fundamental_unit(29) == QuadElem(Fraction(5, 2), Fraction(1, 2), 29)
     with pytest.raises(ValueError):
         fundamental_unit(7)
+    # the PQa walk is cached per p and per type: with 13 cached (ab_coeffs
+    # passes an OddPrime), the float 13.0 is still refused, not looked up
+    ab_coeffs(13)
+    with pytest.raises(TypeError):
+        fundamental_unit(13.0)
 
 
 def test_class_numbers():
