@@ -24,11 +24,9 @@ from .identities import (
     SuiteOptions,
     VerificationReport,
     c_polynomial,
+    run_checks,
     run_suite,
     uv_trial_checks,
-    verify_carlitz,
-    verify_decomposition,
-    verify_sun_congruence,
 )
 from .quadfield import ab_coeffs
 from .render import format_poly, format_value
@@ -62,15 +60,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("decomp", help="check the V D U D V decomposition for one prime")
     d.add_argument("--p", type=int, required=True)
+    d.set_defaults(check="verify_decomposition")
     add_format(d)
 
     ca = sub.add_parser("carlitz", help="check the (p-1) x (p-1) determinant for one prime")
     ca.add_argument("--p", type=int, required=True)
+    ca.set_defaults(check="verify_carlitz")
     add_format(ca)
 
     s = sub.add_parser("sun", help="check the shifted-column determinant congruence")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--d", default="all", help="column multiplier in [0, p-1], or 'all' (default)")
+    s.set_defaults(check="verify_sun_congruence")
     add_format(s)
 
     l = sub.add_parser("lemma-uv", help="random exact-rational checks of the two-variable determinant lemma")
@@ -138,23 +139,16 @@ def _dispatch(args, out) -> int:
         report = run_suite(args.pmax, options)
     else:
         start = time.perf_counter()
-        if args.command == "decomp":
-            checks = [verify_decomposition(args.p)]
-        elif args.command == "carlitz":
-            checks = [verify_carlitz(args.p)]
-        elif args.command == "sun":
-            ctx = PrimeContext(args.p)
-            if args.d == "all":
-                ds = range(ctx.p)
-            else:
-                try:
-                    ds = [int(args.d)]
-                except ValueError:
-                    raise ValueError(f"--d must be an integer or 'all', got {args.d!r}") from None
-            checks = [verify_sun_congruence(ctx, d) for d in ds]
-        else:  # lemma-uv
+        if args.command == "lemma-uv":
             checks = uv_trial_checks(args.trials, args.m, args.seed)
-        config = {k: v for k, v in vars(args).items() if k != "format"}
+        else:
+            d = getattr(args, "d", "all")
+            try:
+                ds = None if d == "all" else [int(d)]
+            except ValueError:
+                raise ValueError(f"--d must be an integer or 'all', got {d!r}") from None
+            checks = run_checks(PrimeContext(args.p), [args.check], ds)
+        config = {k: v for k, v in vars(args).items() if k not in ("format", "check")}
         report = VerificationReport(tuple(checks), config, time.perf_counter() - start)
     emit_report(report, args.format, out)
     return 0 if report.all_passed else 1

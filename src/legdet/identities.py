@@ -14,12 +14,13 @@ Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
 C, the Sun Schur-complement table, n! mod p, the unit coefficients, the
 Cauchy-type matrix and the diagonal of Vsemirnov's D) live on a
-PrimeContext and are computed on first use.  run_suite hands one context per
-prime to every check; a check called with a plain integer builds its own.
+PrimeContext and are computed on first use; run_checks hands one to every
+check it runs, and a check called with a plain integer builds its own.
 
 Results are CheckResult records whose lhs/rhs are canonical strings of the
-exact values (see render).  run_suite composes every applicable check over a
-prime range into one report.
+exact values (see render).  The table CHECKS, with CAPS, names every
+per-prime check, and run_suite runs the applicable ones over a prime range
+into one report.
 """
 
 from __future__ import annotations
@@ -673,38 +674,48 @@ def uv_trial_checks(trials: int, m_max: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def run_suite(p_max: int, options: SuiteOptions = SuiteOptions()) -> VerificationReport:
-    """Every applicable check for every odd prime p <= p_max.
+# Every per-prime check by verify_* name (so that run_checks calls whatever
+# the module holds when it runs), keyed by the residue class of p mod 4 it
+# needs (None: either); CAPS names the SuiteOptions field that caps p.
+CHECKS = {
+    None: ("verify_theorem", "verify_evil", "verify_adj_sum", "verify_carlitz", "verify_prod_2j"),
+    1: ("verify_sun_congruence", "verify_lemma_sum", "verify_d00_detG", "verify_f1f2", "verify_decomposition"),
+    3: ("verify_minor_antisymmetry",),
+}
+CAPS = {"verify_prod_2j": "cyclo_p_max", "verify_lemma_sum": "cyclo_p_max", "verify_d00_detG": "cyclo_p_max",
+        "verify_f1f2": "cyclo_p_max", "verify_decomposition": "decomp_p_max"}
 
-    The decomposition and the other cyclotomic checks are capped separately
-    (options.decomp_p_max, options.cyclo_p_max) since their cost dominates.
-    Each prime gets one PrimeContext, so the values its checks share are
-    computed once.  Deterministic for a fixed seed; results sorted by
-    (p, name) with the generic lemma_uv trials first.
+
+def run_checks(ctx: PrimeContext, names, ds=None) -> list[CheckResult]:
+    """The named checks at the context's prime, each looked up in this
+    module's globals when it runs; the Sun check runs once for each d in
+    ds, by default every d mod p."""
+    checks = []
+    for name in names:
+        check = globals()[name]
+        if name == "verify_sun_congruence":
+            checks += [check(ctx, d) for d in (range(ctx.p) if ds is None else ds)]
+        else:
+            checks.append(check(ctx))
+    return checks
+
+
+def run_suite(p_max: int, options: SuiteOptions = SuiteOptions()) -> VerificationReport:
+    """Every applicable check for every odd prime p <= p_max: the names in
+    CHECKS for p's residue class, less those past their cap in CAPS
+    (options.decomp_p_max, options.cyclo_p_max: the cyclotomic checks' cost
+    dominates), run by run_checks on one PrimeContext per prime, so the
+    values its checks share are computed once.  Deterministic for a fixed
+    seed; results sorted by (p, name) with the generic lemma_uv trials first.
     """
     if p_max < 3:
         raise ValueError(f"p_max = {p_max} leaves no odd primes to check; need p_max >= 3")
     start = time.perf_counter()
     checks = uv_trial_checks(options.uv_trials, options.uv_m_max, options.seed)
     for p in odd_primes_upto(p_max):
-        ctx = PrimeContext(p)
-        checks.append(verify_theorem(ctx))
-        checks.append(verify_evil(ctx))
-        checks.append(verify_adj_sum(ctx))
-        checks.append(verify_carlitz(ctx))
-        if p.mod4 == 3:
-            checks.append(verify_minor_antisymmetry(ctx))
-        if p <= options.cyclo_p_max:
-            checks.append(verify_prod_2j(ctx))
-        if p.mod4 == 1:
-            for d in range(p):
-                checks.append(verify_sun_congruence(ctx, d))
-            if p <= options.cyclo_p_max:
-                checks.append(verify_lemma_sum(ctx))
-                checks.append(verify_d00_detG(ctx))
-                checks.append(verify_f1f2(ctx))
-            if p <= options.decomp_p_max:
-                checks.append(verify_decomposition(ctx))
+        names = [name for mod4 in (None, p.mod4) for name in CHECKS[mod4]
+                 if name not in CAPS or p <= getattr(options, CAPS[name])]
+        checks += run_checks(PrimeContext(p), names)
     checks.sort(key=lambda c: (c.p if c.p is not None else 0, c.name))
     config = {"p_max": p_max, **asdict(options)}
     return VerificationReport(tuple(checks), config, time.perf_counter() - start)

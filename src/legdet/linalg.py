@@ -20,13 +20,13 @@ of one table, and solve_mod_packed runs the same reduction as Gauss-Jordan,
 for the Sun check's det A and table A^-1 B over F_q.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
-Bareiss step with the determinant; a singular matrix gets its signed
-cofactors instead.  A Toeplitz matrix also has an O(k^2) adjugate, from
-the first and last columns that the Levinson-Trench run ends with
-(toeplitz_adjugate).  That one relies on the displacement structure of
-its input, so a caller certifies what it derives from it:
-certify_adjugate checks C X = d I on rows of X packed at a width past the
-slots' bound, which for d != 0 leaves X = d C^-1 as the only solution.
+Bareiss step with the determinant, and refuses a singular matrix.  A
+Toeplitz matrix also has an O(k^2) adjugate, from the first and last
+columns that the Levinson-Trench run ends with (toeplitz_adjugate).  That
+one relies on the displacement structure of its input, so a caller
+certifies what it derives from it: certify_adjugate checks C X = d I on
+rows of X packed at a width past the slots' bound, which for d != 0 leaves
+X = d C^-1 as the only solution.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ class ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return self.entries == other.entries
-
-    def submatrix(self, drop_row: int, drop_col: int) -> "ExactMatrix":
-        return ExactMatrix(
-            self.ring,
-            [
-                [a for j, a in enumerate(row) if j != drop_col]
-                for i, row in enumerate(self.entries)
-                if i != drop_row
-            ],
-        )
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.ring.name}, {self.rows}x{self.cols})"
@@ -582,26 +572,18 @@ def adjugate(m: ExactMatrix) -> ExactMatrix:
     """Transpose of the cofactor matrix of an integer matrix, so
     M @ adj(M) = det(M) * I.  Raises ValueError over any ring but ZZ.
 
-    Nonsingular input: fraction-free Gauss-Jordan on [M | I] with row
-    pivoting.  It ends at [d * I | d * M^(-1)] with d = sign * det(M), sign
-    that of the row swaps, so the right half times sign is adj(M), reached
-    by exact divisions only.
-
-    Singular input: the signed cofactors, entry (i, j) being
-    (-1)^(i+j) det(M without row j and column i) by det_bareiss.  The 1x1
-    case follows the empty-minor convention adj([h]) = [1].
+    Fraction-free Gauss-Jordan on [M | I] with row pivoting.  It ends at
+    [d * I | d * M^(-1)] with d = sign * det(M), sign that of the row swaps,
+    so the right half times sign is adj(M), reached by exact divisions only.
+    A singular M has no pivot in some column and raises ValueError.
     """
     _require_integer(m, "adjugate")
     k = m.rows
     a = [list(row) + [int(j == i) for j in range(k)] for i, row in enumerate(m.entries)]
     sign = _bareiss(a, k, jordan=True)
-    if sign:
-        return ExactMatrix(ZZ, [row[k:] if sign == 1 else [-x for x in row[k:]] for row in a])
-    if k == 1:
-        return ExactMatrix(ZZ, [[1]])
-    out = [[det_bareiss(m.submatrix(j, i)) for j in range(k)] for i in range(k)]
-    return ExactMatrix(ZZ, [[c if (i + j) % 2 == 0 else -c for j, c in enumerate(row)]
-                            for i, row in enumerate(out)])
+    if not sign:
+        raise ValueError(f"adjugate of a singular {k}x{k} matrix")
+    return ExactMatrix(ZZ, [row[k:] if sign == 1 else [-x for x in row[k:]] for row in a])
 
 
 # the former name stays importable: legbench traces the adjugate under both

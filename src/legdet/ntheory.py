@@ -10,7 +10,7 @@ Euler's criterion with fast modular exponentiation.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from operator import index
 
 
@@ -102,7 +102,8 @@ def legendre(a: int, p: int) -> int:
     raise RuntimeError(f"Euler criterion produced {r} for ({a}/{p})")
 
 
-@cache
+# typed, so that a float equal to a cached prime still meets OddPrime's TypeError
+@lru_cache(maxsize=None, typed=True)
 def primitive_root(p: int) -> int:
     """The least generator of the multiplicative group (Z/p)^*."""
     p = OddPrime(p)

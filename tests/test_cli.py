@@ -118,15 +118,35 @@ def test_lemma_uv_json_golden_report(capsys):
     ("unit --p 229", "e0e173426f19205288341d9e534a5cc39106c1033e93169d6423f5935d58aba4"),
     ("verify --pmax 160 --format json", "9c9aa96f80e7a3785cb94d71c2a088048045bda4a77db19058f1fcc6af50d365"),
     ("sun --p 197 --d all --format csv", "65d2d68bd2290746921f57ae9fba1652c3cc85229da153a8e414817c15b0dbb1"),
-], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit", "verify-160", "sun-197"])
+    ("sun --p 13 --d 3 --format json", "64db011323f478e951179e3b87a3e1848d6748b62d4adcdb33a317f2544815c4"),
+    ("sun --p 13 --d all --format json", "101b7fb9ba168ba567651c02534107c09377ced3b36a0ca60575a97cf914649b"),
+], ids=["decomp", "carlitz", "sun", "verify", "cx", "unit", "verify-160", "sun-197", "sun-json", "sun-all-json"])
 def test_report_golden_digests(capsys, argv, digest):
     """The bytes of every other report command.  Text reports of decomp,
-    carlitz and sun carry the elapsed time, so their JSON or CSV is pinned.
+    carlitz and sun carry the elapsed time, so their JSON or CSV is pinned;
+    the sun JSON pins the config, d kept as the string given.
     The pmax-160 report pins the Toeplitz determinants up to k = 158, and
     the Sun report at p = 197, past its last prime 157, the Sun matrices
     at k = 99."""
     assert cli.main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("carlitz --p 7", "verify_carlitz"),
+    ("decomp --p 13", "verify_decomposition"),
+    ("sun --p 13 --d 3", "verify_sun_congruence"),
+], ids=["carlitz", "decomp", "sun"])
+def test_single_check_commands_run_the_patched_check(monkeypatch, argv, name):
+    """Each single-check command runs its check through the runner, which
+    looks it up in identities when it runs, so a patched check is the one
+    that runs."""
+    def broken(*args):
+        raise ArithmeticError(f"injected fault in {name}")
+
+    monkeypatch.setattr(identities, name, broken)
+    with pytest.raises(ArithmeticError, match=f"injected fault in {name}"):
+        cli.main(argv.split())
 
 
 def test_product_checks_above_the_cyclo_cap_golden():

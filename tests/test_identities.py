@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -1058,6 +1058,38 @@ def test_run_suite_boundary():
         run_suite(2)
     report = run_suite(3, SuiteOptions(uv_trials=1))
     assert report.all_passed and len(report.checks) > 1
+
+
+def test_check_table_names_every_per_prime_check_once():
+    """CHECKS names every verify_* of identities but the generic lemma_uv
+    exactly once, each name resolves to a function of the module, and CAPS
+    caps only listed checks, by SuiteOptions fields."""
+    listed = [name for names in identities.CHECKS.values() for name in names]
+    defined = [name for name in vars(identities) if name.startswith("verify_") and name != "verify_lemma_uv"]
+    assert sorted(listed) == sorted(defined)
+    assert all(callable(getattr(identities, name)) for name in listed)
+    assert set(identities.CAPS) <= set(listed)
+    assert set(identities.CAPS.values()) <= {f.name for f in fields(SuiteOptions)}
+
+
+def test_run_suite_caps_prod_2j_not_minor_antisymmetry():
+    """At p = 3 (mod 4) the cyclotomic cap stops prod_2j but not minor
+    antisymmetry, which no cap limits."""
+    report = run_suite(11, SuiteOptions(cyclo_p_max=5, decomp_p_max=5, uv_trials=1))
+    names = {(c.p, c.name) for c in report.checks}
+    assert (5, "prod_2j") in names and (7, "prod_2j") not in names
+    assert (11, "minor_antisym") in names
+
+
+def test_run_suite_runs_a_patched_check(monkeypatch):
+    """The runner looks each check up in the module when it runs, so a
+    check patched into identities is the one run_suite calls."""
+    def broken(ctx):
+        raise ArithmeticError("injected carlitz fault")
+
+    monkeypatch.setattr(identities, "verify_carlitz", broken)
+    with pytest.raises(ArithmeticError, match="injected carlitz fault"):
+        run_suite(13)
 
 
 def test_check_result_invariant():

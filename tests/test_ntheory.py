@@ -169,3 +169,6 @@ def test_primitive_root_against_brute_force_order():
     assert primitive_root(7) == 3
     with pytest.raises(ValueError):
         primitive_root(9)
+    assert primitive_root(13) == 2
+    with pytest.raises(TypeError):
+        primitive_root(13.0)
