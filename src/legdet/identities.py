@@ -136,9 +136,11 @@ class PrimeContext:
     pivots and row-swap signs) on the k columns of H, rotations of the
     Legendre table packed once (pack_windows); A is symmetric, so it
     eliminates [A | H[n+1..p-1]^T].  The slots of X are bytes, b of them at
-    a width 8b >= mod_slot_width(p, k), the slot bound of both eliminations
-    for k rows mod p, so every minor packs at that width by joining bytes,
-    one row per missed column (M transposed, of the same determinant).
+    a width 8b >= mod_slot_width(p, k), the slot bound of the one
+    elimination mod p (linalg._eliminate_mod) behind both the Gauss-Jordan
+    and the minors' determinants, for k rows, so every minor packs at that
+    width by joining bytes, one row per missed column (M transposed, of the
+    same determinant).
 
     The adjugate of C comes from A = C + J, whose Toeplitz recurrence
     (plus_j) also gives C(1): adj(A) from its first and last columns
@@ -242,11 +244,12 @@ class PrimeContext:
         return build_vsemirnov_matrices(self)
 
 
-def _context(p, need_1mod4: bool = False) -> PrimeContext:
-    """p itself if it is a context, else a fresh context for the odd prime p."""
+def _context(p, mod4: int | None = None) -> PrimeContext:
+    """p itself if it is a context, else a fresh context for the odd prime p;
+    ValueError unless p = mod4 (mod 4), when a class is given."""
     ctx = p if isinstance(p, PrimeContext) else PrimeContext(p)
-    if need_1mod4 and ctx.p.mod4 != 1:
-        raise ValueError(f"p = {ctx.p} is 3 (mod 4); this identity needs p = 1 (mod 4)")
+    if mod4 is not None and ctx.p.mod4 != mod4:
+        raise ValueError(f"p = {ctx.p} is {ctx.p.mod4} (mod 4); this identity needs p = {mod4} (mod 4)")
     return ctx
 
 
@@ -309,10 +312,8 @@ def verify_adj_sum(p) -> CheckResult:
 def verify_minor_antisymmetry(p) -> CheckResult:
     """Cofactors of the evil matrix satisfy C_kl + C_{n-k,n-l} = 0 for
     p = 3 (mod 4), 0 <= k <= (p-3)/4, 0 <= l <= n."""
-    ctx = _context(p)
+    ctx = _context(p, 3)
     p = ctx.p
-    if p.mod4 != 3:
-        raise ValueError(f"p = {p} is 1 (mod 4); minor antisymmetry is a p = 3 (mod 4) statement")
     n = p.n
     adj = ctx.evil_adjugate
     for k in range((p - 3) // 4 + 1):
@@ -353,7 +354,7 @@ def build_cauchy_matrix(p) -> ExactMatrix:
     a + b up to a multiple of the all-ones vector 1 + z + ... + z^(p-1);
     a failure raises ArithmeticError.
     """
-    ctx = _context(p, need_1mod4=True)
+    ctx = _context(p, 1)
     p, lg = ctx.p, ctx.chi
     rows = []
     for i in range(1, p.n + 1):
@@ -391,7 +392,7 @@ def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
     entry against p [j = n] up to the all-ones vector.  V is an invertible
     Vandermonde, so this forces d, and a failure raises ArithmeticError.
     """
-    p = _context(p, need_1mod4=True).p
+    p = _context(p, 1).p
     vecs = [_binomials(p, [(1, 2 * i, 0, 0), *((1, 2 * i, -1, o) for o in range(1, p - 1, 2))])
             for i in range(p.n + 1)]
     for j, cert in enumerate(_times_v(p, vecs)):
@@ -426,7 +427,7 @@ def verify_decomposition(p) -> CheckResult:
     V W V, as V is symmetric.  Entry (i, j) matches when it is den C_ij in
     slot 0 up to the all-ones vector; only the entry reported, the first
     divergent one or else (0, 0), is folded into a CycloElem."""
-    ctx = _context(p, need_1mod4=True)
+    ctx = _context(p, 1)
     p, chi, n = ctx.p, ctx.chi, ctx.p.n
     den_d, dv = clear_slots(ctx.vsemirnov)
     den_e, ev = clear_slots([e for row in ctx.cauchy.entries for e in row])
@@ -511,7 +512,7 @@ def _scaled(p: int, v, r=1) -> CycloElem:
 
 def verify_lemma_sum(p) -> CheckResult:
     """(prod(1+(j/p)z^j)^2 + prod(1-(j/p)z^j)^2) / 2 = (-1)^(n/2) z^(n(n+1)/2) b_p p."""
-    ctx = _context(p, need_1mod4=True)
+    ctx = _context(p, 1)
     p, chi, n = ctx.p, ctx.chi, ctx.p.n
     plus = _binomials(p, [(1, 0, chi[j], j) for j in range(1, n + 1)])
     minus = _binomials(p, [(1, 0, -chi[j], j) for j in range(1, n + 1)])
@@ -534,7 +535,7 @@ def verify_prod_2j(p) -> CheckResult:
 def verify_d00_detG(p) -> CheckResult:
     """Two product evaluations behind the decomposition, jointly:
     1/d_00^2 = p z^(n(n+1)) and (prod (j/p) z^j)^2 = z^((p^2-1)/4)."""
-    ctx = _context(p, need_1mod4=True)
+    ctx = _context(p, 1)
     p, n = ctx.p, ctx.p.n
     inv_d00 = _binomials(p, [(1, 0, -1, 2 * k) for k in range(1, n + 1)])
     det_g = _binomials(p, [(ctx.chi[j], j, 0, 0) for j in range(1, n + 1)])
@@ -557,7 +558,7 @@ def verify_f1f2(p) -> CheckResult:
     lowered decomp_p_max.  f1 and f2 are slot vectors (_binomials); the
     right side takes one inverse, of f2^2.
     """
-    ctx = _context(p, need_1mod4=True)
+    ctx = _context(p, 1)
     p, chi = ctx.p, ctx.chi
     pairs = list(combinations(range(1, p.n + 1), 2))
     f1 = _binomials(p, [(chi[j], j, -chi[i], i) for i, j in pairs])
@@ -621,7 +622,7 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
     (mod p), det_mod_rows of the explicit rows.  d is zero-padded to the
     width of p - 1 (at least 2) so names sort by d.
     """
-    ctx = _context(p, need_1mod4=True)
+    ctx = _context(p, 1)
     p = ctx.p
     if not 0 <= d < p:
         raise ValueError(f"d = {d} out of range [0, {p - 1}]")

@@ -13,11 +13,12 @@ past four times a Hadamard bound, half of them when conjugation fixes
 every entry; a Toeplitz matrix's by fraction-free Levinson-Trench in
 O(k^2) integer operations (toeplitz_columns), with a Bareiss fallback;
 det_circulant, the product of a circulant's eigenvalues mod Phi_p(2^L);
-and, for a residue mod a prime, det_mod_packed, elimination over F_q on
-rows packed one per integer, with delayed reduction and a slot width it
-proves.  det_mod_rows packs plain rows for it, pack_windows the rotations
-of one table, and solve_mod_packed runs the same reduction as Gauss-Jordan,
-for the Sun check's det A and table A^-1 B over F_q.
+and, for a residue mod a prime, one elimination over F_q on rows packed
+one per integer, with delayed reduction and a slot width it proves
+(_eliminate_mod), behind two entry points: det_mod_packed, and its
+Gauss-Jordan solve_mod_packed, for the Sun check's det A and table A^-1 B
+over F_q.  det_mod_rows packs plain rows for det_mod_packed, pack_windows
+the rotations of one table.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant, and refuses a singular matrix.  A
@@ -317,8 +318,8 @@ def certify_adjugate(c: ExactMatrix, x, d: int) -> bool:
 
 
 def mod_slot_width(q: int, k: int) -> int:
-    """The slot width w of det_mod_packed for k rows mod q: the least with
-    q^2 k + q < 2^(w-1)."""
+    """The least slot width w that _eliminate_mod takes for k rows mod q:
+    the least with q^2 k + q < 2^(w-1)."""
     return (q * q * k + q).bit_length() + 1
 
 
@@ -339,96 +340,87 @@ def pack_windows(seq, k: int, w: int) -> list[int]:
     return [(whole >> (w * r)) & mask for r in range(len(seq) - k + 1)]
 
 
-def det_mod_packed(rows, q: int, w: int) -> int:
-    """det mod q, in range(q), of the k x k matrix whose rows are packed one
-    per integer, sum_j a_j 2^(w*j), one w-bit slot per entry a_j in
-    range(q), for a prime q.  Raises ValueError unless q^2 k + q < 2^(w-1),
-    the slot bound below.
+def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int, list[int], list[int]]:
+    """Elimination over F_q, q prime, on the first k columns of k rows
+    packed one per integer, sum_j a_j 2^(w*j), width slots of w bits each,
+    every a_j in range(q).  Raises ValueError if w < mod_slot_width(q, k).
+    Returns (det, rows, invs): det the determinant of the first k columns
+    mod q, in range(q), and invs the inverses of the pivots mod q; (0, rows,
+    invs) as soon as a column has no nonzero pivot.
 
-    Gaussian elimination over F_q with delayed reduction (Dumas, Giorgi and
-    Pernet, ACM TOMS 35(3), 2008): clearing the pivot column from a row is
-    one bigint step, row += f * packed(q - pivot_row) with f = a_c / pivot
-    mod q, which adds f * (q - r_j) = -f * r_j (mod q) to each slot j.  Only
-    the pivot row is unpacked and reduced mod q, to r_j in [0, q); every
-    other row stays unreduced and drops its pivot-column slot (>> w) after
-    the step.
+    Delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+    step c takes the first row from c on whose slot 0 is nonzero mod q,
+    swaps it up, and clears column c from a row with one bigint step,
+    row += f * packed(q - r_j), f = a_c / pivot mod q and r_j the pivot
+    row's slots mod q, which adds f * (q - r_j) = -f * r_j (mod q) to each
+    slot j; the row then drops slot 0 (>> w).  Only the pivot row is
+    unpacked, and only its slots are reduced.  Without jordan, step c
+    reaches the rows below c, and the rows end stale.  With jordan, it
+    reaches every other row and the pivot row is only shifted, so each row
+    c ends holding its last width - k slots times pivot c (Gauss-Jordan
+    with the pivots left unscaled).  det is the product of the pivots,
+    negated per row swap.
 
     Slot bound: a slot starts in [0, q), and each step adds at most
-    f * (q - r_j) <= (q - 1) * q to it.  A row takes one such step per
-    column eliminated before it becomes the pivot row, at most k - 1 in
-    all, so every slot stays below q + (k - 1)(q - 1)q < q^2 k + q
-    < 2^(w-1).  Slots only grow, since nothing is subtracted, so no borrow
-    ever crosses a slot, and none reaches 2^w, so no carry does either.
+    f * (q - r_j) <= (q - 1) q to it.  In either mode a row takes at most
+    one step per column other than its own pivot column, k - 1 in all, so
+    every slot stays below q + (k - 1)(q - 1) q < q^2 k + q < 2^(w-1).
+    Slots only grow, since nothing is subtracted, so no borrow ever crosses
+    a slot, and none reaches 2^w, so no carry does either.
     """
     k = len(rows)
-    if q * q * k + q >= 1 << (w - 1):
+    if w < mod_slot_width(q, k):
         raise ValueError(f"slot width {w} is below the bound for {k} rows mod {q}")
     mask = (1 << w) - 1
     rows = list(rows)
-    det = 1
+    det, invs = 1, []
     for c in range(k):
-        # rows[c:] are the rows left, with column c in slot 0
+        # rows[c:], and with jordan every row, hold columns c, c + 1, ... from slot 0
         for r in range(c, k):
             piv = (rows[r] & mask) % q
             if piv:
                 break
         else:
-            return 0
+            return 0, rows, invs
         if r != c:
             rows[c], rows[r] = rows[r], rows[c]
             det = -det
-        det = det * piv % q
         pivinv = pow(piv, -1, q)
+        invs.append(pivinv)
+        det = det * piv % q
         pr = rows[c]
         packed = 0
-        for j in range(k - 1 - c, 0, -1):
+        for j in range(width - 1 - c, 0, -1):
             packed = (packed | q - ((pr >> (w * j)) & mask) % q) << w
-        for i in range(c + 1, k):
+        if jordan:
+            rows[c] = pr >> w
+        for i in range(0 if jordan else c + 1, k):
+            if i == c:
+                continue
             ri = rows[i]
             rows[i] = (ri + (ri & mask) * pivinv % q * packed) >> w
-    return det % q
+    return det, rows, invs
+
+
+def det_mod_packed(rows, q: int, w: int) -> int:
+    """det mod q, in range(q), of the k x k matrix over F_q, q prime, whose
+    rows are packed one per integer at slot width w as _eliminate_mod takes
+    them; ValueError if w < mod_slot_width(q, k)."""
+    return _eliminate_mod(rows, len(rows), q, w, jordan=False)[0]
 
 
 def solve_mod_packed(rows, width: int, q: int, w: int) -> tuple[int, list[list[int]] | None]:
     """(det A, A^-1 B) over F_q, entries in range(q), for the k rows of
     [A | B] packed as in det_mod_packed, width slots each, the first k of
-    them A's, for a prime q; (0, None) when A is singular mod q.  Raises
-    ValueError unless q^2 k + q < 2^(w-1).
-
-    Gauss-Jordan with det_mod_packed's delayed reduction: step c reduces the
-    pivot row mod q and scales it to 1 in column c, then adds f times the
-    packed (-r_j mod q) to every other row, f its column-c slot mod q, and
-    every row drops that slot (>> w); det A is the product of the unscaled
-    pivots, negated per row swap.  Slot bound: a row is reduced when it
-    pivots and takes one step in every other column, at most k - 1 steps of
-    at most (q - 1)^2 each past a start in [0, q), so every slot stays below
-    q + (k - 1)(q - 1)^2 < q^2 k + q < 2^(w-1).
-    """
-    k = len(rows)
-    if q * q * k + q >= 1 << (w - 1):
-        raise ValueError(f"slot width {w} is below the bound for {k} rows mod {q}")
+    them A's, for a prime q; (0, None) when A is singular mod q.  The
+    Gauss-Jordan of _eliminate_mod leaves row c of B times pivot c, so row
+    c is scaled by the pivot's inverse as it is unpacked."""
+    det, rows, invs = _eliminate_mod(rows, width, q, w, jordan=True)
+    if not det:
+        return 0, None
     mask = (1 << w) - 1
-    rows = list(rows)
-    det = 1
-    for c in range(k):
-        # every row holds the slots of columns c, c + 1, ..., width - 1
-        for r in range(c, k):
-            piv = (rows[r] & mask) % q
-            if piv:
-                break
-        else:
-            return 0, None
-        if r != c:
-            rows[c], rows[r] = rows[r], rows[c]
-            det = -det
-        pivinv = pow(piv, -1, q)
-        det = det * piv % q
-        pr = rows[c]
-        red = [((pr >> (w * j)) & mask) * pivinv % q for j in range(1, width - c)]
-        rows[c] = _pack(red, w) << w  # slot 0 is 0, so the step below adds nothing
-        neg = _pack([0, *(-x % q for x in red)], w)
-        rows = [(ri + (ri & mask) % q * neg) >> w for ri in rows]
-    return det % q, [[((row >> (w * j)) & mask) % q for j in range(width - k)] for row in rows]
+    return det, [[((row >> (w * j)) & mask) * inv % q for j in range(width - len(rows))]
+                 for row, inv in zip(rows, invs)]
 
 
 # the odd primes below 100: Proth witnesses, and a screen for candidates

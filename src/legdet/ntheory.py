@@ -29,8 +29,10 @@ def is_prime(m: int) -> bool:
     318665857834031151167461 (Sorenson and Webster, Math. Comp. 86, 2017;
     with the base 41 added the range grows to 3.3 * 10^24).  Above that, an
     m with no factor up to 37 raises ValueError: no answer rests on an
-    unproven test, and trial division would take days.
+    unproven test, and trial division would take days.  Only true integers
+    are accepted: a float or a str raises TypeError, as in OddPrime.
     """
+    m = index(m)
     if m < 0:
         raise ValueError("is_prime expects a nonnegative integer")
     if m < 2:

@@ -2,6 +2,7 @@ import hashlib
 import random
 import re
 import sys
+import types
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -127,8 +128,9 @@ def test_minor_antisymmetry():
     for p in (3, 7, 11, 19):
         r = verify_minor_antisymmetry(p)
         assert r.passed and r.lhs == "0" and r.rhs == "0"
-    with pytest.raises(ValueError):
-        verify_minor_antisymmetry(13)
+    for p in (13, PrimeContext(13)):
+        with pytest.raises(ValueError, match=re.escape("p = 13 is 1 (mod 4); this identity needs p = 3 (mod 4)")):
+            verify_minor_antisymmetry(p)
 
 
 def _u_from_cauchy(ctx):
@@ -687,11 +689,15 @@ def test_schur_sun_mutants_fail(monkeypatch, name, old, new, failed):
 ], ids=["no-swap-sign", "scaled-pivot"])
 def test_sun_table_det_mutants_fail(monkeypatch, old, new):
     """Negative controls for det A, which the table's one Gauss-Jordan
-    (solve_mod_packed) reads off its pivots: the sign of the row swaps
-    dropped (A[0][0] = (0/p) = 0, so step 0 always swaps), and each pivot
-    read after its row is scaled to 1.  Each fails every d != 0 at
-    p = 13."""
-    monkeypatch.setattr(identities, "solve_mod_packed", mutant(linalg, "solve_mod_packed", old, new))
+    (solve_mod_packed, on _eliminate_mod) reads off its pivots: the sign of
+    the row swaps dropped (A[0][0] = (0/p) = 0, so step 0 always swaps),
+    and each pivot read after its row is scaled to 1.  Only the table's
+    elimination is mutated; the minors' det_mod_packed keeps the real one.
+    Each runs and fails every d != 0 at p = 13."""
+    ns = {**vars(linalg), "_eliminate_mod": mutant(linalg, "_eliminate_mod", old, new)}
+    solve = types.FunctionType(linalg.solve_mod_packed.__code__, ns)
+    monkeypatch.setattr(identities, "solve_mod_packed", solve)
+    assert identities.det_mod_packed is linalg.det_mod_packed
     assert not any(identities.verify_sun_congruence(13, d).passed for d in range(1, 13))
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -424,25 +425,7 @@ def test_det_mod_p_matches_list_elimination_on_sun_matrices():
         assert det_mod(m.entries, 101) == det_mod_p_lists(m.entries, 101)
 
 
-@pytest.mark.parametrize("p, k", [(2, 7), (13, 9), (101, 51)])
-def test_det_mod_p_slot_reaches_its_bound(p, k):
-    """The slot bound of the det_mod_packed docstring, p + (k-1)(p-1)p, is met:
-    over identity rows with a last row of p - 1, each step pivots on a 1
-    with f = p - 1 and adds (p - 1) * p to every later slot of the last row.
-    A replay of that update rule on plain integers shows the last slot
-    ending at the bound; a carry out of any slot would change the residue."""
-    rows = [[int(i == j) for j in range(k)] for i in range(k - 1)] + [[p - 1] * k]
-    last = list(rows[-1])
-    for c in range(k - 1):
-        f = last[c] % p
-        last[c + 1:] = [x + f * (p - y % p) for x, y in zip(last[c + 1:], rows[c][c + 1:])]
-    assert last[-1] == (p - 1) + (k - 1) * (p - 1) * p
-    assert last[-1] < p * p * k + p
-    assert det_mod(rows, p) == det_mod_p_lists(rows, p) == p - 1
-
-
-
-def test_solve_mod_packed_matches_list_gauss_jordan():
+def solve_mod_packed_against_list_gauss_jordan():
     """Seeded [A | B] mod q, k <= 8 and up to 6 columns of B, a fifth of
     A's entries zero so that some A are singular: A^-1 B, or None, as the
     list Gauss-Jordan gives it, beside det A as list elimination gives it,
@@ -461,27 +444,49 @@ def test_solve_mod_packed_matches_list_gauss_jordan():
     assert singular > 0
 
 
+def test_solve_mod_packed_matches_list_gauss_jordan():
+    solve_mod_packed_against_list_gauss_jordan()
+
+
+def test_gauss_jordan_below_the_pivot_only_fails(monkeypatch):
+    """Negative control for the Gauss-Jordan mode of _eliminate_mod: each
+    step reaching only the rows below the pivot, as in det mode, leaves
+    A upper triangular rather than diagonal, and the list Gauss-Jordan
+    test above fails on it."""
+    monkeypatch.setattr(linalg, "_eliminate_mod", mutant(linalg, "_eliminate_mod", "0 if jordan else c + 1", "c + 1"))
+    with pytest.raises(AssertionError):
+        solve_mod_packed_against_list_gauss_jordan()
+
+
+@pytest.mark.parametrize("jordan", [False, True], ids=["det", "gauss-jordan"])
 @pytest.mark.parametrize("q, k", [(2, 7), (13, 9), (101, 51)])
-def test_solve_mod_packed_slot_reaches_its_bound(q, k):
-    """The slot bound of the solve_mod_packed docstring is met: rows
-    c < k - 1 are e_c with a B of ones and never change before they pivot,
-    the last row is q - 1 throughout, so each step has f = q - 1 and adds
-    (q - 1)^2 to each B slot of the last row.  A replay of that update rule
-    on plain integers shows those slots ending at q - 1 + (k - 1)(q - 1)^2.
-    One bit short of mod_slot_width is refused."""
+def test_mod_elimination_slot_reaches_its_bound(q, k, jordan):
+    """The slot bound of the _eliminate_mod docstring, q + (k-1)(q-1)q, is
+    met in both modes: over identity rows with a last row of q - 1 (and, for
+    Gauss-Jordan, a B of zeros with a last row of q - 1), each step pivots
+    on a 1 with f = q - 1 and adds (q - 1) * q to every later slot of the
+    last row.  A replay of that update rule, f (q - r_j), on plain integers
+    shows the last slot ending at the bound; a carry out of any slot would
+    change the residue.  One bit short of mod_slot_width is refused."""
+    m = 3 if jordan else 0
     a = [[int(i == j) for j in range(k)] for i in range(k - 1)] + [[q - 1] * k]
-    b = [[1] * 3 for _ in range(k - 1)] + [[q - 1] * 3]
+    b = [[0] * m for _ in range(k - 1)] + [[q - 1] * m]
     last = a[-1] + b[-1]
     for c in range(k - 1):
         f = last[c] % q
-        last[c + 1:] = [x + f * (-y % q) for x, y in zip(last[c + 1:], (a[c] + b[c])[c + 1:])]
-    assert last[k:] == [q - 1 + (k - 1) * (q - 1) ** 2] * 3
+        last[c + 1:] = [x + f * (q - y % q) for x, y in zip(last[c + 1:], (a[c] + b[c])[c + 1:])]
+    assert last[k - 1:] == [q - 1 + (k - 1) * (q - 1) * q] * (m + 1)
     assert last[-1] < q * q * k + q
     w = mod_slot_width(q, k)
     rows = [_pack(ra + rb, w) for ra, rb in zip(a, b)]
-    assert solve_mod_packed(rows, k + 3, q, w) == (det_mod_p_lists(a, q), solve_mod_p_lists(a, b, q))
+    assert det_mod_p_lists(a, q) == q - 1
+    if jordan:
+        run, want = partial(solve_mod_packed, rows, k + m, q), (q - 1, solve_mod_p_lists(a, b, q))
+    else:
+        run, want = partial(det_mod_packed, rows, q), q - 1
+    assert run(w) == want
     with pytest.raises(ValueError, match="slot width"):
-        solve_mod_packed(rows, k + 3, q, w - 1)
+        run(w - 1)
 
 
 def test_det_mod_packed_refuses_a_slot_below_its_bound():

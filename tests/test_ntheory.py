@@ -28,6 +28,14 @@ def test_is_prime_against_list():
         is_prime(-3)
 
 
+def test_is_prime_refuses_non_integers():
+    """A float or a str raises TypeError, as in OddPrime; trial division
+    alone would call 2.5 and 3.0 prime."""
+    for m in (2.5, 3.0, "7"):
+        with pytest.raises(TypeError):
+            is_prime(m)
+
+
 def test_is_prime_agrees_with_trial_division_below_10_5():
     assert [m for m in range(10**5) if is_prime(m)] == [
         m for m in range(10**5) if m > 1 and all(m % f for f in range(2, math.isqrt(m) + 1))]
