@@ -6,10 +6,6 @@ Cases:
   mul_vec  legdet.cyclotomic._mul_vec at p = 13, 29, 59, a monomial or a
            dense vector times a dense vector, entries of 3, 40 or 300 bits;
            one sample is one pass over a fixed batch of seeded operand pairs.
-  det_mod_rows  legdet.linalg.det_mod_rows over the Sun matrices
-           [((i + d j)/p)], rows built from a Legendre table and reduced
-           mod p, for every d, at p = 61, 101, 157; one sample is one pass
-           over all d.
   sun_check  the whole Sun check of one prime: a fresh
            identities.PrimeContext and verify_sun_congruence for every d, at
            p = 61, 101, 157, its table included; one sample is one prime.
@@ -20,9 +16,8 @@ Cases:
            identities.PrimeContext and verify_carlitz, at p = 61, 101, 157
            and 401, its Legendre table included; one sample is one prime.
   toeplitz legdet.linalg.toeplitz_columns, the determinant with the
-           first and last columns of the adjugate, beside det_bareiss on
-           C + J and C - J for the evil matrix C at p = 401; one sample is
-           both determinants.
+           first and last columns of the adjugate, on C + J and C - J for
+           the evil matrix C at p = 401; one sample is both runs.
   det_fractions  legdet.linalg.det_fractions on two-vector lemma
            matrices [(u_i + v_j)/(1 + u_i v_j)] at m = 3, 5, 7, each entry
            the integer pair (a_i d_j + b_i c_j, b_i d_j + a_i c_j) for
@@ -35,20 +30,16 @@ Cases:
            included; one sample is one pass over a batch.
   vsemirnov_build  PrimeContext.vsemirnov and PrimeContext.cauchy on a
            fresh identities.PrimeContext at p = 29 and 53: the diagonal of
-           Vsemirnov's D (with U, in checkouts that still build it) and the
-           Cauchy-type matrix [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j;
-           one sample is one build.
+           Vsemirnov's D and the Cauchy-type matrix
+           [(u_i + u_j)/(1 + u_i u_j)], u_j = (j/p) z^j; one sample is one
+           build.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
            of the f1f2_u00 check at p = 29 and 41, the Cauchy-type matrix
-           (PrimeContext.cauchy), which conjugation fixes, and at p = 29 on
-           U without row and column 0, [(i/p)(j/p) z^(-i-j) E_ij], which it
-           does not, built here from PrimeContext.cauchy so that every
-           checkout times the same matrix; one sample is one determinant.
+           (PrimeContext.cauchy); one sample is one determinant.
   decomposition  identities.verify_decomposition at p = 29 and 53 on a
            context whose D, Cauchy-type matrix and evil matrix are already
-           built (and U, in checkouts that still build it), so the sample
-           is the right side V (s D U D) V and the comparison; one sample
-           is one check.
+           built, so the sample is the right side V (s D U D) V and the
+           comparison; one sample is one check.
   cyclo_products  identities.verify_prod_2j, verify_lemma_sum and
            verify_d00_detG, the product checks that take no determinant,
            at p = 29 and 53 on a fresh context given the prime's unit data
@@ -80,7 +71,7 @@ The committed BENCH_kernels.json holds the run made with
 
 --quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
 one per child: a smoke test that every case still runs.  Its carlitz_check
-and C +- J cases are at p = 61, its det_fractions and lemma_uv cases at m = 3,
+and toeplitz cases are at p = 61, its det_fractions and lemma_uv cases at m = 3,
 and its vsemirnov_build, det_field_cyclo, decomposition and cyclo_products
 cases at p = 13.
 """
@@ -112,7 +103,6 @@ LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
 VSEMIRNOV_PRIMES = (29, 53)
 CYCLO_DET_PRIMES = (29, 41)
-U00_PRIME = 29
 CYCLO_QUICK_PRIME = 13
 PROCESSES = 3
 
@@ -142,23 +132,6 @@ def mul_vec_cases(legdet, quick: bool) -> dict:
                     return len(pairs)
 
                 out[f"mul_vec p={p} {shape} x dense {bits}-bit"] = run
-    return out
-
-
-def det_mod_rows_cases(legdet, quick: bool) -> dict:
-    lin = legdet.linalg
-    out = {}
-    for p in SUN_PRIMES[:1] if quick else SUN_PRIMES:
-        chi = [legdet.ntheory.legendre(r, p) % p for r in range(p)]
-        k = (p + 1) // 2
-        mats = [[[chi[(i + d * j) % p] for j in range(k)] for i in range(k)] for d in range(p)]
-
-        def run(mats=mats, p=p):
-            for rows in mats:
-                lin.det_mod_rows(rows, p)
-            return len(mats)
-
-        out[f"det_mod_rows sun p={p} all d"] = run
     return out
 
 
@@ -202,25 +175,18 @@ def carlitz_check_cases(legdet, quick: bool) -> dict:
 
 def toeplitz_cases(legdet, quick: bool) -> dict:
     """C +- J, from the builder that the C(x) checks use, as diagonals
-    t_(1-k), ..., t_(k-1) and as dense matrices."""
+    t_(1-k), ..., t_(k-1)."""
     ids = legdet.identities
     p = 61 if quick else EVIL_PRIME
     ts = [ids.evil_toeplitz(p, x) for x in (1, -1)]
     k = (len(ts[0]) + 1) // 2
-    mats = [legdet.linalg.ExactMatrix(legdet.linalg.ZZ, [[t[k - 1 + j - i] for j in range(k)] for i in range(k)])
-            for t in ts]
 
     def run():
         for t in ts:
             legdet.linalg.toeplitz_columns(t, k)
         return len(ts)
 
-    def run_dense():
-        for m in mats:
-            legdet.linalg.det_bareiss(m)
-        return len(mats)
-
-    return {f"toeplitz_columns C +- J p={p}": run, f"det_bareiss C +- J p={p}": run_dense}
+    return {f"toeplitz_columns C +- J p={p}": run}
 
 
 def lemma_cases(legdet, quick: bool) -> dict:
@@ -276,17 +242,6 @@ def cyclo_cases(legdet, quick: bool) -> dict:
             return 1
 
         out[f"det_field_cyclo cauchy p={p}"] = run
-    ctx = ids.PrimeContext(CYCLO_QUICK_PRIME if quick else U00_PRIME)
-    p = ctx.p
-    g = [legdet.cyclotomic.zeta_pow(p, -i) * ctx.chi[i] for i in range(1, p.n + 1)]
-    u00 = lin.ExactMatrix(ctx.cauchy.ring, [[gi * e * gj for e, gj in zip(row, g)]
-                                            for gi, row in zip(g, ctx.cauchy.entries)])
-
-    def run_u00(mat=u00):
-        lin.det_field(mat)
-        return 1
-
-    out[f"det_field_cyclo U_00 p={p}"] = run_u00
     for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
         ctx = ids.PrimeContext(p)
         ctx.vsemirnov
@@ -328,10 +283,9 @@ def child(src: Path, quick: bool) -> int:
     import legdet.cyclotomic
     import legdet.identities
     import legdet.linalg
-    import legdet.ntheory
 
     cases = {}
-    for build in (mul_vec_cases, det_mod_rows_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
+    for build in (mul_vec_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
                   toeplitz_cases, lemma_cases, cyclo_cases, cyclo_product_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():

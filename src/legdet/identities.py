@@ -142,22 +142,19 @@ class PrimeContext:
     width by joining bytes, one row per missed column (M transposed, of the
     same determinant).
 
-    The adjugate of C comes from A = C + J, whose Toeplitz recurrence
-    (plus_j) also gives C(1): adj(A) from its first and last columns
-    (toeplitz_adjugate), then adj(C) from the rank-one update C = A - u u^T,
-    u all-ones,
-
-        adj(C) = (det C adj(A) + (adj(A) u)(u^T adj(A))) / det A,
-
-    and then a certificate, C X = c0 I with c0 = (C(1) + C(-1)) / 2
-    (evil_det), before any check reads X.  For c0 != 0 that equation forces
-    X = c0 C^-1, whatever the recurrence assumed: it builds in the
-    persymmetry of adj(A), which minor antisymmetry rests on.  A c0 other
-    than det C fails it, as the update then leaves X = adj(C) + (c0 - det C)
-    A^-1, and C X - c0 I = -(c0 - det C) u u^T A^-1 != 0.  The update
-    takes floor quotients: an inexact one leaves an X that the certificate
-    rejects like any other wrong X.  A zero F_0, divisor or det A, c0 = 0
-    or a failed certificate sends C to Gauss-Jordan adjugate instead.
+    The adjugate of C, which minor antisymmetry alone reads, is built for
+    p = 3 (mod 4) from A = C + J, whose Toeplitz recurrence (plus_j) also
+    gives C(1), and adj(A) from its first and last columns
+    (toeplitz_adjugate).  Each entry of adj(C + xJ) is affine in x, so
+    adj(C) = (adj(C + J) + adj(C - J)) / 2; here C^T = -C and k is even,
+    so adj(C - J) = adj(-A^T) = -adj(A)^T, and adj(A) is persymmetric:
+    adj(C)[i][j] = (adj(A)[i][j] - adj(A)[n-i][n-j]) / 2.  A certificate,
+    C X = c0 I with c0 = (C(1) + C(-1)) / 2 (evil_det), runs before any
+    check reads X.  For c0 != 0 it forces X = c0 C^-1, whatever the
+    recurrence assumed (it builds in the persymmetry that minor
+    antisymmetry rests on), and as X does not depend on c0, a c0 other
+    than det C fails it.  A zero F_0 or divisor, c0 = 0 or a failed
+    certificate sends C to Gauss-Jordan adjugate instead.
     """
 
     def __init__(self, p):
@@ -197,20 +194,19 @@ class PrimeContext:
 
     @cached_property
     def evil_adjugate(self) -> ExactMatrix:
-        """adj(C), certified from the Toeplitz fill (class docstring), else Gauss-Jordan."""
+        """adj(C), p = 3 (mod 4): certified Toeplitz fill (class docstring), else Gauss-Jordan."""
+        _context(self, 3)
         x = self._toeplitz_evil_adjugate()
         return adjugate(self.evil) if x is None else ExactMatrix(ZZ, x)
 
     def _toeplitz_evil_adjugate(self) -> list[list[int]] | None:
-        det_a, f, b = self.plus_j
-        c0 = self.evil_det
+        _, f, b = self.plus_j
         adj_a = toeplitz_adjugate(f, b) if f is not None else None
-        if adj_a is None or not det_a or not c0:
+        if adj_a is None:
             return None
-        rs = [sum(row) for row in adj_a]
-        cs = [sum(col) for col in zip(*adj_a)]
-        x = [[(c0 * a + r * s) // det_a for a, s in zip(row, cs)] for row, r in zip(adj_a, rs)]
-        return x if certify_adjugate(self.evil, x, c0) else None
+        mirror = [row[::-1] for row in reversed(adj_a)]
+        x = [[(a - m) >> 1 for a, m in zip(row, back)] for row, back in zip(adj_a, mirror)]
+        return x if self.evil_det and certify_adjugate(self.evil, x, self.evil_det) else None
 
     @cached_property
     def sun_schur(self) -> tuple[int, int, list[tuple[bytes, ...]]]:

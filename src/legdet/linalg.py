@@ -152,7 +152,9 @@ def _bareiss(a: list, k: int, jordan: bool) -> int:
 
 def _det_rows(a: list) -> int:
     """Determinant of the square list of integer rows a, which _bareiss
-    overwrites."""
+    overwrites; 1 for no rows, the determinant of the 0 x 0 matrix."""
+    if not a:
+        return 1
     sign = _bareiss(a, len(a), jordan=False)
     if sign == 0:
         return 0

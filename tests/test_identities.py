@@ -594,6 +594,13 @@ def test_perturbed_adjugate_fails_minor_antisymmetry(monkeypatch):
     assert (r.name, r.lhs, r.rhs, r.detail) == ("minor_antisym", "1", "0", "(k, l) = (0, 2)")
 
 
+def test_evil_adjugate_refuses_1_mod_4():
+    """adj(C) is built for p = 3 (mod 4) alone, the class whose C is
+    antisymmetric; at p = 1 (mod 4) the context raises ValueError."""
+    with pytest.raises(ValueError, match=r"3 \(mod 4\)"):
+        PrimeContext(13).evil_adjugate
+
+
 def spy_gauss_jordan(monkeypatch) -> list[int]:
     """The orders of the matrices that reach Gauss-Jordan adjugate."""
     calls = []
@@ -608,10 +615,10 @@ def spy_gauss_jordan(monkeypatch) -> list[int]:
 
 def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
     """Negative control: one entry of the Toeplitz fill of adj(C + J) off by
-    one, before the certificate.  The rank-one update then has a remainder
-    or a wrong result, the certificate does not hold, and C goes to
-    Gauss-Jordan: the context's adjugate is Gauss-Jordan's, and minor
-    antisymmetry still passes."""
+    one, before the certificate.  Its antisymmetric part is then floored
+    or wrong, the certificate does not hold, and C goes to Gauss-Jordan:
+    the context's adjugate is Gauss-Jordan's, and minor antisymmetry still
+    passes."""
     def corrupted(f, b):
         rows = toeplitz_adjugate(f, b)
         rows[1][1] += 1
@@ -626,15 +633,13 @@ def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
     assert calls == [4, 6, 10, 12]
 
 
-@pytest.mark.parametrize("trigger", ["divisor", "f0", "det_a", "remainder", "c0", "certificate"])
+@pytest.mark.parametrize("trigger", ["divisor", "f0", "c0", "certificate"])
 def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trigger):
     """Each condition under which the Toeplitz adjugate of C cannot be
     certified sends C to Gauss-Jordan, and the adjugate is still right:
-    a vanishing recurrence divisor (no columns), a vanishing F_0, det(C + J)
-    = 0, a det(C + J) replaced by a prime that divides none of the rank-one
-    update's numerators (the floor quotients leave an X that the
-    certificate rejects), c0 = 0, and a failed certificate.  The context's
-    records are seeded with the forced values."""
+    a vanishing recurrence divisor (no columns), a vanishing F_0, c0 = 0,
+    and a failed certificate.  The context's records are seeded with the
+    forced values."""
     p = 19
     ctx = PrimeContext(p)
     det_a, f, b = ctx.plus_j
@@ -642,8 +647,6 @@ def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trig
     seeded = {
         "divisor": {"plus_j": (det_a, None, None)},
         "f0": {"plus_j": (det_a, [0] + f[1:], b)},
-        "det_a": {"plus_j": (0, f, b)},
-        "remainder": {"plus_j": ((1 << 61) - 1, f, b)},
         "c0": {"evil_det": 0},
         "certificate": {},
     }[trigger]

@@ -344,6 +344,13 @@ def test_det_fractions_vs_gauss_with_negative_and_unreduced_denominators():
             det_fractions(rows)
 
 
+def test_empty_matrix_has_determinant_one():
+    """No rows is the 0 x 0 matrix, of determinant 1, for the integer
+    Bareiss path behind det_fractions as for the elimination mod q."""
+    assert det_fractions([]) == 1
+    assert det_mod_rows([], 7) == 1
+
+
 def test_det_usage_errors():
     rect = ExactMatrix(ZZ, [[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
@@ -817,12 +824,15 @@ def test_det_circulant_mutants_fail(old, new, cases):
 
 
 def certified_adjugate_without_fallback(monkeypatch):
-    """For every odd p up to 200, PrimeContext.evil_adjugate with the
-    Gauss-Jordan fallback disabled, against Gauss-Jordan adjugate of C."""
+    """For every prime p = 3 (mod 4) up to 200, PrimeContext.evil_adjugate
+    with the Gauss-Jordan fallback disabled, against Gauss-Jordan adjugate
+    of C."""
     def forbidden(m):
         raise AssertionError(f"Gauss-Jordan fallback on a {m.rows}x{m.rows} matrix")
 
     for p in odd_primes_upto(200):
+        if p % 4 != 3:
+            continue
         ctx = identities.PrimeContext(p)
         with monkeypatch.context() as mp:
             mp.setattr(identities, "adjugate", forbidden)
@@ -831,23 +841,25 @@ def certified_adjugate_without_fallback(monkeypatch):
 
 
 def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monkeypatch):
-    """For every odd p up to 200, PrimeContext.evil_adjugate, from the
-    Toeplitz adjugate of C + J, the rank-one update and the certificate,
-    equals Gauss-Jordan adjugate of C.  The fallback is disabled: no
-    divisor, F_0, det(C + J) or det C vanishes, and every certificate
+    """For every prime p = 3 (mod 4) up to 200, PrimeContext.evil_adjugate,
+    the antisymmetric part of the Toeplitz adjugate of C + J under the
+    certificate, equals Gauss-Jordan adjugate of C.  The fallback is
+    disabled: no divisor, F_0 or det C vanishes, and every certificate
     holds."""
     certified_adjugate_without_fallback(monkeypatch)
 
 
-@pytest.mark.parametrize("old, new", [("c0 * a + r * s", "c0 * a"), ("// det_a", "// (det_a + 1)")],
-                         ids=["no-rank-one-term", "det-a-plus-one"])
-def test_rank_one_update_mutants_reach_gauss_jordan(monkeypatch, old, new):
-    """Negative controls for the rank-one update from adj(C + J) to adj(C),
-    which floors its quotients and leaves the certificate as the one guard:
-    the update without its (adj(A) u)(u^T adj(A)) term, and dividing by
-    det A + 1.  Each X fails C X = c0 I, so at p = 19 C reaches Gauss-Jordan
-    and the adjugate is still right, and the without-fallback sweep above
-    fails on it."""
+@pytest.mark.parametrize("old, new", [("(a - m) >> 1", "(a + m) >> 1"), ("reversed(adj_a)", "adj_a"),
+                                      ("(a - m) >> 1", "(a - m)")],
+                         ids=["sum-for-difference", "mirror-not-reversed", "no-halving"])
+def test_antisymmetric_part_mutants_reach_gauss_jordan(monkeypatch, old, new):
+    """Negative controls for adj(C) as the antisymmetric part of
+    adj(A), A = C + J, which leaves the certificate as the one guard:
+    the symmetric part (a + m) in place of the difference, the mirror
+    adj(A)[i][n-j] with its rows not reversed, and 2 adj(C) with the
+    halving dropped.  Each X fails C X = c0 I, so at p = 19 C reaches
+    Gauss-Jordan and the adjugate is still right, and the without-fallback
+    sweep above fails on it."""
     monkeypatch.setattr(identities.PrimeContext, "_toeplitz_evil_adjugate",
                         mutant(identities, "PrimeContext._toeplitz_evil_adjugate", old, new))
     calls = []
