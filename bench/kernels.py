@@ -1,4 +1,4 @@
-"""Timings of the integer kernels under the cyclotomic, Sun, Carlitz, C(x), adjugate and lemma checks.
+"""Timings of the kernels under the cyclotomic, Sun, Carlitz, C(x), adjugate and lemma checks and their report.
 
     python3 bench/kernels.py [--quick] [--parent DIR] [--change DIR] [--out FILE]
 
@@ -44,6 +44,13 @@ Cases:
            verify_d00_detG, the product checks that take no determinant,
            at p = 29 and 53 on a fresh context given the prime's unit data
            (ctx.unit), built once; one sample is the three checks.
+  emit_report  legdet.cli.emit_report as JSON, into a fresh StringIO, of
+           a pre-built report of 6000 lemma rows, identities.uv_trial_checks
+           at m <= 7, seed 1: the report of legbench's lemma_uv workload;
+           one sample is one report.
+  random_uv_instance  6000 identities.random_uv_instance draws at
+           m_max = 7 from random.Random(1), the instances of the lemma_uv
+           workload's set-up; one sample is the 6000 draws.
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
@@ -73,13 +80,15 @@ The committed BENCH_kernels.json holds the run made with
 one per child: a smoke test that every case still runs.  Its carlitz_check
 and toeplitz cases are at p = 61, its det_fractions and lemma_uv cases at m = 3,
 and its vsemirnov_build, det_field_cyclo, decomposition and cyclo_products
-cases at p = 13.
+cases at p = 13, and its emit_report and random_uv_instance cases take
+60 rows and 60 draws.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import platform
@@ -104,6 +113,8 @@ LEMMA_BATCH = 50
 VSEMIRNOV_PRIMES = (29, 53)
 CYCLO_DET_PRIMES = (29, 41)
 CYCLO_QUICK_PRIME = 13
+UV_BATCH = 6000
+UV_M_MAX = 7
 PROCESSES = 3
 
 
@@ -275,18 +286,41 @@ def cyclo_product_cases(legdet, quick: bool) -> dict:
     return out
 
 
+def lemma_report_cases(legdet, quick: bool) -> dict:
+    """The work around the lemma checks in a lemma_uv report: the JSON of
+    a pre-built report, and the draws of the instances."""
+    ids = legdet.identities
+    n = UV_BATCH // 100 if quick else UV_BATCH
+    config = {"uv_trials": n, "uv_m_max": UV_M_MAX, "seed": 1}
+    report = ids.VerificationReport(tuple(ids.uv_trial_checks(n, UV_M_MAX, 1)), config, 0.0)
+
+    def run_emit():
+        legdet.cli.emit_report(report, "json", io.StringIO())
+        return 1
+
+    def run_draws():
+        rng = random.Random(1)
+        for _ in range(n):
+            ids.random_uv_instance(rng, UV_M_MAX)
+        return 1
+
+    return {f"emit_report json {n} lemma rows": run_emit,
+            f"random_uv_instance {n} draws m_max={UV_M_MAX}": run_draws}
+
+
 def child(src: Path, quick: bool) -> int:
     """Build every case on legdet from src, run each once untimed, print
     their names as one JSON line, then print one JSON line of seconds per
     call per case for each line read from stdin, until stdin closes."""
     sys.path.insert(0, str(src))
+    import legdet.cli
     import legdet.cyclotomic
     import legdet.identities
     import legdet.linalg
 
     cases = {}
     for build in (mul_vec_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
-                  toeplitz_cases, lemma_cases, cyclo_cases, cyclo_product_cases):
+                  toeplitz_cases, lemma_cases, cyclo_cases, cyclo_product_cases, lemma_report_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():
         run()
@@ -343,7 +377,7 @@ def environment(src: Path) -> dict:
     except OSError:
         pass
     digest = hashlib.sha256()
-    for name in ("cyclotomic.py", "identities.py", "linalg.py", "ntheory.py"):
+    for name in ("cli.py", "cyclotomic.py", "identities.py", "linalg.py", "ntheory.py", "render.py"):
         digest.update((src / "legdet" / name).read_bytes())
     return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu, "kernels_sha256": digest.hexdigest()}

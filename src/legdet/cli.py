@@ -84,23 +84,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def emit_report(report: VerificationReport, fmt: str, out) -> None:
+    """Write the report as text, JSON or CSV.
+
+    JSON is byte for byte json.dumps(doc, indent=2, sort_keys=True) + "\\n",
+    doc holding all_pass, config and each check's name, p, status, lhs, rhs
+    and detail.  Any indent sends json.dumps to its pure-Python encoder, so
+    the rows come from a template in sorted key order, each string through
+    encode_basestring_ascii, the C encoder of json.dumps's default
+    ensure_ascii=True.  Only config goes through json.dumps; its strings
+    hold no raw newline, so indenting it a level is a replace.
+    """
     if fmt == "json":
-        doc = {
-            "config": report.config,
-            "all_pass": report.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "p": c.p,
-                    "status": c.status,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "detail": c.detail,
-                }
-                for c in report.checks
-            ],
-        }
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        enc = json.encoder.encode_basestring_ascii
+        rows = ",\n".join(
+            '    {\n      "detail": %s,\n      "lhs": %s,\n      "name": %s,\n      "p": %s,\n'
+            '      "rhs": %s,\n      "status": %s\n    }'
+            % (enc(c.detail), enc(c.lhs), enc(c.name), "null" if c.p is None else str(c.p),
+               enc(c.rhs), enc(c.status))
+            for c in report.checks)
+        checks = f"[\n{rows}\n  ]" if rows else "[]"
+        config = json.dumps(report.config, indent=2, sort_keys=True).replace("\n", "\n  ")
+        out.write(f'{{\n  "all_pass": {json.dumps(report.all_passed)},\n'
+                  f'  "checks": {checks},\n  "config": {config}\n}}\n')
     elif fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["check_name", "p", "status", "lhs", "rhs", "detail"])

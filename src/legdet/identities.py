@@ -29,7 +29,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import prod
 from operator import itemgetter
@@ -638,6 +638,12 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
 
 # -- suite ---------------------------------------------------------------------
 
+@cache
+def _uv_box() -> dict[tuple[int, int], Fraction]:
+    """Fraction(a, b) by (a, b) for the 19 x 9 pairs random_uv_instance draws."""
+    return {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)}
+
+
 def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fraction], list[Fraction]]:
     """A random exact-rational (m, u, v) with every u_i * v_j != -1.
 
@@ -645,14 +651,18 @@ def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fracti
     excluded locus are redrawn whole so the stream stays reproducible.  The
     test is verify_lemma_uv's, in integers, on the drawn pairs: 1 + u_i v_j
     = 0 exactly when b_i d_j + a_i c_j = 0, with b_i, d_j > 0, reduced or
-    not.  Only an accepted draw is made into Fractions.
+    not.  Each value is rng.randrange(w) + lo, which makes the one
+    _randbelow(w) call that rng.randint(lo, lo + w - 1) makes (CPython
+    3.10-3.12), so the stream is randint's; an accepted pair's Fraction
+    comes from _uv_box, built on first use.  m_max < 1 raises ValueError.
     """
+    box, draw = _uv_box(), rng.randrange
     while True:
-        m = rng.randint(1, m_max)
-        u = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
-        v = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        m = draw(m_max) + 1
+        u = [(draw(19) - 9, draw(9) + 1) for _ in range(m)]
+        v = [(draw(19) - 9, draw(9) + 1) for _ in range(m)]
         if all(b * d + a * c for a, b in u for c, d in v):
-            return m, [Fraction(a, b) for a, b in u], [Fraction(c, d) for c, d in v]
+            return m, [box[ab] for ab in u], [box[cd] for cd in v]
 
 
 def uv_trial_checks(trials: int, m_max: int, seed: int) -> list[CheckResult]:

@@ -82,6 +82,8 @@ def format_quad(e: QuadElem) -> str:
 
 
 def format_value(v) -> str:
+    if isinstance(v, (int, Fraction)):
+        return format_rational(v)
     if isinstance(v, tuple):
         return " ; ".join(format_value(part) for part in v)
     if isinstance(v, UniPoly):
@@ -90,6 +92,4 @@ def format_value(v) -> str:
         return format_cyclo(v)
     if isinstance(v, QuadElem):
         return format_quad(v)
-    if isinstance(v, (int, Fraction)):
-        return format_rational(v)
     raise TypeError(f"no canonical form for {type(v).__name__}")

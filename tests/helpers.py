@@ -19,6 +19,12 @@ Proth prime replaced over Q(zeta_p).
 mutant recompiles a package function with one expression edited, for
 negative controls.
 
+Two retired paths stay as oracles for the ones that replaced them:
+json_report_dumps, the stdlib json.dumps of a whole report that
+cli.emit_report's row template must match byte for byte, and
+random_uv_instance_randint, the randint draws whose random stream
+identities.random_uv_instance must reproduce.
+
 The ring arithmetic of Q(zeta_p) lives here too, as Cyclo: the package
 multiplies binomials as p-slot vectors and reports a CycloElem, which has
 no +, - or /, so naive_det, det_gauss, matmul_entrywise, the inversion
@@ -33,6 +39,7 @@ and quadratic ones with no sqrt(...) part, need the field index p).
 
 import __future__
 import inspect
+import json
 import re
 import textwrap
 from fractions import Fraction
@@ -302,6 +309,35 @@ def lemma_uv_rhs_fraction(m, u, v):
     vandermonde = prod((ui - uj) * (vj - vi) for (ui, vi), (uj, vj) in combinations(zip(u, v), 2))
     denom = prod(1 + ui * vj for ui in u for vj in v)
     return (plus + (-1) ** m * minus) / 2 * vandermonde / denom
+
+
+def json_report_dumps(report):
+    """A VerificationReport as JSON the way cli.emit_report wrote it before
+    its row template: json.dumps of the whole document, indented, keys
+    sorted."""
+    doc = {
+        "config": report.config,
+        "all_pass": report.all_passed,
+        "checks": [
+            {"name": c.name, "p": c.p, "status": c.status, "lhs": c.lhs, "rhs": c.rhs, "detail": c.detail}
+            for c in report.checks
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def random_uv_instance_randint(rng, m_max, rejected=None):
+    """identities.random_uv_instance as it drew before its Fraction box: one
+    rng.randint per value, each accepted pair made a Fraction.  Each
+    rejected candidate (u, v) is appended to the list rejected, if given."""
+    while True:
+        m = rng.randint(1, m_max)
+        u = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        v = [(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m)]
+        if all(b * d + a * c for a, b in u for c, d in v):
+            return m, [Fraction(a, b) for a, b in u], [Fraction(c, d) for c, d in v]
+        if rejected is not None:
+            rejected.append((u, v))
 
 
 def jacobi(a, n):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from helpers import parse_value
+from helpers import json_report_dumps, mutant, parse_value
 from legdet import cli, identities
 from legdet.identities import CheckResult, VerificationReport
 from legdet.linalg import det_bareiss
@@ -253,3 +253,40 @@ def test_emit_report_fail_rendering():
     out = io.StringIO()
     cli.emit_report(rep, "csv", out)
     assert "evil_det,13,fail,-18,-17," in out.getvalue()
+
+
+EMIT_REPORTS = {
+    "no-checks": VerificationReport((), {"p_max": 3}, 0.0),
+    "p-none-and-int": VerificationReport(
+        (CheckResult("lemma_uv[000]", None, True, "-3/2", "-3/2"),
+         CheckResult("evil_det", 13, False, "-18", "-17", "first divergent entry (i, j) = (0, 1)")),
+        {"p_max": 13}, 0.0),
+    "escapes": VerificationReport(
+        (CheckResult("theorem_cx", 5, False, 'q"b\\s\nn\tt\x01c\u00e9\u03b6', "0", '"\\\n\t\x01\u00e9\u03b6'),),
+        {}, 0.0),
+    "config-types": VerificationReport(
+        (CheckResult("carlitz", 7, True, "1", "1"),), {"d": "all", "none": None, "flag": True, "empty": {}}, 0.0),
+}
+
+
+def _json_emit_matches_dumps(emit, report):
+    out = io.StringIO()
+    emit(report, "json", out)
+    return out.getvalue() == json_report_dumps(report)
+
+
+@pytest.mark.parametrize("report", EMIT_REPORTS.values(), ids=EMIT_REPORTS)
+def test_emit_report_json_is_json_dumps(report):
+    """The row template writes the bytes of json.dumps(doc, indent=2,
+    sort_keys=True): with no checks, p null and an int, strings that need
+    escapes and non-ASCII ones, and a config of None, a bool, a str and an
+    empty dict."""
+    assert _json_emit_matches_dumps(cli.emit_report, report)
+
+
+def test_emit_report_json_oracle_catches_swapped_keys():
+    """Negative control: a row template with detail and lhs swapped misses
+    the json.dumps bytes on every report that has a row."""
+    emit = mutant(cli, "emit_report", r'"detail": %s,\n      "lhs"', r'"lhs": %s,\n      "detail"')
+    for name, report in EMIT_REPORTS.items():
+        assert _json_emit_matches_dumps(emit, report) == (name == "no-checks"), name

@@ -19,6 +19,7 @@ from helpers import (
     lemma_uv_rhs_fraction,
     matmul_entrywise,
     mutant,
+    random_uv_instance_randint,
     vsemirnov_v,
     zeta,
 )
@@ -299,6 +300,25 @@ def test_random_uv_instance_determinism():
     m, u, v = a
     assert 1 <= m <= 5 and len(u) == m and len(v) == m
     assert all(1 + ui * vj != 0 for ui in u for vj in v)
+
+
+def test_random_uv_instance_keeps_the_randint_stream():
+    """The box draws give the (m, u, v) of the randint generator they
+    replaced, 300 draws for each seed 0-20 and m_max 1..7, and leave the
+    generator in the same state; the stream of seed 0 at m_max 1 rejects a
+    candidate on the way.  m_max < 1 still raises."""
+    rejected = {}
+    for seed in range(21):
+        for m_max in range(1, 8):
+            new, old = random.Random(seed), random.Random(seed)
+            rejected[seed, m_max] = []
+            for _ in range(300):
+                assert random_uv_instance(new, m_max) == random_uv_instance_randint(old, m_max, rejected[seed, m_max])
+            assert new.getstate() == old.getstate()
+    assert rejected[0, 1]
+    for m_max in (0, -1):
+        with pytest.raises(ValueError):
+            random_uv_instance(random.Random(0), m_max)
 
 
 def test_lemma_sum_values():
