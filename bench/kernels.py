@@ -1,20 +1,27 @@
-"""Timings of the kernels under the cyclotomic, Sun, Carlitz, C(x), adjugate and lemma checks and their report.
+"""Timings of the check families, the kernels under the C(x), adjugate, cyclotomic and lemma checks, and the lemma report.
 
     python3 bench/kernels.py [--quick] [--parent DIR] [--change DIR] [--out FILE]
 
 Cases:
-  mul_vec  legdet.cyclotomic._mul_vec at p = 13, 29, 59, a monomial or a
-           dense vector times a dense vector, entries of 3, 40 or 300 bits;
-           one sample is one pass over a fixed batch of seeded operand pairs.
-  sun_check  the whole Sun check of one prime: a fresh
-           identities.PrimeContext and verify_sun_congruence for every d, at
-           p = 61, 101, 157, its table included; one sample is one prime.
+  check families  one table, FAMILIES: each sample of a family's case calls
+           identities.run_checks(ctx, names) on a fresh
+           identities.PrimeContext(p), handed the context values that the
+           family lists, computed once before the clock starts:
+             sun_check      verify_sun_congruence for every d, its table
+                            included, at p = 61, 101, 157;
+             carlitz_check  verify_carlitz, its Legendre table included, at
+                            p = 61, 101, 157, 401;
+             decomposition  verify_decomposition at p = 29, 53, given D
+                            (vsemirnov), E (cauchy), C (evil) and chi, so
+                            the sample is the right side V (s D U D) V and
+                            the comparison;
+             cyclo_products verify_prod_2j, verify_lemma_sum and
+                            verify_d00_detG at p = 29, 53, given the unit
+                            data, so the sample is the products and not the
+                            continued fraction behind b_p.
   evil_adjugate  identities.PrimeContext(p).evil_adjugate, the adjugate that
            minor antisymmetry reads, on a fresh context at p = 67 and 151;
            one sample is one adjugate, its inputs included.
-  carlitz_check  the whole Carlitz check of one prime: a fresh
-           identities.PrimeContext and verify_carlitz, at p = 61, 101, 157
-           and 401, its Legendre table included; one sample is one prime.
   toeplitz legdet.linalg.toeplitz_columns, the determinant with the
            first and last columns of the adjugate, on C + J and C - J for
            the evil matrix C at p = 401; one sample is both runs.
@@ -36,14 +43,6 @@ Cases:
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
            of the f1f2_u00 check at p = 29 and 41, the Cauchy-type matrix
            (PrimeContext.cauchy); one sample is one determinant.
-  decomposition  identities.verify_decomposition at p = 29 and 53 on a
-           context whose D, Cauchy-type matrix and evil matrix are already
-           built, so the sample is the right side V (s D U D) V and the
-           comparison; one sample is one check.
-  cyclo_products  identities.verify_prod_2j, verify_lemma_sum and
-           verify_d00_detG, the product checks that take no determinant,
-           at p = 29 and 53 on a fresh context given the prime's unit data
-           (ctx.unit), built once; one sample is the three checks.
   emit_report  legdet.cli.emit_report as JSON, into a fresh StringIO, of
            a pre-built report of 6000 lemma rows, identities.uv_trial_checks
            at m <= 7, seed 1: the report of legbench's lemma_uv workload;
@@ -69,6 +68,8 @@ every side, not on one.  Each case gets 9 samples per side, reported as
 seconds per call: the median of the samples, and their minimum and
 maximum.  The result is one JSON object, {"parent": ..., "change": ...,
 "control": ...}, printed as the last line; --out FILE writes it there.
+kernels_sha256 in each side's environment hashes every legdet/*.py of
+that side, in sorted order.
 A checkout holding legdet/__pycache__ while PYTHONDONTWRITEBYTECODE is set
 draws a warning: its cached modules load from bytecode that is never
 refreshed, the others compile, so two checkouts are not set up alike.
@@ -76,12 +77,12 @@ The committed BENCH_kernels.json holds the run made with
 
     python3 bench/kernels.py --parent PARENT_CHECKOUT/src --out BENCH_kernels.json
 
---quick runs p = 13, 61 and 67 only, with 3 samples of a small batch,
-one per child: a smoke test that every case still runs.  Its carlitz_check
-and toeplitz cases are at p = 61, its det_fractions and lemma_uv cases at m = 3,
-and its vsemirnov_build, det_field_cyclo, decomposition and cyclo_products
-cases at p = 13, and its emit_report and random_uv_instance cases take
-60 rows and 60 draws.
+--quick runs 3 samples of a small batch, one per child: a smoke test that
+every case still runs.  Each family runs at its --quick prime in FAMILIES
+(61 for sun_check and carlitz_check, 13 for the others), evil_adjugate
+and toeplitz at p = 67 and 61, vsemirnov_build and det_field_cyclo at
+p = 13, det_fractions and lemma_uv at m = 3, and emit_report and
+random_uv_instance take 60 rows and 60 draws.
 """
 
 from __future__ import annotations
@@ -101,12 +102,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-MUL_PRIMES = (13, 29, 59)
-MUL_BITS = (3, 40, 300)
-MUL_BATCH = 200
-SUN_PRIMES = (61, 101, 157)
 ADJUGATE_PRIMES = (67, 151)
-CARLITZ_CHECK_PRIMES = (61, 101, 157, 401)
 EVIL_PRIME = 401
 LEMMA_ORDERS = (3, 5, 7)
 LEMMA_BATCH = 50
@@ -118,45 +114,34 @@ UV_M_MAX = 7
 PROCESSES = 3
 
 
-def _vector(rng: random.Random, p: int, bits: int, monomial: bool) -> list[int]:
-    m = 1 << bits
-    if monomial:
-        v = [0] * (p - 1)
-        v[rng.randrange(p - 1)] = rng.randint(1, m) * rng.choice((1, -1))
-        return v
-    return [rng.randint(-m, m) for _ in range(p - 1)]
+# The check families (module docstring): case name, the names run_checks
+# runs, the PrimeContext values handed to each sample's fresh context, the
+# primes, the --quick primes.
+FAMILIES = (
+    ("sun_check p={} all d", ("verify_sun_congruence",), (), (61, 101, 157), (61,)),
+    ("carlitz_check p={}", ("verify_carlitz",), (), (61, 101, 157, 401), (61,)),
+    ("decomposition p={}", ("verify_decomposition",), ("vsemirnov", "cauchy", "evil", "chi"),
+     VSEMIRNOV_PRIMES, (CYCLO_QUICK_PRIME,)),
+    ("cyclo_products p={}", ("verify_prod_2j", "verify_lemma_sum", "verify_d00_detG"), ("unit",),
+     VSEMIRNOV_PRIMES, (CYCLO_QUICK_PRIME,)),
+)
 
 
-def mul_vec_cases(legdet, quick: bool) -> dict:
-    mul = legdet.cyclotomic._mul_vec
-    out = {}
-    for p in MUL_PRIMES[:1] if quick else MUL_PRIMES:
-        for bits in MUL_BITS:
-            for shape in ("monomial", "dense"):
-                rng = random.Random(p * 1000 + bits)
-                pairs = [(_vector(rng, p, bits, shape == "monomial"), _vector(rng, p, bits, False))
-                         for _ in range(MUL_BATCH // 10 if quick else MUL_BATCH)]
-
-                def run(pairs=pairs, p=p):
-                    for a, b in pairs:
-                        mul(p, a, b)
-                    return len(pairs)
-
-                out[f"mul_vec p={p} {shape} x dense {bits}-bit"] = run
-    return out
-
-
-def sun_check_cases(legdet, quick: bool) -> dict:
+def family_cases(legdet, quick: bool) -> dict:
     ids = legdet.identities
     out = {}
-    for p in SUN_PRIMES[:1] if quick else SUN_PRIMES:
-        def run(p=p):
-            ctx = ids.PrimeContext(p)
-            for d in range(p):
-                ids.verify_sun_congruence(ctx, d)
-            return 1
+    for case, names, given, primes, quick_primes in FAMILIES:
+        for p in quick_primes if quick else primes:
+            built = ids.PrimeContext(p)
+            values = {name: getattr(built, name) for name in given}
 
-        out[f"sun_check p={p} all d"] = run
+            def run(p=p, names=names, values=values):
+                ctx = ids.PrimeContext(p)
+                ctx.__dict__.update(values)
+                ids.run_checks(ctx, names)
+                return 1
+
+            out[case.format(p)] = run
     return out
 
 
@@ -169,18 +154,6 @@ def evil_adjugate_cases(legdet, quick: bool) -> dict:
             return 1
 
         out[f"evil_adjugate p={p}"] = run
-    return out
-
-
-def carlitz_check_cases(legdet, quick: bool) -> dict:
-    ids = legdet.identities
-    out = {}
-    for p in CARLITZ_CHECK_PRIMES[:1] if quick else CARLITZ_CHECK_PRIMES:
-        def run(p=p):
-            ids.verify_carlitz(ids.PrimeContext(p))
-            return 1
-
-        out[f"carlitz_check p={p}"] = run
     return out
 
 
@@ -234,8 +207,8 @@ def lemma_cases(legdet, quick: bool) -> dict:
 
 
 def cyclo_cases(legdet, quick: bool) -> dict:
-    """The builds and kernels of verify_f1f2 and verify_decomposition; the
-    decomposition check runs on a context that already holds its inputs."""
+    """The builds of verify_f1f2 and verify_decomposition, and the
+    determinant of verify_f1f2."""
     ids = legdet.identities
     lin = legdet.linalg
     out = {}
@@ -253,36 +226,6 @@ def cyclo_cases(legdet, quick: bool) -> dict:
             return 1
 
         out[f"det_field_cyclo cauchy p={p}"] = run
-    for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
-        ctx = ids.PrimeContext(p)
-        ctx.vsemirnov
-        ctx.cauchy
-        ctx.evil
-
-        def run_check(ctx=ctx):
-            ids.verify_decomposition(ctx)
-            return 1
-
-        out[f"decomposition p={p}"] = run_check
-    return out
-
-
-def cyclo_product_cases(legdet, quick: bool) -> dict:
-    """The three product checks on a fresh context per sample, handed the
-    unit data computed once, so a sample times the products and not the
-    continued fraction behind b_p."""
-    ids = legdet.identities
-    out = {}
-    for p in (CYCLO_QUICK_PRIME,) if quick else VSEMIRNOV_PRIMES:
-        def run(p=p, unit=ids.PrimeContext(p).unit):
-            ctx = ids.PrimeContext(p)
-            ctx.unit = unit
-            ids.verify_prod_2j(ctx)
-            ids.verify_lemma_sum(ctx)
-            ids.verify_d00_detG(ctx)
-            return 1
-
-        out[f"cyclo_products p={p}"] = run
     return out
 
 
@@ -314,13 +257,11 @@ def child(src: Path, quick: bool) -> int:
     call per case for each line read from stdin, until stdin closes."""
     sys.path.insert(0, str(src))
     import legdet.cli
-    import legdet.cyclotomic
     import legdet.identities
     import legdet.linalg
 
     cases = {}
-    for build in (mul_vec_cases, sun_check_cases, evil_adjugate_cases, carlitz_check_cases,
-                  toeplitz_cases, lemma_cases, cyclo_cases, cyclo_product_cases, lemma_report_cases):
+    for build in (family_cases, evil_adjugate_cases, toeplitz_cases, lemma_cases, cyclo_cases, lemma_report_cases):
         cases.update(build(legdet, quick))
     for run in cases.values():
         run()
@@ -377,8 +318,8 @@ def environment(src: Path) -> dict:
     except OSError:
         pass
     digest = hashlib.sha256()
-    for name in ("cli.py", "cyclotomic.py", "identities.py", "linalg.py", "ntheory.py", "render.py"):
-        digest.update((src / "legdet" / name).read_bytes())
+    for path in sorted((src / "legdet").glob("*.py")):
+        digest.update(path.read_bytes())
     return {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
             "cpu": cpu, "kernels_sha256": digest.hexdigest()}
 

@@ -307,7 +307,17 @@ def verify_adj_sum(p) -> CheckResult:
 
 def verify_minor_antisymmetry(p) -> CheckResult:
     """Cofactors of the evil matrix satisfy C_kl + C_{n-k,n-l} = 0 for
-    p = 3 (mod 4), 0 <= k <= (p-3)/4, 0 <= l <= n."""
+    p = 3 (mod 4), 0 <= k <= (p-3)/4, 0 <= l <= n.
+
+    On the certified Toeplitz path (PrimeContext) this loop cannot fail.
+    The construction makes X anti-centrosymmetric up to parity: with
+    a = adj(C + J), X[l][k] + X[n-l][n-k] is 0 where a[l][k] - a[n-l][n-k]
+    is even and -1 where it is odd.  The certificate forces X = adj(C), and
+    C is Toeplitz with C^T = -C ((-1/p) = -1), so J C J = C^T = -C (J the
+    exchange matrix) and J adj(C) J = adj(-C) = -adj(C) at the even order
+    n + 1: no sum is -1.  So a failing row only ever comes through the
+    Gauss-Jordan fallback, and on the Toeplitz path the verdict rests on
+    certify_adjugate."""
     ctx = _context(p, 3)
     p = ctx.p
     n = p.n

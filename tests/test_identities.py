@@ -678,6 +678,23 @@ def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trig
     assert calls == [(p + 1) // 2]
     assert verify_minor_antisymmetry(ctx).passed
 
+
+@pytest.mark.parametrize("p", [7, 11, 19])
+def test_even_table_fails_minor_antisymmetry_through_gauss_jordan(monkeypatch, p):
+    """Negative control: the even table chi[r] = |(r/p)| makes C = J - I,
+    which is symmetric, so the Toeplitz fill is not certified and C goes to
+    Gauss-Jordan once.  Its adj(C) = (k - 1) I - J (k = n + 1, even) fails
+    at (k, l) = (0, 0) with C_00 + C_nn = 2(k - 2) = p - 3: a fail row, not
+    an exception.  This is the one way the check fails (its docstring)."""
+    calls = spy_gauss_jordan(monkeypatch)
+    ctx = PrimeContext(p)
+    ctx.chi = [abs(c) for c in ctx.chi]
+    r = verify_minor_antisymmetry(ctx)
+    assert r.passed is False
+    assert (r.name, r.lhs, r.rhs, r.detail) == ("minor_antisym", str(p - 3), "0", "(k, l) = (0, 0)")
+    assert calls == [(p + 1) // 2]
+
+
 def test_wrong_residue_fails_sun_congruence(monkeypatch):
     """det_mod_packed + 1 shifts the minor of every d != 0, and
     det_mod_rows + 1 the explicit rows of d = 0."""
