@@ -6,11 +6,16 @@ for zeta^t, in which a vector stands for 0 exactly when all its slots are
 equal.  Lists of CycloElems become such vectors over one denominator
 (clear_slots).
 
-Products go through one kernel, _mul_cyclic, on p-slot vectors: a product
-with a monomial c*zeta^e is a rotation of the other vector, and any other
-product is one bigint multiplication of the two vectors packed into
-byte-aligned slots (Kronecker substitution), folded by zeta^p = 1 while
-still packed.
+Products run in one packed ring, PackedRing: Z/(2^(wp) - 1), the image of
+Z[x]/(x^p - 1) under x -> 2^w (Kronecker substitution), where a product
+with zeta^e is a shift, sums and products need no bound on the way, and
+only a vector read back must fit its w-bit slots: w is fixed from an
+a-priori bound on its slots (for the decomposition, the l1 bound B of
+identities.verify_decomposition).  Biased by 2^(w-1) in every slot, such a
+vector is all equal slots, 0 in Q(zeta_p), exactly when its residue t is
+k R, k its low w bits and R = sum_i 2^(wi) (flat), so no slot is unpacked
+to compare.  _mul_cyclic, the product of two p-slot vectors, rotates when
+one is a monomial c*zeta^e and else takes one product in that ring.
 
 CycloElem is the value a check reports: the power-basis coefficients of
 1, zeta, ..., zeta^(p-2) as an integer vector over one positive common
@@ -32,30 +37,18 @@ see Cohen, GTM 138, section 4.3).
 
 from __future__ import annotations
 
-import struct
-import sys
 from fractions import Fraction
 from math import gcd, lcm
+from operator import lshift
 
 from .exact import as_rational
 from .ntheory import OddPrime, primitive_root
-
-
-# struct codes of the unsigned machine words, by size in bytes
-_WORDS = {struct.calcsize(c): c for c in "BHIQ"}
 
 
 def _fold(acc) -> list[int]:
     """acc[0..p-1] with slot p-1 folded away by zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
     top = acc[-1]
     return [c - top for c in acc[:-1]]
-
-
-def _slot_bytes(bits: int) -> int:
-    """Bytes per Kronecker slot of at least bits bits: the smallest machine
-    word that fits, whose slots one to_bytes and a memoryview cast read
-    out, else the next whole number of bytes, which from_bytes reads out."""
-    return next((s for s in _WORDS if 8 * s >= bits), (bits + 7) // 8)
 
 
 def _pack(vec, w: int) -> int:
@@ -66,20 +59,50 @@ def _pack(vec, w: int) -> int:
     return x
 
 
+class PackedRing:
+    """Z/(M), M = 2^(wp) - 1, the image of Z[x]/(x^p - 1) under x -> 2^w
+    (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4): a
+    ring map, as 2^(wp) = 1 (mod M), so a product with x^e is a shift by
+    w e.  Vectors enter by _pack; two folds of |x| < 2^(2wp+e) leave
+    |x| < 2^wp + 2^(e+1).  w, a multiple of 8, has 2^(w-1) > bound + 1, so
+    if every |slot| of v is at most bound, the residue t in [0, M) of v
+    plus 2^(w-1) R, R = M / (2^w - 1) = sum_i 2^(wi), is the integer whose
+    base-2^w digits are v's slots biased into [2, 2^w - 2]: all equal
+    exactly when t = k R, k the low w bits of t (flat)."""
+
+    def __init__(self, p: int, bound: int):
+        w = self.w = -(-((bound + 1).bit_length() + 1) // 8) * 8
+        self.p, self.wp, self.m, self.r = p, w * p, (1 << w * p) - 1, ((1 << w * p) - 1) // ((1 << w) - 1)
+
+    def fold(self, x: int) -> int:
+        x = (x & self.m) + (x >> self.wp)
+        return (x & self.m) + (x >> self.wp)
+
+    def times_v(self, rows) -> list[list[int]]:
+        """Each row of residues times V_lj = z^(2lj), 0 <= l, j < len(row):
+        entry j sums row[l] shifted by w (2lj mod p) bits over l, folded."""
+        k = len(rows[0])
+        shifts = [[self.w * (2 * l * j % self.p) for l in range(k)] for j in range(k)]
+        return [[self.fold(sum(map(lshift, row, sh))) for sh in shifts] for row in rows]
+
+    def flat(self, x: int, c: int) -> bool:
+        """Whether x - c, c in slot 0, is a multiple of the all-ones vector."""
+        t = (x - c + (self.r << (self.w - 1))) % self.m
+        return t == (t & ((1 << self.w) - 1)) * self.r
+
+    def slots(self, x: int) -> list[int]:
+        """The p slots of the vector x packs, each at most the bound in absolute value."""
+        t, w = (x + (self.r << (self.w - 1))) % self.m, self.w
+        return [(t >> w * i & ((1 << w) - 1)) - (1 << (w - 1)) for i in range(self.p)]
+
+
 def _mul_cyclic(p: int, a, b) -> list[int]:
     """Product of two integer p-slot vectors in Z[x]/(x^p - 1), slot t for x^t.
 
     Monomial path: if either operand is 0 or one term c*x^e, the other vector
-    rotated up by e and scaled by c.  Kronecker path, otherwise (von zur
-    Gathen and Gerhard, Modern Computer Algebra, section 8.4): the product
-    of the two vectors evaluated at 2^w, plus a bias of 2^(w-1) in each of
-    its low p slots, with the slots from p up folded onto those (x^p = 1)
-    while packed.  Slot bound: a slot, plain or folded, sums a_e b_f over at
-    most p pairs, so |c| <= p A B <= 2^(w-1) - 2 for A, B the largest |entry|
-    of a, b, as w - 1 >= bitlen(p) + bitlen(A) + bitlen(B).  Biased, every
-    slot lies in [2, 2^w - 2], so the low wp bits hold the biased low slots,
-    the bits above the high slots' value, and their sum the biased folded
-    slots as base-2^w digits.
+    rotated up by e and scaled by c.  Otherwise one product in PackedRing,
+    whose bound holds: a slot sums a_e b_f over p pairs, so |c| <= p A B
+    for A, B the largest |entry| of a, b.
     """
     za, zb = a.count(0), b.count(0)
     if za < zb:
@@ -88,18 +111,8 @@ def _mul_cyclic(p: int, a, b) -> list[int]:
         e = next(filter(a.__getitem__, range(p)), 0)
         rot = [*b[p - e:], *b[:p - e]]
         return rot if a[e] == 1 else [a[e] * x for x in rot]
-    wb = _slot_bytes(max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + p.bit_length() + 1)
-    w = 8 * wb
-    # the bias: byte 0x80 at the top of each of the p slots is 2^(w-1)
-    x = _pack(a, w) * _pack(b, w) + int.from_bytes((bytes(wb - 1) + b"\x80") * p, "little")
-    x = (x & ((1 << (w * p)) - 1)) + (x >> (w * p))
-    if wb in _WORDS:
-        acc = memoryview(x.to_bytes(wb * p, sys.byteorder)).cast(_WORDS[wb]).tolist()
-    else:
-        buf = x.to_bytes(wb * p, "little")
-        acc = [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * p, wb)]
-    bias = 1 << (w - 1)
-    return [s - bias for s in acc]
+    ring = PackedRing(p, p * max(map(abs, a)) * max(map(abs, b)))
+    return ring.slots(ring.fold(_pack(a, ring.w) * _pack(b, ring.w)))
 
 
 def _mul_vec(p: int, a, b) -> list[int]:

@@ -8,7 +8,10 @@ Phi_p(2^L), fraction-free elimination or elimination mod primes (one Proth
 prime over Q(zeta_p)), closed forms from the unit and form-class oracles,
 and cyclotomic products as p-slot vectors of Z[x]/(x^p - 1), compared up to
 the all-ones vector: a product of binomials c z^a + d z^b by rotations
-(_binomials), and only the value a check reports as a CycloElem (_scaled).
+(_binomials), V (s D U D) V and D's certificate as residues mod 2^(wp) - 1
+(cyclotomic.PackedRing, w-bit slots for an a-priori bound B on the slots
+compared, all-ones exactly when the biased residue t is k R), and only the
+value a check reports as a CycloElem (_scaled).
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
@@ -32,9 +35,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
-from .cyclotomic import CycloElem, _fold, _mul_cyclic, clear_slots, zeta_pow
+from .cyclotomic import CycloElem, PackedRing, _fold, _mul_cyclic, _pack, clear_slots, zeta_pow
 from .exact import UniPoly, as_rational
 from .linalg import (
     ZZ,
@@ -91,8 +94,9 @@ class SuiteOptions:
     """Suite knobs; the caps exist because the cyclotomic checks grow fast
     with p: D and its certificate take O(p^3) slot operations, det_field
     runs (p-1)/2 eliminations of O(n^3) steps mod one prime, whose size
-    grows with the Hadamard bound, W = s D U D takes about 2(n+1)^2 cyclic
-    products of p-slot vectors, and V W V sums 2(n+1)^3 rotations."""
+    grows with the Hadamard bound, W = s D U D takes about 2(n+1)^2
+    products mod 2^(wp) - 1, w about the bit length of the decomposition's
+    l1 bound B, and V W V sums 2(n+1)^3 shifted residues."""
 
     decomp_p_max: int = 29
     cyclo_p_max: int = 29
@@ -377,14 +381,6 @@ def build_cauchy_matrix(p) -> ExactMatrix:
     return ExactMatrix(cyclo_ring(p), rows)
 
 
-def _times_v(p: int, vecs) -> list[list[int]]:
-    """A row of p-slot vectors (clear_slots) times V_lj = z^(2lj), by
-    rotations: entry j sums slot t - 2lj of vecs[l] over l."""
-    k = len(vecs)
-    shifts = [[2 * l * j % p for l in range(k)] for j in range(k)]
-    return [list(map(sum, zip(*(v[-r:] + v[:-r] for v, r in zip(vecs, rs))))) for rs in shifts]
-
-
 def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
     """The diagonal d of Vsemirnov's D over Q(zeta_p), p = 1 (mod 4):
     d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i), 0 <= i <= n.  V and U
@@ -394,45 +390,55 @@ def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
     roots of unity, so prod_{k != i} (x_i - x_k) prod_o (x_i - z^o) = p / x_i
     and d_i = (x_i / p) prod_o (x_i - z^o), with no inverse.  d is certified
     by V^T d = e_n, sum_i d_i x_i^j = [j = n] for 0 <= j <= n: the raw slot
-    vectors p d_i (_binomials) times V by _times_v (V is symmetric), each
-    entry against p [j = n] up to the all-ones vector.  V is an invertible
-    Vandermonde, so this forces d, and a failure raises ArithmeticError.
+    vectors p d_i (_binomials), packed, times V by PackedRing.times_v (V is
+    symmetric), entry j less p [j = n] a multiple of the all-ones vector,
+    t = k R (PackedRing.flat) for slots bounded by B = sum_i max |p d_i| + p.
+    V is an invertible Vandermonde, so this forces d, and a failure raises
+    ArithmeticError.
     """
     p = _context(p, 1).p
     vecs = [_binomials(p, [(1, 2 * i, 0, 0), *((1, 2 * i, -1, o) for o in range(1, p - 1, 2))])
             for i in range(p.n + 1)]
-    for j, cert in enumerate(_times_v(p, vecs)):
-        if j == p.n:
-            cert[0] -= p
-        if cert.count(cert[0]) != p:
+    ring = PackedRing(p, sum(max(map(abs, v)) for v in vecs) + p)
+    for j, x in enumerate(ring.times_v([[_pack(v, ring.w) for v in vecs]])[0]):
+        if not ring.flat(x, p if j == p.n else 0):
             raise ArithmeticError(f"closed-form D fails V^T d = e_n at p={p}, j={j}")
     return tuple(CycloElem(p, _fold(v), p) for v in vecs)
 
 
-def _w_slots(p: int, s, delta, rows) -> list[list[list[int]]]:
-    """W_ij = s delta_i E'_ij delta_j from p-slot vectors (verify_decomposition)."""
-    sd = [_mul_cyclic(p, s, di) for di in delta]
-    return [[_mul_cyclic(p, _mul_cyclic(p, sdi, e), dj) for e, dj in zip(row, delta)] for sdi, row in zip(sd, rows)]
+def _w_packed(p: int, s, delta, rows, den: int) -> tuple[PackedRing, list[list[int]]]:
+    """The ring of bound B and W_lm = (s delta_l) E'_lm delta_m in it, from
+    p-slot vectors, each packed once (verify_decomposition)."""
+    l1 = [sum(map(abs, v)) for v in delta]
+    ring = PackedRing(p, sum(map(abs, s)) * sum(
+        a * sum(sum(map(abs, e)) * b for e, b in zip(row, l1)) for a, row in zip(l1, rows)) + den)
+    s, delta = _pack(s, ring.w), [_pack(v, ring.w) for v in delta]
+    return ring, [[ring.fold(ring.fold(sd * _pack(e, ring.w)) * dm) for e, dm in zip(row, delta)]
+                  for sd, row in zip([ring.fold(s * d) for d in delta], rows)]
 
 
 def verify_decomposition(p) -> CheckResult:
     """C = legendre(2,p) * g * z^((p-1)/4) * V D U D V entrywise in Q(zeta_p),
-    with sqrt(p) realized as the Gauss sum g, every factor in p-slot vectors
-    of Z[x]/(x^p - 1), compared up to the all-ones vector.
+    with sqrt(p) realized as the Gauss sum g, every factor a p-slot vector
+    of Z[x]/(x^p - 1) taken into the ring Z/(2^(wp) - 1) (PackedRing).
 
     Times z^(i+j)/z^(i+j), u_ij = ((i/p) z^(-j-2i) + (j/p) z^(-2j-i)) /
     (z^(-i-j) + (i/p)(j/p)) is (i/p)(j/p) z^(-i-j) E_ij for i, j >= 1, E the
     Cauchy-type matrix, and u_0j = (j/p) z^-j, u_i0 = (i/p) z^-i, u_00 = 0:
     U = G E' G, G = diag(1, (i/p) z^-i), E' = E bordered by a zero corner
     and ones.  So with s the scalar, s D U D is W_ij = s delta_i E'_ij
-    delta_j (_w_slots), delta_0 = d_0 and delta_i = (i/p) z^-i d_i, a
+    delta_j (_w_packed), delta_0 = d_0 and delta_i = (i/p) z^-i d_i, a
     rotation; s is the Legendre table (g unfolded) rotated by (p-1)/4 =
     p // 4, times (2/p).  d and E are cleared over den_d and den_e
-    (clear_slots), so W is over den = den_d^2 den_e.  V_ij = z^(2ij) is
-    never built: two passes of "_times_v on each row, then transpose" give
-    V W V, as V is symmetric.  Entry (i, j) matches when it is den C_ij in
-    slot 0 up to the all-ones vector; only the entry reported, the first
-    divergent one or else (0, 0), is folded into a CycloElem."""
+    (clear_slots), so W is over den = den_d^2 den_e.  The slot width comes
+    from B = |s| sum_lm |delta_l| |E'_lm| |delta_m| + den, |.| the l1 norm:
+    V's entries are monomials, |xy| <= |x| |y| and |C_ij| <= 1, so B bounds
+    each slot of v and v - den C_ij, v entry (i, j) of V W V.  V_ij = z^(2ij)
+    is never built: two passes of "times V on each row (PackedRing.times_v),
+    then transpose" give V W V, as V is symmetric.  Entry (i, j) matches
+    when v - den C_ij in slot 0 is a multiple of the all-ones vector, its
+    biased residue t = k R (PackedRing.flat); only the entry reported, the
+    first divergent one or else (0, 0), is unpacked into a CycloElem."""
     ctx = _context(p, 1)
     p, chi, n = ctx.p, ctx.chi, ctx.p.n
     den_d, dv = clear_slots(ctx.vsemirnov)
@@ -442,15 +448,16 @@ def verify_decomposition(p) -> CheckResult:
     s = [chi[2] * chi[(t - p // 4) % p] for t in range(p)]
     one = [den_e] + [0] * (p - 1)
     rows = [[[0] * p] + [one] * n] + [[one] + ev[k:k + n] for k in range(0, n * n, n)]
-    a, den = _w_slots(p, s, delta, rows), den_d * den_d * den_e
+    den = den_d * den_d * den_e
+    ring, a = _w_packed(p, s, delta, rows, den)
     for _ in range(2):
-        a = [list(col) for col in zip(*(_times_v(p, row) for row in a))]
+        a = [list(col) for col in zip(*ring.times_v(a))]
     for i, (crow, arow) in enumerate(zip(ctx.evil.entries, a)):
-        for j, (c, v) in enumerate(zip(crow, arow)):
-            if v[1:].count(v[0] - den * c) != p - 1:
-                return _result("decomposition", p, c, CycloElem(p, _fold(v), den),
+        for j, (c, x) in enumerate(zip(crow, arow)):
+            if not ring.flat(x, den * c):
+                return _result("decomposition", p, c, CycloElem(p, _fold(ring.slots(x)), den),
                                f"first divergent entry (i, j) = ({i}, {j})")
-    return _result("decomposition", p, ctx.evil[0, 0], CycloElem(p, _fold(a[0][0]), den))
+    return _result("decomposition", p, ctx.evil[0, 0], CycloElem(p, _fold(ring.slots(a[0][0])), den))
 
 
 def verify_lemma_uv(m: int, u, v) -> CheckResult:
@@ -501,11 +508,16 @@ def _binomials(p: int, terms) -> list[int]:
     """prod (c z^a + d z^b) over the (c, a, d, b) of terms, as an integer
     p-slot vector; 1 for no terms.  Rotation rule: slot t of z^a v is slot
     t - a (mod p) of v, so each factor takes two rotations and one add,
-    exponents of any sign reduced mod p; d = 0 makes a monomial factor."""
+    exponents of any sign reduced mod p; d = 0 makes a monomial factor.
+    With c = 1 and d = +-1 the add is a plain sum or difference."""
     acc = [1] + [0] * (p - 1)
     for c, a, d, b in terms:
         a, b = a % p, b % p
-        acc = [c * x + d * y for x, y in zip(acc[-a:] + acc[:-a], acc[-b:] + acc[:-b])]
+        x, y = acc[-a:] + acc[:-a], acc[-b:] + acc[:-b]
+        if c == 1 and d in (1, -1):
+            acc = list(map(add if d == 1 else sub, x, y))
+        else:
+            acc = [c * u + d * v for u, v in zip(x, y)]
     return acc
 
 

@@ -238,7 +238,7 @@ def det_circulant(a) -> int:
     join of L-bit byte slots; slot k here holds a_(ks), the factor of s^-1,
     which runs over every s != 0 as s does.  Adding m to every slot adds
     m Phi = m sum_(k<p) 2^(Lk), so slots hold a_j - min a >= 0.  Products
-    fold mod 2^(Lp) - 1, as _mul_cyclic folds, and reduce mod Phi at the
+    fold mod 2^(Lp) - 1, as PackedRing folds, and reduce mod Phi at the
     end.  Bound: each row has squared norm S = sum a_j^2, so |det| <= H =
     S^(p/2) (Hadamard).  L = 8b for the least b with 2^(2L(p-1)) >= 4H^2 and
     2^L > max a - min a, so Phi > 2^(L(p-1)) >= 2H and the residue lifted to

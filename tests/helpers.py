@@ -19,11 +19,14 @@ Proth prime replaced over Q(zeta_p).
 mutant recompiles a package function with one expression edited, for
 negative controls.
 
-Two retired paths stay as oracles for the ones that replaced them:
+Three retired paths stay as oracles for the ones that replaced them:
 json_report_dumps, the stdlib json.dumps of a whole report that
-cli.emit_report's row template must match byte for byte, and
+cli.emit_report's row template must match byte for byte,
 random_uv_instance_randint, the randint draws whose random stream
-identities.random_uv_instance must reproduce.
+identities.random_uv_instance must reproduce, and the decomposition's
+p-slot list forms, _times_v (a row times V by list rotations) and w_slots
+(W = s D U D by cyclotomic._mul_cyclic), against which the packed ring of
+identities.verify_decomposition is checked.
 
 The ring arithmetic of Q(zeta_p) lives here too, as Cyclo: the package
 multiplies binomials as p-slot vectors and reports a CycloElem, which has
@@ -48,7 +51,7 @@ from math import isqrt, lcm, prod
 
 import pytest
 
-from legdet.cyclotomic import CycloElem, _fold, _mul_vec, zeta_pow
+from legdet.cyclotomic import CycloElem, _fold, _mul_cyclic, _mul_vec, zeta_pow
 from legdet.exact import UniPoly, as_rational
 from legdet.linalg import ZZ, ExactMatrix, adjugate, cyclo_ring
 from legdet.ntheory import legendre
@@ -230,6 +233,22 @@ def convolve_cyclic(p, a, b):
         for f, d in enumerate(b):
             acc[(e + f) % p] += c * d
     return acc
+
+
+def _times_v(p, vecs):
+    """A row of p-slot vectors times V_lj = z^(2lj), by rotations: entry j
+    sums slot t - 2lj of vecs[l] over l."""
+    k = len(vecs)
+    shifts = [[2 * l * j % p for l in range(k)] for j in range(k)]
+    return [list(map(sum, zip(*(v[-r:] + v[:-r] for v, r in zip(vecs, rs))))) for rs in shifts]
+
+
+def w_slots(p, s, delta, rows):
+    """W_ij = s delta_i E'_ij delta_j from p-slot vectors, each product one
+    _mul_cyclic (which its own tests hold against convolve_cyclic), from
+    the factors identities._w_packed receives."""
+    sd = [_mul_cyclic(p, s, di) for di in delta]
+    return [[_mul_cyclic(p, _mul_cyclic(p, sdi, e), dj) for e, dj in zip(row, delta)] for sdi, row in zip(sd, rows)]
 
 
 def convolve_cyclo(p, a, b):

@@ -12,6 +12,7 @@ import pytest
 import legdet
 from helpers import (
     Cyclo,
+    _times_v,
     cauchy_and_u_by_inversion,
     convolve_cyclic,
     d_by_inversion,
@@ -21,10 +22,11 @@ from helpers import (
     mutant,
     random_uv_instance_randint,
     vsemirnov_v,
+    w_slots,
     zeta,
 )
-from legdet import identities, linalg
-from legdet.cyclotomic import CycloElem, _fold, clear_slots, zeta_pow
+from legdet import cyclotomic, identities, linalg
+from legdet.cyclotomic import CycloElem, PackedRing, _fold, _pack, clear_slots, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     PrimeContext,
@@ -170,37 +172,140 @@ def test_decomposition_small():
         assert r.name == "decomposition" and r.detail == ""
 
 
+def spy_decomposition(monkeypatch, ctx):
+    """verify_decomposition(ctx) with its packed helpers spied on: the
+    result, the arguments and the (ring, W) of _w_packed, and the
+    (rows, out) of each PackedRing.times_v pass; D, whose certificate also
+    runs PackedRing.times_v, is built first."""
+    ctx.vsemirnov
+    true_w, true_v, seen = identities._w_packed, PackedRing.times_v, {"passes": []}
+
+    def w_spy(*args):
+        seen["w_args"], seen["w"] = args, true_w(*args)
+        return seen["w"]
+
+    def v_spy(ring, rows):
+        seen["passes"].append((rows, true_v(ring, rows)))
+        return seen["passes"][-1][1]
+
+    monkeypatch.setattr(identities, "_w_packed", w_spy)
+    monkeypatch.setattr(PackedRing, "times_v", v_spy)
+    seen["result"] = verify_decomposition(ctx)
+    monkeypatch.undo()
+    return seen
+
+
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_rotations_give_v_w_v(monkeypatch, p):
-    """The slot W of verify_decomposition (from _w_slots, over den_d^2
-    den_e) is s D U D built from the oracle U and D of helpers, with the
-    Gauss sum for sqrt(p); _times_v on each row of it gives W V, and two
-    passes of "times V, then transpose" give V W V, both against entrywise
-    products with the oracle V."""
+    """The packed W of verify_decomposition (from _w_packed, over den_d^2
+    den_e) read back by its ring is s D U D built from the oracle U and D
+    of helpers, with the Gauss sum for sqrt(p); the first PackedRing.times_v
+    pass gives W V, and the two passes of "times V, then transpose" give
+    V W V, both against entrywise products with the oracle V and against
+    the list oracle helpers._times_v."""
     ctx = PrimeContext(p)
-    true_w, seen = identities._w_slots, []
-
-    def spy(*args):
-        seen.append(true_w(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(identities, "_w_slots", spy)
-    assert verify_decomposition(ctx).passed
-    (vecs,) = seen
+    seen = spy_decomposition(monkeypatch, ctx)
+    assert seen["result"].passed
+    w_den, (w_ring, vecs) = seen["w_args"][4], seen["w"]
     den = clear_slots(ctx.vsemirnov)[0] ** 2 * clear_slots([x for row in ctx.cauchy.entries for x in row])[0]
+    assert w_den == den
     ring, v = cyclo_ring(p), vsemirnov_v(p)
     d, u = d_by_inversion(p), cauchy_and_u_by_inversion(p)[1]
     scalar = ctx.chi[2] * gauss_sum(p) * zeta_pow(p, (p - 1) // 4)
     w = [[scalar * di * uij * dj for uij, dj in zip(row, d)] for di, row in zip(d, u)]
 
+    def slots(rows):
+        return [[w_ring.slots(x) for x in row] for row in rows]
+
     def folded(rows):
         return [[CycloElem(p, _fold(x), den) for x in row] for row in rows]
 
-    assert folded(vecs) == w
-    wv = [identities._times_v(p, row) for row in vecs]
+    (rows1, out1), (rows2, out2) = seen["passes"]
+    assert rows1 is vecs and folded(slots(vecs)) == w
+    wv = slots(out1)
+    assert wv == [_times_v(p, row) for row in slots(vecs)]
     assert folded(wv) == matmul_entrywise(ExactMatrix(ring, w), v)
-    vwv = zip(*(identities._times_v(p, list(col)) for col in zip(*wv)))
+    assert rows2 == [list(col) for col in zip(*out1)]
+    vwv = list(zip(*slots(out2)))
+    assert vwv == list(zip(*(_times_v(p, list(col)) for col in zip(*wv))))
     assert folded(vwv) == matmul_entrywise(ExactMatrix(ring, matmul_entrywise(v, ExactMatrix(ring, w))), v)
+
+
+@pytest.mark.parametrize("p", [5, 13, 29, 53])
+def test_times_v_packed_matches_list_oracle(p):
+    """PackedRing.times_v on rows of packed slot vectors, read back by the
+    ring, against helpers._times_v on the lists: seeded rows with negative
+    slots, an all-zero row, rows whose output slots sit at the ring's
+    bound, B = 2^(w-1) - 2 exactly for w = 16 (one vector of slots +-B,
+    alternating, the others zero), and rows of the constant vectors
+    +-floor(B/k), whose output slots come within k of +-B and are flat."""
+    k, rng = (p + 1) // 2, random.Random(p)
+    ring = PackedRing(p, (1 << 15) - 2)
+    assert ring.w == 16
+    big = (1 << 15) - 2
+    edge = [(-1) ** t * big for t in range(p)]
+    flat_b = [[big // k] * p] * k
+    rows = [[[rng.randint(-300, 300) for _ in range(p)] for _ in range(k)] for _ in range(3)]
+    rows += [[[0] * p] * k, [edge] + [[0] * p] * (k - 1), [[0] * p] * (k - 1) + [edge],
+             flat_b, [[-c for c in v] for v in flat_b]]
+    packed = [[_pack(v, ring.w) for v in row] for row in rows]
+    for row, out in zip(rows, ring.times_v(packed)):
+        want = _times_v(p, row)
+        assert max(max(map(abs, v)) for v in want) <= big
+        assert [ring.slots(x) for x in out] == want
+        assert all(ring.flat(x, 0) is (v.count(v[0]) == p) for x, v in zip(out, want))
+    assert ring.slots(_pack(edge, ring.w)) == edge and ring.flat(_pack([big] * p, ring.w), 0)
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 29, 37, 53])
+def test_decomposition_slots_within_ring_bound(monkeypatch, p):
+    """Every slot of v - den C_ij e_0, v entry (i, j) of V W V computed by
+    the list oracles (helpers.w_slots and two passes of helpers._times_v on
+    the factors _w_packed receives), is at most 2^(w-1) - 2 in absolute
+    value for the slot width w of the ring verify_decomposition picks, so
+    its biased residue reads back exactly; and it equals what the ring
+    reads back."""
+    ctx = PrimeContext(p)
+    seen = spy_decomposition(monkeypatch, ctx)
+    assert seen["result"].passed
+    _, s, delta, rows, den = seen["w_args"]
+    ring = seen["w"][0]
+    a = w_slots(p, s, delta, rows)
+    for _ in range(2):
+        a = [list(col) for col in zip(*(_times_v(p, row) for row in a))]
+    out = list(zip(*seen["passes"][1][1]))
+    top = 0
+    for crow, arow, xrow in zip(ctx.evil.entries, a, out):
+        for c, v, x in zip(crow, arow, xrow):
+            top = max(top, abs(v[0] - den * c), *map(abs, v[1:]))
+            assert ring.slots(x) == v
+    assert top <= (1 << (ring.w - 1)) - 2 and ring.w % 8 == 0
+
+
+def test_low_slot_comparison_mutant_fails_decomposition(monkeypatch):
+    """Negative control for the all-ones test t = k R of PackedRing.flat:
+    a mutant that compares only the low slot k of t, with 2^(w-1), the
+    biased zero, takes a difference that is a nonzero multiple of the
+    all-ones vector for a mismatch.  D's certificate V^T d = e_n raises at
+    j = n, and with D given, the decomposition names entry (0, 1), whose
+    values agree, as its first divergent entry."""
+    ctx = PrimeContext(13)
+    ctx.vsemirnov
+    old = "t == (t & ((1 << self.w) - 1)) * self.r"
+    monkeypatch.setattr(PackedRing, "flat", mutant(cyclotomic, "PackedRing.flat", old,
+                                                   "t & ((1 << self.w) - 1) == 1 << (self.w - 1)"))
+    with pytest.raises(ArithmeticError, match=r"p=13, j=6$"):
+        build_vsemirnov_matrices(13)
+    r = verify_decomposition(ctx)
+    assert r.detail == "first divergent entry (i, j) = (0, 1)"
+
+
+def test_certificate_target_mutant_raises():
+    """Negative control for D's certificate: with the target p [j = n]
+    dropped from slot 0, entry n of V^T (p d) fails at j = n."""
+    build = mutant(identities, "build_vsemirnov_matrices", "p if j == p.n else 0", "0")
+    with pytest.raises(ArithmeticError, match=r"^closed-form D fails V\^T d = e_n at p=29, j=14$"):
+        build(29)
 
 
 def test_lemma_uv_m1_closed_form():
@@ -558,21 +663,22 @@ def test_corrupted_v_w_v_entry_fails_decomposition(monkeypatch, delta, passed):
     decomposition at that entry, the earlier entries still matching; off
     by the all-ones vector, which is 0 in Q(zeta_p), it passes."""
     ctx = PrimeContext(13)
-    k = len(ctx.vsemirnov)
-    true_times_v = identities._times_v
+    ctx.vsemirnov
+    true_times_v = PackedRing.times_v
     calls = []
 
-    def corrupted(p, vecs):
-        out = true_times_v(p, vecs)
+    def corrupted(ring, rows):
+        out = true_times_v(ring, rows)
         calls.append(1)
-        # call k + 1 + j of the second pass computes column j of V W V
-        if len(calls) == k + 3:
-            out[4] = [x + 1 for x in out[4]] if delta is None else [out[4][0] + delta, *out[4][1:]]
+        # row j of the second pass is column j of V W V; slot 0 is the low
+        # w bits, and the all-ones vector packs to R
+        if len(calls) == 2:
+            out[2][4] += ring.r if delta is None else delta
         return out
 
-    monkeypatch.setattr(identities, "_times_v", corrupted)
+    monkeypatch.setattr(PackedRing, "times_v", corrupted)
     r = verify_decomposition(ctx)
-    assert len(calls) == 2 * k
+    assert len(calls) == 2
     assert r.passed is passed
     if passed:
         assert r.detail == "" and r.lhs == r.rhs == "0"
@@ -928,16 +1034,16 @@ def test_wrong_w_factor_fails_decomposition(monkeypatch, fault, entry):
     delta_i, i >= 1, rotated by +i from d_i instead of -i, or the zero
     corner of E' set to one, fails the decomposition, which names the first
     divergent entry in row-major order."""
-    true_w = identities._w_slots
+    true_w = identities._w_packed
 
-    def faulty(p, s, delta, rows):
+    def faulty(p, s, delta, rows, den):
         if fault == "delta_rotated_up":
             delta = [delta[0], *(v[-2 * i:] + v[:-2 * i] for i, v in enumerate(delta[1:], 1))]
         else:
             rows = [[rows[0][1], *rows[0][1:]], *rows[1:]]
-        return true_w(p, s, delta, rows)
+        return true_w(p, s, delta, rows, den)
 
-    monkeypatch.setattr(identities, "_w_slots", faulty)
+    monkeypatch.setattr(identities, "_w_packed", faulty)
     r = verify_decomposition(13)
     assert r.passed is False and r.lhs != r.rhs
     assert r.detail == f"first divergent entry (i, j) = {entry}"
