@@ -8,7 +8,8 @@ Cases:
            identities.PrimeContext(p), handed the context values that the
            family lists, computed once before the clock starts:
              sun_check      verify_sun_congruence for every d, its table
-                            included, at p = 61, 101, 157;
+                            included, at p = 29, 61, 101, 157 (29 the
+                            small-minor regime of legbench's intdet);
              carlitz_check  verify_carlitz, its Legendre table included, at
                             p = 61, 101, 157, 401;
              decomposition  verify_decomposition at p = 29, 53, given D
@@ -118,7 +119,7 @@ PROCESSES = 3
 # runs, the PrimeContext values handed to each sample's fresh context, the
 # primes, the --quick primes.
 FAMILIES = (
-    ("sun_check p={} all d", ("verify_sun_congruence",), (), (61, 101, 157), (61,)),
+    ("sun_check p={} all d", ("verify_sun_congruence",), (), (29, 61, 101, 157), (61,)),
     ("carlitz_check p={}", ("verify_carlitz",), (), (61, 101, 157, 401), (61,)),
     ("decomposition p={}", ("verify_decomposition",), ("vsemirnov", "cauchy", "evil", "chi"),
      VSEMIRNOV_PRIMES, (CYCLO_QUICK_PRIME,)),

@@ -105,13 +105,15 @@ class SuiteOptions:
     seed: int = 0
 
 
-def _result(name: str, p, lhs, rhs, detail: str = "") -> CheckResult:
+def _result(name: str, p, lhs, rhs, detail: str = "", fail: bool = False) -> CheckResult:
     """The one way to build a CheckResult: pass iff lhs == rhs exactly (a
-    pair of values compares as a tuple, so a length mismatch fails)."""
+    pair of values compares as a tuple, so a length mismatch fails) and
+    fail is not set; fail, set by a check whose own comparison flagged an
+    entry, can only turn a pass into a fail."""
     return CheckResult(
         name=name,
         p=int(p) if p is not None else None,
-        passed=lhs == rhs,
+        passed=lhs == rhs and not fail,
         lhs=format_value(lhs),
         rhs=format_value(rhs),
         detail=detail,
@@ -456,7 +458,7 @@ def verify_decomposition(p) -> CheckResult:
         for j, (c, x) in enumerate(zip(crow, arow)):
             if not ring.flat(x, den * c):
                 return _result("decomposition", p, c, CycloElem(p, _fold(ring.slots(x)), den),
-                               f"first divergent entry (i, j) = ({i}, {j})")
+                               f"first divergent entry (i, j) = ({i}, {j})", fail=True)
     return _result("decomposition", p, ctx.evil[0, 0], CycloElem(p, _fold(ring.slots(a[0][0])), den))
 
 
@@ -675,7 +677,7 @@ def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fracti
     = 0 exactly when b_i d_j + a_i c_j = 0, with b_i, d_j > 0, reduced or
     not.  Each value is rng.randrange(w) + lo, which makes the one
     _randbelow(w) call that rng.randint(lo, lo + w - 1) makes (CPython
-    3.10-3.12), so the stream is randint's; an accepted pair's Fraction
+    3.10-3.13), so the stream is randint's; an accepted pair's Fraction
     comes from _uv_box, built on first use.  m_max < 1 raises ValueError.
     """
     box, draw = _uv_box(), rng.randrange

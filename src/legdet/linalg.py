@@ -14,11 +14,11 @@ every entry; a Toeplitz matrix's by fraction-free Levinson-Trench in
 O(k^2) integer operations (toeplitz_columns), with a Bareiss fallback;
 det_circulant, the product of a circulant's eigenvalues mod Phi_p(2^L);
 and, for a residue mod a prime, one elimination over F_q on rows packed
-one per integer, with delayed reduction and a slot width it proves
-(_eliminate_mod), behind two entry points: det_mod_packed, and its
-Gauss-Jordan solve_mod_packed, for the Sun check's det A and table A^-1 B
-over F_q.  det_mod_rows packs plain rows for det_mod_packed, pack_windows
-the rotations of one table.
+one per integer, with delayed reduction, one packed Barrett reduction per
+pivot row and a slot width it proves (_eliminate_mod), behind two entry
+points: det_mod_packed, and its Gauss-Jordan solve_mod_packed, for the Sun
+check's det A and table A^-1 B over F_q.  det_mod_rows packs plain rows
+for det_mod_packed, pack_windows the rotations of one table.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant, and refuses a singular matrix.  A
@@ -319,10 +319,21 @@ def certify_adjugate(c: ExactMatrix, x, d: int) -> bool:
     return True
 
 
+def _barrett(q: int, k: int) -> tuple[int, int]:
+    """(K, m), the Barrett constants of _eliminate_mod for k rows mod q:
+    K = bitlen(S), S = 2q^2 k + q the bound on its slots, and
+    m = floor(2^K / q)."""
+    kb = (2 * q * q * k + q).bit_length()
+    return kb, (1 << kb) // q
+
+
 def mod_slot_width(q: int, k: int) -> int:
     """The least slot width w that _eliminate_mod takes for k rows mod q:
-    the least with q^2 k + q < 2^(w-1)."""
-    return (q * q * k + q).bit_length() + 1
+    K + bitlen(m) for (K, m) = _barrett(q, k), the least w with
+    2^K m < 2^w, so that s m < 2^w for every slot s < 2^K and no slot's
+    product with m spills into the next."""
+    kb, m = _barrett(q, k)
+    return kb + m.bit_length()
 
 
 def det_mod_rows(rows, q: int) -> int:
@@ -353,27 +364,42 @@ def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int,
     Delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
     step c takes the first row from c on whose slot 0 is nonzero mod q,
     swaps it up, and clears column c from a row with one bigint step,
-    row += f * packed(q - r_j), f = a_c / pivot mod q and r_j the pivot
-    row's slots mod q, which adds f * (q - r_j) = -f * r_j (mod q) to each
-    slot j; the row then drops slot 0 (>> w).  Only the pivot row is
-    unpacked, and only its slots are reduced.  Without jordan, step c
+    row += f * P, f = a_c / pivot mod q and P the pivot row with each slot
+    s_j, slot 0 included, replaced by a value in (0, 2q] congruent to -s_j
+    mod q, which adds -f * s_j (mod q) to each slot j; the row then drops
+    slot 0 (>> w), and so does the pivot row.  Without jordan, step c
     reaches the rows below c, and the rows end stale.  With jordan, it
-    reaches every other row and the pivot row is only shifted, so each row
-    c ends holding its last width - k slots times pivot c (Gauss-Jordan
-    with the pivots left unscaled).  det is the product of the pivots,
-    negated per row swap.
+    reaches every other row, so each row c ends holding its last width - k
+    slots times pivot c (Gauss-Jordan with the pivots left unscaled).  det
+    is the product of the pivots, negated per row swap.
+
+    P is one packed Barrett step (Barrett, CRYPTO '86) on every slot of
+    the pivot row x at once.  With (K, m) = _barrett(q, k) and R =
+    sum_j 2^(w j) over the slots of x, Q = ((x m) >> K) & (2^(w-K) - 1) R
+    holds Q_j = floor(s_j m / 2^K) in slot j, and P = 2q R - x + q Q.  As
+    s_j < 2^K (slot bound below) and m = (2^K - e) / q with 0 <= e < q,
+    s_j m / 2^K > s_j / q - 1, so Q_j is floor(s_j / q) or one less, and
+    slot j of P, 2q - (s_j - q Q_j), lies in (0, 2q].  At
+    w >= K + bitlen(m) (mod_slot_width), s_j m < 2^w, so no slot of x m
+    spills into the next, and Q_j < 2^(w-K) is kept whole by the mask.  As
+    each slot of the sum lies in [0, 2^w), the integer P holds exactly
+    these slots.
 
     Slot bound: a slot starts in [0, q), and each step adds at most
-    f * (q - r_j) <= (q - 1) q to it.  In either mode a row takes at most
-    one step per column other than its own pivot column, k - 1 in all, so
-    every slot stays below q + (k - 1)(q - 1) q < q^2 k + q < 2^(w-1).
-    Slots only grow, since nothing is subtracted, so no borrow ever crosses
-    a slot, and none reaches 2^w, so no carry does either.
+    f * 2q <= 2(q - 1) q to it.  In either mode a row takes at most one
+    step per column other than its own pivot column, k - 1 in all, so
+    every slot, slot 0 included, stays below q + 2(k - 1)(q - 1) q <
+    2q^2 k + q = S < 2^K < 2^w.  Slots only grow, since every slot of P is
+    positive, so no borrow ever crosses a slot, and none reaches 2^w, so no
+    carry does either, not even out of slot 0 before it is dropped.
     """
     k = len(rows)
-    if w < mod_slot_width(q, k):
+    kb, m = _barrett(q, k)
+    if w < kb + m.bit_length():
         raise ValueError(f"slot width {w} is below the bound for {k} rows mod {q}")
     mask = (1 << w) - 1
+    ones = ((1 << (w * width)) - 1) // mask
+    two_q, mq = 2 * q * ones, (ones << (w - kb)) - ones
     rows = list(rows)
     det, invs = 1, []
     for c in range(k):
@@ -391,11 +417,8 @@ def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int,
         invs.append(pivinv)
         det = det * piv % q
         pr = rows[c]
-        packed = 0
-        for j in range(width - 1 - c, 0, -1):
-            packed = (packed | q - ((pr >> (w * j)) & mask) % q) << w
-        if jordan:
-            rows[c] = pr >> w
+        packed = (two_q >> (w * c)) - pr + q * ((pr * m >> kb) & mq)
+        rows[c] = pr >> w
         for i in range(0 if jordan else c + 1, k):
             if i == c:
                 continue

@@ -28,7 +28,11 @@ from .quadfield import QuadElem
 
 def format_rational(r) -> str:
     """n or n/d, its digits from Decimal: str(int) refuses more digits than
-    sys.get_int_max_str_digits() (4300 by default, CPython >= 3.10.7)."""
+    sys.get_int_max_str_digits() (4300 by default, CPython >= 3.10.7).  An
+    int prints without a Fraction; bool and any other Rational go through
+    as_rational."""
+    if type(r) is int:
+        return str(Decimal(r))
     r = as_rational(r)
     n = str(Decimal(r.numerator))
     return n if r.denominator == 1 else f"{n}/{Decimal(r.denominator)}"

@@ -288,7 +288,8 @@ def test_low_slot_comparison_mutant_fails_decomposition(monkeypatch):
     biased zero, takes a difference that is a nonzero multiple of the
     all-ones vector for a mismatch.  D's certificate V^T d = e_n raises at
     j = n, and with D given, the decomposition names entry (0, 1), whose
-    values agree, as its first divergent entry."""
+    values agree, as its first divergent entry, and fails the row on that
+    flag alone."""
     ctx = PrimeContext(13)
     ctx.vsemirnov
     old = "t == (t & ((1 << self.w) - 1)) * self.r"
@@ -298,6 +299,8 @@ def test_low_slot_comparison_mutant_fails_decomposition(monkeypatch):
         build_vsemirnov_matrices(13)
     r = verify_decomposition(ctx)
     assert r.detail == "first divergent entry (i, j) = (0, 1)"
+    assert r.lhs == r.rhs
+    assert not r.passed
 
 
 def test_certificate_target_mutant_raises():
@@ -860,7 +863,7 @@ def test_sun_fallback_matches_schur_path(monkeypatch):
         assert calls == [p] and all(r.passed for r in want[p])
         calls.clear()
     monkeypatch.setattr(identities, "solve_mod_packed", lambda rows, width, q, w: (0, None))
-    assert PrimeContext(13).sun_schur == (0, 2, [])
+    assert PrimeContext(13).sun_schur == (0, 3, [])
     for p in (13, 17, 29):
         assert [verify_sun_congruence(p, d) for d in range(p)] == want[p]
         assert calls == [p] * p

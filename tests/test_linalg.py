@@ -432,77 +432,120 @@ def test_det_mod_p_matches_list_elimination_on_sun_matrices():
         assert det_mod(m.entries, 101) == det_mod_p_lists(m.entries, 101)
 
 
-def solve_mod_packed_against_list_gauss_jordan():
-    """Seeded [A | B] mod q, k <= 8 and up to 6 columns of B, a fifth of
-    A's entries zero so that some A are singular: A^-1 B, or None, as the
-    list Gauss-Jordan gives it, beside det A as list elimination gives it,
-    0 when A is singular."""
-    rng = random.Random(27)
-    singular = 0
-    for _ in range(300):
-        q = rng.choice((2, 3, 13, 101, 197))
-        k, m = rng.randint(1, 8), rng.randint(0, 6)
-        a = [[rng.randrange(q) if rng.random() < 0.8 else 0 for _ in range(k)] for _ in range(k)]
-        b = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
-        w = mod_slot_width(q, k)
-        want = solve_mod_p_lists(a, b, q)
-        singular += want is None
-        assert solve_mod_packed([_pack(ra + rb, w) for ra, rb in zip(a, b)], k + m, q, w) == (det_mod_p_lists(a, q), want)
-    assert singular > 0
+def mod_kernels_against_lists():
+    """Seeded det_mod_packed and solve_mod_packed at mod_slot_width against
+    list elimination and list Gauss-Jordan, for q in {2, 3, 13, 101,
+    2^61 - 1, 2^89 - 1}: k <= 10 and up to 4 columns of B; half the
+    matrices draw from {0, 1, q - 1}, whose vanishing pivots force swaps,
+    the rest from range(q), a fifth of them zero.  Singular A come up for
+    every q, and a singular A gives (0, None)."""
+    rng = random.Random(37)
+    for q in (2, 3, 13, 101, (1 << 61) - 1, (1 << 89) - 1):
+        singular = 0
+        for _ in range(60):
+            k, m = rng.randint(1, 10), rng.randint(0, 4)
+            small = rng.random() < 0.5
+            a, b = ([[rng.choice((0, 1, q - 1)) if small else rng.randrange(q) if rng.random() < 0.8 else 0
+                      for _ in range(cols)] for _ in range(k)] for cols in (k, m))
+            w = mod_slot_width(q, k)
+            det = det_mod_p_lists(a, q)
+            singular += not det
+            assert det_mod_packed([_pack(row, w) for row in a], q, w) == det, (q, a)
+            want = (det, solve_mod_p_lists(a, b, q)) if det else (0, None)
+            assert solve_mod_packed([_pack(ra + rb, w) for ra, rb in zip(a, b)], k + m, q, w) == want, (q, a, b)
+        assert singular > 0, q
 
 
-def test_solve_mod_packed_matches_list_gauss_jordan():
-    solve_mod_packed_against_list_gauss_jordan()
+def test_mod_kernels_match_list_elimination():
+    mod_kernels_against_lists()
 
 
 def test_gauss_jordan_below_the_pivot_only_fails(monkeypatch):
     """Negative control for the Gauss-Jordan mode of _eliminate_mod: each
     step reaching only the rows below the pivot, as in det mode, leaves
-    A upper triangular rather than diagonal, and the list Gauss-Jordan
-    test above fails on it."""
+    A upper triangular rather than diagonal, and the list comparison
+    (mod_kernels_against_lists) fails on it."""
     monkeypatch.setattr(linalg, "_eliminate_mod", mutant(linalg, "_eliminate_mod", "0 if jordan else c + 1", "c + 1"))
     with pytest.raises(AssertionError):
-        solve_mod_packed_against_list_gauss_jordan()
+        mod_kernels_against_lists()
 
 
-@pytest.mark.parametrize("jordan", [False, True], ids=["det", "gauss-jordan"])
-@pytest.mark.parametrize("q, k", [(2, 7), (13, 9), (101, 51)])
-def test_mod_elimination_slot_reaches_its_bound(q, k, jordan):
-    """The slot bound of the _eliminate_mod docstring, q + (k-1)(q-1)q, is
-    met in both modes: over identity rows with a last row of q - 1 (and, for
-    Gauss-Jordan, a B of zeros with a last row of q - 1), each step pivots
-    on a 1 with f = q - 1 and adds (q - 1) * q to every later slot of the
-    last row.  A replay of that update rule, f (q - r_j), on plain integers
-    shows the last slot ending at the bound; a carry out of any slot would
-    change the residue.  One bit short of mod_slot_width is refused."""
+def mod_elimination_at_bound(q: int, k: int, jordan: bool):
+    """Rows of the identity over a last row of q - 1 (and, for Gauss-Jordan,
+    a B of zeros over a last row of q - 1) at mod_slot_width.  Each step
+    pivots on a row of 0s and 1s, where every Barrett quotient is 0 and
+    the packed slot over a 0 is 2q, with f = q - 1, so it adds 2(q - 1) q
+    to every later slot of the last row over a 0.  A replay of that rule,
+    f (2q - s + q floor(s m / 2^K)), on plain integers shows the last slot
+    ending at q - 1 + 2(k - 1)(q - 1) q, below S = 2q^2 k + q.  For
+    Gauss-Jordan every row above the last also holds a 1 in column k - 1,
+    so the last step reduces the last row, its B slots at that bound, and
+    adds it to every row above.  The elimination must give det A (and
+    A^-1 B), which a carry or borrow across a slot would change, and refuse
+    a width one bit short."""
     m = 3 if jordan else 0
-    a = [[int(i == j) for j in range(k)] for i in range(k - 1)] + [[q - 1] * k]
+    a = [[int(i == j or jordan and j == k - 1) for j in range(k)] for i in range(k - 1)] + [[q - 1] * k]
     b = [[0] * m for _ in range(k - 1)] + [[q - 1] * m]
+    kb = (2 * q * q * k + q).bit_length()
+    mb = (1 << kb) // q
     last = a[-1] + b[-1]
     for c in range(k - 1):
         f = last[c] % q
-        last[c + 1:] = [x + f * (q - y % q) for x, y in zip(last[c + 1:], (a[c] + b[c])[c + 1:])]
-    assert last[k - 1:] == [q - 1 + (k - 1) * (q - 1) * q] * (m + 1)
-    assert last[-1] < q * q * k + q
+        last[c + 1:] = [x + f * (2 * q - y + q * (y * mb >> kb)) for x, y in zip(last[c + 1:], (a[c] + b[c])[c + 1:])]
+    assert last[-1] == q - 1 + 2 * (k - 1) * (q - 1) * q < 2 * q * q * k + q
     w = mod_slot_width(q, k)
     rows = [_pack(ra + rb, w) for ra, rb in zip(a, b)]
-    assert det_mod_p_lists(a, q) == q - 1
+    det = det_mod_p_lists(a, q)
+    assert det
     if jordan:
-        run, want = partial(solve_mod_packed, rows, k + m, q), (q - 1, solve_mod_p_lists(a, b, q))
+        run, want = partial(solve_mod_packed, rows, k + m, q), (det, solve_mod_p_lists(a, b, q))
     else:
-        run, want = partial(det_mod_packed, rows, q), q - 1
+        run, want = partial(det_mod_packed, rows, q), det
     assert run(w) == want
     with pytest.raises(ValueError, match="slot width"):
         run(w - 1)
 
 
+@pytest.mark.parametrize("jordan", [False, True], ids=["det", "gauss-jordan"])
+@pytest.mark.parametrize("q, k", [(2, 7), (13, 9), (101, 51)])
+def test_mod_elimination_slot_reaches_its_bound(q, k, jordan):
+    """The slot bound of the _eliminate_mod docstring, q + 2(k-1)(q-1)q,
+    is met in both modes (mod_elimination_at_bound)."""
+    mod_elimination_at_bound(q, k, jordan)
+
+
+@pytest.mark.parametrize("name, old, new, check", [
+    ("_barrett", "kb = (2 * q * q * k + q).bit_length()", "kb = (2 * q * q * k + q).bit_length() - 1",
+     partial(mod_elimination_at_bound, 101, 51, True)),
+    ("_eliminate_mod", "2 * q * ones", "q * ones", mod_kernels_against_lists),
+    ("_eliminate_mod", "(ones << (w - kb)) - ones", "(ones << (w - kb - 1)) - ones",
+     partial(mod_elimination_at_bound, 101, 51, True)),
+    ("_eliminate_mod", "((pr * m >> kb) & mq)", "(pr * m >> kb)", mod_kernels_against_lists),
+], ids=["K-1", "2q-to-q", "mask-one-bit-short", "no-mask"])
+def test_barrett_mutants_fail(monkeypatch, name, old, new, check):
+    """Negative controls for the packed Barrett step of _eliminate_mod: K
+    one short (the width with it), P = q R - x + q Q, whose slots may be
+    negative, a quotient mask one bit short, and no mask, which lets the
+    low bits of the next slot's product into each quotient.  Each fails
+    the seeded list comparison or the Gauss-Jordan run at the slot bound
+    for q = 101, k = 51, whose slots reach the Barrett quotients that the
+    short K and the short mask get wrong."""
+    monkeypatch.setattr(linalg, name, mutant(linalg, name, old, new))
+    with pytest.raises(AssertionError):
+        check()
+
+
 def test_det_mod_packed_refuses_a_slot_below_its_bound():
-    """The slot bound q^2 k + q < 2^(w-1) is checked, not assumed: one bit
-    short of mod_slot_width is refused, and mod_slot_width is the least w
-    the bound admits."""
+    """The width is checked, not assumed: one bit short of mod_slot_width
+    is refused, and mod_slot_width is K + bitlen(m), K = bitlen(S) for the
+    slot bound S = 2q^2 k + q and m = floor(2^K / q), the least w with
+    2^K m < 2^w, so that s m < 2^w for every s < 2^K."""
     for q, k in ((2, 1), (13, 9), (101, 51), ((1 << 61) - 1, 14)):
         w = mod_slot_width(q, k)
-        assert q * q * k + q < 1 << (w - 1) and q * q * k + q >= 1 << (w - 2)
+        kb = (2 * q * q * k + q).bit_length()
+        mb = (1 << kb) // q
+        assert w == kb + mb.bit_length()
+        assert mb << kb < 1 << w <= mb << (kb + 1)
         rows = [1 << (w * i) for i in range(k)]  # the identity, packed
         assert det_mod_packed(rows, q, w) == 1
         with pytest.raises(ValueError, match="slot width"):

@@ -14,6 +14,8 @@ def test_rational_forms():
     assert format_rational(Fraction(-18)) == "-18"
     assert format_rational(Fraction(3, 2)) == "3/2"
     assert format_rational(0) == "0"
+    # an int takes the Decimal fast path; bool, a Rational, goes through as_rational
+    assert (format_rational(-18), format_rational(True), format_rational(False)) == ("-18", "1", "0")
     assert parse_rational("-65/3") == Fraction(-65, 3)
     assert parse_rational(format_rational(Fraction(22, 7))) == Fraction(22, 7)
     # a float is refused, not rendered as 3602879701896397/36028797018963968
