@@ -51,6 +51,11 @@ Cases:
   random_uv_instance  6000 identities.random_uv_instance draws at
            m_max = 7 from random.Random(1), the instances of the lemma_uv
            workload's set-up; one sample is the 6000 draws.
+  random_uv_instance cold  the first draws of a process: the lookup
+           tables of identities._uv_box built from a cleared cache, then
+           the draws that run_suite makes with the default SuiteOptions
+           (100 at m_max = 5 from random.Random(0)); one sample is the
+           build and the draws.
 
 Two checkouts are timed side by side: --parent and --change name the
 ``src`` directories legdet is imported from (--change defaults to the one
@@ -83,7 +88,8 @@ every case still runs.  Each family runs at its --quick prime in FAMILIES
 (61 for sun_check and carlitz_check, 13 for the others), evil_adjugate
 and toeplitz at p = 67 and 61, vsemirnov_build and det_field_cyclo at
 p = 13, det_fractions and lemma_uv at m = 3, and emit_report and
-random_uv_instance take 60 rows and 60 draws.
+random_uv_instance take 60 rows and 60 draws; the cold case keeps its
+100 draws.
 """
 
 from __future__ import annotations
@@ -248,8 +254,18 @@ def lemma_report_cases(legdet, quick: bool) -> dict:
             ids.random_uv_instance(rng, UV_M_MAX)
         return 1
 
+    suite = ids.SuiteOptions()
+
+    def run_cold():
+        ids._uv_box.cache_clear()
+        rng = random.Random(suite.seed)
+        for _ in range(suite.uv_trials):
+            ids.random_uv_instance(rng, suite.uv_m_max)
+        return 1
+
     return {f"emit_report json {n} lemma rows": run_emit,
-            f"random_uv_instance {n} draws m_max={UV_M_MAX}": run_draws}
+            f"random_uv_instance {n} draws m_max={UV_M_MAX}": run_draws,
+            f"random_uv_instance cold box {suite.uv_trials} draws m_max={suite.uv_m_max}": run_cold}
 
 
 def child(src: Path, quick: bool) -> int:

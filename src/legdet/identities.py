@@ -33,7 +33,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, islice, repeat
 from math import prod
 from operator import add, itemgetter, sub
 
@@ -332,7 +332,7 @@ def verify_minor_antisymmetry(p) -> CheckResult:
         for l in range(n + 1):
             # cofactor C_kl is the (l, k) entry of the adjugate
             s = adj[l, k] + adj[n - l, n - k]
-            if s != 0:
+            if s:
                 return _result("minor_antisym", p, s, 0, detail=f"(k, l) = ({k}, {l})")
     return _result("minor_antisym", p, 0, 0)
 
@@ -487,21 +487,17 @@ def verify_lemma_uv(m: int, u, v) -> CheckResult:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    u = [as_rational(x) for x in u]
-    v = [as_rational(x) for x in v]
-    if len(u) != m or len(v) != m:
+    ab, cd = ([as_rational(x).as_integer_ratio() for x in w] for w in (u, v))
+    if len(ab) != m or len(cd) != m:
         raise ValueError(f"expected {m} entries in each of u and v")
-    ab = [(x.numerator, x.denominator) for x in u]
-    cd = [(y.numerator, y.denominator) for y in v]
     e = [[bi * dj + ai * cj for cj, dj in cd] for ai, bi in ab]
     if any(0 in row for row in e):
         raise ValueError("u_i * v_j = -1 makes a matrix entry undefined")
     lhs = det_fractions([[(ai * dj + bi * cj, eij) for (cj, dj), eij in zip(cd, row)]
                          for (ai, bi), row in zip(ab, e)])
-    plus = prod((bi + ai) * (di + ci) for (ai, bi), (ci, di) in zip(ab, cd))
-    minus = prod((bi - ai) * (di - ci) for (ai, bi), (ci, di) in zip(ab, cd))
-    vandermonde = prod((ai * bj - aj * bi) * (cj * di - ci * dj)
-                       for ((ai, bi), (ci, di)), ((aj, bj), (cj, dj)) in combinations(zip(ab, cd), 2))
+    plus, minus = prod(b + a for a, b in ab + cd), prod(b - a for a, b in ab + cd)
+    vandermonde = (prod(ai * bj - aj * bi for (ai, bi), (aj, bj) in combinations(ab, 2))
+                   * prod(cj * di - ci * dj for (ci, di), (cj, dj) in combinations(cd, 2)))
     rhs = Fraction((plus + (-1) ** m * minus) * vandermonde, 2 * prod(map(prod, e)))
     return _result("lemma_uv", None, lhs, rhs)
 
@@ -663,30 +659,53 @@ def verify_sun_congruence(p, d: int) -> CheckResult:
 # -- suite ---------------------------------------------------------------------
 
 @cache
-def _uv_box() -> dict[tuple[int, int], Fraction]:
-    """Fraction(a, b) by (a, b) for the 19 x 9 pairs random_uv_instance draws."""
-    return {(a, b): Fraction(a, b) for a in range(-9, 10) for b in range(1, 10)}
+def _uv_box() -> tuple:
+    """random_uv_instance's three lookups: the code 2520 a/b of the pair
+    a/b, -9 <= a <= 9, 1 <= b <= 9, by its raw draws (a + 9, b - 1); the
+    Fraction of each of the 111 codes, made once; and the code of -1/x by
+    the code of x, None (no code) for x = 0.  As 2520 = lcm(1, ..., 9), a
+    code is an integer, and equal values share one; as each nonzero |a|
+    divides 2520, so is -2520^2 / (2520 a/b) = 2520 (-b/a).  Built on first
+    use, at about the cost of the 171 Fractions it replaced."""
+    code = {(a + 9, b - 1): 2520 * a // b for a in range(-9, 10) for b in range(1, 10)}
+    frac = {c: Fraction(c, 2520) for c in set(code.values())}
+    neg = {c: -2520 ** 2 // c for c in frac if c}
+    return code.__getitem__, frac.__getitem__, neg.get
 
 
 def random_uv_instance(rng: random.Random, m_max: int) -> tuple[int, list[Fraction], list[Fraction]]:
     """A random exact-rational (m, u, v) with every u_i * v_j != -1.
 
-    Numerators and denominators come from a small box; instances hitting the
-    excluded locus are redrawn whole so the stream stays reproducible.  The
-    test is verify_lemma_uv's, in integers, on the drawn pairs: 1 + u_i v_j
-    = 0 exactly when b_i d_j + a_i c_j = 0, with b_i, d_j > 0, reduced or
-    not.  Each value is rng.randrange(w) + lo, which makes the one
-    _randbelow(w) call that rng.randint(lo, lo + w - 1) makes (CPython
-    3.10-3.13), so the stream is randint's; an accepted pair's Fraction
-    comes from _uv_box, built on first use.  m_max < 1 raises ValueError.
+    m is uniform on 1..m_max, and each u_i, v_j is a/b with a uniform on
+    -9..9 and b on 1..9, drawn as m, then the pairs (a, b) of u and of v.
+    An instance on the excluded locus is redrawn whole: u_i v_j = -1
+    exactly when u_i = -1/v_j, so the codes of u (_uv_box) must miss the
+    codes of the -1/v_j.
+
+    Stream: each value below a bound n is the first rng.getrandbits(k),
+    k = n.bit_length(), below n, one 32-bit word per try, which is what
+    rng.randint makes through _randbelow (CPython 3.10-3.13).  So for
+    every Random whose _randbelow draws from getrandbits, Random and
+    SystemRandom among them, the instances are rng.randint's: m =
+    randint(1, m_max), then randint(-9, 9) and randint(1, 9) for each
+    pair.  The draws are pulled through C iterators that read no word
+    ahead, so rng ends in randint's state, and other draws may come
+    between calls.  A subclass that overrides only random() has randint
+    draw from random() instead, and gets a different stream, still fixed
+    by its seed.  m_max < 1 raises ValueError before any draw.
     """
-    box, draw = _uv_box(), rng.randrange
+    if m_max < 1:
+        raise ValueError("m must be at least 1")
+    code, frac, neg = _uv_box()
+    draw = rng.getrandbits
+    ms = filter(m_max.__gt__, map(draw, repeat(m_max.bit_length())))
+    nums, dens = filter((19).__gt__, map(draw, repeat(5))), filter((9).__gt__, map(draw, repeat(4)))
     while True:
-        m = draw(m_max) + 1
-        u = [(draw(19) - 9, draw(9) + 1) for _ in range(m)]
-        v = [(draw(19) - 9, draw(9) + 1) for _ in range(m)]
-        if all(b * d + a * c for a, b in u for c, d in v):
-            return m, [box[ab] for ab in u], [box[cd] for cd in v]
+        m = next(ms) + 1
+        uv = list(map(code, zip(islice(nums, 2 * m), islice(dens, 2 * m))))
+        if set(uv[:m]).isdisjoint(map(neg, uv[m:])):
+            uv = list(map(frac, uv))
+            return m, uv[:m], uv[m:]
 
 
 def uv_trial_checks(trials: int, m_max: int, seed: int) -> list[CheckResult]:
@@ -694,15 +713,10 @@ def uv_trial_checks(trials: int, m_max: int, seed: int) -> list[CheckResult]:
     zero-padded to the width of trials - 1, at least 3."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if m_max < 1:
-        raise ValueError("m must be at least 1")
     rng = random.Random(seed)
     width = max(3, len(str(trials - 1)))
-    checks = []
-    for i in range(trials):
-        m, u, v = random_uv_instance(rng, m_max)
-        checks.append(replace(verify_lemma_uv(m, u, v), name=f"lemma_uv[{i:0{width}d}]"))
-    return checks
+    return [replace(verify_lemma_uv(*random_uv_instance(rng, m_max)), name=f"lemma_uv[{i:0{width}d}]")
+            for i in range(trials)]
 
 
 # Every per-prime check by verify_* name (so that run_checks calls whatever
@@ -747,6 +761,6 @@ def run_suite(p_max: int, options: SuiteOptions = SuiteOptions()) -> Verificatio
         names = [name for mod4 in (None, p.mod4) for name in CHECKS[mod4]
                  if name not in CAPS or p <= getattr(options, CAPS[name])]
         checks += run_checks(PrimeContext(p), names)
-    checks.sort(key=lambda c: (c.p if c.p is not None else 0, c.name))
+    checks.sort(key=lambda c: (c.p or 0, c.name))
     config = {"p_max": p_max, **asdict(options)}
     return VerificationReport(tuple(checks), config, time.perf_counter() - start)

@@ -303,7 +303,7 @@ def certify_adjugate(c: ExactMatrix, x, d: int) -> bool:
     d != 0 this forces X = d C^-1, hence X = adj(C) if d = det C.
     """
     k = c.rows
-    w = (k * max(abs(v) for row in x for v in row) + abs(d)).bit_length()
+    w = (k * max(max(max(row), -min(row)) for row in x) + abs(d)).bit_length()
     packed = [_pack(row, w) for row in x]
     for i, row in enumerate(c.entries):
         acc = 0
@@ -358,8 +358,10 @@ def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int,
     packed one per integer, sum_j a_j 2^(w*j), width slots of w bits each,
     every a_j in range(q).  Raises ValueError if w < mod_slot_width(q, k).
     Returns (det, rows, invs): det the determinant of the first k columns
-    mod q, in range(q), and invs the inverses of the pivots mod q; (0, rows,
-    invs) as soon as a column has no nonzero pivot.
+    mod q, in range(q), and invs the inverses of the pivots mod q, complete
+    only with jordan; (0, rows, invs) as soon as a column has no nonzero
+    pivot.  Without jordan, the last pivot has no row below it to clear, so
+    it is read into det alone, with no inverse and no P.
 
     Delayed reduction (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
     step c takes the first row from c on whose slot 0 is nonzero mod q,
@@ -402,7 +404,8 @@ def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int,
     two_q, mq = 2 * q * ones, (ones << (w - kb)) - ones
     rows = list(rows)
     det, invs = 1, []
-    for c in range(k):
+    last = k if jordan else k - 1
+    for c in range(last):
         # rows[c:], and with jordan every row, hold columns c, c + 1, ... from slot 0
         for r in range(c, k):
             piv = (rows[r] & mask) % q
@@ -424,6 +427,8 @@ def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int,
                 continue
             ri = rows[i]
             rows[i] = (ri + (ri & mask) * pivinv % q * packed) >> w
+    for pr in rows[last:]:  # without jordan, the last row's pivot (none for k = 0)
+        det = det * (pr & mask) % q
     return det, rows, invs
 
 
@@ -511,7 +516,7 @@ def _det_coeffs_mod(vecs, p: int, q: int, r: int, real: bool) -> list[int]:
     k = len(vecs)
     ts = range(1, (p + 1) // 2 if real else p)
     pows = [pow(r, j, q) for j in range(p)]
-    big = max(abs(c) for row in vecs for v in row for c in v)
+    big = max(max(max(v), -min(v)) for row in vecs for v in row)
     wb = ((p - 1) * big * q).bit_length() // 8 + 1
     cols = [int.from_bytes(b"".join(pows[t * e % p].to_bytes(wb, "little") for t in ts), "little")
             for e in range(p - 1)]

@@ -429,6 +429,55 @@ def test_random_uv_instance_keeps_the_randint_stream():
             random_uv_instance(random.Random(0), m_max)
 
 
+def test_random_uv_instance_reads_no_word_ahead():
+    """Draws of other kinds between calls, rng.random() and
+    rng.getrandbits(7), meet the same words under both generators: the
+    instances, the interleaved values and the final state all match, so
+    random_uv_instance leaves rng exactly where randint does."""
+    for seed in range(5):
+        new, old = random.Random(seed), random.Random(seed)
+        for i in range(200):
+            m_max = 1 + i % 7
+            assert random_uv_instance(new, m_max) == random_uv_instance_randint(old, m_max)
+            assert (new.random(), new.getrandbits(7)) == (old.random(), old.getrandbits(7))
+        assert new.getstate() == old.getstate()
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its getrandbits calls; randint reaches them
+    through _randbelow, as the subclass overrides getrandbits."""
+
+    def __init__(self, seed):
+        self.calls = 0
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_random_uv_instance_makes_randints_getrandbits_calls():
+    new, old = CountingRandom(3), CountingRandom(3)
+    for m_max in (1, 2, 5, 7):
+        for _ in range(100):
+            assert random_uv_instance(new, m_max) == random_uv_instance_randint(old, m_max)
+        assert new.calls == old.calls > 0
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("m_max", [0, -1, -7])
+def test_random_uv_instance_refuses_m_max_below_one_before_drawing(m_max):
+    """getrandbits(0) is 0 forever and no draw is below a negative bound, so
+    a draw for m_max < 1 would never end: the refusal comes first."""
+    rng = CountingRandom(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        random_uv_instance(rng, m_max)
+    assert rng.calls == 0 and rng.getstate() == state
+    with pytest.raises(ValueError, match="m must be at least 1"):
+        uv_trial_checks(3, m_max, 0)
+
+
 def test_lemma_sum_values():
     r = verify_lemma_sum(5)
     assert r.passed

@@ -622,6 +622,35 @@ def test_certify_adjugate():
     with pytest.raises(ValueError, match="entries in"):
         certify_adjugate(ExactMatrix(ZZ, [[2]]), [[1]], 2)
 
+
+def test_certify_adjugate_width_counts_negative_entries():
+    """M is the largest |X| even when it is a negative entry: X = [[-3, 1],
+    [0, 1]] against C = I, d = 1 packs row 0 to -3 + 1 * 2^2 = 1 at the
+    width 2 that the positive entries alone would give, a false pass; M = 3
+    gives width 3 and tells it apart."""
+    assert not certify_adjugate(ExactMatrix(ZZ, [[1, 0], [0, 1]]), [[-3, 1], [0, 1]], 1)
+    assert certify_adjugate(ExactMatrix(ZZ, [[1, 0], [0, 1]]), [[1, 0], [0, 1]], 1)
+
+
+def test_det_mode_takes_no_inverse_of_the_last_pivot():
+    """_eliminate_mod without jordan reads the last pivot into det alone:
+    invs holds k - 1 pivot inverses, against k with jordan, and the two
+    modes give the same det, 0 included, from 1 x 1 up."""
+    rng = random.Random(5)
+    q = 101
+    for k in range(1, 7):
+        w = mod_slot_width(q, k)
+        for _ in range(20):
+            a = [[rng.randrange(q) for _ in range(k)] for _ in range(k)]
+            if rng.random() < 0.3:
+                a[-1] = a[0][:]
+            rows = [_pack(row, w) for row in a]
+            det, _, invs = linalg._eliminate_mod(rows, k, q, w, jordan=False)
+            det_j, _, invs_j = linalg._eliminate_mod(rows, k, q, w, jordan=True)
+            assert det == det_j == det_mod_p_lists(a, q), (k, a)
+            if det:
+                assert (len(invs), len(invs_j)) == (k - 1, k)
+
 def test_adjugate_formulas():
     m = ExactMatrix(ZZ, [[3, 5], [-2, 7]])
     assert adjugate(m) == ExactMatrix(ZZ, [[7, -5], [2, 3]])
