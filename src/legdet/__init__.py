@@ -5,17 +5,17 @@ The package computes the determinant C(x) = det[x + ((j-i)/p)] over indices
 fundamental unit and class number of Q(sqrt(p)) by an independent route, and
 machine-checks the matrix decomposition and product identities behind the
 closed form inside the cyclotomic field Q(zeta_p).  Everything is integer or
-rational arithmetic; there is no floating point and no tolerance.
+rational arithmetic; there is no floating point and no tolerance.  The
+names in __all__ (the checks, their reports and the values they hold) are
+the API; the kernels are imported from legdet.linalg and legdet.cyclotomic.
 """
 
-from .cyclotomic import CycloElem, zeta_pow
+from .cyclotomic import CycloElem
 from .exact import UniPoly, as_rational
 from .identities import (
     CheckResult,
     SuiteOptions,
     VerificationReport,
-    build_evil_matrix,
-    build_vsemirnov_matrices,
     c_polynomial,
     random_uv_instance,
     run_suite,
@@ -33,15 +33,6 @@ from .identities import (
     verify_sun_congruence,
     verify_theorem,
 )
-from .linalg import (
-    ZZ,
-    ExactMatrix,
-    Ring,
-    adjugate,
-    cyclo_ring,
-    det_bareiss,
-    det_field,
-)
 from .ntheory import OddPrime, factorial_mod, is_prime, legendre, odd_primes_upto
 from .quadfield import QuadElem, UnitData, ab_coeffs, class_number, fundamental_unit, quad_pow
 
@@ -50,25 +41,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckResult",
     "CycloElem",
-    "ExactMatrix",
     "OddPrime",
     "QuadElem",
-    "Ring",
     "SuiteOptions",
     "UniPoly",
     "UnitData",
     "VerificationReport",
-    "ZZ",
     "ab_coeffs",
-    "adjugate",
     "as_rational",
-    "build_evil_matrix",
-    "build_vsemirnov_matrices",
     "c_polynomial",
     "class_number",
-    "cyclo_ring",
-    "det_bareiss",
-    "det_field",
     "factorial_mod",
     "fundamental_unit",
     "is_prime",
@@ -90,5 +72,4 @@ __all__ = [
     "verify_prod_2j",
     "verify_sun_congruence",
     "verify_theorem",
-    "zeta_pow",
 ]

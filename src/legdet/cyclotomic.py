@@ -14,8 +14,8 @@ a-priori bound on its slots (for the decomposition, the l1 bound B of
 identities.verify_decomposition).  Biased by 2^(w-1) in every slot, such a
 vector is all equal slots, 0 in Q(zeta_p), exactly when its residue t is
 k R, k its low w bits and R = sum_i 2^(wi) (flat), so no slot is unpacked
-to compare.  _mul_cyclic, the product of two p-slot vectors, rotates when
-one is a monomial c*zeta^e and else takes one product in that ring.
+to compare.  _mul_cyclic, the product of two p-slot vectors, is one
+product in that ring.
 
 CycloElem is the value a check reports: the power-basis coefficients of
 1, zeta, ..., zeta^(p-2) as an integer vector over one positive common
@@ -97,20 +97,11 @@ class PackedRing:
 
 
 def _mul_cyclic(p: int, a, b) -> list[int]:
-    """Product of two integer p-slot vectors in Z[x]/(x^p - 1), slot t for x^t.
-
-    Monomial path: if either operand is 0 or one term c*x^e, the other vector
-    rotated up by e and scaled by c.  Otherwise one product in PackedRing,
-    whose bound holds: a slot sums a_e b_f over p pairs, so |c| <= p A B
-    for A, B the largest |entry| of a, b.
+    """Product of two integer p-slot vectors in Z[x]/(x^p - 1), slot t for
+    x^t, as one product in PackedRing, whose bound holds: a slot sums
+    a_e b_f over p pairs, so |c| <= p A B for A, B the largest |entry| of
+    a, b.
     """
-    za, zb = a.count(0), b.count(0)
-    if za < zb:
-        a, b, za = b, a, zb
-    if za >= p - 1:
-        e = next(filter(a.__getitem__, range(p)), 0)
-        rot = [*b[p - e:], *b[:p - e]]
-        return rot if a[e] == 1 else [a[e] * x for x in rot]
     ring = PackedRing(p, p * max(map(abs, a)) * max(map(abs, b)))
     return ring.slots(ring.fold(_pack(a, ring.w) * _pack(b, ring.w)))
 

@@ -10,8 +10,9 @@ and cyclotomic products as p-slot vectors of Z[x]/(x^p - 1), compared up to
 the all-ones vector: a product of binomials c z^a + d z^b by rotations
 (_binomials), V (s D U D) V and D's certificate as residues mod 2^(wp) - 1
 (cyclotomic.PackedRing, w-bit slots for an a-priori bound B on the slots
-compared, all-ones exactly when the biased residue t is k R), and only the
-value a check reports as a CycloElem (_scaled).
+compared, all-ones exactly when the biased residue t is k R), and as
+CycloElems only the value a check reports (_scaled) and E, which
+verify_f1f2 folds for det_field.
 
 Values that several checks at one prime share (the Legendre table, the evil
 matrix, the Toeplitz run on C + J, det C and C(x), the certified adjugate of
@@ -37,7 +38,7 @@ from itertools import combinations, islice, repeat
 from math import prod
 from operator import add, itemgetter, sub
 
-from .cyclotomic import CycloElem, PackedRing, _fold, _mul_cyclic, _pack, clear_slots, zeta_pow
+from .cyclotomic import CycloElem, PackedRing, _fold, _mul_cyclic, _pack, zeta_pow
 from .exact import UniPoly, as_rational
 from .linalg import (
     ZZ,
@@ -238,11 +239,11 @@ class PrimeContext:
         return ab_coeffs(self.p)
 
     @cached_property
-    def cauchy(self) -> ExactMatrix:
+    def cauchy(self) -> list[list[list[int]]]:
         return build_cauchy_matrix(self)
 
     @cached_property
-    def vsemirnov(self) -> tuple[CycloElem, ...]:
+    def vsemirnov(self) -> tuple[list[int], ...]:
         return build_vsemirnov_matrices(self)
 
 
@@ -353,9 +354,12 @@ def _cauchy_closed_form(p: int, lg: list[int], i: int, j: int) -> list[int]:
     return acc
 
 
-def build_cauchy_matrix(p) -> ExactMatrix:
+def build_cauchy_matrix(p) -> list[list[list[int]]]:
     """E_ij = (a + b)/(1 + ab), a = (i/p) z^i, b = (j/p) z^j, 1 <= i, j <= n,
-    p = 1 (mod 4), from closed forms with no inverse.
+    p = 1 (mod 4), from closed forms with no inverse: row i - 1, column
+    j - 1 is E_ij as an integer p-slot vector (denominator 1), slot t for
+    z^t, which verify_decomposition reads as it is and verify_f1f2 folds
+    into CycloElems for det_field.
 
     With m = i + j, y = z^m is a primitive p-th root.  If (i/p) = (j/p) = e,
     then ab = y and (1 + y) sum_{k<=n} y^(2k) = sum_{k<=p} y^k = 1, so
@@ -378,15 +382,16 @@ def build_cauchy_matrix(p) -> ExactMatrix:
             cert[j] -= lg[j]
             if cert.count(cert[0]) != p:
                 raise ArithmeticError(f"closed-form Cauchy entry fails (1 + ab) E = a + b at p={p}, i={i}, j={j}")
-            row.append(CycloElem(p, _fold(acc)))
+            row.append(acc)
         rows.append(row)
-    return ExactMatrix(cyclo_ring(p), rows)
+    return rows
 
 
-def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
-    """The diagonal d of Vsemirnov's D over Q(zeta_p), p = 1 (mod 4):
+def build_vsemirnov_matrices(p) -> tuple[list[int], ...]:
+    """The diagonal d of Vsemirnov's D over Q(zeta_p), p = 1 (mod 4), as the
+    integer p-slot vectors p d_i over the denominator p, slot t for z^t:
     d_i = 1/prod_{k != i} (x_i - x_k), x_i = z^(2i), 0 <= i <= n.  V and U
-    are never built (verify_decomposition).
+    are never built, and d never becomes a CycloElem (verify_decomposition).
 
     The nodes x_k and the z^o, o odd, 1 <= o <= p - 2, are all the p-th
     roots of unity, so prod_{k != i} (x_i - x_k) prod_o (x_i - z^o) = p / x_i
@@ -405,7 +410,7 @@ def build_vsemirnov_matrices(p) -> tuple[CycloElem, ...]:
     for j, x in enumerate(ring.times_v([[_pack(v, ring.w) for v in vecs]])[0]):
         if not ring.flat(x, p if j == p.n else 0):
             raise ArithmeticError(f"closed-form D fails V^T d = e_n at p={p}, j={j}")
-    return tuple(CycloElem(p, _fold(v), p) for v in vecs)
+    return tuple(vecs)
 
 
 def _w_packed(p: int, s, delta, rows, den: int) -> tuple[PackedRing, list[list[int]]]:
@@ -431,8 +436,8 @@ def verify_decomposition(p) -> CheckResult:
     and ones.  So with s the scalar, s D U D is W_ij = s delta_i E'_ij
     delta_j (_w_packed), delta_0 = d_0 and delta_i = (i/p) z^-i d_i, a
     rotation; s is the Legendre table (g unfolded) rotated by (p-1)/4 =
-    p // 4, times (2/p).  d and E are cleared over den_d and den_e
-    (clear_slots), so W is over den = den_d^2 den_e.  The slot width comes
+    p // 4, times (2/p).  d and E come as their builders' slot vectors,
+    over p and 1, so W is over den = p^2.  The slot width comes
     from B = |s| sum_lm |delta_l| |E'_lm| |delta_m| + den, |.| the l1 norm:
     V's entries are monomials, |xy| <= |x| |y| and |C_ij| <= 1, so B bounds
     each slot of v and v - den C_ij, v entry (i, j) of V W V.  V_ij = z^(2ij)
@@ -443,14 +448,13 @@ def verify_decomposition(p) -> CheckResult:
     first divergent one or else (0, 0), is unpacked into a CycloElem."""
     ctx = _context(p, 1)
     p, chi, n = ctx.p, ctx.chi, ctx.p.n
-    den_d, dv = clear_slots(ctx.vsemirnov)
-    den_e, ev = clear_slots([e for row in ctx.cauchy.entries for e in row])
+    dv = ctx.vsemirnov
     # slot t of z^-i d_i is slot t + i of d_i
     delta = [dv[0], *([chi[i] * c for c in v[i:] + v[:i]] for i, v in enumerate(dv[1:], 1))]
     s = [chi[2] * chi[(t - p // 4) % p] for t in range(p)]
-    one = [den_e] + [0] * (p - 1)
-    rows = [[[0] * p] + [one] * n] + [[one] + ev[k:k + n] for k in range(0, n * n, n)]
-    den = den_d * den_d * den_e
+    one = [1] + [0] * (p - 1)
+    rows = [[[0] * p] + [one] * n] + [[one, *row] for row in ctx.cauchy]
+    den = p * p
     ring, a = _w_packed(p, s, delta, rows, den)
     for _ in range(2):
         a = [list(col) for col in zip(*ring.times_v(a))]
@@ -566,7 +570,8 @@ def verify_f1f2(p) -> CheckResult:
     With u_j = (j/p) z^j, f1 = prod_{i<j}(u_j - u_i), f2 = prod_{i<j}(1 + u_j u_i):
     det[(u_i+u_j)/(1+u_i u_j)]_{1<=i,j<=n} = p b_p legendre(2,p) f1^2 f2^(-2),
     and U_00 = that value times z^(-(p-1)/4).  The left side is one det_field,
-    of the certified closed-form entries E (ctx.cauchy).  U's block
+    of the certified closed-form entries E (ctx.cauchy), folded here, the
+    one place E becomes CycloElems, into the matrix it takes.  U's block
     i, j >= 1 is diag((i/p) z^-i) E diag((j/p) z^-j), so det U_00 =
     z^(-n(n+1)) det E: the second half checks that exponent against the
     paper's (n(n+1) = (p-1)/4 mod p).  Only verify_decomposition reads U's
@@ -580,7 +585,7 @@ def verify_f1f2(p) -> CheckResult:
     f1 = _binomials(p, [(chi[j], j, -chi[i], i) for i, j in pairs])
     f2 = _binomials(p, [(1, 0, chi[i] * chi[j], i + j) for i, j in pairs])
     base = _scaled(p, _mul_cyclic(p, f1, f1), chi[2] * p * ctx.unit.b) * _scaled(p, _mul_cyclic(p, f2, f2)).inv()
-    det_e = det_field(ctx.cauchy)
+    det_e = det_field(ExactMatrix(cyclo_ring(p), [[CycloElem(p, _fold(v)) for v in row] for row in ctx.cauchy]))
     lhs = (det_e, det_e * zeta_pow(p, -p.n * (p.n + 1)))
     rhs = (base, base * zeta_pow(p, -(p - 1) // 4))
     return _result("f1f2_u00", p, lhs, rhs)

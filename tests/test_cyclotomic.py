@@ -60,8 +60,8 @@ def _rand_vec(rng, p, kind, bits, slots=None):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 59])
 def test_mul_vec_matches_convolution_oracle(p):
-    """Both paths of _mul_vec, every pairing of operand shapes, entries from
-    1 to 2000 bits and both argument orders, against the O(p^2) convolution."""
+    """_mul_vec, every pairing of operand shapes, entries from 1 to 2000
+    bits and both argument orders, against the O(p^2) convolution."""
     rng = random.Random(p)
     kinds = ("zero", "monomial", "sparse", "dense")
     for bits in (1, 3, 40, 300, 2000):
@@ -97,10 +97,10 @@ def test_mul_vec_slots_at_the_bound(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 29, 59])
 def test_mul_cyclic_matches_cyclic_convolution_oracle(p):
-    """Both paths of _mul_cyclic on p-slot vectors, every pairing of operand
-    shapes (a constant vector, 0 in Q(zeta_p), included; a monomial may sit
-    in slot p-1), entries from 1 to 2000 bits and both argument orders,
-    against the O(p^2) cyclic convolution."""
+    """_mul_cyclic, one product in PackedRing, on p-slot vectors, every
+    pairing of operand shapes (a constant vector, 0 in Q(zeta_p), included;
+    a monomial may sit in slot p-1), entries from 1 to 2000 bits and both
+    argument orders, against the O(p^2) cyclic convolution."""
     rng = random.Random(1000 + p)
     kinds = ("zero", "monomial", "sparse", "dense", "constant")
     for bits in (1, 3, 40, 300, 2000):

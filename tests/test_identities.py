@@ -1,3 +1,5 @@
+import ast
+import builtins
 import hashlib
 import random
 import re
@@ -6,6 +8,7 @@ import types
 from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,7 @@ from helpers import (
     zeta,
 )
 from legdet import cyclotomic, identities, linalg
-from legdet.cyclotomic import CycloElem, PackedRing, _fold, _pack, clear_slots, zeta_pow
+from legdet.cyclotomic import CycloElem, PackedRing, _fold, _pack, zeta_pow
 from legdet.exact import UniPoly
 from legdet.identities import (
     PrimeContext,
@@ -136,25 +139,40 @@ def test_minor_antisymmetry():
             verify_minor_antisymmetry(p)
 
 
+def _elems(p, vecs, den=1):
+    """The CycloElems of integer p-slot vectors over den: two lists are
+    equal exactly when their vectors agree up to the all-ones vector."""
+    return [CycloElem(p, _fold(v), den) for v in vecs]
+
+
+def _cauchy_elems(ctx):
+    """ctx.cauchy, the slot vectors of E, as rows of CycloElems."""
+    return [_elems(ctx.p, row) for row in ctx.cauchy]
+
+
 def _u_from_cauchy(ctx):
     """Vsemirnov's U as G E' G, built here in the oracle's Cyclos from
     ctx.cauchy: G = diag(1, (i/p) z^-i), E' = E bordered by a zero corner
     and ones."""
     p, one = ctx.p, Cyclo.one(ctx.p)
     g = [one] + [ctx.chi[i] * zeta(p, -i) for i in range(1, p.n + 1)]
-    e = [[Cyclo.zero(p)] + [one] * p.n] + [[one, *row] for row in ctx.cauchy.entries]
+    e = [[Cyclo.zero(p)] + [one] * p.n] + [[one, *row] for row in _cauchy_elems(ctx)]
     return [[gi * x * gj for x, gj in zip(row, g)] for gi, row in zip(g, e)]
 
 
 def test_vsemirnov_matrix_structure():
-    """The diagonal d of D, with V^T d = e_n checked by entrywise products
-    with the oracle V; U, which the package never builds, is the oracle's."""
+    """The diagonal d of D, as p-slot vectors p d_i, with V^T d = e_n
+    checked by entrywise products with the oracle V; U, which the package
+    never builds, is the oracle's."""
     u = cauchy_and_u_by_inversion(5)[1]
-    d = build_vsemirnov_matrices(5)
-    assert len(u) == len(u[0]) == 3 and len(d) == 3 and isinstance(d, tuple)
+    raw5 = build_vsemirnov_matrices(5)
+    assert len(u) == len(u[0]) == 3 and len(raw5) == 3 and isinstance(raw5, tuple)
+    d = _elems(5, raw5, 5)
     assert u[0][0].is_zero()
-    d13 = build_vsemirnov_matrices(13)
-    assert isinstance(d13, tuple) and len(d13) == 7 and all(isinstance(x, CycloElem) for x in d13)
+    raw13 = build_vsemirnov_matrices(13)
+    assert isinstance(raw13, tuple) and len(raw13) == 7
+    assert all(len(v) == 13 and all(type(c) is int for c in v) for v in raw13)
+    d13 = _elems(13, raw13, 13)
     ring = cyclo_ring(13)
     vtd = matmul_entrywise(ExactMatrix(ring, [d13]), vsemirnov_v(13))
     assert vtd == [[ring.zero] * 6 + [ring.one]]
@@ -197,8 +215,9 @@ def spy_decomposition(monkeypatch, ctx):
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
 def test_rotations_give_v_w_v(monkeypatch, p):
-    """The packed W of verify_decomposition (from _w_packed, over den_d^2
-    den_e) read back by its ring is s D U D built from the oracle U and D
+    """The packed W of verify_decomposition (from _w_packed, over p^2: D's
+    vectors are over p, E's over 1) read back by its ring is s D U D built
+    from the oracle U and D
     of helpers, with the Gauss sum for sqrt(p); the first PackedRing.times_v
     pass gives W V, and the two passes of "times V, then transpose" give
     V W V, both against entrywise products with the oracle V and against
@@ -207,7 +226,7 @@ def test_rotations_give_v_w_v(monkeypatch, p):
     seen = spy_decomposition(monkeypatch, ctx)
     assert seen["result"].passed
     w_den, (w_ring, vecs) = seen["w_args"][4], seen["w"]
-    den = clear_slots(ctx.vsemirnov)[0] ** 2 * clear_slots([x for row in ctx.cauchy.entries for x in row])[0]
+    den = p * p
     assert w_den == den
     ring, v = cyclo_ring(p), vsemirnov_v(p)
     d, u = d_by_inversion(p), cauchy_and_u_by_inversion(p)[1]
@@ -426,7 +445,7 @@ def test_random_uv_instance_keeps_the_randint_stream():
     assert rejected[0, 1]
     for m_max in (0, -1):
         with pytest.raises(ValueError):
-            random_uv_instance(random.Random(0), m_max)
+            random_uv_instance(NoDrawRandom(0), m_max)
 
 
 def test_random_uv_instance_reads_no_word_ahead():
@@ -465,17 +484,37 @@ def test_random_uv_instance_makes_randints_getrandbits_calls():
     assert new.getstate() == old.getstate()
 
 
+class Drew(Exception):
+    pass
+
+
+class NoDrawRandom(random.Random):
+    """A Random whose getrandbits raises Drew: a draw that should not
+    happen fails at once instead of looping."""
+
+    def getrandbits(self, k):
+        raise Drew(f"getrandbits({k})")
+
+
 @pytest.mark.parametrize("m_max", [0, -1, -7])
-def test_random_uv_instance_refuses_m_max_below_one_before_drawing(m_max):
+def test_random_uv_instance_refuses_m_max_below_one_before_drawing(monkeypatch, m_max):
     """getrandbits(0) is 0 forever and no draw is below a negative bound, so
-    a draw for m_max < 1 would never end: the refusal comes first."""
-    rng = CountingRandom(0)
+    a draw for m_max < 1 would never end: the refusal comes first.  The
+    generator raises on any draw (NoDrawRandom), so a lost refusal fails
+    this test instead of hanging it, as the control shows: with the guard
+    made False, the first draw raises Drew."""
+    rng = NoDrawRandom(0)
     state = rng.getstate()
     with pytest.raises(ValueError, match="m must be at least 1"):
         random_uv_instance(rng, m_max)
-    assert rng.calls == 0 and rng.getstate() == state
-    with pytest.raises(ValueError, match="m must be at least 1"):
-        uv_trial_checks(3, m_max, 0)
+    assert rng.getstate() == state
+    with monkeypatch.context() as m:
+        m.setattr(identities.random, "Random", NoDrawRandom)
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            uv_trial_checks(3, m_max, 0)
+    unguarded = mutant(identities, "random_uv_instance", "if m_max < 1:", "if False:")
+    with pytest.raises(Drew, match=r"^getrandbits\(\d+\)$"):
+        unguarded(NoDrawRandom(0), m_max)
 
 
 def test_lemma_sum_values():
@@ -651,9 +690,9 @@ def test_closed_forms_match_inversion_oracle(p):
     helpers.d_by_inversion)."""
     e, u = cauchy_and_u_by_inversion(p)
     ctx = PrimeContext(p)
-    assert ctx.cauchy.entries == tuple(map(tuple, e))
+    assert _cauchy_elems(ctx) == e
     assert _u_from_cauchy(ctx) == u
-    assert ctx.vsemirnov == tuple(d_by_inversion(p))
+    assert _elems(p, ctx.vsemirnov, p) == d_by_inversion(p)
 
 
 @pytest.mark.parametrize("p", [5, 13, 17, 29])
@@ -664,16 +703,17 @@ def test_u00_determinant_is_rotated_cauchy_determinant(p):
     ctx = PrimeContext(p)
     u = cauchy_and_u_by_inversion(p)[1]
     u00 = det_field(ExactMatrix(cyclo_ring(p), [row[1:] for row in u[1:]]))
-    assert u00 == zeta_pow(p, -(p - 1) // 4) * det_field(ctx.cauchy)
+    assert u00 == zeta_pow(p, -(p - 1) // 4) * det_field(ExactMatrix(cyclo_ring(p), _cauchy_elems(ctx)))
 
 
 @pytest.mark.parametrize("ij", [(2, 5), (1, 2)], ids=["same_symbol", "opposite_symbols"])
 def test_corrupted_cauchy_entry_raises(monkeypatch, ij):
     """A closed-form entry off by one z^0 fails its certificate as an
     internal error naming p, i and j; one off by the all-ones vector, which
-    is 0 in Q(zeta_p), passes and leaves the matrix unchanged."""
+    is 0 in Q(zeta_p), passes and leaves the matrix unchanged up to that
+    shift."""
     true_form = identities._cauchy_closed_form
-    want = build_cauchy_matrix(13)
+    want = [_elems(13, row) for row in build_cauchy_matrix(13)]
 
     def shifted(delta):
         def form(p, lg, i, j):
@@ -682,7 +722,7 @@ def test_corrupted_cauchy_entry_raises(monkeypatch, ij):
         return form
 
     monkeypatch.setattr(identities, "_cauchy_closed_form", shifted([1] * 13))
-    assert build_cauchy_matrix(13) == want
+    assert [_elems(13, row) for row in build_cauchy_matrix(13)] == want
     monkeypatch.setattr(identities, "_cauchy_closed_form", shifted([1] + [0] * 12))
     i, j = ij
     with pytest.raises(ArithmeticError, match=rf"p=13, i={i}, j={j}$"):
@@ -699,7 +739,7 @@ def test_doubled_diagonal_entry_fails_decomposition(monkeypatch, k):
 
     def doubled(p):
         d = list(true_build(p))
-        d[k] = d[k] * 2
+        d[k] = [2 * c for c in d[k]]
         return tuple(d)
 
     monkeypatch.setattr(identities, "build_vsemirnov_matrices", doubled)
@@ -737,6 +777,33 @@ def test_corrupted_v_w_v_entry_fails_decomposition(monkeypatch, delta, passed):
     else:
         assert r.detail == "first divergent entry (i, j) = (4, 2)"
         assert r.lhs == format_value(ctx.evil[4, 2]) != r.rhs
+
+
+@pytest.mark.parametrize("p", [13, 29])
+@pytest.mark.parametrize("case", ["all_ones", "e_11", "d_0"])
+def test_shifted_slot_vectors_of_d_and_e(p, case):
+    """Negative control for the slot vectors the checks read as built:
+    the all-ones vector added to every entry of ctx.cauchy and of
+    ctx.vsemirnov leaves the same field elements, so the decomposition and
+    f1f2_u00 still pass; one slot of E_11 or of p d_0 off by one is another
+    element, which fails the decomposition, and f1f2_u00 too for E_11, as
+    det E then moves.  The vectors are injected through ctx.__dict__."""
+    ctx = PrimeContext(p)
+    e, d = ctx.cauchy, ctx.vsemirnov
+    if case == "all_ones":
+        e = [[[c + 1 for c in v] for v in row] for row in e]
+        d = tuple([c + 1 for c in v] for v in d)
+    elif case == "e_11":
+        e = [[[e[0][0][0] + 1, *e[0][0][1:]], *e[0][1:]], *e[1:]]
+    else:
+        d = ([d[0][0] + 1, *d[0][1:]], *d[1:])
+    fresh = PrimeContext(p)
+    fresh.__dict__.update(cauchy=e, vsemirnov=d)
+    decomposition, f1f2 = verify_decomposition(fresh), verify_f1f2(fresh)
+    assert decomposition.passed is (case == "all_ones")
+    assert f1f2.passed is (case != "e_11")
+    if case != "all_ones":
+        assert decomposition.detail.startswith("first divergent entry (i, j) = (")
 
 
 def test_zero_inverse_names_its_field():
@@ -1310,3 +1377,45 @@ def test_public_names_resolve():
     assert len(set(legdet.__all__)) == len(legdet.__all__)
     for name in legdet.__all__:
         assert getattr(legdet, name) is not None
+
+
+def test_public_api_is_checks_reports_and_values():
+    """legdet.__all__ is the checks, their reports and the values they
+    hold; the kernels are reached through their modules, not the root."""
+    assert set(legdet.__all__) == {
+        "CheckResult", "SuiteOptions", "VerificationReport", "c_polynomial", "random_uv_instance",
+        "run_suite", "uv_trial_checks", "verify_adj_sum", "verify_carlitz", "verify_d00_detG",
+        "verify_decomposition", "verify_evil", "verify_f1f2", "verify_lemma_sum", "verify_lemma_uv",
+        "verify_minor_antisymmetry", "verify_prod_2j", "verify_sun_congruence", "verify_theorem",
+        "QuadElem", "UnitData", "ab_coeffs", "class_number", "fundamental_unit", "quad_pow",
+        "OddPrime", "factorial_mod", "is_prime", "legendre", "odd_primes_upto",
+        "as_rational", "UniPoly", "CycloElem",
+    }
+    for name in ("ZZ", "ExactMatrix", "Ring", "cyclo_ring", "adjugate", "det_bareiss", "det_field"):
+        assert not hasattr(legdet, name) and hasattr(linalg, name)
+    assert not hasattr(legdet, "zeta_pow") and hasattr(cyclotomic, "zeta_pow")
+    for name in ("build_evil_matrix", "build_vsemirnov_matrices"):
+        assert not hasattr(legdet, name) and hasattr(identities, name)
+
+
+def test_readme_library_block_runs():
+    """README's Library block, run statement by statement: an expression
+    commented with an exception's name raises it, and one commented with
+    a value has that repr, up to a trailing "...)"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines, ns, checked = block.splitlines(), {}, 0
+    for stmt in ast.parse(block).body:
+        code = compile(ast.Module([stmt], []), "README.md", "exec")
+        comment = lines[stmt.end_lineno - 1].partition("  # ")[2].strip()
+        if not (isinstance(stmt, ast.Expr) and comment):
+            exec(code, ns)
+        elif error := re.match(r"(\w+Error)\b", comment):
+            with pytest.raises(getattr(builtins, error.group(1))):
+                exec(code, ns)
+            checked += 1
+        else:
+            got = repr(eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns))
+            assert got.startswith(comment[:-4]) if comment.endswith("...)") else got == comment
+            checked += 1
+    assert checked == 5 and ns["report"].all_passed
