@@ -43,9 +43,8 @@ Cases:
            build.
   det_field_cyclo  legdet.linalg.det_field over Q(zeta_p) on the matrix
            of the f1f2_u00 check at p = 29 and 41, the Cauchy-type matrix
-           (PrimeContext.cauchy, its slot vectors folded into CycloElems
-           where the checkout builds them so); one sample is one
-           determinant.
+           (PrimeContext.cauchy, its slot vectors folded into
+           CycloElems); one sample is one determinant.
   emit_report  legdet.cli.emit_report as JSON, into a fresh StringIO, of
            a pre-built report of 6000 lemma rows, identities.uv_trial_checks
            at m <= 7, seed 1: the report of legbench's lemma_uv workload;
@@ -216,12 +215,10 @@ def lemma_cases(legdet, quick: bool) -> dict:
 
 
 def cauchy_matrix(legdet, p: int):
-    """det_field's matrix in verify_f1f2: PrimeContext.cauchy where it is
-    an ExactMatrix, else its p-slot vectors folded into CycloElems."""
+    """det_field's matrix in verify_f1f2: PrimeContext.cauchy, its p-slot
+    vectors folded into CycloElems."""
     lin, cyc = legdet.linalg, legdet.cyclotomic
     e = legdet.identities.PrimeContext(p).cauchy
-    if isinstance(e, lin.ExactMatrix):
-        return e
     return lin.ExactMatrix(lin.cyclo_ring(p), [[cyc.CycloElem(p, cyc._fold(v)) for v in row] for row in e])
 
 

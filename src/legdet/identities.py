@@ -52,9 +52,7 @@ from .linalg import (
     det_fractions,
     det_mod_packed,
     det_mod_rows,
-    mod_slot_width,
-    pack_windows,
-    solve_mod_packed,
+    schur_table_mod,
     toeplitz_adjugate,
     toeplitz_columns,
 )
@@ -139,28 +137,26 @@ class PrimeContext:
     that S misses in [0, n], each in order, and tau sends position i to S_i
     when S_i <= n and the other positions, in order, to the missed columns.
     M averages k/2 rows.  sun_schur holds det A and the rows r > n of X,
-    both from one Gauss-Jordan (solve_mod_packed, det A the product of its
-    pivots and row-swap signs) on the k columns of H, rotations of the
-    Legendre table packed once (pack_windows); A is symmetric, so it
-    eliminates [A | H[n+1..p-1]^T].  The slots of X are bytes, b of them at
-    a width 8b >= mod_slot_width(p, k), the slot bound of the one
-    elimination mod p (linalg._eliminate_mod) behind both the Gauss-Jordan
-    and the minors' determinants, for k rows, so every minor packs at that
-    width by joining bytes, one row per missed column (M transposed, of the
-    same determinant).
+    both from one Gauss-Jordan mod p on the k columns of H, rotations of
+    the Legendre table (linalg.schur_table_mod, det A the product of its
+    pivots and row-swap signs); A is symmetric, so it eliminates
+    [A | H[n+1..p-1]^T].  The slots of X are bytes, b of them at a width
+    8b >= mod_slot_width(p, k), the slot bound of the one elimination mod p
+    (linalg._eliminate_mod) behind both the Gauss-Jordan and the minors'
+    determinants, for k rows, so every minor packs at that width by joining
+    bytes, one row per missed column (M transposed, of the same
+    determinant).
 
     The adjugate of C, which minor antisymmetry alone reads, is built for
     p = 3 (mod 4) from A = C + J, whose Toeplitz recurrence (plus_j) also
     gives C(1), and adj(A) from its first and last columns
     (toeplitz_adjugate).  Each entry of adj(C + xJ) is affine in x, so
     adj(C) = (adj(C + J) + adj(C - J)) / 2; here C^T = -C and k is even,
-    so adj(C - J) = adj(-A^T) = -adj(A)^T, and adj(A) is persymmetric:
-    adj(C)[i][j] = (adj(A)[i][j] - adj(A)[n-i][n-j]) / 2.  A certificate,
-    C X = c0 I with c0 = (C(1) + C(-1)) / 2 (evil_det), runs before any
-    check reads X.  For c0 != 0 it forces X = c0 C^-1, whatever the
-    recurrence assumed (it builds in the persymmetry that minor
-    antisymmetry rests on), and as X does not depend on c0, a c0 other
-    than det C fails it.  A zero F_0 or divisor, c0 = 0 or a failed
+    so C - J = -A^T and adj(C - J) = -adj(A)^T: X = (adj(A) - adj(A)^T) / 2.
+    A certificate, C X = c0 I with c0 = (C(1) + C(-1)) / 2 (evil_det), runs
+    before any check reads X.  For c0 != 0 it forces X = c0 C^-1, whatever
+    the recurrence assumed, and as X does not depend on c0, a c0 other
+    than det C fails it.  No columns, a zero F_0, c0 = 0 or a failed
     certificate sends C to Gauss-Jordan adjugate instead.
     """
 
@@ -203,17 +199,13 @@ class PrimeContext:
     def evil_adjugate(self) -> ExactMatrix:
         """adj(C), p = 3 (mod 4): certified Toeplitz fill (class docstring), else Gauss-Jordan."""
         _context(self, 3)
-        x = self._toeplitz_evil_adjugate()
-        return adjugate(self.evil) if x is None else ExactMatrix(ZZ, x)
-
-    def _toeplitz_evil_adjugate(self) -> list[list[int]] | None:
         _, f, b = self.plus_j
-        adj_a = toeplitz_adjugate(f, b) if f is not None else None
-        if adj_a is None:
-            return None
-        mirror = [row[::-1] for row in reversed(adj_a)]
-        x = [[(a - m) >> 1 for a, m in zip(row, back)] for row, back in zip(adj_a, mirror)]
-        return x if self.evil_det and certify_adjugate(self.evil, x, self.evil_det) else None
+        a = toeplitz_adjugate(f, b) if f is not None else None
+        if a is not None and self.evil_det:
+            x = [[(u - v) >> 1 for u, v in zip(row, col)] for row, col in zip(a, zip(*a))]
+            if certify_adjugate(self.evil, x, self.evil_det):
+                return ExactMatrix(ZZ, x)
+        return adjugate(self.evil)
 
     @cached_property
     def sun_schur(self) -> tuple[int, int, list[tuple[bytes, ...]]]:
@@ -221,13 +213,7 @@ class PrimeContext:
         docstring): cols[c][r - k] is X[r][c], r > n, as b little-endian
         bytes, and cols is empty when det A = 0 (mod p)."""
         p, k = self.p, self.p.n + 1
-        b = -(-mod_slot_width(p, k) // 8)
-        w = 8 * b
-        h = pack_windows([self.chi[m % p] % p for m in range(p + k - 1)], p, w)
-        det_a, x = solve_mod_packed(h, p, p, w)
-        if not det_a:
-            return 0, b, []
-        return det_a, b, [tuple(v.to_bytes(b, "little") for v in col) for col in x]
+        return schur_table_mod([self.chi[m % p] % p for m in range(p + k - 1)], k, p)
 
     @cached_property
     def n_factorial(self) -> int:
@@ -316,15 +302,13 @@ def verify_minor_antisymmetry(p) -> CheckResult:
     """Cofactors of the evil matrix satisfy C_kl + C_{n-k,n-l} = 0 for
     p = 3 (mod 4), 0 <= k <= (p-3)/4, 0 <= l <= n.
 
-    On the certified Toeplitz path (PrimeContext) this loop cannot fail.
-    The construction makes X anti-centrosymmetric up to parity: with
-    a = adj(C + J), X[l][k] + X[n-l][n-k] is 0 where a[l][k] - a[n-l][n-k]
-    is even and -1 where it is odd.  The certificate forces X = adj(C), and
-    C is Toeplitz with C^T = -C ((-1/p) = -1), so J C J = C^T = -C (J the
-    exchange matrix) and J adj(C) J = adj(-C) = -adj(C) at the even order
-    n + 1: no sum is -1.  So a failing row only ever comes through the
-    Gauss-Jordan fallback, and on the Toeplitz path the verdict rests on
-    certify_adjugate."""
+    On the certified Toeplitz path (PrimeContext) this loop cannot fail:
+    the certificate forces X = adj(C), and C is Toeplitz with C^T = -C
+    ((-1/p) = -1), so J C J = C^T = -C (J the exchange matrix) and
+    J adj(C) J = adj(-C) = -adj(C) at the even order n + 1.  So a failing
+    row only ever comes through the Gauss-Jordan fallback, which a C other
+    than the evil matrix reaches as its certificate fails, and on the
+    Toeplitz path the verdict rests on certify_adjugate."""
     ctx = _context(p, 3)
     p = ctx.p
     n = p.n

@@ -16,18 +16,18 @@ det_circulant, the product of a circulant's eigenvalues mod Phi_p(2^L);
 and, for a residue mod a prime, one elimination over F_q on rows packed
 one per integer, with delayed reduction, one packed Barrett reduction per
 pivot row and a slot width it proves (_eliminate_mod), behind two entry
-points: det_mod_packed, and its Gauss-Jordan solve_mod_packed, for the Sun
-check's det A and table A^-1 B over F_q.  det_mod_rows packs plain rows
-for det_mod_packed, pack_windows the rotations of one table.
+points: det_mod_packed (det_mod_rows packs plain rows for it), and its
+Gauss-Jordan schur_table_mod, which packs the windows of one sequence and
+returns the Sun check's det A and table A^-1 B over F_q as bytes.
 
 The general adjugate is fraction-free Gauss-Jordan on [A | I], sharing the
 Bareiss step with the determinant, and refuses a singular matrix.  A
 Toeplitz matrix also has an O(k^2) adjugate, from the first and last
 columns that the Levinson-Trench run ends with (toeplitz_adjugate).  That
 one relies on the displacement structure of its input, so a caller
-certifies what it derives from it: certify_adjugate checks C X = d I on
-rows of X packed at a width past the slots' bound, which for d != 0 leaves
-X = d C^-1 as the only solution.
+certifies what it derives from it: certify_adjugate checks C X = d I, for
+any integer C, on rows of X packed at a width past the slots' bound, which
+for d != 0 leaves X = d C^-1 as the only solution.
 """
 
 from __future__ import annotations
@@ -291,19 +291,21 @@ def toeplitz_adjugate(f, b) -> list[list[int]] | None:
 
 
 def certify_adjugate(c: ExactMatrix, x, d: int) -> bool:
-    """Whether C X = d I exactly, for C with entries in {0, 1, -1} and X a
-    list of integer rows: k^2 additions of rows of X packed one per integer.
+    """Whether C X = d I exactly, for an integer matrix C and X a list of
+    integer rows: k^2 additions of rows of X packed one per integer, each
+    times its entry of C (a plain sum or difference for +-1).
 
     Row i of C X packs to sum_l v_l 2^(w l), v_l = sum_j c_ij X[j][l], so
-    |v_l| <= k M, M = max |X|.  With w = bitlen(k M + |d|), each slot of
-    the packed difference from d 2^(w i) is below 2^w in absolute value,
-    and a sum of such slots times 2^(w l) vanishes only if every slot does
-    (the lowest nonzero one is not a multiple of 2^(w (l+1))).  So the
-    packed row equals d 2^(w i) exactly when row i of C X is d e_i.  When
-    d != 0 this forces X = d C^-1, hence X = adj(C) if d = det C.
+    |v_l| <= r M, r the largest l1 norm of a row of C and M = max |X|.
+    With w = bitlen(r M + |d|), each slot of the packed difference from
+    d 2^(w i) is below 2^w in absolute value, and a sum of such slots times
+    2^(w l) vanishes only if every slot does (the lowest nonzero one is not
+    a multiple of 2^(w (l+1))).  So the packed row equals d 2^(w i) exactly
+    when row i of C X is d e_i.  When d != 0 this forces X = d C^-1, hence
+    X = adj(C) if d = det C.
     """
-    k = c.rows
-    w = (k * max(max(max(row), -min(row)) for row in x) + abs(d)).bit_length()
+    r = max(sum(map(abs, row)) for row in c.entries)
+    w = (r * max(max(max(row), -min(row)) for row in x) + abs(d)).bit_length()
     packed = [_pack(row, w) for row in x]
     for i, row in enumerate(c.entries):
         acc = 0
@@ -313,7 +315,7 @@ def certify_adjugate(c: ExactMatrix, x, d: int) -> bool:
             elif cij == -1:
                 acc -= xj
             elif cij:
-                raise ValueError(f"certify_adjugate needs entries in {{0, 1, -1}}, got {cij}")
+                acc += cij * xj
         if acc != d << (w * i):
             return False
     return True
@@ -342,15 +344,6 @@ def det_mod_rows(rows, q: int) -> int:
     mod_slot_width, then det_mod_packed."""
     w = mod_slot_width(q, len(rows))
     return det_mod_packed([_pack(row, w) for row in rows], q, w)
-
-
-def pack_windows(seq, k: int, w: int) -> list[int]:
-    """The windows seq[r : r + k], 0 <= r <= len(seq) - k, each packed as
-    sum_j seq[r + j] 2^(w j), for nonnegative entries below 2^w: shifts of
-    one packed integer."""
-    whole = _pack(seq, w)
-    mask = (1 << (w * k)) - 1
-    return [(whole >> (w * r)) & mask for r in range(len(seq) - k + 1)]
 
 
 def _eliminate_mod(rows, width: int, q: int, w: int, jordan: bool) -> tuple[int, list[int], list[int]]:
@@ -439,18 +432,24 @@ def det_mod_packed(rows, q: int, w: int) -> int:
     return _eliminate_mod(rows, len(rows), q, w, jordan=False)[0]
 
 
-def solve_mod_packed(rows, width: int, q: int, w: int) -> tuple[int, list[list[int]] | None]:
-    """(det A, A^-1 B) over F_q, entries in range(q), for the k rows of
-    [A | B] packed as in det_mod_packed, width slots each, the first k of
-    them A's, for a prime q; (0, None) when A is singular mod q.  The
-    Gauss-Jordan of _eliminate_mod leaves row c of B times pivot c, so row
-    c is scaled by the pivot's inverse as it is unpacked."""
-    det, rows, invs = _eliminate_mod(rows, width, q, w, jordan=True)
+def schur_table_mod(seq, k: int, q: int) -> tuple[int, int, list[tuple[bytes, ...]]]:
+    """(det A, b, cols) over F_q, q prime, for the k rows [A | B] that are
+    the windows seq[r : r + width], 0 <= r < k, width = len(seq) - k + 1,
+    entries in range(q), A their first k columns: det A in range(q), and
+    cols[c][j] entry (c, j) of A^-1 B, in range(q), as b little-endian
+    bytes, or no cols when det A = 0.  The windows are shifts of seq packed
+    once at w = 8b bits per slot, b the least with 8b >= mod_slot_width(q,
+    k), so one elimination mod q (_eliminate_mod, Gauss-Jordan) gives det A
+    from its pivots, and row c of B times pivot c, which is scaled by the
+    pivot's inverse as it is unpacked."""
+    width, b = len(seq) - k + 1, -(-mod_slot_width(q, k) // 8)
+    w = 8 * b
+    whole, window, slot = _pack(seq, w), (1 << (w * width)) - 1, (1 << w) - 1
+    det, rows, invs = _eliminate_mod([(whole >> (w * r)) & window for r in range(k)], width, q, w, jordan=True)
     if not det:
-        return 0, None
-    mask = (1 << w) - 1
-    return det, [[((row >> (w * j)) & mask) * inv % q for j in range(width - len(rows))]
-                 for row, inv in zip(rows, invs)]
+        return 0, b, []
+    return det, b, [tuple((((row >> s) & slot) * inv % q).to_bytes(b, "little") for s in range(0, w * (width - k), w))
+                    for row, inv in zip(rows, invs)]
 
 
 # the odd primes below 100: Proth witnesses, and a screen for candidates
@@ -569,9 +568,9 @@ def det_field(m: ExactMatrix):
     so c_e is its symmetric residue mod q.  H = 0 means a zero row.
 
     Conjugation moves slot t of an entry's p-slot vector v to slot -t mod p.
-    The mirror agrees with v at slot 0, so it is the same element exactly
-    when it is v itself, v[1:] == v[:0:-1]; when every entry passes, det' is
-    real and half the images suffice.
+    The moved vector agrees with v at slot 0, so it is the same element
+    exactly when it is v itself, v[1:] == v[:0:-1]; when every entry
+    passes, det' is real and half the images suffice.
     """
     _require_square(m)
     ring = m.ring

@@ -41,6 +41,7 @@ and quadratic ones with no sqrt(...) part, need the field index p).
 """
 
 import __future__
+import ast
 import inspect
 import json
 import re
@@ -300,16 +301,29 @@ def solve_mod_p_lists(a, b, p):
 
 
 def mutant(module, name: str, old: str, new: str):
-    """module.name, a function or a method named Class.method, recompiled
-    from its dedented source with the one occurrence of old replaced by new,
-    its globals a copy of the module's: a negative control that edits one
-    expression of the code under test."""
+    """module.name, a function or a method named Class.method (a
+    cached_property's function included), recompiled from its dedented
+    source with the one occurrence of old outside its docstring replaced by
+    new, its globals a copy of the module's: a negative control that edits
+    one expression of the code under test.  The docstring, located with
+    ast, is neither counted nor edited, so prose that quotes the code
+    neither blocks nor takes the edit."""
     obj = module
     for part in name.split("."):
         obj = getattr(obj, part)
-    src = textwrap.dedent(inspect.getsource(obj))
-    assert src.count(old) == 1, f"{old!r} is not one expression of {name}"
-    code = compile(src.replace(old, new), module.__file__, "exec",
+    src = textwrap.dedent(inspect.getsource(getattr(obj, "func", obj)))
+    head, doc, tail = src, "", ""
+    fn = ast.parse(src).body[0]
+    if ast.get_docstring(fn) is not None:
+        node, lines = fn.body[0], src.splitlines(keepends=True)
+
+        def offset(lineno, col):  # ast columns count UTF-8 bytes
+            return sum(map(len, lines[:lineno - 1])) + len(lines[lineno - 1].encode()[:col].decode())
+
+        start, end = offset(node.lineno, node.col_offset), offset(node.end_lineno, node.end_col_offset)
+        head, doc, tail = src[:start], src[start:end], src[end:]
+    assert head.count(old) + tail.count(old) == 1, f"{old!r} is not one expression of {name}"
+    code = compile(head.replace(old, new) + doc + tail.replace(old, new), module.__file__, "exec",
                    flags=__future__.annotations.compiler_flag, dont_inherit=True)
     ns = dict(vars(module))
     exec(code, ns)

@@ -517,6 +517,21 @@ def test_random_uv_instance_refuses_m_max_below_one_before_drawing(monkeypatch, 
         unguarded(NoDrawRandom(0), m_max)
 
 
+def test_mutant_edits_code_outside_the_docstring():
+    """helpers.mutant counts and replaces old outside the function's
+    docstring: "m_max < 1" is in random_uv_instance's docstring and its
+    guard, and resolves to the guard, which made False lets the first draw
+    through; the docstring is kept, and text found only in it is refused."""
+    unguarded = mutant(identities, "random_uv_instance", "m_max < 1", "False")
+    assert "m_max < 1" in unguarded.__doc__
+    assert unguarded.__doc__ == random_uv_instance.__doc__
+    with pytest.raises(Drew, match=r"^getrandbits\(0\)$"):
+        unguarded(NoDrawRandom(0), 0)
+    assert unguarded(random.Random(3), 5) == random_uv_instance(random.Random(3), 5)
+    with pytest.raises(AssertionError, match="is not one expression"):
+        mutant(identities, "random_uv_instance", "before any draw", "")
+
+
 def test_lemma_sum_values():
     r = verify_lemma_sum(5)
     assert r.passed
@@ -859,14 +874,15 @@ def spy_gauss_jordan(monkeypatch) -> list[int]:
 
 
 def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
-    """Negative control: one entry of the Toeplitz fill of adj(C + J) off by
-    one, before the certificate.  Its antisymmetric part is then floored
-    or wrong, the certificate does not hold, and C goes to Gauss-Jordan:
-    the context's adjugate is Gauss-Jordan's, and minor antisymmetry still
-    passes."""
+    """Negative control: one off-diagonal entry of the Toeplitz fill of
+    adj(C + J) off by one, before the certificate.  Its antisymmetric part
+    is then floored or wrong, the certificate does not hold, and C goes to
+    Gauss-Jordan: the context's adjugate is Gauss-Jordan's, and minor
+    antisymmetry still passes.  (A - A^T) / 2 never reads the diagonal of
+    A, so the entry is off the diagonal."""
     def corrupted(f, b):
         rows = toeplitz_adjugate(f, b)
-        rows[1][1] += 1
+        rows[1][2] += 1
         return rows
 
     monkeypatch.setattr(identities, "toeplitz_adjugate", corrupted)
@@ -876,6 +892,25 @@ def test_corrupted_toeplitz_adjugate_falls_back_to_gauss_jordan(monkeypatch):
         assert verify_minor_antisymmetry(ctx).passed
         assert ctx.evil_adjugate == adjugate(ctx.evil)
     assert calls == [4, 6, 10, 12]
+
+
+@pytest.mark.parametrize("p", [11, 19, 23])
+def test_uncertified_fill_fails_minor_antisymmetry(monkeypatch, p):
+    """Negative control: with the certificate made to pass whatever X is,
+    entry (1, 2) of the Toeplitz fill of adj(C + J) plus 2.  The
+    antisymmetric part (A - A^T) / 2 does not build in the anti-centro
+    symmetry that the check compares, so X[2][1], one less, fails it at
+    (k, l) = (1, 2): the check reads the fill, not only its
+    construction."""
+    def corrupted(f, b):
+        rows = toeplitz_adjugate(f, b)
+        rows[1][2] += 2
+        return rows
+
+    monkeypatch.setattr(identities, "toeplitz_adjugate", corrupted)
+    monkeypatch.setattr(identities, "certify_adjugate", lambda c, x, d: True)
+    r = verify_minor_antisymmetry(p)
+    assert (r.passed, r.lhs, r.rhs, r.detail) == (False, "-1", "0", "(k, l) = (1, 2)")
 
 
 @pytest.mark.parametrize("trigger", ["divisor", "f0", "c0", "certificate"])
@@ -902,6 +937,25 @@ def test_each_fallback_trigger_gives_the_gauss_jordan_adjugate(monkeypatch, trig
     assert ctx.evil_adjugate == adjugate(build_evil_matrix(p))
     assert calls == [(p + 1) // 2]
     assert verify_minor_antisymmetry(ctx).passed
+
+
+@pytest.mark.parametrize("p, entry, lhs", [(19, 2, "-3"), (19, -2, "9"), (43, 2, "-7"), (43, -2, "21")],
+                         ids=["p19-plus2", "p19-minus2", "p43-plus2", "p43-minus2"])
+def test_corrupted_evil_matrix_fails_minor_antisymmetry(monkeypatch, p, entry, lhs):
+    """Negative control: C[0][1] set to +-2 in the context's evil matrix,
+    which the Toeplitz run on the Legendre table never reads.  The
+    certificate, which multiplies in any integer entry, fails on the
+    corrupted C, so C goes to Gauss-Jordan once, and its adjugate fails
+    minor antisymmetry: a fail row, not an exception."""
+    calls = spy_gauss_jordan(monkeypatch)
+    ctx = PrimeContext(p)
+    rows = [list(row) for row in ctx.evil.entries]
+    rows[0][1] = entry
+    ctx.__dict__["evil"] = ExactMatrix(ZZ, rows)
+    r = verify_minor_antisymmetry(ctx)
+    assert r.passed is False
+    assert (r.name, r.lhs, r.rhs) == ("minor_antisym", lhs, "0")
+    assert calls == [(p + 1) // 2]
 
 
 @pytest.mark.parametrize("p", [7, 11, 19])
@@ -954,23 +1008,24 @@ def test_schur_sun_mutants_fail(monkeypatch, name, old, new, failed):
 ], ids=["no-swap-sign", "scaled-pivot"])
 def test_sun_table_det_mutants_fail(monkeypatch, old, new):
     """Negative controls for det A, which the table's one Gauss-Jordan
-    (solve_mod_packed, on _eliminate_mod) reads off its pivots: the sign of
+    (schur_table_mod, on _eliminate_mod) reads off its pivots: the sign of
     the row swaps dropped (A[0][0] = (0/p) = 0, so step 0 always swaps),
     and each pivot read after its row is scaled to 1.  Only the table's
     elimination is mutated; the minors' det_mod_packed keeps the real one.
     Each runs and fails every d != 0 at p = 13."""
     ns = {**vars(linalg), "_eliminate_mod": mutant(linalg, "_eliminate_mod", old, new)}
-    solve = types.FunctionType(linalg.solve_mod_packed.__code__, ns)
-    monkeypatch.setattr(identities, "solve_mod_packed", solve)
+    schur = types.FunctionType(linalg.schur_table_mod.__code__, ns)
+    monkeypatch.setattr(identities, "schur_table_mod", schur)
     assert identities.det_mod_packed is linalg.det_mod_packed
     assert not any(identities.verify_sun_congruence(13, d).passed for d in range(1, 13))
 
 
 def test_sun_fallback_matches_schur_path(monkeypatch):
-    """A table whose elimination finds A singular mod p, (0, None) from
-    solve_mod_packed, is reported as (0, b, []) and sends every d to
-    det_mod_rows of the explicit rows, as d = 0 always goes, and the lhs
-    is the one the Schur path gives at p = 13, 17 and 29."""
+    """A table whose elimination finds A singular mod p, a zero det from
+    the _eliminate_mod behind schur_table_mod, is reported as (0, b, [])
+    and sends every d to det_mod_rows of the explicit rows, as d = 0 always
+    goes, and the lhs is the one the Schur path gives at p = 13, 17 and
+    29."""
     calls = []
     monkeypatch.setattr(identities, "det_mod_rows", lambda rows, q: calls.append(q) or det_mod_rows(rows, q))
     want = {}
@@ -978,7 +1033,8 @@ def test_sun_fallback_matches_schur_path(monkeypatch):
         want[p] = [verify_sun_congruence(p, d) for d in range(p)]
         assert calls == [p] and all(r.passed for r in want[p])
         calls.clear()
-    monkeypatch.setattr(identities, "solve_mod_packed", lambda rows, width, q, w: (0, None))
+    ns = {**vars(linalg), "_eliminate_mod": lambda rows, width, q, w, jordan: (0, rows, [])}
+    monkeypatch.setattr(identities, "schur_table_mod", types.FunctionType(linalg.schur_table_mod.__code__, ns))
     assert PrimeContext(13).sun_schur == (0, 3, [])
     for p in (13, 17, 29):
         assert [verify_sun_congruence(p, d) for d in range(p)] == want[p]
@@ -1185,7 +1241,7 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     kept between calls."""
     calls = {"det_circulant": [], "toeplitz_columns": [], "det_bareiss": [], "adjugate": [],
              "ab_coeffs": [], "build_cauchy_matrix": [], "build_vsemirnov_matrices": [], "factorial_mod": [],
-             "solve_mod_packed": [], "det_mod_packed": []}
+             "schur_table_mod": [], "det_mod_packed": []}
 
     def count(name, key):
         fn = getattr(identities, name)
@@ -1204,14 +1260,14 @@ def test_run_suite_computes_each_shared_value_once_per_prime(monkeypatch):
     count("build_cauchy_matrix", lambda p: int(p.p))
     count("build_vsemirnov_matrices", lambda p: int(getattr(p, "p", p)))  # a context or a prime
     count("factorial_mod", lambda n, p: int(p))
-    count("solve_mod_packed", lambda rows, width, q, w: int(q))
+    count("schur_table_mod", lambda seq, k, q: int(q))
     count("det_mod_packed", lambda rows, q, w: (int(q), len(rows)))
     assert run_suite(29, SuiteOptions(uv_trials=1)).all_passed
     assert calls["ab_coeffs"] == calls["build_cauchy_matrix"] == calls["build_vsemirnov_matrices"] == [5, 13, 17, 29]
     assert calls["factorial_mod"] == [5, 13, 17, 29]
     # one Gauss-Jordan per Sun table gives det A too: every det_mod_packed
     # is a minor, of fewer than (p + 1) / 2 rows, as each S hits column 0
-    assert calls["solve_mod_packed"] == [5, 13, 17, 29]
+    assert calls["schur_table_mod"] == [5, 13, 17, 29]
     assert calls["det_mod_packed"] and all(k < (q + 1) // 2 for q, k in calls["det_mod_packed"])
     # per prime C + J with its columns, then C - J, and the p x p circulant A + J of Carlitz
     primes = odd_primes_upto(29)

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import types
 from fractions import Fraction
 from functools import partial
 
@@ -41,9 +42,8 @@ from legdet.linalg import (
     det_mod_packed,
     det_mod_rows,
     mod_slot_width,
-    pack_windows,
     quadratic_form_adjugate,
-    solve_mod_packed,
+    schur_table_mod,
     toeplitz_adjugate,
     toeplitz_columns,
 )
@@ -432,9 +432,23 @@ def test_det_mod_p_matches_list_elimination_on_sun_matrices():
         assert det_mod(m.entries, 101) == det_mod_p_lists(m.entries, 101)
 
 
+def gauss_jordan_packed(rows, width: int, q: int, w: int):
+    """(det A, A^-1 B) over F_q from the Gauss-Jordan mode of
+    linalg._eliminate_mod, looked up when called, on the k packed rows of
+    [A | B], width slots each: row c of B, left times pivot c, scaled by the
+    pivot's inverse as it is unpacked; (0, None) when A is singular mod q."""
+    det, rows, invs = linalg._eliminate_mod(rows, width, q, w, jordan=True)
+    if not det:
+        return 0, None
+    mask = (1 << w) - 1
+    return det, [[((row >> (w * j)) & mask) * inv % q for j in range(width - len(rows))]
+                 for row, inv in zip(rows, invs)]
+
+
 def mod_kernels_against_lists():
-    """Seeded det_mod_packed and solve_mod_packed at mod_slot_width against
-    list elimination and list Gauss-Jordan, for q in {2, 3, 13, 101,
+    """Seeded det_mod_packed and Gauss-Jordan _eliminate_mod
+    (gauss_jordan_packed) at mod_slot_width against list elimination and
+    list Gauss-Jordan, for arbitrary [A | B] and q in {2, 3, 13, 101,
     2^61 - 1, 2^89 - 1}: k <= 10 and up to 4 columns of B; half the
     matrices draw from {0, 1, q - 1}, whose vanishing pivots force swaps,
     the rest from range(q), a fifth of them zero.  Singular A come up for
@@ -452,7 +466,7 @@ def mod_kernels_against_lists():
             singular += not det
             assert det_mod_packed([_pack(row, w) for row in a], q, w) == det, (q, a)
             want = (det, solve_mod_p_lists(a, b, q)) if det else (0, None)
-            assert solve_mod_packed([_pack(ra + rb, w) for ra, rb in zip(a, b)], k + m, q, w) == want, (q, a, b)
+            assert gauss_jordan_packed([_pack(ra + rb, w) for ra, rb in zip(a, b)], k + m, q, w) == want, (q, a, b)
         assert singular > 0, q
 
 
@@ -498,7 +512,7 @@ def mod_elimination_at_bound(q: int, k: int, jordan: bool):
     det = det_mod_p_lists(a, q)
     assert det
     if jordan:
-        run, want = partial(solve_mod_packed, rows, k + m, q), (det, solve_mod_p_lists(a, b, q))
+        run, want = partial(gauss_jordan_packed, rows, k + m, q), (det, solve_mod_p_lists(a, b, q))
     else:
         run, want = partial(det_mod_packed, rows, q), det
     assert run(w) == want
@@ -552,9 +566,28 @@ def test_det_mod_packed_refuses_a_slot_below_its_bound():
             det_mod_packed(rows, q, w - 1)
 
 
-def test_pack_windows():
-    assert pack_windows([1, 2, 3, 4], 2, 4) == [1 + (2 << 4), 2 + (3 << 4), 3 + (4 << 4)]
-    assert pack_windows([5], 1, 3) == [5]
+def test_schur_table_mod_matches_list_gauss_jordan_on_windows():
+    """Seeded sequences, k <= 8 windows of width k + m, m <= 5, for q in
+    {2, 13, 101, 2^61 - 1}, half of them drawn from {0, 1, q - 1}:
+    schur_table_mod against det_mod_p_lists and solve_mod_p_lists on the
+    explicit windows [A | B], each entry of A^-1 B as b little-endian bytes
+    for the b of mod_slot_width(q, k), and (0, b, []) for a singular A,
+    which comes up for every q."""
+    rng = random.Random(40)
+    for q in (2, 13, 101, (1 << 61) - 1):
+        singular = 0
+        for _ in range(50):
+            k, m = rng.randint(1, 8), rng.randint(0, 5)
+            small = rng.random() < 0.5
+            seq = [rng.choice((0, 1, q - 1)) if small else rng.randrange(q) for _ in range(2 * k + m - 1)]
+            windows = [seq[r:r + k + m] for r in range(k)]
+            a, bt = [w[:k] for w in windows], [w[k:] for w in windows]
+            b = -(-mod_slot_width(q, k) // 8)
+            det = det_mod_p_lists(a, q)
+            singular += not det
+            want = [tuple(x.to_bytes(b, "little") for x in row) for row in solve_mod_p_lists(a, bt, q)] if det else []
+            assert schur_table_mod(seq, k, q) == (det, b, want), (q, k, seq)
+        assert singular > 0, q
 
 
 def test_sun_tables_agree_with_explicit_matrices():
@@ -619,8 +652,33 @@ def test_certify_adjugate():
     assert not certify_adjugate(c, bumped, 1)
     assert not certify_adjugate(ExactMatrix(ZZ, [[1, 1], [1, 1]]), [[2, 0], [2, -1]], 0)
     assert certify_adjugate(ExactMatrix(ZZ, [[1, 1], [1, 1]]), [[1, -1], [-1, 1]], 0)
-    with pytest.raises(ValueError, match="entries in"):
-        certify_adjugate(ExactMatrix(ZZ, [[2]]), [[1]], 2)
+    # entries other than 0 and +-1 are multiplied in: [[2]] [[1]] = 2 I
+    assert certify_adjugate(ExactMatrix(ZZ, [[2]]), [[1]], 2)
+    assert not certify_adjugate(ExactMatrix(ZZ, [[2]]), [[1]], 1)
+
+
+def test_certify_adjugate_on_seeded_integer_matrices():
+    """C with entries in [-9, 9], k <= 6: X = adj(C) passes at d = det C,
+    and fails with one entry off by one and at d + 1.  The width counts the
+    l1 norm r of C's rows, not the order k: C = [[-3, 1], [0, 1]] and X = I,
+    d = 1, have row 0 of C X = [-3, 1], which packs to -3 + 1 * 2^2 = 1 = d
+    at the width bitlen(k M + |d|) = 2 that rows of 0 and +-1 would take, a
+    false pass; r = 4 gives width bitlen(r M + |d|) = 3 and tells it
+    apart."""
+    rng = random.Random(41)
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        c = ExactMatrix(ZZ, rand_int_rows(rng, k, -9, 9))
+        d = det_bareiss(c)
+        if not d:
+            continue
+        adj = [list(row) for row in adjugate(c).entries]
+        assert certify_adjugate(c, adj, d)
+        assert not certify_adjugate(c, adj, d + 1)
+        bumped = [list(row) for row in adj]
+        bumped[rng.randrange(k)][rng.randrange(k)] += 1
+        assert not certify_adjugate(c, bumped, d)
+    assert not certify_adjugate(ExactMatrix(ZZ, [[-3, 1], [0, 1]]), [[1, 0], [0, 1]], 1)
 
 
 def test_certify_adjugate_width_counts_negative_entries():
@@ -921,19 +979,21 @@ def test_certified_evil_adjugate_agrees_with_gauss_jordan_without_fallback(monke
     certified_adjugate_without_fallback(monkeypatch)
 
 
-@pytest.mark.parametrize("old, new", [("(a - m) >> 1", "(a + m) >> 1"), ("reversed(adj_a)", "adj_a"),
-                                      ("(a - m) >> 1", "(a - m)")],
-                         ids=["sum-for-difference", "mirror-not-reversed", "no-halving"])
+@pytest.mark.parametrize("old, new", [("(u - v) >> 1", "(u + v) >> 1"), ("zip(*a)", "a"),
+                                      ("(u - v) >> 1", "(u - v)")],
+                         ids=["sum-for-difference", "no-transpose", "no-halving"])
 def test_antisymmetric_part_mutants_reach_gauss_jordan(monkeypatch, old, new):
     """Negative controls for adj(C) as the antisymmetric part of
     adj(A), A = C + J, which leaves the certificate as the one guard:
-    the symmetric part (a + m) in place of the difference, the mirror
-    adj(A)[i][n-j] with its rows not reversed, and 2 adj(C) with the
-    halving dropped.  Each X fails C X = c0 I, so at p = 19 C reaches
+    the symmetric part (u + v) in place of the difference, adj(A) paired
+    with itself in place of its transpose, and 2 adj(C) with the halving
+    dropped.  Each X fails C X = c0 I, so at p = 19 C reaches
     Gauss-Jordan and the adjugate is still right, and the without-fallback
-    sweep above fails on it."""
-    monkeypatch.setattr(identities.PrimeContext, "_toeplitz_evil_adjugate",
-                        mutant(identities, "PrimeContext._toeplitz_evil_adjugate", old, new))
+    sweep above fails on it.  The mutant runs on the module's own globals,
+    so that the spy and the sweep reach the adjugate it falls back to."""
+    bad = mutant(identities, "PrimeContext.evil_adjugate", old, new).func
+    monkeypatch.setattr(identities.PrimeContext, "evil_adjugate",
+                        property(types.FunctionType(bad.__code__, vars(identities))))
     calls = []
     with monkeypatch.context() as mp:
         mp.setattr(identities, "adjugate", lambda m: calls.append(m.rows) or adjugate(m))
